@@ -20,7 +20,7 @@ from .domain_grid import (
     orthonormal_frame,
     prescribed_metric,
 )
-from .energy import EnergyReport, e4_lower_bound_check, energy_k, energy_report
+from .energy import EnergyReport, energy_k, energy_report
 from .examples import builtin_map, example_catalog
 from .flow import (
     FlowConfig,
@@ -36,6 +36,7 @@ from .flow import (
 from .pullback import (
     MapField,
     Section,
+    TensionChain,
     bitension,
     curvature_contraction,
     differential,

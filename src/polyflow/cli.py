@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +25,7 @@ from .energy import energy_report
 from .errors import ConfigError, DegenerateImmersion, PolyflowError
 from .examples import builtin_map, example_catalog
 from .flow import FlowConfig, MetricPolicy, run_flow, theorem_probe
+from .pullback import TensionChain
 from .space_form import Model, SpaceFormSpec
 from .verify import (
     first_variation_residual,
@@ -171,17 +171,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("POLYFLOW_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"POLYFLOW_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigError("POLYFLOW_THREADS must be >= 0")
-    return value
-
-
 def _choose_metric(phi, action: Action, notes: list):
     """Audits/energies prefer the induced metric so isometric identities
     apply; non-immersed maps fall back to the flat prescribed metric."""
@@ -195,39 +184,28 @@ def _choose_metric(phi, action: Action, notes: list):
         return identity_metric(phi.grid)
 
 
-def _variation_results(phi, frame, seed: int) -> dict:
-    t = 1e-3
-    out = {"t": t, "checks": {}}
-    ok = True
-    for k in (1, 2, 3):
-        V = random_tangent_section(phi, seed=seed + k, max_mode=2, amplitude=0.3)
-        r1 = first_variation_residual(phi, V, frame, k, t)
-        r2 = first_variation_residual(phi, V, frame, k, t / 2.0)
-        ratio = r1 / r2 if r2 > 0.0 else float("inf")
-        decays = r2 <= ROUNDOFF_FLOOR or 3.5 <= ratio <= 4.5
-        passed = r1 <= 1e-4 and decays
-        ok = ok and passed
-        out["checks"][f"energy_order_{k}"] = {
-            "residual": r1,
-            "residual_half_t": r2,
-            "richardson_ratio": ratio,
-            "pass": passed,
-        }
-    V = random_tangent_section(phi, seed=seed + 7, max_mode=2, amplitude=0.3)
-    r1 = tension_variation_residual(phi, V, frame, t)
-    r2 = tension_variation_residual(phi, V, frame, t / 2.0)
+def _richardson(residual, t: float, tol: float) -> dict:
+    """Residuals at t and t/2: pass when below ``tol`` and decaying O(t^2)."""
+    r1, r2 = residual(t), residual(t / 2.0)
     ratio = r1 / r2 if r2 > 0.0 else float("inf")
     decays = r2 <= ROUNDOFF_FLOOR or 3.5 <= ratio <= 4.5
-    passed = r1 <= 1e-3 and decays
-    ok = ok and passed
-    out["checks"]["tension_variation"] = {
-        "residual": r1,
-        "residual_half_t": r2,
-        "richardson_ratio": ratio,
-        "pass": passed,
-    }
-    out["pass"] = ok
-    return out
+    return {"residual": r1, "residual_half_t": r2, "richardson_ratio": ratio,
+            "pass": r1 <= tol and decays}
+
+
+def _variation_results(phi, frame, seed: int) -> dict:
+    t = 1e-3
+    checks = {}
+    for k in (1, 2, 3):
+        V = random_tangent_section(phi, seed=seed + k, max_mode=2, amplitude=0.3)
+        checks[f"energy_order_{k}"] = _richardson(
+            lambda s: first_variation_residual(phi, V, frame, k, s), t, 1e-4
+        )
+    V = random_tangent_section(phi, seed=seed + 7, max_mode=2, amplitude=0.3)
+    checks["tension_variation"] = _richardson(
+        lambda s: tension_variation_residual(phi, V, frame, s), t, 1e-3
+    )
+    return {"t": t, "checks": checks, "pass": all(c["pass"] for c in checks.values())}
 
 
 def _write_trace(path: Path, trace) -> None:
@@ -241,10 +219,6 @@ def run(config: ExperimentConfig) -> int:
     """Execute one experiment; writes `<prefix>_summary.json` and, for
     flows, `<prefix>_trace.csv`.  Returns the process exit code."""
     notes = []
-    threads = _thread_cap()
-    if threads:
-        notes.append(f"worker cap {threads} (computation is single-process)")
-
     grid = build_grid(config.grid)
     phi = builtin_map(config.map_name, config.map_params, grid, config.target)
 
@@ -252,34 +226,37 @@ def run(config: ExperimentConfig) -> int:
         "action": config.action.value,
         "config": config.raw,
         "notes": notes,
-        "threads": threads,
     }
     exit_code = 0
 
     if config.action is Action.FLOW:
         metric = None  # identity; ReInduce policy re-derives per step
         phi_final, trace = run_flow(phi, config.flow, metric=metric)
+        trace_path = Path(config.output_prefix + "_trace.csv")
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_trace(trace_path, trace)
         policy = config.flow.metric_policy
         if policy is MetricPolicy.REINDUCE_EACH_STEP:
             frame = orthonormal_frame(grid, induced_metric(phi_final))
         else:
             frame = orthonormal_frame(grid, identity_metric(grid))
-        probe = theorem_probe(phi_final, trace, frame)
+        chain = TensionChain(phi_final, frame)
+        probe = theorem_probe(phi_final, trace, frame, chain=chain)
         summary["flow"] = {"status": trace.status, "iterations": trace.iters[-1]}
         summary["probe"] = probe.to_dict()
         summary["energies"] = energy_report(
-            phi_final, frame, p_list=config.p_list
+            phi_final, frame, p_list=config.p_list, chain=chain
         ).to_dict()
-        trace_path = Path(config.output_prefix + "_trace.csv")
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_trace(trace_path, trace)
     else:
         metric = _choose_metric(phi, config.action, notes)
         frame = orthonormal_frame(grid, metric)
+        chain = TensionChain(phi, frame)
         summary["metric_mode"] = metric.mode.value
-        summary["energies"] = energy_report(phi, frame, p_list=config.p_list).to_dict()
+        summary["energies"] = energy_report(
+            phi, frame, p_list=config.p_list, chain=chain
+        ).to_dict()
         if config.action is Action.AUDIT:
-            report = pointwise_identity_audit(phi, frame, seed=config.seed)
+            report = pointwise_identity_audit(phi, frame, seed=config.seed, chain=chain)
             summary["audit"] = report.to_dict()
             if not report.passed:
                 failing = [n for n, c in report.checks.items()

@@ -188,7 +188,9 @@ class FrameField:
     ``e[..., i, a]`` is the coefficient of the coordinate field along axis
     ``a`` in the i-th frame vector; ``div_terms[..., i, c]`` expresses the
     self-covariant-derivative of the i-th frame vector in the coordinate
-    basis; ``vol`` is sqrt(det g).
+    basis; ``vol`` is sqrt(det g).  ``orthonormal_frame`` sets
+    ``zero_div_terms`` from the data: flat frames (constant metric) have
+    exactly zero ``div_terms``, and connection corrections are then skipped.
     """
 
     e: np.ndarray
@@ -196,6 +198,7 @@ class FrameField:
     vol: np.ndarray
     metric: MetricField = field(repr=False, default=None)
     grid: DomainGrid = field(repr=False, default=None)
+    zero_div_terms: bool = False
 
     @property
     def mode(self) -> MetricMode:
@@ -291,7 +294,8 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
         div_terms[..., i, :] = term
 
     vol = np.sqrt(np.linalg.det(g))
-    return FrameField(e=e, div_terms=div_terms, vol=vol, metric=metric, grid=grid)
+    return FrameField(e=e, div_terms=div_terms, vol=vol, metric=metric, grid=grid,
+                      zero_div_terms=not np.any(div_terms))
 
 
 def integrate(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> float:

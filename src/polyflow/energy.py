@@ -9,22 +9,14 @@ derivative term is a nonnegative integral).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import space_form as sf
 from .domain_grid import FrameField, integrate
-from .pullback import (
-    MapField,
-    differential,
-    nabla_bar,
-    rough_laplacian,
-    tension,
-    tritension_general,
-)
+from .pullback import MapField, TensionChain
 
-__all__ = ["EnergyReport", "energy_report", "energy_k", "e4_lower_bound_check"]
+__all__ = ["EnergyReport", "energy_report", "energy_k"]
 
 
 @dataclass
@@ -41,47 +33,15 @@ class EnergyReport:
     volume: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "E2": self.E2,
-            "E3": self.E3,
-            "Etilde4": self.Etilde4,
-            "Lp_tension": {str(p): v for p, v in self.Lp_tension.items()},
-            "Lp_laplacian": {str(p): v for p, v in self.Lp_laplacian.items()},
-            "sup_tau": self.sup_tau,
-            "sup_tau3": self.sup_tau3,
-            "mean_curvature_sup": self.mean_curvature_sup,
-            "volume": self.volume,
-        }
-
-
-def _dirichlet_density(phi: MapField, frame: FrameField) -> np.ndarray:
-    dphi = differential(phi, frame)
-    out = np.zeros(phi.grid.shape)
-    for d in dphi:
-        out += sf.inner(phi.spec, phi.values, d.values, d.values)
-    return out
-
-
-def _grad_section_density(phi, frame, V) -> np.ndarray:
-    out = np.zeros(phi.grid.shape)
-    for i in range(phi.grid.dims):
-        g = nabla_bar(V, i, frame)
-        out += sf.inner(phi.spec, phi.values, g.values, g.values)
-    return out
+        out = asdict(self)
+        for key in ("Lp_tension", "Lp_laplacian"):
+            out[key] = {str(p): v for p, v in out[key].items()}
+        return out
 
 
 def energy_k(phi: MapField, frame: FrameField, k: int) -> float:
     """k-th energy of the ladder for k in {1, 2, 3}, over the given frame."""
-    grid = phi.grid
-    if k == 1:
-        return 0.5 * integrate(grid, frame, _dirichlet_density(phi, frame))
-    tau = tension(phi, frame)
-    if k == 2:
-        return 0.5 * integrate(grid, frame, tau.norm_field() ** 2)
-    if k == 3:
-        return 0.5 * integrate(grid, frame, _grad_section_density(phi, frame, tau))
-    raise ValueError(f"energy order must be 1, 2 or 3, got {k}")
+    return TensionChain(phi, frame).energy(k)
 
 
 def energy_report(
@@ -90,26 +50,27 @@ def energy_report(
     p_list=(2.0, 4.0),
     laplacian_p_list=(),
     with_tritension: bool = True,
+    chain: TensionChain = None,
 ) -> EnergyReport:
     """Evaluate the full energy ladder and the requested L^p tension norms.
 
     ``with_tritension=False`` skips the tritension field (sup_tau3 reads 0);
     flow traces use this since they track the descent norm separately.
+    ``chain`` is the state's tension chain when the caller already has one.
     """
     grid = phi.grid
-    tau = tension(phi, frame)
-    tau_norm = tau.norm_field()
-    lap = rough_laplacian(tau, frame)
-    lap_norm = lap.norm_field()
+    if chain is None:
+        chain = TensionChain(phi, frame)
+    tau_norm, lap_norm = chain.tau_norm, chain.lap_norm
     sup_tau3 = 0.0
     if with_tritension:
-        sup_tau3 = float(np.max(tritension_general(phi, frame).norm_field()))
+        sup_tau3 = float(np.max(chain.tau3.norm_field()))
 
     volume = integrate(grid, frame, np.ones(grid.shape))
     report = EnergyReport(
-        E=0.5 * integrate(grid, frame, _dirichlet_density(phi, frame)),
-        E2=0.5 * integrate(grid, frame, tau_norm**2),
-        E3=0.5 * integrate(grid, frame, _grad_section_density(phi, frame, tau)),
+        E=chain.energy(1),
+        E2=chain.energy(2),
+        E3=chain.energy(3),
         Etilde4=0.5 * integrate(grid, frame, lap_norm**2),
         sup_tau=float(np.max(tau_norm)),
         sup_tau3=sup_tau3,
@@ -121,15 +82,3 @@ def energy_report(
     for p in laplacian_p_list:
         report.Lp_laplacian[float(p)] = integrate(grid, frame, lap_norm ** float(p))
     return report
-
-
-def e4_lower_bound_check(phi: MapField, frame: FrameField) -> float:
-    """Implemented lower bound for the fourth energy.
-
-    Returns Etilde4 = (1/2) Int |Delta tau|^2.  The full fourth energy adds
-    a nonnegative exterior-derivative term that is out of scope here, so
-    the returned value bounds it from below.
-    """
-    tau = tension(phi, frame)
-    lap = rough_laplacian(tau, frame)
-    return 0.5 * integrate(phi.grid, frame, lap.norm_field() ** 2)

@@ -27,16 +27,8 @@ from .domain_grid import (
     orthonormal_frame,
 )
 from .energy import energy_k, energy_report
-from .errors import StepUnderflow
-from .pullback import (
-    MapField,
-    Section,
-    bitension,
-    nabla_bar,
-    rough_laplacian,
-    tension,
-    tritension_general,
-)
+from .errors import PolyflowError, StepUnderflow
+from .pullback import MapField, Section, TensionChain
 
 __all__ = [
     "FlowKind",
@@ -121,17 +113,8 @@ class FlowTrace:
     dt_accepted: list = field(default_factory=list)
     status: str = "running"
 
-    COLUMNS = (
-        "iter",
-        "E",
-        "E2",
-        "E3",
-        "Etilde4",
-        "L4_tension",
-        "sup_tau",
-        "sup_descent",
-        "dt",
-    )
+    COLUMNS = ("iter", "E", "E2", "E3", "Etilde4", "L4_tension", "sup_tau",
+               "sup_descent", "dt")
 
     def record(self, it, report, sup_descent, dt):
         self.iters.append(it)
@@ -145,18 +128,8 @@ class FlowTrace:
         self.dt_accepted.append(dt)
 
     def rows(self):
-        for i in range(len(self.iters)):
-            yield (
-                self.iters[i],
-                self.E[i],
-                self.E2[i],
-                self.E3[i],
-                self.Etilde4[i],
-                self.L4_tension[i],
-                self.sup_tau[i],
-                self.sup_descent[i],
-                self.dt_accepted[i],
-            )
+        return zip(self.iters, self.E, self.E2, self.E3, self.Etilde4,
+                   self.L4_tension, self.sup_tau, self.sup_descent, self.dt_accepted)
 
     def accepted_series(self, name: str) -> list:
         values = getattr(self, name)
@@ -165,12 +138,7 @@ class FlowTrace:
 
 def descent_field(phi: MapField, frame: FrameField, kind: FlowKind) -> Section:
     """Steepest-descent direction of the flowed energy: tau, tau2 or tau3."""
-    kind = FlowKind(kind)
-    if kind is FlowKind.HARMONIC:
-        return tension(phi, frame)
-    if kind is FlowKind.BIHARMONIC:
-        return bitension(phi, frame)
-    return tritension_general(phi, frame)
+    return TensionChain(phi, frame).field(_ENERGY_ORDER[FlowKind(kind)])
 
 
 def flow_step(
@@ -178,10 +146,12 @@ def flow_step(
     frame: FrameField,
     cfg: FlowConfig,
     dt: float,
-    descent: Section = None,
+    chain: TensionChain = None,
 ):
     """One Armijo trial step.
 
+    ``chain`` is the tension chain of ``(phi, frame)``, built here when not
+    given; it supplies the descent field and the current energy.
     Returns ``(phi_next, accepted, dt_next)``.  The candidate is
     exp_phi(dt * descent); it is accepted iff the flowed energy drops by at
     least armijo_c * dt * Int |descent|^2, up to a relative float-resolution
@@ -191,13 +161,14 @@ def flow_step(
     """
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
-    if descent is None:
-        descent = descent_field(phi, frame, cfg.kind)
+    if chain is None:
+        chain = TensionChain(phi, frame)
     k = _ENERGY_ORDER[cfg.kind]
+    descent = chain.field(k)
     sup_descent = float(np.max(descent.norm_field()))
     if sup_descent == 0.0:
         return phi, True, dt
-    e_now = energy_k(phi, frame, k)
+    e_now = chain.energy(k)
     grad_sq = integrate(
         phi.grid, frame, sf.inner(phi.spec, phi.values, descent.values, descent.values)
     )
@@ -218,8 +189,9 @@ def _frame_for(phi: MapField, cfg: FlowConfig, metric: MetricField) -> FrameFiel
     return orthonormal_frame(phi.grid, metric)
 
 
-def _trace_metrics(phi: MapField, frame: FrameField):
-    return energy_report(phi, frame, p_list=(2.0, 4.0), with_tritension=False)
+def _trace_metrics(chain: TensionChain):
+    return energy_report(chain.phi, chain.frame, p_list=(2.0, 4.0),
+                         with_tritension=False, chain=chain)
 
 
 def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
@@ -263,7 +235,10 @@ def run_flow(phi0: MapField, cfg: FlowConfig, metric: MetricField = None):
     functional itself changes with the metric).
 
     Returns ``(phi_final, trace)``; a step-size underflow is reported as
-    ``trace.status == "stalled"`` with the partial trace intact.
+    ``trace.status == "stalled"``, and a state that can no longer be
+    projected or framed (e.g. it stops immersing under ReInduceEachStep) as
+    ``"degenerate"``.  Either way the last good state and the partial trace
+    are returned.
     """
     grid = phi0.grid
     if metric is None:
@@ -272,9 +247,11 @@ def run_flow(phi0: MapField, cfg: FlowConfig, metric: MetricField = None):
     frame = _frame_for(phi, cfg, metric)
     dt = cfg.initial_dt(grid)
     trace = FlowTrace()
+    k = _ENERGY_ORDER[cfg.kind]
 
-    descent = descent_field(phi, frame, cfg.kind)
-    metrics = _trace_metrics(phi, frame)
+    chain = TensionChain(phi, frame)
+    descent = chain.field(k)
+    metrics = _trace_metrics(chain)
     sup_descent = float(np.max(descent.norm_field()))
     trace.record(0, metrics, sup_descent, math.nan)
 
@@ -285,19 +262,24 @@ def run_flow(phi0: MapField, cfg: FlowConfig, metric: MetricField = None):
         dt_used = min(dt, stability_cap(descent, frame, cfg.kind))
         try:
             phi_next, accepted, dt_next = flow_step(
-                phi, frame, cfg, dt_used, descent=descent
+                phi, frame, cfg, dt_used, chain=chain
             )
+            if accepted:
+                phi_next.values = sf.project_point(phi.spec, phi_next.values)
+                if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
+                    frame = _frame_for(phi_next, cfg, metric)
         except StepUnderflow:
             trace.status = "stalled"
+            return phi, trace
+        except PolyflowError:
+            trace.status = "degenerate"
             return phi, trace
         dt = min(dt_next, _DT_CEILING)
         if accepted:
             phi = phi_next
-            phi.values = sf.project_point(phi.spec, phi.values)
-            if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
-                frame = _frame_for(phi, cfg, metric)
-            descent = descent_field(phi, frame, cfg.kind)
-            metrics = _trace_metrics(phi, frame)
+            chain = TensionChain(phi, frame)
+            descent = chain.field(k)
+            metrics = _trace_metrics(chain)
             sup_descent = float(np.max(descent.norm_field()))
             trace.record(it, metrics, sup_descent, dt_used)
         else:
@@ -355,6 +337,7 @@ def theorem_probe(
     frame: FrameField,
     triharmonic_tol: float = 1e-6,
     minimal_tol: float = 1e-4,
+    chain: TensionChain = None,
 ) -> ProbeVerdict:
     """Measure a terminal state against the vanishing predictions.
 
@@ -363,22 +346,17 @@ def theorem_probe(
     minimality measures sup |tau| and the node variance of |tau|^2, the
     parallelism measure sup |nabla Delta tau|, and a constant-mean-curvature
     diagnostic (coefficient of variation of |tau|; measured, never
-    enforced).
+    enforced).  ``chain`` is the state's tension chain, if already built.
     """
-    grid, spec = phi.grid, phi.spec
-    tau = tension(phi, frame)
-    tau_norm = tau.norm_field()
-    tau_sq = tau_norm**2
-    lap = rough_laplacian(tau, frame)
-    grad_lap_sq = np.zeros(grid.shape)
-    for i in range(grid.dims):
-        g = nabla_bar(lap, i, frame)
-        grad_lap_sq += sf.inner(spec, phi.values, g.values, g.values)
-    tau3 = tritension_general(phi, frame)
-    report = energy_report(phi, frame, p_list=(4.0,))
+    grid = phi.grid
+    if chain is None:
+        chain = TensionChain(phi, frame)
+    tau_norm = chain.tau_norm
+    grad_lap_sq = chain.grad_lap_tau_sq
+    report = energy_report(phi, frame, p_list=(4.0,), chain=chain)
 
     sup_tau = float(np.max(tau_norm))
-    sup_tau3 = float(np.max(tau3.norm_field()))
+    sup_tau3 = float(np.max(chain.tau3.norm_field()))
     mean_norm = float(np.mean(tau_norm))
     cv = float(np.std(tau_norm) / mean_norm) if mean_norm > 1e-12 else 0.0
 
@@ -387,12 +365,10 @@ def theorem_probe(
     # of |alpha| rather than asserting a smooth-section statement on
     # discrete data.
     constancy = {}
-    for name, section in (("tension", tau), ("laplacian_tau", lap)):
-        grad_sq = np.zeros(grid.shape)
-        for i in range(grid.dims):
-            g = nabla_bar(section, i, frame)
-            grad_sq += sf.inner(spec, phi.values, g.values, g.values)
-        a_norm = section.norm_field()
+    for name, a_norm, grad_sq in (
+        ("tension", tau_norm, chain.grad_tau_sq),
+        ("laplacian_tau", chain.lap_norm, grad_lap_sq),
+    ):
         weighted = integrate(grid, frame, a_norm**2 * grad_sq)
         constancy[name] = {
             "weighted_gradient_integral": weighted,
@@ -410,9 +386,9 @@ def theorem_probe(
         etilde4=report.Etilde4,
         l4_tension=report.Lp_tension[4.0],
         sup_tau=sup_tau,
-        tau_sq_node_variance=float(np.var(tau_sq)),
+        tau_sq_node_variance=float(np.var(tau_norm**2)),
         sup_grad_laplacian_tau=float(np.sqrt(np.max(np.maximum(grad_lap_sq, 0.0)))),
-        sup_laplacian_tau=float(np.max(lap.norm_field())),
+        sup_laplacian_tau=float(np.max(chain.lap_norm)),
         cmc_coefficient_of_variation=cv,
         classification=classification,
         constancy_diagnostics=constancy,

@@ -12,16 +12,19 @@ representation assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import space_form as sf
-from .domain_grid import DomainGrid, FrameField, MetricMode, SPECTRAL_REL_CUTOFF
+from .domain_grid import (DomainGrid, FrameField, MetricMode, SPECTRAL_REL_CUTOFF,
+                          integrate)
 from .errors import NotIsometric
 
 __all__ = [
     "MapField",
     "Section",
+    "TensionChain",
     "differential",
     "nabla_bar",
     "tension",
@@ -81,26 +84,162 @@ class Section:
         return sf.norm(self.base.spec, self.base.values, self.values)
 
 
-def _project(phi: MapField, values: np.ndarray) -> np.ndarray:
-    return sf.project_tangent(phi.spec, phi.values, values)
+class TensionChain:
+    """The tension chain of one state ``(phi, frame)``, each field computed once.
 
+    ``dphi``, ``tau``, ``grad_tau`` (nabla_{e_i} tau), ``lap_tau``,
+    ``grad_lap_tau``, ``lap2_tau``, ``tau2`` and ``tau3`` are evaluated on
+    first access and then shared; each coordinate derivative is taken once.
+    Connection corrections are skipped on frames whose ``div_terms`` are
+    exactly zero, where they add exactly 0.  Every field is the same
+    floating-point expression as a standalone evaluation, so sharing never
+    changes a result.  Build one chain per state and drop it with the state.
+    """
 
-def _directional(phi: MapField, values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_a coeffs[..., a] * d_a(values), with the map's noise floor."""
-    grid = phi.grid
-    floor = phi.spectral_floor()
-    out = np.zeros_like(values)
-    for a in range(grid.dims):
-        out += coeffs[..., a, None] * grid.deriv(values, a, floor=floor)
-    return out
+    def __init__(self, phi: MapField, frame: FrameField):
+        self.phi = phi
+        self.frame = frame
+        self._floor = phi.spectral_floor()
+        self._corrections = {}  # nabla_{nabla_{e_i} e_i} V per differentiated V
+
+    def _along(self, derivs: list, coeffs: np.ndarray) -> np.ndarray:
+        """Projected sum_a coeffs[..., a] * d_a(V), given the d_a(V)."""
+        out = np.zeros_like(derivs[0])
+        for a, d in enumerate(derivs):
+            out += coeffs[..., a, None] * d
+        return sf.project_tangent(self.phi.spec, self.phi.values, out)
+
+    def _derivs(self, values: np.ndarray) -> list:
+        grid = self.phi.grid
+        return [grid.deriv(values, a, floor=self._floor) for a in range(grid.dims)]
+
+    def _covariant(self, key: str, values: np.ndarray) -> list:
+        """nabla_{e_i} V over the frame directions; the connection terms
+        nabla_{nabla_{e_i} e_i} V go to ``_corrections[key]`` unless zero."""
+        derivs = self._derivs(values)
+        frame, dims = self.frame, self.phi.grid.dims
+        if not frame.zero_div_terms:
+            self._corrections[key] = [
+                self._along(derivs, frame.div_terms[..., i, :]) for i in range(dims)
+            ]
+        return [Section(self._along(derivs, frame.e[..., i, :]), self.phi)
+                for i in range(dims)]
+
+    def _trace(self, sections: list, key: str, sign: float) -> Section:
+        """sign * sum_i {nabla_{e_i} S_i - C_i}, C_i the connection terms
+        of ``key``: tau for S_i = dphi(e_i), -Delta V for S_i = nabla_{e_i} V.
+        Each key is traced once (the traces are cached), so C_i are released."""
+        corrections = self._corrections.pop(key, None)
+        out = np.zeros_like(sections[0].values)
+        for i, s in enumerate(sections):
+            out += sign * self._along(self._derivs(s.values), self.frame.e[..., i, :])
+            if corrections is not None:
+                out -= sign * corrections[i]
+        return Section(out, self.phi)
+
+    def laplacian(self, V: Section) -> Section:
+        """Nonnegative connection Laplacian of a section along phi."""
+        return self._trace(self._covariant("V", V.values), "V", -1.0)
+
+    def curvature(self, V: Section) -> Section:
+        """sum_i R(V, dphi(e_i)) dphi(e_i); zero for flat targets."""
+        out = np.zeros_like(V.values)
+        if self.phi.spec.c != 0.0:
+            for d in self.dphi:
+                out += sf.curvature_op(
+                    self.phi.spec, self.phi.values, V.values, d.values, d.values
+                )
+        return Section(out, self.phi)
+
+    def _sq_sum(self, sections: list) -> np.ndarray:
+        """Pointwise sum_i |S_i|^2, e.g. |dphi|^2 or |nabla V|^2."""
+        out = np.zeros(self.phi.grid.shape)
+        for s in sections:
+            out += sf.inner(self.phi.spec, self.phi.values, s.values, s.values)
+        return out
+
+    @cached_property
+    def dphi(self) -> list:
+        return self._covariant("phi", self.phi.values)
+
+    @cached_property
+    def tau(self) -> Section:
+        return self._trace(self.dphi, "phi", 1.0)
+
+    @cached_property
+    def grad_tau(self) -> list:
+        return self._covariant("tau", self.tau.values)
+
+    @cached_property
+    def lap_tau(self) -> Section:
+        return self._trace(self.grad_tau, "tau", -1.0)
+
+    @cached_property
+    def grad_lap_tau(self) -> list:
+        return self._covariant("lap_tau", self.lap_tau.values)
+
+    @cached_property
+    def lap2_tau(self) -> Section:
+        return self._trace(self.grad_lap_tau, "lap_tau", -1.0)
+
+    @cached_property
+    def tau2(self) -> Section:
+        """Bitension J(tau) = Delta tau - sum_i R(tau, dphi(e_i)) dphi(e_i)."""
+        return Section(self.lap_tau.values - self.curvature(self.tau).values, self.phi)
+
+    @cached_property
+    def tau3(self) -> Section:
+        """Tritension J(Delta tau) - sum_i R(nabla_{e_i} tau, tau) dphi(e_i)."""
+        out = self.lap2_tau.values - self.curvature(self.lap_tau).values
+        if self.phi.spec.c != 0.0:
+            for g, d in zip(self.grad_tau, self.dphi):
+                out -= sf.curvature_op(
+                    self.phi.spec, self.phi.values, g.values, self.tau.values, d.values
+                )
+        return Section(out, self.phi)
+
+    @cached_property
+    def tau_norm(self) -> np.ndarray:
+        return self.tau.norm_field()
+
+    @cached_property
+    def lap_norm(self) -> np.ndarray:
+        return self.lap_tau.norm_field()
+
+    @cached_property
+    def dphi_sq(self) -> np.ndarray:
+        return self._sq_sum(self.dphi)
+
+    @cached_property
+    def grad_tau_sq(self) -> np.ndarray:
+        return self._sq_sum(self.grad_tau)
+
+    @cached_property
+    def grad_lap_tau_sq(self) -> np.ndarray:
+        return self._sq_sum(self.grad_lap_tau)
+
+    def field(self, k: int) -> Section:
+        """Tension field of order k in {1, 2, 3}: tau, tau2 or tau3."""
+        if k not in (1, 2, 3):
+            raise ValueError(f"tension order must be 1, 2 or 3, got {k}")
+        return getattr(self, ("tau", "tau2", "tau3")[k - 1])
+
+    def energy(self, k: int) -> float:
+        """k-th energy of the ladder: (1/2) Int |dphi|^2, |tau|^2 or |nabla tau|^2."""
+        if k == 1:
+            density = self.dphi_sq
+        elif k == 2:
+            density = self.tau_norm**2
+        elif k == 3:
+            density = self.grad_tau_sq
+        else:
+            raise ValueError(f"energy order must be 1, 2 or 3, got {k}")
+        return 0.5 * integrate(self.phi.grid, self.frame, density)
 
 
 def differential(phi: MapField, frame: FrameField) -> list:
     """Frame components dphi(e_i) of the differential, as Sections."""
-    return [
-        Section(values=_project(phi, _directional(phi, phi.values, frame.e[..., i, :])), base=phi)
-        for i in range(phi.grid.dims)
-    ]
+    return TensionChain(phi, frame).dphi
 
 
 def nabla_bar(V: Section, i: int, frame: FrameField) -> Section:
@@ -109,17 +248,8 @@ def nabla_bar(V: Section, i: int, frame: FrameField) -> Section:
     Differentiate the ambient representative along e_i, then project back
     onto the tangent space of the target.
     """
-    phi = V.base
-    return Section(
-        values=_project(phi, _directional(phi, V.values, frame.e[..., i, :])),
-        base=phi,
-    )
-
-
-def _nabla_div_correction(V: Section, i: int, frame: FrameField) -> np.ndarray:
-    """Ambient values of the connection along nabla_{e_i} e_i."""
-    phi = V.base
-    return _project(phi, _directional(phi, V.values, frame.div_terms[..., i, :]))
+    chain = TensionChain(V.base, frame)
+    return Section(chain._along(chain._derivs(V.values), frame.e[..., i, :]), V.base)
 
 
 def tension(phi: MapField, frame: FrameField) -> Section:
@@ -128,12 +258,7 @@ def tension(phi: MapField, frame: FrameField) -> Section:
     tau = sum_i { nabla_{e_i}(dphi(e_i)) - dphi(nabla_{e_i} e_i) }.
     Vanishes exactly on geodesics / totally geodesic maps.
     """
-    dphi = differential(phi, frame)
-    out = np.zeros_like(phi.values)
-    for i in range(phi.grid.dims):
-        out += nabla_bar(dphi[i], i, frame).values
-        out -= _project(phi, _directional(phi, phi.values, frame.div_terms[..., i, :]))
-    return Section(values=out, base=phi)
+    return TensionChain(phi, frame).tau
 
 
 def rough_laplacian(V: Section, frame: FrameField) -> Section:
@@ -142,46 +267,34 @@ def rough_laplacian(V: Section, frame: FrameField) -> Section:
     Delta V = -sum_i { nabla_{e_i} nabla_{e_i} V - nabla_{nabla_{e_i} e_i} V },
     so on the flat circle Delta V = -V'' componentwise.
     """
-    phi = V.base
-    out = np.zeros_like(V.values)
-    for i in range(phi.grid.dims):
-        out -= nabla_bar(nabla_bar(V, i, frame), i, frame).values
-        out += _nabla_div_correction(V, i, frame)
-    return Section(values=out, base=phi)
+    return TensionChain(V.base, frame).laplacian(V)
 
 
 def iterated_laplacian(V: Section, ell: int, frame: FrameField) -> Section:
     """(ell - 1)-fold application of the rough Laplacian; ell = 1 is V."""
     if ell < 1:
         raise ValueError(f"iteration index must be >= 1, got {ell}")
+    chain = TensionChain(V.base, frame)
     out = V
     for _ in range(ell - 1):
-        out = rough_laplacian(out, frame)
+        out = chain.laplacian(out)
     return out
 
 
 def curvature_contraction(V: Section, frame: FrameField) -> Section:
     """Curvature term sum_i R(V, dphi(e_i)) dphi(e_i); zero for flat targets."""
-    phi = V.base
-    if phi.spec.c == 0.0:
-        return Section(values=np.zeros_like(V.values), base=phi)
-    dphi = differential(phi, frame)
-    out = np.zeros_like(V.values)
-    for d in dphi:
-        out += sf.curvature_op(phi.spec, phi.values, V.values, d.values, d.values)
-    return Section(values=out, base=phi)
+    return TensionChain(V.base, frame).curvature(V)
 
 
 def jacobi(V: Section, frame: FrameField) -> Section:
     """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i)."""
-    lap = rough_laplacian(V, frame)
-    curv = curvature_contraction(V, frame)
-    return Section(values=lap.values - curv.values, base=V.base)
+    chain = TensionChain(V.base, frame)
+    return Section(chain.laplacian(V).values - chain.curvature(V).values, V.base)
 
 
 def bitension(phi: MapField, frame: FrameField) -> Section:
     """Bitension field: the Jacobi operator applied to the tension field."""
-    return jacobi(tension(phi, frame), frame)
+    return TensionChain(phi, frame).tau2
 
 
 def tritension_general(phi: MapField, frame: FrameField) -> Section:
@@ -189,16 +302,7 @@ def tritension_general(phi: MapField, frame: FrameField) -> Section:
 
     tau3 = J(Delta tau) - sum_i R(nabla_{e_i} tau, tau) dphi(e_i).
     """
-    tau = tension(phi, frame)
-    out = jacobi(rough_laplacian(tau, frame), frame).values
-    if phi.spec.c != 0.0:
-        dphi = differential(phi, frame)
-        for i in range(phi.grid.dims):
-            grad_tau = nabla_bar(tau, i, frame)
-            out -= sf.curvature_op(
-                phi.spec, phi.values, grad_tau.values, tau.values, dphi[i].values
-            )
-    return Section(values=out, base=phi)
+    return TensionChain(phi, frame).tau3
 
 
 def _isometry_deviation(phi: MapField, frame: FrameField) -> float:
@@ -224,10 +328,9 @@ def tritension_space_form(phi: MapField, frame: FrameField) -> Section:
             raise NotIsometric(
                 f"prescribed metric deviates from the pullback metric by {dev:.3e}"
             )
-    tau = tension(phi, frame)
-    lap = rough_laplacian(tau, frame)
-    out = rough_laplacian(lap, frame).values
-    out -= curvature_contraction(lap, frame).values
+    chain = TensionChain(phi, frame)
+    tau = chain.tau
+    out = chain.lap2_tau.values - chain.curvature(chain.lap_tau).values
     if phi.spec.c != 0.0:
         h_tt = sf.inner(phi.spec, phi.values, tau.values, tau.values)
         out -= phi.spec.c * h_tt[..., None] * tau.values

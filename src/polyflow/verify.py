@@ -33,13 +33,10 @@ from .errors import MetricModeError, NotTriharmonic, RadiusTooLarge
 from .pullback import (
     MapField,
     Section,
-    bitension,
+    TensionChain,
     curvature_contraction,
-    differential,
-    nabla_bar,
     rough_laplacian,
     tension,
-    tritension_general,
 )
 
 __all__ = [
@@ -133,9 +130,6 @@ def _require_prescribed(frame: FrameField):
         )
 
 
-_TAU_K = {1: tension, 2: bitension, 3: tritension_general}
-
-
 def first_variation_residual(
     phi: MapField, V: Section, frame: FrameField, k: int, t: float
 ) -> float:
@@ -147,9 +141,9 @@ def first_variation_residual(
     polynomial in t (flat targets), where the quotient is exact.
     """
     _require_prescribed(frame)
-    if k not in _TAU_K:
+    if k not in (1, 2, 3):
         raise ValueError(f"variation order must be 1, 2 or 3, got {k}")
-    tau_k = _TAU_K[k](phi, frame)
+    tau_k = TensionChain(phi, frame).field(k)
     pairing = sf.inner(phi.spec, phi.values, tau_k.values, V.values)
     analytic = -integrate(phi.grid, frame, pairing)
     e_plus = energy_k(vary(phi, V, t), frame, k)
@@ -197,14 +191,9 @@ def _fd2_gradient(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.ndar
     return out
 
 
-def _kato_check(name, phi, frame, alpha: Section) -> AuditCheck:
-    grid = phi.grid
-    grad_sections = [nabla_bar(alpha, i, frame) for i in range(grid.dims)]
-    rhs_sq = np.zeros(grid.shape)
-    for g in grad_sections:
-        rhs_sq += sf.inner(phi.spec, phi.values, g.values, g.values)
-    rhs = np.sqrt(np.maximum(rhs_sq, 0.0))
-    a_norm = alpha.norm_field()
+def _kato_check(name, grid, frame, a_norm, grad_sq) -> AuditCheck:
+    """Kato check for a section alpha, given |alpha| and |nabla alpha|^2."""
+    rhs = np.sqrt(np.maximum(grad_sq, 0.0))
     lhs = np.sqrt(np.sum(_fd2_gradient(grid, frame, a_norm) ** 2, axis=-1))
     eligible = a_norm > 1e-6
     h = max(grid.spacings)
@@ -223,7 +212,11 @@ def _kato_check(name, phi, frame, alpha: Section) -> AuditCheck:
 
 
 def pointwise_identity_audit(
-    phi: MapField, frame: FrameField, seed: int = 0, n_quadruples: int = 1000
+    phi: MapField,
+    frame: FrameField,
+    seed: int = 0,
+    n_quadruples: int = 1000,
+    chain: TensionChain = None,
 ) -> AuditReport:
     """Run the bundled pointwise checks and report residuals.
 
@@ -231,20 +224,17 @@ def pointwise_identity_audit(
     symmetry on random tangent quadruples, the Bochner identity
     <tau, Delta tau> = (1/2) Delta |tau|^2 + |nabla tau|^2, the sign of the
     curvature contraction for c <= 0, and the Kato inequality for tau and
-    Delta tau.
+    Delta tau.  ``chain`` is the state's tension chain, if already built.
     """
     grid, spec = phi.grid, phi.spec
     report = AuditReport()
     base_tol = scheme_tolerance(grid)
 
-    tau = tension(phi, frame)
-    dphi = differential(phi, frame)
-    grad_tau = [nabla_bar(tau, i, frame) for i in range(grid.dims)]
-    lap_tau = rough_laplacian(tau, frame)
+    if chain is None:
+        chain = TensionChain(phi, frame)
+    tau, dphi, grad_tau, lap_tau = chain.tau, chain.dphi, chain.grad_tau, chain.lap_tau
     tau_sq = sf.inner(spec, phi.values, tau.values, tau.values)
-    grad_tau_sq = np.zeros(grid.shape)
-    for g in grad_tau:
-        grad_tau_sq += sf.inner(spec, phi.values, g.values, g.values)
+    grad_tau_sq = chain.grad_tau_sq
 
     # (a) along isometric immersions the tension field is normal to the
     # image: sum_j h(nabla_{e_j} tau, dphi(e_j)) = -h(tau, tau).
@@ -304,10 +294,9 @@ def pointwise_identity_audit(
     # (d) for c <= 0 the curvature contraction against Delta tau has a sign:
     # c * (sum_i <Delta tau, dphi(e_i)>^2 - |Delta tau|^2 |dphi|^2) >= 0.
     lap_sq = sf.inner(spec, phi.values, lap_tau.values, lap_tau.values)
-    dphi_sq = np.zeros(grid.shape)
+    dphi_sq = chain.dphi_sq
     proj_sq = np.zeros(grid.shape)
     for d in dphi:
-        dphi_sq += sf.inner(spec, phi.values, d.values, d.values)
         proj_sq += sf.inner(spec, phi.values, lap_tau.values, d.values) ** 2
     quantity = spec.c * (proj_sq - lap_sq * dphi_sq)
     if spec.c <= 0.0:
@@ -329,9 +318,11 @@ def pointwise_identity_audit(
         )
 
     # (e) Kato inequality |grad |alpha|| <= |nabla alpha| where alpha != 0.
-    report.checks["kato_tension"] = _kato_check("kato_tension", phi, frame, tau)
+    report.checks["kato_tension"] = _kato_check(
+        "kato_tension", grid, frame, chain.tau_norm, grad_tau_sq
+    )
     report.checks["kato_tension_laplacian"] = _kato_check(
-        "kato_tension_laplacian", phi, frame, lap_tau
+        "kato_tension_laplacian", grid, frame, chain.lap_norm, chain.grad_lap_tau_sq
     )
     return report
 
@@ -377,22 +368,16 @@ def caccioppoli_audit(
     spec, grid = phi.spec, phi.grid
     if spec.c > 0.0:
         raise NotTriharmonic("inequality requires nonpositive curvature")
-    tau3_sup = float(np.max(tritension_general(phi, frame).norm_field()))
+    chain = TensionChain(phi, frame)
+    tau3_sup = float(np.max(chain.tau3.norm_field()))
     if tau3_sup > 1e-5:
         raise NotTriharmonic(f"sup |tau3| = {tau3_sup:.3e} exceeds 1e-5")
 
-    tau = tension(phi, frame)
+    tau, lap = chain.tau, chain.lap_tau
     tau_norm_sq = sf.inner(spec, phi.values, tau.values, tau.values)
-    lap = rough_laplacian(tau, frame)
     lap_sq = sf.inner(spec, phi.values, lap.values, lap.values)
-    grad_lap_sq = np.zeros(grid.shape)
-    for i in range(grid.dims):
-        g = nabla_bar(lap, i, frame)
-        grad_lap_sq += sf.inner(spec, phi.values, g.values, g.values)
-    grad_tau_sq = np.zeros(grid.shape)
-    for i in range(grid.dims):
-        g = nabla_bar(tau, i, frame)
-        grad_tau_sq += sf.inner(spec, phi.values, g.values, g.values)
+    grad_lap_sq = chain.grad_lap_tau_sq
+    grad_tau_sq = chain.grad_tau_sq
 
     grad_eta_sq = np.sum(scalar_gradient(grid, frame, eta.eta) ** 2, axis=-1)
     grad_tau_norm_sq = np.sum(

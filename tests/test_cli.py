@@ -135,6 +135,21 @@ def test_run_flow_writes_trace(tmp_path):
     assert summary["probe"]["classification"] == "minimal"
 
 
+def test_run_flow_degenerate_writes_outputs(tmp_path):
+    prefix = tmp_path / "deg"
+    data = base_config(prefix, action="Flow")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 0.3}}
+    data["flow"] = {"kind": "Harmonic", "max_iters": 50, "grad_tol": 1e-8,
+                    "metric_policy": "ReInduceEachStep"}
+    assert run(parse_config(data)) == 0
+    summary = json.loads((tmp_path / "deg_summary.json").read_text())
+    assert summary["flow"]["status"] == "degenerate"
+    trace_lines = (tmp_path / "deg_trace.csv").read_text().splitlines()
+    assert len(trace_lines) == summary["flow"]["iterations"] + 2
+    assert trace_lines[-1].startswith(f"{summary['flow']['iterations']},")
+
+
 def test_run_deterministic_outputs(tmp_path):
     a = parse_config(base_config(tmp_path / "a", action="Audit"))
     b = parse_config(base_config(tmp_path / "b", action="Audit"))
@@ -176,16 +191,6 @@ def test_main_examples(capsys):
     assert main(["examples"]) == 0
     catalog = json.loads(capsys.readouterr().out)
     assert "Circle" in catalog
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("POLYFLOW_THREADS", "not-a-number")
-    cfg = write_config(tmp_path, base_config(tmp_path / "t"), "t.json")
-    assert main(["run", str(cfg)]) == 2
-    monkeypatch.setenv("POLYFLOW_THREADS", "4")
-    assert main(["run", str(cfg)]) == 0
-    summary = json.loads((tmp_path / "t_summary.json").read_text())
-    assert summary["threads"] == 4
 
 
 def test_unknown_example_is_config_error(tmp_path):

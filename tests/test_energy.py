@@ -68,15 +68,6 @@ def test_laplacian_p_norms(flat_circle):
     assert rep.Lp_laplacian[3.0] == pytest.approx(TWO_PI, abs=1e-10)
 
 
-def test_e4_lower_bound(flat_circle, circle_grid):
-    frame = frame_for(flat_circle)
-    assert pf.e4_lower_bound_check(flat_circle, frame) == pytest.approx(
-        np.pi, abs=1e-12
-    )
-    geo = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
-    assert pf.e4_lower_bound_check(geo, frame_for(geo)) <= 1e-20
-
-
 @pytest.mark.parametrize("name,params,grid_args,target", builtin_fixture_set())
 def test_holder_and_nonnegativity(name, params, grid_args, target):
     phi = build_fixture(name, params, grid_args, target)

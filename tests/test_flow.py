@@ -190,3 +190,20 @@ def test_trace_rows_and_columns(flat_circle):
     rows = list(trace.rows())
     assert len(rows) == len(trace.iters)
     assert len(rows[0]) == len(trace.COLUMNS)
+
+
+def test_reinduce_degenerate_keeps_partial_trace():
+    # a small hyperbolic circle shrinks under the harmonic flow until the
+    # next state no longer immerses; the flow ends with the last good state
+    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
+    phi0 = pf.builtin_map("Circle", {"r": 0.3}, grid, pf.SpaceFormSpec(-1.0, 2))
+    cfg = pf.FlowConfig(kind="Harmonic", max_iters=50, grad_tol=1e-8,
+                        metric_policy="ReInduceEachStep")
+    phi, trace = pf.run_flow(phi0, cfg)
+    assert trace.status == "degenerate"
+    assert trace.iters == list(range(len(trace.iters)))
+    assert len(trace.iters) > 1
+    assert all(dt > 0.0 for dt in trace.dt_accepted[1:])
+    assert pf.induced_metric(phi).mode is pf.MetricMode.INDUCED  # still immerses
+    frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
+    assert pf.energy_k(phi, frame, 1) == trace.E[-1]

@@ -5,10 +5,12 @@ import pytest
 
 import polyflow as pf
 from polyflow import space_form as sf
-from polyflow.errors import NotIsometric
-from polyflow.pullback import Section, tritension_space_form
+from polyflow.domain_grid import DomainGrid
+from polyflow.errors import DegenerateImmersion, NotIsometric
+from polyflow.flow import _trace_metrics, stability_cap
+from polyflow.pullback import Section, TensionChain, tritension_space_form
 
-from conftest import build_fixture, frame_for
+from conftest import build_fixture, builtin_fixture_set, frame_for
 
 TWO_PI = 2 * np.pi
 
@@ -355,3 +357,141 @@ def test_map_constraint_validation(torus_grid):
     phi = pf.builtin_map("TorusCliffordLike", {}, torus_grid,
                          pf.SpaceFormSpec(-1.0, 3))
     assert phi.constraint_residual() <= 1e-10
+
+
+# Standalone (recomputing) definitions of the tension chain: every field
+# re-derives what it needs, and every connection correction is applied,
+# zero or not.  The chain must reproduce them bit for bit.
+
+
+def _ref_nabla(phi, values, coeffs):
+    out = np.zeros_like(values)
+    for a in range(phi.grid.dims):
+        out += coeffs[..., a, None] * phi.grid.deriv(
+            values, a, floor=phi.spectral_floor()
+        )
+    return sf.project_tangent(phi.spec, phi.values, out)
+
+
+def _ref_differential(phi, frame):
+    dims = phi.grid.dims
+    return [_ref_nabla(phi, phi.values, frame.e[..., i, :]) for i in range(dims)]
+
+
+def _ref_tension(phi, frame):
+    dphi = _ref_differential(phi, frame)
+    out = np.zeros_like(phi.values)
+    for i in range(phi.grid.dims):
+        out += _ref_nabla(phi, dphi[i], frame.e[..., i, :])
+        out -= _ref_nabla(phi, phi.values, frame.div_terms[..., i, :])
+    return out
+
+
+def _ref_laplacian(phi, frame, values):
+    out = np.zeros_like(values)
+    for i in range(phi.grid.dims):
+        e_i = frame.e[..., i, :]
+        out -= _ref_nabla(phi, _ref_nabla(phi, values, e_i), e_i)
+        out += _ref_nabla(phi, values, frame.div_terms[..., i, :])
+    return out
+
+
+def _ref_jacobi(phi, frame, values):
+    curv = np.zeros_like(values)
+    if phi.spec.c != 0.0:
+        for d in _ref_differential(phi, frame):
+            curv += sf.curvature_op(phi.spec, phi.values, values, d, d)
+    return _ref_laplacian(phi, frame, values) - curv
+
+
+def _ref_chain(phi, frame):
+    dims = phi.grid.dims
+    tau = _ref_tension(phi, frame)
+    lap = _ref_laplacian(phi, frame, tau)
+    tau3 = _ref_jacobi(phi, frame, lap)
+    if phi.spec.c != 0.0:
+        dphi = _ref_differential(phi, frame)
+        for i in range(dims):
+            grad = _ref_nabla(phi, tau, frame.e[..., i, :])
+            tau3 -= sf.curvature_op(phi.spec, phi.values, grad, tau, dphi[i])
+    return {
+        "dphi": _ref_differential(phi, frame),
+        "tau": tau,
+        "grad_tau": [_ref_nabla(phi, tau, frame.e[..., i, :]) for i in range(dims)],
+        "lap_tau": lap,
+        "grad_lap_tau": [_ref_nabla(phi, lap, frame.e[..., i, :]) for i in range(dims)],
+        "tau2": _ref_jacobi(phi, frame, tau),
+        "tau3": tau3,
+    }
+
+
+def _chain_cases():
+    cases = [pytest.param(*case, "induced", id=f"{case[0]}-c{case[3].c:g}-n{case[3].n}")
+             for case in builtin_fixture_set()]
+    torus = ("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
+             pf.SpaceFormSpec(-1.0, 3))
+    return cases + [pytest.param(*torus, "warped", id="TorusCliffordLike-warped")]
+
+
+def _warped_metric(grid):
+    """Prescribed non-flat metric: its frame has non-zero div_terms."""
+    g = np.zeros(grid.shape + (grid.dims, grid.dims))
+    u, v = grid.coords
+    g[..., 0, 0] = 1.0 + 0.3 * np.sin(u) ** 2
+    g[..., 1, 1] = 1.0 + 0.2 * np.cos(v)
+    g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(u + v)
+    return pf.prescribed_metric(grid, g)
+
+
+@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
+def test_chain_matches_standalone_definitions(name, params, grid_args, target, metric):
+    phi = build_fixture(name, params, grid_args, target)
+    if metric == "warped":
+        frame = pf.orthonormal_frame(phi.grid, _warped_metric(phi.grid))
+        assert not frame.zero_div_terms
+    else:
+        try:
+            frame = frame_for(phi)
+        except DegenerateImmersion:
+            frame = frame_for(phi, induced=False)
+    assert frame.zero_div_terms == (not np.any(frame.div_terms))
+    chain = TensionChain(phi, frame)
+    for field, expected in _ref_chain(phi, frame).items():
+        got = getattr(chain, field)
+        if isinstance(got, list):
+            assert len(got) == len(expected)
+            for g, x in zip(got, expected):
+                assert g.values.tobytes() == x.tobytes(), field
+        else:
+            assert got.values.tobytes() == expected.tobytes(), field
+
+
+def test_flow_iteration_deriv_count(monkeypatch):
+    # one accepted triharmonic step on criterion 8's 1-d state, plus
+    # everything the flow reads from the next state's chain
+    grid = pf.build_grid(pf.GridSpec(1, (256,), (TWO_PI,)))
+    phi = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.05, "k": 3}, grid,
+                         pf.SpaceFormSpec(-1.0, 2))
+    frame = frame_for(phi, induced=False)
+    cfg = pf.FlowConfig(kind="Triharmonic")
+    chain = TensionChain(phi, frame)
+    descent = chain.field(3)
+    _trace_metrics(chain)
+    dt = min(cfg.initial_dt(grid), stability_cap(descent, frame, cfg.kind))
+
+    calls = []
+    deriv = DomainGrid.deriv
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return deriv(self, *args, **kwargs)
+
+    monkeypatch.setattr(DomainGrid, "deriv", counting)
+    phi_next, accepted, _ = pf.flow_step(phi, frame, cfg, dt, chain=chain)
+    assert accepted
+    phi_next.values = sf.project_point(phi.spec, phi_next.values)
+    nxt = TensionChain(phi_next, frame)
+    nxt.field(3)
+    _trace_metrics(nxt)
+    nxt.energy(3)
+    assert len(calls) <= 9
