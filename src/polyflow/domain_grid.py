@@ -188,9 +188,9 @@ class FrameField:
     ``e[..., i, a]`` is the coefficient of the coordinate field along axis
     ``a`` in the i-th frame vector; ``div_terms[..., i, c]`` expresses the
     self-covariant-derivative of the i-th frame vector in the coordinate
-    basis; ``vol`` is sqrt(det g).  ``orthonormal_frame`` sets
-    ``zero_div_terms`` from the data: flat frames (constant metric) have
-    exactly zero ``div_terms``, and connection corrections are then skipped.
+    basis; ``vol`` is sqrt(det g).  ``zero_div_terms`` is read from the
+    data: flat frames (constant metric) have exactly zero ``div_terms``, and
+    connection corrections are then skipped.
     """
 
     e: np.ndarray
@@ -198,7 +198,10 @@ class FrameField:
     vol: np.ndarray
     metric: MetricField = field(repr=False, default=None)
     grid: DomainGrid = field(repr=False, default=None)
-    zero_div_terms: bool = False
+    zero_div_terms: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.zero_div_terms = not np.any(self.div_terms)
 
     @property
     def mode(self) -> MetricMode:
@@ -294,8 +297,7 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
         div_terms[..., i, :] = term
 
     vol = np.sqrt(np.linalg.det(g))
-    return FrameField(e=e, div_terms=div_terms, vol=vol, metric=metric, grid=grid,
-                      zero_div_terms=not np.any(div_terms))
+    return FrameField(e=e, div_terms=div_terms, vol=vol, metric=metric, grid=grid)
 
 
 def integrate(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> float:

@@ -11,7 +11,7 @@ onto the model every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -113,8 +113,17 @@ class FlowTrace:
     dt_accepted: list = field(default_factory=list)
     status: str = "running"
 
-    COLUMNS = ("iter", "E", "E2", "E3", "Etilde4", "L4_tension", "sup_tau",
-               "sup_descent", "dt")
+    COLUMNS = (
+        "iter",
+        "E",
+        "E2",
+        "E3",
+        "Etilde4",
+        "L4_tension",
+        "sup_tau",
+        "sup_descent",
+        "dt",
+    )
 
     def record(self, it, report, sup_descent, dt):
         self.iters.append(it)
@@ -128,8 +137,18 @@ class FlowTrace:
         self.dt_accepted.append(dt)
 
     def rows(self):
-        return zip(self.iters, self.E, self.E2, self.E3, self.Etilde4,
-                   self.L4_tension, self.sup_tau, self.sup_descent, self.dt_accepted)
+        for i in range(len(self.iters)):
+            yield (
+                self.iters[i],
+                self.E[i],
+                self.E2[i],
+                self.E3[i],
+                self.Etilde4[i],
+                self.L4_tension[i],
+                self.sup_tau[i],
+                self.sup_descent[i],
+                self.dt_accepted[i],
+            )
 
     def accepted_series(self, name: str) -> list:
         values = getattr(self, name)
@@ -314,21 +333,10 @@ class ProbeVerdict:
     minimal_tol: float = 1e-4
 
     def to_dict(self) -> dict:
-        return {
-            "sup_tau3": self.sup_tau3,
-            "Etilde4": self.etilde4,
-            "L4_tension": self.l4_tension,
-            "sup_tau": self.sup_tau,
-            "tau_sq_node_variance": self.tau_sq_node_variance,
-            "sup_grad_laplacian_tau": self.sup_grad_laplacian_tau,
-            "sup_laplacian_tau": self.sup_laplacian_tau,
-            "cmc_coefficient_of_variation": self.cmc_coefficient_of_variation,
-            "classification": self.classification,
-            "constancy_diagnostics": dict(self.constancy_diagnostics),
-            "caveats": list(self.caveats),
-            "triharmonic_tol": self.triharmonic_tol,
-            "minimal_tol": self.minimal_tol,
-        }
+        out = asdict(self)
+        out["Etilde4"] = out.pop("etilde4")
+        out["L4_tension"] = out.pop("l4_tension")
+        return out
 
 
 def theorem_probe(

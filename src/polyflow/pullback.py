@@ -18,7 +18,7 @@ import numpy as np
 
 from . import space_form as sf
 from .domain_grid import (DomainGrid, FrameField, MetricMode, SPECTRAL_REL_CUTOFF,
-                          integrate)
+                          induced_metric, integrate)
 from .errors import NotIsometric
 
 __all__ = [
@@ -84,6 +84,19 @@ class Section:
         return sf.norm(self.base.spec, self.base.values, self.values)
 
 
+def _coordinate_derivs(phi: MapField, values: np.ndarray, floor: float) -> list:
+    """Coordinate derivatives d_a(V) of an ambient field along phi."""
+    return [phi.grid.deriv(values, a, floor=floor) for a in range(phi.grid.dims)]
+
+
+def _along(phi: MapField, derivs: list, coeffs: np.ndarray) -> np.ndarray:
+    """Projected sum_a coeffs[..., a] * d_a(V), given the d_a(V)."""
+    out = np.zeros_like(derivs[0])
+    for a, d in enumerate(derivs):
+        out += coeffs[..., a, None] * d
+    return sf.project_tangent(phi.spec, phi.values, out)
+
+
 class TensionChain:
     """The tension chain of one state ``(phi, frame)``, each field computed once.
 
@@ -102,28 +115,18 @@ class TensionChain:
         self._floor = phi.spectral_floor()
         self._corrections = {}  # nabla_{nabla_{e_i} e_i} V per differentiated V
 
-    def _along(self, derivs: list, coeffs: np.ndarray) -> np.ndarray:
-        """Projected sum_a coeffs[..., a] * d_a(V), given the d_a(V)."""
-        out = np.zeros_like(derivs[0])
-        for a, d in enumerate(derivs):
-            out += coeffs[..., a, None] * d
-        return sf.project_tangent(self.phi.spec, self.phi.values, out)
-
-    def _derivs(self, values: np.ndarray) -> list:
-        grid = self.phi.grid
-        return [grid.deriv(values, a, floor=self._floor) for a in range(grid.dims)]
-
     def _covariant(self, key: str, values: np.ndarray) -> list:
         """nabla_{e_i} V over the frame directions; the connection terms
         nabla_{nabla_{e_i} e_i} V go to ``_corrections[key]`` unless zero."""
-        derivs = self._derivs(values)
-        frame, dims = self.frame, self.phi.grid.dims
+        phi, frame = self.phi, self.frame
+        derivs = _coordinate_derivs(phi, values, self._floor)
         if not frame.zero_div_terms:
             self._corrections[key] = [
-                self._along(derivs, frame.div_terms[..., i, :]) for i in range(dims)
+                _along(phi, derivs, frame.div_terms[..., i, :])
+                for i in range(phi.grid.dims)
             ]
-        return [Section(self._along(derivs, frame.e[..., i, :]), self.phi)
-                for i in range(dims)]
+        return [Section(_along(phi, derivs, frame.e[..., i, :]), phi)
+                for i in range(phi.grid.dims)]
 
     def _trace(self, sections: list, key: str, sign: float) -> Section:
         """sign * sum_i {nabla_{e_i} S_i - C_i}, C_i the connection terms
@@ -132,7 +135,8 @@ class TensionChain:
         corrections = self._corrections.pop(key, None)
         out = np.zeros_like(sections[0].values)
         for i, s in enumerate(sections):
-            out += sign * self._along(self._derivs(s.values), self.frame.e[..., i, :])
+            derivs = _coordinate_derivs(self.phi, s.values, self._floor)
+            out += sign * _along(self.phi, derivs, self.frame.e[..., i, :])
             if corrections is not None:
                 out -= sign * corrections[i]
         return Section(out, self.phi)
@@ -248,8 +252,9 @@ def nabla_bar(V: Section, i: int, frame: FrameField) -> Section:
     Differentiate the ambient representative along e_i, then project back
     onto the tangent space of the target.
     """
-    chain = TensionChain(V.base, frame)
-    return Section(chain._along(chain._derivs(V.values), frame.e[..., i, :]), V.base)
+    phi = V.base
+    derivs = _coordinate_derivs(phi, V.values, phi.spectral_floor())
+    return Section(_along(phi, derivs, frame.e[..., i, :]), phi)
 
 
 def tension(phi: MapField, frame: FrameField) -> Section:
@@ -305,12 +310,6 @@ def tritension_general(phi: MapField, frame: FrameField) -> Section:
     return TensionChain(phi, frame).tau3
 
 
-def _isometry_deviation(phi: MapField, frame: FrameField) -> float:
-    from .domain_grid import induced_metric
-
-    return float(np.max(np.abs(induced_metric(phi).g - frame.metric.g)))
-
-
 def tritension_space_form(phi: MapField, frame: FrameField) -> Section:
     """Tritension field specialized to isometric immersions:
 
@@ -323,7 +322,7 @@ def tritension_space_form(phi: MapField, frame: FrameField) -> Section:
     for non-isometric maps.
     """
     if frame.mode is not MetricMode.INDUCED:
-        dev = _isometry_deviation(phi, frame)
+        dev = float(np.max(np.abs(induced_metric(phi).g - frame.metric.g)))
         if dev > ISOMETRY_TOL:
             raise NotIsometric(
                 f"prescribed metric deviates from the pullback metric by {dev:.3e}"

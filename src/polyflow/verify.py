@@ -14,7 +14,7 @@ checks return residuals for the caller to judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .pullback import (
     MapField,
     Section,
     TensionChain,
-    curvature_contraction,
-    rough_laplacian,
+    jacobi,
     tension,
 )
 
@@ -64,14 +63,10 @@ class AuditCheck:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "nodes_failed": self.nodes_failed,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "skipped": self.skipped,
-            "note": self.note,
-        }
+        out = asdict(self)
+        del out["name"]
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass
@@ -166,7 +161,7 @@ def tension_variation_residual(
     lhs = sf.project_tangent(
         phi.spec, phi.values, (tau_plus.values - tau_minus.values) / (2.0 * t)
     )
-    rhs = -rough_laplacian(V, frame).values + curvature_contraction(V, frame).values
+    rhs = -jacobi(V, frame).values
     return float(np.max(sf.norm(phi.spec, phi.values, lhs - rhs)))
 
 
