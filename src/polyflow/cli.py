@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -24,7 +24,7 @@ from .domain_grid import (
 from .energy import energy_report
 from .errors import ConfigError, DegenerateImmersion, PolyflowError
 from .examples import builtin_map, example_catalog
-from .flow import FlowConfig, MetricPolicy, run_flow, theorem_probe
+from .flow import FlowConfig, flow_frame, run_flow, theorem_probe
 from .pullback import TensionChain
 from .space_form import Model, SpaceFormSpec
 from .verify import (
@@ -120,22 +120,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     flow_cfg = None
     if action is Action.FLOW:
         flow_d = _need(data, "flow", "config")
-        _reject_unknown(
-            flow_d,
-            {"kind", "dt0", "max_iters", "grad_tol", "armijo_c", "shrink",
-             "metric_policy"},
-            "flow",
-        )
+        _reject_unknown(flow_d, [f.name for f in fields(FlowConfig)], "flow")
         try:
-            flow_cfg = FlowConfig(
-                kind=flow_d.get("kind", "Triharmonic"),
-                dt0=flow_d.get("dt0"),
-                max_iters=int(flow_d.get("max_iters", 10000)),
-                grad_tol=float(flow_d.get("grad_tol", 1e-8)),
-                armijo_c=float(flow_d.get("armijo_c", 1e-4)),
-                shrink=float(flow_d.get("shrink", 0.5)),
-                metric_policy=flow_d.get("metric_policy", "FixedPrescribed"),
-            )
+            flow_cfg = FlowConfig(**flow_d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad flow config: {exc}") from exc
     elif "flow" in data:
@@ -230,23 +217,23 @@ def run(config: ExperimentConfig) -> int:
     exit_code = 0
 
     if config.action is Action.FLOW:
-        metric = None  # identity; ReInduce policy re-derives per step
-        phi_final, trace = run_flow(phi, config.flow, metric=metric)
+        phi_final, trace = run_flow(phi, config.flow)
         trace_path = Path(config.output_prefix + "_trace.csv")
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         _write_trace(trace_path, trace)
-        policy = config.flow.metric_policy
-        if policy is MetricPolicy.REINDUCE_EACH_STEP:
-            frame = orthonormal_frame(grid, induced_metric(phi_final))
+        summary["flow"] = {"status": trace.status,
+                           "iterations": trace.iters[-1] if trace.iters else 0}
+        if trace.iters:
+            frame = flow_frame(phi_final, config.flow)
+            chain = TensionChain(phi_final, frame)
+            probe = theorem_probe(phi_final, trace, frame, chain=chain)
+            summary["probe"] = probe.to_dict()
+            summary["energies"] = energy_report(
+                phi_final, frame, p_list=config.p_list, chain=chain
+            ).to_dict()
         else:
-            frame = orthonormal_frame(grid, identity_metric(grid))
-        chain = TensionChain(phi_final, frame)
-        probe = theorem_probe(phi_final, trace, frame, chain=chain)
-        summary["flow"] = {"status": trace.status, "iterations": trace.iters[-1]}
-        summary["probe"] = probe.to_dict()
-        summary["energies"] = energy_report(
-            phi_final, frame, p_list=config.p_list, chain=chain
-        ).to_dict()
+            notes.append("the initial map has no frame under metric policy "
+                         f"{config.flow.metric_policy.value}; no state was probed")
     else:
         metric = _choose_metric(phi, config.action, notes)
         frame = orthonormal_frame(grid, metric)

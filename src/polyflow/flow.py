@@ -20,7 +20,6 @@ from . import space_form as sf
 from .domain_grid import (
     DomainGrid,
     FrameField,
-    MetricField,
     identity_metric,
     induced_metric,
     integrate,
@@ -37,6 +36,7 @@ __all__ = [
     "FlowTrace",
     "ProbeVerdict",
     "descent_field",
+    "flow_frame",
     "flow_step",
     "run_flow",
     "stability_cap",
@@ -57,22 +57,26 @@ class MetricPolicy(str, Enum):
     REINDUCE_EACH_STEP = "ReInduceEachStep"
 
 
+# Order k of the flowed energy E_k.  Its descent operator has differential
+# order 2k, so a mode of wavenumber q is explicitly stable only for dt below
+# ~2/q^(2k); the default first step is 0.1 h^(k+1).
 _ENERGY_ORDER = {FlowKind.HARMONIC: 1, FlowKind.BIHARMONIC: 2, FlowKind.TRIHARMONIC: 3}
-_DT0_POWER = {FlowKind.HARMONIC: 2, FlowKind.BIHARMONIC: 3, FlowKind.TRIHARMONIC: 4}
-# Differential order of the descent operator: a mode of wavenumber k is
-# explicitly stable only for dt below ~2/k^p.
-_OPERATOR_ORDER = {FlowKind.HARMONIC: 2, FlowKind.BIHARMONIC: 4, FlowKind.TRIHARMONIC: 6}
 
 # Spectral content of the descent field below this fraction of its largest
 # coefficient is ignored when estimating the stability cap.
 _CAP_VISIBILITY = 1e-6
 _DT_CEILING = 1e3
 
+# theorem_probe's verdict: triharmonic when sup |tau3| is below the first,
+# minimal when sup |tau| is also below the second.
+_TRIHARMONIC_TOL = 1e-6
+_MINIMAL_TOL = 1e-4
+
 
 @dataclass
 class FlowConfig:
     kind: FlowKind = FlowKind.TRIHARMONIC
-    dt0: float = None  # default 0.1 * h^p, p per flow order
+    dt0: float = None  # default 0.1 * h^(k+1), k the energy order
     max_iters: int = 10000
     grad_tol: float = 1e-8
     armijo_c: float = 1e-4
@@ -82,6 +86,12 @@ class FlowConfig:
     def __post_init__(self):
         self.kind = FlowKind(self.kind)
         self.metric_policy = MetricPolicy(self.metric_policy)
+        self.max_iters = int(self.max_iters)
+        self.grad_tol = float(self.grad_tol)
+        self.armijo_c = float(self.armijo_c)
+        self.shrink = float(self.shrink)
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
         if self.dt0 is not None and self.dt0 <= 0.0:
             raise ValueError("dt0 must be positive")
         if self.grad_tol <= 0.0:
@@ -94,7 +104,7 @@ class FlowConfig:
     def initial_dt(self, grid: DomainGrid) -> float:
         if self.dt0 is not None:
             return self.dt0
-        return 0.1 * min(grid.spacings) ** _DT0_POWER[self.kind]
+        return 0.1 * min(grid.spacings) ** (_ENERGY_ORDER[self.kind] + 1)
 
 
 @dataclass
@@ -202,10 +212,13 @@ def flow_step(
     return phi, False, dt * cfg.shrink
 
 
-def _frame_for(phi: MapField, cfg: FlowConfig, metric: MetricField) -> FrameField:
+def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
+    """Frame of a flow state under ``cfg.metric_policy``: flat for
+    FixedPrescribed, induced by ``phi`` (which must immerse) for
+    ReInduceEachStep."""
     if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
         return orthonormal_frame(phi.grid, induced_metric(phi))
-    return orthonormal_frame(phi.grid, metric)
+    return orthonormal_frame(phi.grid, identity_metric(phi.grid))
 
 
 def _trace_metrics(chain: TensionChain):
@@ -226,7 +239,7 @@ def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
     visible, the cap drops, and one capped step annihilates it.
     """
     grid = frame.grid
-    order = _OPERATOR_ORDER[FlowKind(kind)]
+    order = 2 * _ENERGY_ORDER[FlowKind(kind)]
     k_total = 0.0
     for axis in range(grid.dims):
         fh = np.abs(np.fft.fft(descent.values, axis=axis))
@@ -245,66 +258,60 @@ def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
     return 1.0 / k_total**order
 
 
-def run_flow(phi0: MapField, cfg: FlowConfig, metric: MetricField = None):
+def run_flow(phi0: MapField, cfg: FlowConfig):
     """Iterate Armijo steps until sup |descent| <= grad_tol or max_iters.
 
-    ``metric`` seeds the FixedPrescribed policy (identity by default); with
-    ReInduceEachStep the metric is re-induced after every accepted step, and
-    monotonicity of the flowed energy is no longer guaranteed (the
-    functional itself changes with the metric).
+    Every state (``phi0`` at step 0, then each accepted trial, re-projected)
+    is entered the same way: framed by :func:`flow_frame`, once under
+    FixedPrescribed and per state under ReInduceEachStep, where the flowed
+    energy need not decrease since the functional changes with the metric;
+    then its tension chain is built and its trace row recorded.
 
     Returns ``(phi_final, trace)``; a step-size underflow is reported as
-    ``trace.status == "stalled"``, and a state that can no longer be
-    projected or framed (e.g. it stops immersing under ReInduceEachStep) as
+    ``trace.status == "stalled"``, and a state that cannot be projected or
+    framed (e.g. it does not immerse under ReInduceEachStep) as
     ``"degenerate"``.  Either way the last good state and the partial trace
-    are returned.
+    are returned; when ``phi0`` itself cannot be entered, that is an empty
+    trace and a copy of ``phi0``.
     """
-    grid = phi0.grid
-    if metric is None:
-        metric = identity_metric(grid)
-    phi = phi0.copy()
-    frame = _frame_for(phi, cfg, metric)
-    dt = cfg.initial_dt(grid)
-    trace = FlowTrace()
     k = _ENERGY_ORDER[cfg.kind]
+    reinduce = cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP
+    dt = cfg.initial_dt(phi0.grid)
+    trace = FlowTrace()
+    phi = candidate = phi0.copy()
+    frame, dt_used = None, math.nan
 
-    chain = TensionChain(phi, frame)
-    descent = chain.field(k)
-    metrics = _trace_metrics(chain)
-    sup_descent = float(np.max(descent.norm_field()))
-    trace.record(0, metrics, sup_descent, math.nan)
-
-    for it in range(1, cfg.max_iters + 1):
-        if sup_descent <= cfg.grad_tol:
-            trace.status = "converged"
-            return phi, trace
-        dt_used = min(dt, stability_cap(descent, frame, cfg.kind))
+    for it in range(cfg.max_iters + 1):
         try:
-            phi_next, accepted, dt_next = flow_step(
-                phi, frame, cfg, dt_used, chain=chain
-            )
-            if accepted:
-                phi_next.values = sf.project_point(phi.spec, phi_next.values)
-                if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
-                    frame = _frame_for(phi_next, cfg, metric)
+            if it > 0:
+                dt_used = min(dt, stability_cap(descent, frame, cfg.kind))
+                candidate, accepted, dt_next = flow_step(
+                    phi, frame, cfg, dt_used, chain=chain
+                )
+                dt = min(dt_next, _DT_CEILING)
+                if not accepted:
+                    trace.record(it, metrics, sup_descent, 0.0)
+                    continue
+                candidate.values = sf.project_point(phi.spec, candidate.values)
+            if frame is None or reinduce:
+                frame = flow_frame(candidate, cfg)
+            chain = TensionChain(candidate, frame)
+            descent = chain.field(k)
+            metrics = _trace_metrics(chain)
+            sup_descent = float(np.max(descent.norm_field()))
         except StepUnderflow:
             trace.status = "stalled"
             return phi, trace
         except PolyflowError:
             trace.status = "degenerate"
             return phi, trace
-        dt = min(dt_next, _DT_CEILING)
-        if accepted:
-            phi = phi_next
-            chain = TensionChain(phi, frame)
-            descent = chain.field(k)
-            metrics = _trace_metrics(chain)
-            sup_descent = float(np.max(descent.norm_field()))
-            trace.record(it, metrics, sup_descent, dt_used)
-        else:
-            trace.record(it, metrics, sup_descent, 0.0)
+        phi = candidate
+        trace.record(it, metrics, sup_descent, dt_used)
+        if sup_descent <= cfg.grad_tol:
+            trace.status = "converged"
+            return phi, trace
 
-    trace.status = "converged" if sup_descent <= cfg.grad_tol else "max_iters"
+    trace.status = "max_iters"
     return phi, trace
 
 
@@ -329,8 +336,8 @@ class ProbeVerdict:
     classification: str
     constancy_diagnostics: dict = field(default_factory=dict)
     caveats: list = field(default_factory=list)
-    triharmonic_tol: float = 1e-6
-    minimal_tol: float = 1e-4
+    triharmonic_tol: float = field(default=_TRIHARMONIC_TOL, init=False)
+    minimal_tol: float = field(default=_MINIMAL_TOL, init=False)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -343,8 +350,6 @@ def theorem_probe(
     phi: MapField,
     trace: FlowTrace,
     frame: FrameField,
-    triharmonic_tol: float = 1e-6,
-    minimal_tol: float = 1e-4,
     chain: TensionChain = None,
 ) -> ProbeVerdict:
     """Measure a terminal state against the vanishing predictions.
@@ -384,8 +389,8 @@ def theorem_probe(
             "constancy_expected": bool(weighted <= 1e-10),
         }
 
-    if sup_tau3 <= triharmonic_tol:
-        classification = "minimal" if sup_tau <= minimal_tol else "nonminimal-candidate"
+    if sup_tau3 <= _TRIHARMONIC_TOL:
+        classification = "minimal" if sup_tau <= _MINIMAL_TOL else "nonminimal-candidate"
     else:
         classification = "inconclusive"
 
@@ -405,6 +410,4 @@ def theorem_probe(
             "so finiteness and completeness hypotheses are modeled, not tested",
             "flow status: " + trace.status,
         ],
-        triharmonic_tol=triharmonic_tol,
-        minimal_tol=minimal_tol,
     )

@@ -14,7 +14,7 @@ checks return residuals for the caller to judge.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,9 @@ __all__ = [
     "caccioppoli_audit",
     "random_tangent_section",
 ]
+
+# Random unit tangent quadruples in the curvature-symmetry check.
+_N_QUADRUPLES = 1000
 
 
 @dataclass
@@ -165,31 +168,17 @@ def tension_variation_residual(
     return float(np.max(sf.norm(phi.spec, phi.values, lhs - rhs)))
 
 
-def _fd2_gradient(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.ndarray:
-    """Frame gradient of a scalar using the 2nd-order stencil unconditionally.
-
-    Used for fields like |alpha| that are merely Lipschitz at zeros of
-    alpha: spectral differentiation of a kinked scalar rings globally,
-    while the central difference quotient stays bounded by the local
-    Lipschitz constant.
-    """
-    out = np.empty(grid.shape + (grid.dims,))
-    df = []
-    for a in range(grid.dims):
-        h = grid.spacings[a]
-        df.append((np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a)) / (2.0 * h))
-    for i in range(grid.dims):
-        acc = np.zeros(grid.shape)
-        for a in range(grid.dims):
-            acc += frame.e[..., i, a] * df[a]
-        out[..., i] = acc
-    return out
-
-
 def _kato_check(name, grid, frame, a_norm, grad_sq) -> AuditCheck:
-    """Kato check for a section alpha, given |alpha| and |nabla alpha|^2."""
+    """Kato check for a section alpha, given |alpha| and |nabla alpha|^2.
+
+    |alpha| is merely Lipschitz at zeros of alpha: spectral differentiation
+    of a kinked scalar rings globally, while the 2nd-order central
+    difference quotient stays bounded by the local Lipschitz constant, so
+    grad |alpha| is taken on a CentralFD2 twin of the grid.
+    """
+    fd2 = DomainGrid(replace(grid.spec, differentiation=Differentiation.CENTRAL_FD2))
     rhs = np.sqrt(np.maximum(grad_sq, 0.0))
-    lhs = np.sqrt(np.sum(_fd2_gradient(grid, frame, a_norm) ** 2, axis=-1))
+    lhs = np.sqrt(np.sum(scalar_gradient(fd2, frame, a_norm) ** 2, axis=-1))
     eligible = a_norm > 1e-6
     h = max(grid.spacings)
     tol = 1e-8 + 10.0 * h**2 * float(np.max(rhs, initial=0.0))
@@ -210,7 +199,6 @@ def pointwise_identity_audit(
     phi: MapField,
     frame: FrameField,
     seed: int = 0,
-    n_quadruples: int = 1000,
     chain: TensionChain = None,
 ) -> AuditReport:
     """Run the bundled pointwise checks and report residuals.
@@ -259,7 +247,7 @@ def pointwise_identity_audit(
     # comparable to the 1e-12 tolerance).
     rng = np.random.default_rng(seed)
     flat_pts = phi.values.reshape(-1, spec.ambient_dim)
-    idx = rng.integers(0, flat_pts.shape[0], size=n_quadruples)
+    idx = rng.integers(0, flat_pts.shape[0], size=_N_QUADRUPLES)
     x = flat_pts[idx]
     vs = []
     for _ in range(4):
@@ -273,7 +261,7 @@ def pointwise_identity_audit(
     failed = int(np.sum(sym_resid > tol))
     report.checks["curvature_symmetry"] = AuditCheck(
         "curvature_symmetry", float(np.max(sym_resid)), failed, tol, failed == 0,
-        note=f"{n_quadruples} random tangent quadruples",
+        note=f"{_N_QUADRUPLES} random tangent quadruples",
     )
 
     # (c) Bochner identity for the scalar |tau|^2 (positive Laplacian).

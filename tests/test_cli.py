@@ -7,6 +7,7 @@ import pytest
 
 from polyflow.cli import load_config, main, parse_config, run
 from polyflow.errors import ConfigError
+from polyflow.flow import FlowConfig
 
 TWO_PI = 2 * np.pi
 
@@ -60,6 +61,26 @@ def test_parse_rejects_flow_section_without_flow_action(tmp_path):
     data["flow"] = {"kind": "Harmonic"}
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+@pytest.mark.parametrize("flow", [
+    {"max_iters": "many"},
+    {"max_iters": -1},
+    {"grad_tol": "tiny"},
+    {"kind": "Quadharmonic"},
+    {"shrink": 1.5},
+])
+def test_parse_rejects_bad_flow_values(tmp_path, flow):
+    data = base_config(tmp_path / "out", action="Flow")
+    data["flow"] = flow
+    with pytest.raises(ConfigError):
+        parse_config(data)
+
+
+def test_parse_flow_defaults(tmp_path):
+    data = base_config(tmp_path / "out", action="Flow")
+    data["flow"] = {"kind": "Triharmonic"}
+    assert parse_config(data).flow == FlowConfig()
 
 
 def test_parse_rejects_bad_p(tmp_path):
@@ -148,6 +169,23 @@ def test_run_flow_degenerate_writes_outputs(tmp_path):
     trace_lines = (tmp_path / "deg_trace.csv").read_text().splitlines()
     assert len(trace_lines) == summary["flow"]["iterations"] + 2
     assert trace_lines[-1].startswith(f"{summary['flow']['iterations']},")
+
+
+def test_run_flow_degenerate_at_step_0_writes_outputs(tmp_path):
+    # the initial map does not immerse, so ReInduceEachStep has no frame
+    # for step 0: the flow enters no state and nothing is probed
+    data = base_config(tmp_path / "deg0", action="Flow")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "PerturbedGeodesicH2",
+                           "params": {"amplitude": 0.05, "k": 3}}
+    data["flow"] = {"kind": "Triharmonic", "metric_policy": "ReInduceEachStep"}
+    assert main(["run", str(write_config(tmp_path, data))]) == 0
+    trace_lines = (tmp_path / "deg0_trace.csv").read_text().splitlines()
+    assert trace_lines == ["iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt"]
+    summary = json.loads((tmp_path / "deg0_summary.json").read_text())
+    assert summary["flow"] == {"status": "degenerate", "iterations": 0}
+    assert any("ReInduceEachStep" in note for note in summary["notes"])
+    assert "probe" not in summary and "energies" not in summary
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -207,3 +207,14 @@ def test_reinduce_degenerate_keeps_partial_trace():
     assert pf.induced_metric(phi).mode is pf.MetricMode.INDUCED  # still immerses
     frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
     assert pf.energy_k(phi, frame, 1) == trace.E[-1]
+
+
+def test_run_flow_degenerate_at_step_0():
+    # the initial map does not immerse, so ReInduceEachStep cannot frame it
+    phi0 = small_h2_perturbation(amplitude=0.05, k=3)
+    cfg = pf.FlowConfig(kind="Triharmonic", metric_policy="ReInduceEachStep")
+    phi, trace = pf.run_flow(phi0, cfg)
+    assert trace.status == "degenerate"
+    assert trace.iters == [] and list(trace.rows()) == []
+    assert phi is not phi0
+    assert np.array_equal(phi.values, phi0.values)
