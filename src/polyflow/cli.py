@@ -231,6 +231,8 @@ def run(config: ExperimentConfig) -> int:
             summary["energies"] = energy_report(
                 phi_final, frame, p_list=config.p_list, chain=chain
             ).to_dict()
+        elif trace.status == "nonfinite":
+            notes.append("the initial map is not finite; no state was probed")
         else:
             notes.append("the initial map has no frame under metric policy "
                          f"{config.flow.metric_policy.value}; no state was probed")

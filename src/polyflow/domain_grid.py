@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,7 @@ class DomainGrid:
         for n, k in zip(spec.sizes, self._wavenumbers):
             if n % 2 == 0:
                 k[n // 2] = 0.0
+        self._symbols = {}  # 1j * k shaped for deriv, per (axis, field ndim)
 
     @property
     def dims(self) -> int:
@@ -153,13 +155,17 @@ class DomainGrid:
                 + np.roll(values, 2, axis=axis)
             ) / (12.0 * h)
         fh = np.fft.fft(values, axis=axis)
-        amp = np.max(np.abs(fh), axis=axis, keepdims=True)
+        mag = np.abs(fh)
+        amp = np.max(mag, axis=axis, keepdims=True)
         cutoff = np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)
-        fh[np.abs(fh) < cutoff] = 0.0
-        k = self._wavenumbers[axis]
-        shape = [1] * fh.ndim
-        shape[axis] = k.size
-        return np.real(np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis))
+        fh[mag < cutoff] = 0.0
+        symbol = self._symbols.get((axis, fh.ndim))
+        if symbol is None:
+            k = self._wavenumbers[axis]
+            shape = [1] * fh.ndim
+            shape[axis] = k.size
+            symbol = self._symbols[(axis, fh.ndim)] = 1j * k.reshape(shape)
+        return np.real(np.fft.ifft(symbol * fh, axis=axis))
 
     def periodic_distance(self, center) -> np.ndarray:
         """Distance to a node in the flat periodic (torus) geometry."""
@@ -206,6 +212,11 @@ class FrameField:
     @property
     def mode(self) -> MetricMode:
         return self.metric.mode
+
+    @cached_property
+    def volume(self) -> float:
+        """Int 1 dvol, integrated once per frame."""
+        return integrate(self.grid, self, np.ones(self.grid.shape))
 
 
 def build_grid(spec: GridSpec) -> DomainGrid:
@@ -307,7 +318,7 @@ def integrate(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> float:
     compensated so reduction order cannot perturb the result.
     """
     f = np.asarray(f, dtype=float)
-    return math.fsum((f * frame.vol).ravel()) * grid.cell_volume
+    return math.fsum(memoryview((f * frame.vol).ravel())) * grid.cell_volume
 
 
 def scalar_gradient(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.ndarray:

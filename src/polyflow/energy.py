@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .domain_grid import FrameField, integrate
 from .pullback import MapField, TensionChain
 
@@ -62,19 +60,14 @@ def energy_report(
     if chain is None:
         chain = TensionChain(phi, frame)
     tau_norm, lap_norm = chain.tau_norm, chain.lap_norm
-    sup_tau3 = 0.0
-    if with_tritension:
-        sup_tau3 = float(np.max(chain.tau3.norm_field()))
-
-    volume = integrate(grid, frame, np.ones(grid.shape))
     report = EnergyReport(
         E=chain.energy(1),
         E2=chain.energy(2),
         E3=chain.energy(3),
         Etilde4=0.5 * integrate(grid, frame, lap_norm**2),
-        sup_tau=float(np.max(tau_norm)),
-        sup_tau3=sup_tau3,
-        volume=volume,
+        sup_tau=chain.sup_norm(1),
+        sup_tau3=chain.sup_norm(3) if with_tritension else 0.0,
+        volume=frame.volume,
     )
     report.mean_curvature_sup = report.sup_tau / grid.dims
     for p in p_list:

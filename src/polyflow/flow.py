@@ -25,7 +25,7 @@ from .domain_grid import (
     integrate,
     orthonormal_frame,
 )
-from .energy import energy_k, energy_report
+from .energy import energy_report
 from .errors import PolyflowError, StepUnderflow
 from .pullback import MapField, Section, TensionChain
 
@@ -135,30 +135,17 @@ class FlowTrace:
         "dt",
     )
 
-    def record(self, it, report, sup_descent, dt):
-        self.iters.append(it)
-        self.E.append(report.E)
-        self.E2.append(report.E2)
-        self.E3.append(report.E3)
-        self.Etilde4.append(report.Etilde4)
-        self.L4_tension.append(report.Lp_tension[4.0])
-        self.sup_tau.append(report.sup_tau)
-        self.sup_descent.append(sup_descent)
-        self.dt_accepted.append(dt)
+    def _series(self) -> tuple:
+        return (self.iters, self.E, self.E2, self.E3, self.Etilde4, self.L4_tension,
+                self.sup_tau, self.sup_descent, self.dt_accepted)
+
+    def record(self, it, state_row, dt):
+        """Append a row: ``state_row`` holds the columns E to sup_descent."""
+        for series, value in zip(self._series(), (it, *state_row, dt)):
+            series.append(value)
 
     def rows(self):
-        for i in range(len(self.iters)):
-            yield (
-                self.iters[i],
-                self.E[i],
-                self.E2[i],
-                self.E3[i],
-                self.Etilde4[i],
-                self.L4_tension[i],
-                self.sup_tau[i],
-                self.sup_descent[i],
-                self.dt_accepted[i],
-            )
+        return zip(*self._series())
 
     def accepted_series(self, name: str) -> list:
         values = getattr(self, name)
@@ -181,12 +168,14 @@ def flow_step(
 
     ``chain`` is the tension chain of ``(phi, frame)``, built here when not
     given; it supplies the descent field and the current energy.
-    Returns ``(phi_next, accepted, dt_next)``.  The candidate is
-    exp_phi(dt * descent); it is accepted iff the flowed energy drops by at
-    least armijo_c * dt * Int |descent|^2, up to a relative float-resolution
-    slack (1e-13 |E|, well inside the 1e-12 monotonicity contract) so the
-    search cannot stall on energy differences below evaluation roundoff.
-    On rejection the state is returned unchanged with a shrunk step.
+    Returns ``(phi_next, accepted, dt_next, chain_next)``, ``chain_next``
+    the tension chain of ``(phi_next, frame)``.  The candidate is
+    exp_phi(dt * descent), re-projected onto the model; it is accepted iff
+    the flowed energy drops by at least armijo_c * dt * Int |descent|^2, up
+    to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
+    monotonicity contract) so the search cannot stall on energy differences
+    below evaluation roundoff.  On rejection the state and its chain are
+    returned unchanged with a shrunk step.
     """
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
@@ -194,22 +183,19 @@ def flow_step(
         chain = TensionChain(phi, frame)
     k = _ENERGY_ORDER[cfg.kind]
     descent = chain.field(k)
-    sup_descent = float(np.max(descent.norm_field()))
-    if sup_descent == 0.0:
-        return phi, True, dt
+    if chain.sup_norm(k) == 0.0:
+        return phi, True, dt, chain
     e_now = chain.energy(k)
     grad_sq = integrate(
         phi.grid, frame, sf.inner(phi.spec, phi.values, descent.values, descent.values)
     )
-    candidate = MapField(
-        values=sf.exp_map(phi.spec, phi.values, dt * descent.values),
-        grid=phi.grid,
-        spec=phi.spec,
-    )
-    e_new = energy_k(candidate, frame, k)
-    if e_new <= e_now - cfg.armijo_c * dt * grad_sq + 1e-13 * abs(e_now):
-        return candidate, True, dt / cfg.shrink
-    return phi, False, dt * cfg.shrink
+    moved = sf.exp_map(phi.spec, phi.values, dt * descent.values)
+    candidate = MapField(values=sf.project_point(phi.spec, moved), grid=phi.grid,
+                         spec=phi.spec)
+    trial = TensionChain(candidate, frame)
+    if trial.energy(k) <= e_now - cfg.armijo_c * dt * grad_sq + 1e-13 * abs(e_now):
+        return candidate, True, dt / cfg.shrink, trial
+    return phi, False, dt * cfg.shrink, chain
 
 
 def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
@@ -221,9 +207,11 @@ def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
     return orthonormal_frame(phi.grid, identity_metric(phi.grid))
 
 
-def _trace_metrics(chain: TensionChain):
-    return energy_report(chain.phi, chain.frame, p_list=(2.0, 4.0),
-                         with_tritension=False, chain=chain)
+def _trace_metrics(chain: TensionChain) -> tuple:
+    """A state's trace columns E to sup_tau."""
+    r = energy_report(chain.phi, chain.frame, p_list=(4.0,), with_tritension=False,
+                      chain=chain)
+    return r.E, r.E2, r.E3, r.Etilde4, r.Lp_tension[4.0], r.sup_tau
 
 
 def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
@@ -261,16 +249,18 @@ def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
 def run_flow(phi0: MapField, cfg: FlowConfig):
     """Iterate Armijo steps until sup |descent| <= grad_tol or max_iters.
 
-    Every state (``phi0`` at step 0, then each accepted trial, re-projected)
-    is entered the same way: framed by :func:`flow_frame`, once under
+    Every state (``phi0`` at step 0, then each accepted, re-projected
+    trial) is entered the same way: framed by :func:`flow_frame`, once under
     FixedPrescribed and per state under ReInduceEachStep, where the flowed
     energy need not decrease since the functional changes with the metric;
-    then its tension chain is built and its trace row recorded.
+    then its trace row is recorded from its tension chain.  On an unchanged
+    frame that is the chain the Armijo trial built for it.
 
     Returns ``(phi_final, trace)``; a step-size underflow is reported as
-    ``trace.status == "stalled"``, and a state that cannot be projected or
+    ``trace.status == "stalled"``, a state that cannot be projected or
     framed (e.g. it does not immerse under ReInduceEachStep) as
-    ``"degenerate"``.  Either way the last good state and the partial trace
+    ``"degenerate"``, and one with a non-finite trace row as
+    ``"nonfinite"``.  Either way the last good state and the partial trace
     are returned; when ``phi0`` itself cannot be entered, that is an empty
     trace and a copy of ``phi0``.
     """
@@ -285,28 +275,30 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
         try:
             if it > 0:
                 dt_used = min(dt, stability_cap(descent, frame, cfg.kind))
-                candidate, accepted, dt_next = flow_step(
+                candidate, accepted, dt_next, chain = flow_step(
                     phi, frame, cfg, dt_used, chain=chain
                 )
                 dt = min(dt_next, _DT_CEILING)
                 if not accepted:
-                    trace.record(it, metrics, sup_descent, 0.0)
+                    trace.record(it, row, 0.0)
                     continue
-                candidate.values = sf.project_point(phi.spec, candidate.values)
             if frame is None or reinduce:
                 frame = flow_frame(candidate, cfg)
-            chain = TensionChain(candidate, frame)
+                chain = TensionChain(candidate, frame)
             descent = chain.field(k)
-            metrics = _trace_metrics(chain)
-            sup_descent = float(np.max(descent.norm_field()))
+            sup_descent = chain.sup_norm(k)
+            row = (*_trace_metrics(chain), sup_descent)
         except StepUnderflow:
             trace.status = "stalled"
             return phi, trace
         except PolyflowError:
             trace.status = "degenerate"
             return phi, trace
+        if not all(map(math.isfinite, row)):
+            trace.status = "nonfinite"
+            return phi, trace
         phi = candidate
-        trace.record(it, metrics, sup_descent, dt_used)
+        trace.record(it, row, dt_used)
         if sup_descent <= cfg.grad_tol:
             trace.status = "converged"
             return phi, trace
@@ -368,8 +360,8 @@ def theorem_probe(
     grad_lap_sq = chain.grad_lap_tau_sq
     report = energy_report(phi, frame, p_list=(4.0,), chain=chain)
 
-    sup_tau = float(np.max(tau_norm))
-    sup_tau3 = float(np.max(chain.tau3.norm_field()))
+    sup_tau = chain.sup_norm(1)
+    sup_tau3 = chain.sup_norm(3)
     mean_norm = float(np.mean(tau_norm))
     cv = float(np.std(tau_norm) / mean_norm) if mean_norm > 1e-12 else 0.0
 

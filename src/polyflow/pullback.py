@@ -114,6 +114,7 @@ class TensionChain:
         self.frame = frame
         self._floor = phi.spectral_floor()
         self._corrections = {}  # nabla_{nabla_{e_i} e_i} V per differentiated V
+        self._scalars = {}  # energies and sup norms, per (name, order)
 
     def _covariant(self, key: str, values: np.ndarray) -> list:
         """nabla_{e_i} V over the frame directions; the connection terms
@@ -230,15 +231,24 @@ class TensionChain:
 
     def energy(self, k: int) -> float:
         """k-th energy of the ladder: (1/2) Int |dphi|^2, |tau|^2 or |nabla tau|^2."""
-        if k == 1:
-            density = self.dphi_sq
-        elif k == 2:
-            density = self.tau_norm**2
-        elif k == 3:
-            density = self.grad_tau_sq
-        else:
-            raise ValueError(f"energy order must be 1, 2 or 3, got {k}")
-        return 0.5 * integrate(self.phi.grid, self.frame, density)
+        if ("E", k) not in self._scalars:
+            if k == 1:
+                density = self.dphi_sq
+            elif k == 2:
+                density = self.tau_norm**2
+            elif k == 3:
+                density = self.grad_tau_sq
+            else:
+                raise ValueError(f"energy order must be 1, 2 or 3, got {k}")
+            self._scalars["E", k] = 0.5 * integrate(self.phi.grid, self.frame, density)
+        return self._scalars["E", k]
+
+    def sup_norm(self, k: int) -> float:
+        """sup |tau|, |tau2| or |tau3| over the grid."""
+        if ("sup", k) not in self._scalars:
+            norm = self.tau_norm if k == 1 else self.field(k).norm_field()
+            self._scalars["sup", k] = float(np.max(norm))
+        return self._scalars["sup", k]
 
 
 def differential(phi: MapField, frame: FrameField) -> list:

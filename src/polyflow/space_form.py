@@ -72,7 +72,7 @@ class SpaceFormSpec:
 
 def ambient_form(spec: SpaceFormSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Ambient bilinear form: Euclidean dot, or Minkowski for c < 0."""
-    dot = np.sum(u * v, axis=-1)
+    dot = np.add.reduce(u * v, axis=-1)
     if spec.model is Model.HYPERBOLOID:
         dot = dot - 2.0 * u[..., 0] * v[..., 0]
     return dot

@@ -352,7 +352,7 @@ def caccioppoli_audit(
     if spec.c > 0.0:
         raise NotTriharmonic("inequality requires nonpositive curvature")
     chain = TensionChain(phi, frame)
-    tau3_sup = float(np.max(chain.tau3.norm_field()))
+    tau3_sup = chain.sup_norm(3)
     if tau3_sup > 1e-5:
         raise NotTriharmonic(f"sup |tau3| = {tau3_sup:.3e} exceeds 1e-5")
 

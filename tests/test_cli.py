@@ -188,6 +188,23 @@ def test_run_flow_degenerate_at_step_0_writes_outputs(tmp_path):
     assert "probe" not in summary and "energies" not in summary
 
 
+def test_run_flow_nonfinite_at_step_0_writes_outputs(tmp_path):
+    # cosh overflows for a hyperbolic circle of radius 800: the initial map
+    # is not finite, so the flow ends "nonfinite" and nothing is probed
+    data = base_config(tmp_path / "nf", action="Flow")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 800.0}}
+    data["flow"] = {"kind": "Triharmonic"}
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(write_config(tmp_path, data))]) == 0
+    trace_lines = (tmp_path / "nf_trace.csv").read_text().splitlines()
+    assert trace_lines == ["iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt"]
+    summary = json.loads((tmp_path / "nf_summary.json").read_text())
+    assert summary["flow"] == {"status": "nonfinite", "iterations": 0}
+    assert any("not finite" in note for note in summary["notes"])
+    assert "probe" not in summary and "energies" not in summary
+
+
 def test_run_deterministic_outputs(tmp_path):
     a = parse_config(base_config(tmp_path / "a", action="Audit"))
     b = parse_config(base_config(tmp_path / "b", action="Audit"))

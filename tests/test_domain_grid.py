@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import polyflow as pf
-from polyflow.domain_grid import scalar_gradient, scalar_laplacian
+from polyflow.domain_grid import (SPECTRAL_REL_CUTOFF, scalar_gradient,
+                                  scalar_laplacian)
 from polyflow.errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
 
 TWO_PI = 2 * np.pi
@@ -53,6 +54,33 @@ def test_deriv_2d_axes():
     dv = grid.deriv(f, 1)
     assert np.max(np.abs(du - np.cos(u) * np.cos(2 * v))) <= 1e-12
     assert np.max(np.abs(dv + 2 * np.sin(u) * np.sin(2 * v))) <= 1e-12
+
+
+def _uncached_spectral_deriv(grid, values, axis, floor=0.0):
+    """The spectral derivative with its symbol rebuilt on every call."""
+    fh = np.fft.fft(values, axis=axis)
+    amp = np.max(np.abs(fh), axis=axis, keepdims=True)
+    cutoff = np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)
+    fh[np.abs(fh) < cutoff] = 0.0
+    k = grid._wavenumbers[axis]
+    shape = [1] * fh.ndim
+    shape[axis] = k.size
+    return np.real(np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis))
+
+
+@pytest.mark.parametrize("sizes", [(64,), (32, 48)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_deriv_cached_symbol_bit_equal(sizes, reverse):
+    # the symbol cache must serve each (axis, field rank) its own shape, in
+    # whatever order the shapes are first seen
+    rng = np.random.default_rng(5)
+    grid = pf.build_grid(pf.GridSpec(len(sizes), sizes, (TWO_PI,) * len(sizes)))
+    fields = [rng.standard_normal(grid.shape + extra) for extra in ((), (3,), (2, 2))]
+    calls = [(f, a) for f in fields for a in range(grid.dims)]
+    for f, a in (calls[::-1] if reverse else calls) * 2:
+        for floor in (0.0, 0.5):
+            expected = _uncached_spectral_deriv(grid, f, a, floor)
+            assert grid.deriv(f, a, floor=floor).tobytes() == expected.tobytes()
 
 
 def test_induced_metric_arc_length_circle(flat_circle):

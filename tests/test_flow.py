@@ -1,12 +1,15 @@
 """Gradient flows: descent fields, Armijo steps, convergence, probe."""
 
+import math
+
 import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow import flow as flow_module
 from polyflow import space_form as sf
 from polyflow.errors import StepUnderflow
-from polyflow.flow import stability_cap
+from polyflow.flow import flow_frame, stability_cap
 
 from conftest import frame_for
 
@@ -43,7 +46,7 @@ def test_flow_step_zero_descent_fixed_point(circle_grid):
                          circle_grid, pf.SpaceFormSpec(-1.0, 2))
     frame = frame_for(phi, induced=False)
     cfg = pf.FlowConfig(kind="Triharmonic")
-    out, accepted, dt = pf.flow_step(phi, frame, cfg, 1e-3)
+    out, accepted, dt, _ = pf.flow_step(phi, frame, cfg, 1e-3)
     assert accepted
     assert out is phi
 
@@ -52,7 +55,7 @@ def test_flow_step_armijo_reject_shrinks(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5)
     # enormous step overshoots: energy increases, trial rejected
-    out, accepted, dt = pf.flow_step(flat_circle, frame, cfg, 50.0)
+    out, accepted, dt, _ = pf.flow_step(flat_circle, frame, cfg, 50.0)
     assert not accepted
     assert out is flat_circle
     assert dt == pytest.approx(25.0)
@@ -61,7 +64,7 @@ def test_flow_step_armijo_reject_shrinks(flat_circle):
 def test_flow_step_accept_grows(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=1e-4)
-    out, accepted, dt = pf.flow_step(flat_circle, frame, cfg, 1e-3)
+    out, accepted, dt, _ = pf.flow_step(flat_circle, frame, cfg, 1e-3)
     assert accepted
     assert dt == pytest.approx(2e-3)
     frame2 = frame_for(out, induced=False)
@@ -218,3 +221,105 @@ def test_run_flow_degenerate_at_step_0():
     assert trace.iters == [] and list(trace.rows()) == []
     assert phi is not phi0
     assert np.array_equal(phi.values, phi0.values)
+
+
+def test_run_flow_nonfinite_at_step_0():
+    # cosh overflows for a hyperbolic circle of radius 800, so the initial
+    # map is not finite and the flow enters no state
+    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
+    with pytest.warns(RuntimeWarning):
+        phi0 = pf.builtin_map("Circle", {"r": 800.0}, grid, pf.SpaceFormSpec(-1.0, 2))
+    phi, trace = pf.run_flow(phi0, pf.FlowConfig(kind="Triharmonic"))
+    assert trace.status == "nonfinite"
+    assert trace.iters == [] and list(trace.rows()) == []
+    assert phi is not phi0
+    assert np.array_equal(phi.values, phi0.values, equal_nan=True)
+
+
+def test_run_flow_nonfinite_keeps_partial_trace(monkeypatch):
+    # the fourth state entered reads a non-finite energy: the flow ends with
+    # the third state and its three trace rows
+    entered = []
+    trace_metrics = flow_module._trace_metrics
+
+    def metrics(chain):
+        entered.append(chain.phi)
+        row = trace_metrics(chain)
+        return row if len(entered) < 4 else (math.nan,) + row[1:]
+
+    monkeypatch.setattr(flow_module, "_trace_metrics", metrics)
+    cfg = pf.FlowConfig(kind="Triharmonic", max_iters=10, grad_tol=1e-12)
+    phi, trace = pf.run_flow(small_h2_perturbation(), cfg)
+    assert trace.status == "nonfinite"
+    assert trace.iters == [0, 1, 2]
+    assert phi is entered[2]
+
+
+def reference_flow(phi0, cfg):
+    """run_flow as a plain loop: every energy and descent field from a fresh
+    tension chain, the Armijo trial read once projected (by exp_map) and the
+    accepted state projected once more."""
+    k = {"Harmonic": 1, "Biharmonic": 2, "Triharmonic": 3}[cfg.kind.value]
+    reinduce = cfg.metric_policy is pf.MetricPolicy.REINDUCE_EACH_STEP
+    phi, dt, rows = phi0.copy(), cfg.initial_dt(phi0.grid), []
+    frame = flow_frame(phi, cfg)
+
+    def enter(state):
+        report = pf.energy_report(state, frame, with_tritension=False)
+        descent = pf.descent_field(state, frame, cfg.kind)
+        return descent, (report.E, report.E2, report.E3, report.Etilde4,
+                         report.Lp_tension[4.0], report.sup_tau,
+                         float(np.max(descent.norm_field())))
+
+    descent, row = enter(phi)
+    rows.append((0, *row, math.nan))
+    for it in range(1, cfg.max_iters + 1):
+        if row[-1] <= cfg.grad_tol:
+            break
+        dt_used = min(dt, stability_cap(descent, frame, cfg.kind))
+        e_now = pf.energy_k(phi, frame, k)
+        grad_sq = pf.integrate(phi.grid, frame, sf.inner(
+            phi.spec, phi.values, descent.values, descent.values))
+        candidate = pf.MapField(
+            sf.exp_map(phi.spec, phi.values, dt_used * descent.values), phi.grid, phi.spec)
+        if (pf.energy_k(candidate, frame, k)
+                <= e_now - cfg.armijo_c * dt_used * grad_sq + 1e-13 * abs(e_now)):
+            dt = min(dt_used / cfg.shrink, 1e3)
+            candidate.values = sf.project_point(phi.spec, candidate.values)
+            phi = candidate
+            if reinduce:
+                frame = flow_frame(phi, cfg)
+            descent, row = enter(phi)
+            rows.append((it, *row, dt_used))
+        else:
+            dt = min(dt_used * cfg.shrink, 1e3)
+            rows.append((it, *row, 0.0))
+    return phi, rows
+
+
+def assert_flow_matches_reference(phi0, cfg):
+    phi, trace = pf.run_flow(phi0, cfg)
+    ref_phi, ref_rows = reference_flow(phi0, cfg)
+    assert np.array(list(trace.rows())).tobytes() == np.array(ref_rows).tobytes()
+    assert phi.values.tobytes() == ref_phi.values.tobytes()
+    return trace
+
+
+@pytest.mark.parametrize("armijo_c", [1e-4, 0.99999])
+def test_run_flow_matches_reference_triharmonic(armijo_c):
+    # armijo_c = 0.99999 rejects about half of the trials
+    phi0 = small_h2_perturbation(amplitude=0.05, k=3)
+    cfg = pf.FlowConfig(kind="Triharmonic", max_iters=100, grad_tol=1e-12,
+                        armijo_c=armijo_c)
+    trace = assert_flow_matches_reference(phi0, cfg)
+    assert len(trace.iters) == 101
+    assert (0.0 in trace.dt_accepted) == (armijo_c > 0.5)
+
+
+def test_run_flow_matches_reference_reinduce_torus():
+    grid = pf.build_grid(pf.GridSpec(2, (32, 32), (TWO_PI, TWO_PI)))
+    phi0 = pf.builtin_map("TorusCliffordLike", {"alpha": np.pi / 5}, grid,
+                          pf.SpaceFormSpec(1.0, 3))
+    cfg = pf.FlowConfig(kind="Biharmonic", max_iters=5, grad_tol=1e-14,
+                        metric_policy="ReInduceEachStep")
+    assert len(assert_flow_matches_reference(phi0, cfg).iters) == 6
