@@ -1,6 +1,8 @@
 """Experiment runner: JSON config in, JSON summary (+ CSV trace) out.
 
-Exit codes: 0 success, 1 audit/check failure, 2 configuration error.
+Exit codes: 0 success, 1 audit/check failure, 2 configuration error or an
+input the run cannot use (any PolyflowError, e.g. a map with non-finite
+coordinates).
 Summaries serialize floats with Python's shortest round-trip repr, which
 preserves all 17 significant digits of a double.
 """
@@ -14,6 +16,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .domain_grid import (
     GridSpec,
     build_grid,
@@ -22,7 +26,7 @@ from .domain_grid import (
     orthonormal_frame,
 )
 from .energy import energy_report
-from .errors import ConfigError, DegenerateImmersion, PolyflowError
+from .errors import ConfigError, DegenerateImmersion, DegeneratePoint, PolyflowError
 from .examples import builtin_map, example_catalog
 from .flow import FlowConfig, flow_frame, run_flow, theorem_probe
 from .pullback import TensionChain
@@ -237,6 +241,8 @@ def run(config: ExperimentConfig) -> int:
             notes.append("the initial map has no frame under metric policy "
                          f"{config.flow.metric_policy.value}; no state was probed")
     else:
+        if not np.all(np.isfinite(phi.values)):
+            raise DegeneratePoint("the initial map has non-finite coordinates")
         metric = _choose_metric(phi, config.action, notes)
         frame = orthonormal_frame(grid, metric)
         chain = TensionChain(phi, frame)

@@ -113,15 +113,16 @@ class DomainGrid:
         ]
         self.coords = np.meshgrid(*self.axes, indexing="ij")
         self.cell_volume = math.prod(self.spacings)
+        # Non-negative wavenumbers of the real-input (rfft) half spectrum.
         self._wavenumbers = [
-            2.0 * np.pi * np.fft.fftfreq(n, d=h)
+            2.0 * np.pi * np.fft.rfftfreq(n, d=h)
             for n, h in zip(spec.sizes, self.spacings)
         ]
-        # Nyquist mode carries no usable phase for a symmetric first
-        # derivative; zero it.
+        # Nyquist mode (last entry on even sizes) carries no usable phase for
+        # a symmetric first derivative; zero it.
         for n, k in zip(spec.sizes, self._wavenumbers):
             if n % 2 == 0:
-                k[n // 2] = 0.0
+                k[-1] = 0.0
         self._symbols = {}  # 1j * k shaped for deriv, per (axis, field ndim)
 
     @property
@@ -154,7 +155,9 @@ class DomainGrid:
                 - 8.0 * np.roll(values, 1, axis=axis)
                 + np.roll(values, 2, axis=axis)
             ) / (12.0 * h)
-        fh = np.fft.fft(values, axis=axis)
+        # A real field's spectrum is conjugate-symmetric, |f(-k)| = |f(k)|:
+        # the half spectrum has the same line max and loses no coefficient.
+        fh = np.fft.rfft(values, axis=axis)
         mag = np.abs(fh)
         amp = np.max(mag, axis=axis, keepdims=True)
         cutoff = np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)
@@ -165,7 +168,7 @@ class DomainGrid:
             shape = [1] * fh.ndim
             shape[axis] = k.size
             symbol = self._symbols[(axis, fh.ndim)] = 1j * k.reshape(shape)
-        return np.real(np.fft.ifft(symbol * fh, axis=axis))
+        return np.fft.irfft(symbol * fh, n=values.shape[axis], axis=axis)
 
     def periodic_distance(self, center) -> np.ndarray:
         """Distance to a node in the flat periodic (torus) geometry."""
@@ -214,6 +217,15 @@ class FrameField:
         return self.metric.mode
 
     @cached_property
+    def axes(self) -> tuple:
+        """Per frame direction i, the coordinate axes a with e[..., i, a] not
+        identically zero: a derivative along any other axis is multiplied by
+        exact zeros, so it is not taken."""
+        d = self.e.shape[-1]
+        return tuple(tuple(a for a in range(d) if np.any(self.e[..., i, a]))
+                     for i in range(d))
+
+    @cached_property
     def volume(self) -> float:
         """Int 1 dvol, integrated once per frame."""
         return integrate(self.grid, self, np.ones(self.grid.shape))
@@ -227,7 +239,8 @@ def build_grid(spec: GridSpec) -> DomainGrid:
 def induced_metric(phi) -> MetricField:
     """Pullback metric g_ab = h(d_a phi, d_b phi) of a map field.
 
-    Raises :class:`DegenerateImmersion` when det g <= 1e-10 at a node.
+    Raises :class:`DegenerateImmersion` unless det g > 1e-10 at every node,
+    so a NaN metric is rejected too.
     """
     from .space_form import ambient_form  # local import avoids a cycle
 
@@ -240,7 +253,7 @@ def induced_metric(phi) -> MetricField:
             gab = ambient_form(spec, dphi[a], dphi[b])
             g[..., a, b] = gab
             g[..., b, a] = gab
-    if np.any(np.linalg.det(g) <= 1e-10):
+    if not np.all(np.linalg.det(g) > 1e-10):
         raise DegenerateImmersion("induced metric is singular: map fails to immerse")
     return MetricField(g=g, mode=MetricMode.INDUCED, grid=grid)
 
@@ -282,11 +295,11 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     """Gram-Schmidt frame (e1 along axis 0) plus connection data.
 
     Raises :class:`DegenerateMetric` unless g is positive definite
-    (minimum eigenvalue > 1e-10) at every node.
+    (minimum eigenvalue > 1e-10, so not NaN) at every node.
     """
     g = metric.g
     d = grid.dims
-    if np.any(np.linalg.eigvalsh(g)[..., 0] <= 1e-10):
+    if not np.all(np.linalg.eigvalsh(g)[..., 0] > 1e-10):
         raise DegenerateMetric("metric is not positive definite everywhere")
     e = np.zeros(grid.shape + (d, d))
     e[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
@@ -303,7 +316,8 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
         ei = e[..., i, :]
         term = np.zeros(grid.shape + (d,))
         for a in range(d):
-            term += ei[..., a, None] * grid.deriv(ei, a)
+            if np.any(ei[..., a]):
+                term += ei[..., a, None] * grid.deriv(ei, a)
         term += np.einsum("...a,...b,...abc->...c", ei, ei, gamma)
         div_terms[..., i, :] = term
 
@@ -347,10 +361,9 @@ def scalar_laplacian(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.n
         ei_f = np.zeros(grid.shape)
         for a in range(d):
             ei_f += frame.e[..., i, a] * df[a]
-        dei_f = [grid.deriv(ei_f, a) for a in range(d)]
         second = np.zeros(grid.shape)
-        for a in range(d):
-            second += frame.e[..., i, a] * dei_f[a]
+        for a in frame.axes[i]:
+            second += frame.e[..., i, a] * grid.deriv(ei_f, a)
         correction = np.zeros(grid.shape)
         for c in range(d):
             correction += frame.div_terms[..., i, c] * df[c]

@@ -230,7 +230,7 @@ def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
     order = 2 * _ENERGY_ORDER[FlowKind(kind)]
     k_total = 0.0
     for axis in range(grid.dims):
-        fh = np.abs(np.fft.fft(descent.values, axis=axis))
+        fh = np.abs(np.fft.rfft(descent.values, axis=axis))
         reduce_axes = tuple(i for i in range(fh.ndim) if i != axis)
         profile = fh.max(axis=reduce_axes)
         top = profile.max()

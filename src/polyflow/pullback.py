@@ -84,15 +84,16 @@ class Section:
         return sf.norm(self.base.spec, self.base.values, self.values)
 
 
-def _coordinate_derivs(phi: MapField, values: np.ndarray, floor: float) -> list:
-    """Coordinate derivatives d_a(V) of an ambient field along phi."""
-    return [phi.grid.deriv(values, a, floor=floor) for a in range(phi.grid.dims)]
+def _coordinate_derivs(phi: MapField, values: np.ndarray, floor: float,
+                       axes) -> dict:
+    """Coordinate derivatives d_a(V) of an ambient field along phi, per axis a."""
+    return {a: phi.grid.deriv(values, a, floor=floor) for a in axes}
 
 
-def _along(phi: MapField, derivs: list, coeffs: np.ndarray) -> np.ndarray:
+def _along(phi: MapField, derivs: dict, coeffs: np.ndarray) -> np.ndarray:
     """Projected sum_a coeffs[..., a] * d_a(V), given the d_a(V)."""
-    out = np.zeros_like(derivs[0])
-    for a, d in enumerate(derivs):
+    out = np.zeros_like(next(iter(derivs.values())))
+    for a, d in derivs.items():
         out += coeffs[..., a, None] * d
     return sf.project_tangent(phi.spec, phi.values, out)
 
@@ -104,7 +105,8 @@ class TensionChain:
     ``grad_lap_tau``, ``lap2_tau``, ``tau2`` and ``tau3`` are evaluated on
     first access and then shared; each coordinate derivative is taken once.
     Connection corrections are skipped on frames whose ``div_terms`` are
-    exactly zero, where they add exactly 0.  Every field is the same
+    exactly zero, and a trace differentiates S_i only along
+    ``frame.axes[i]``: both skipped terms add exactly 0.  Every field is the same
     floating-point expression as a standalone evaluation, so sharing never
     changes a result.  Build one chain per state and drop it with the state.
     """
@@ -120,7 +122,7 @@ class TensionChain:
         """nabla_{e_i} V over the frame directions; the connection terms
         nabla_{nabla_{e_i} e_i} V go to ``_corrections[key]`` unless zero."""
         phi, frame = self.phi, self.frame
-        derivs = _coordinate_derivs(phi, values, self._floor)
+        derivs = _coordinate_derivs(phi, values, self._floor, range(phi.grid.dims))
         if not frame.zero_div_terms:
             self._corrections[key] = [
                 _along(phi, derivs, frame.div_terms[..., i, :])
@@ -136,7 +138,8 @@ class TensionChain:
         corrections = self._corrections.pop(key, None)
         out = np.zeros_like(sections[0].values)
         for i, s in enumerate(sections):
-            derivs = _coordinate_derivs(self.phi, s.values, self._floor)
+            derivs = _coordinate_derivs(self.phi, s.values, self._floor,
+                                        self.frame.axes[i])
             out += sign * _along(self.phi, derivs, self.frame.e[..., i, :])
             if corrections is not None:
                 out -= sign * corrections[i]
@@ -263,7 +266,7 @@ def nabla_bar(V: Section, i: int, frame: FrameField) -> Section:
     onto the tangent space of the target.
     """
     phi = V.base
-    derivs = _coordinate_derivs(phi, V.values, phi.spectral_floor())
+    derivs = _coordinate_derivs(phi, V.values, phi.spectral_floor(), frame.axes[i])
     return Section(_along(phi, derivs, frame.e[..., i, :]), phi)
 
 

@@ -1,6 +1,7 @@
 """Config parsing, experiment runner, output formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +221,41 @@ def test_summary_floats_round_trip(tmp_path):
     summary = json.loads((tmp_path / "rt_summary.json").read_text())
     e2 = summary["energies"]["E2"]
     assert json.loads(json.dumps(e2)) == e2
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_summaries_are_strict_json(tmp_path):
+    # NaN and Infinity are not JSON: every summary loads without them
+    flow = base_config(tmp_path / "flow", action="Flow")
+    flow["target"] = {"c": -1.0, "n": 2}
+    flow["initial_map"] = {"name": "PerturbedGeodesicH2",
+                           "params": {"amplitude": 0.01, "k": 2}}
+    flow["flow"] = {"kind": "Triharmonic", "max_iters": 50}
+    runs = [base_config(tmp_path / "en"), base_config(tmp_path / "au", action="Audit"),
+            flow]
+    for data in runs:
+        assert run(parse_config(data)) == 0
+        summary = _strict_json(Path(data["output_prefix"] + "_summary.json"))
+        assert summary["action"] == data["action"]
+
+
+@pytest.mark.parametrize("action", ["Energies", "Audit", "VariationCheck"])
+def test_run_nonfinite_map_exits_2(tmp_path, capsys, action):
+    # cosh overflows for a hyperbolic circle of radius 800: its energies
+    # would be NaN, so the run ends with a named error and writes nothing
+    data = base_config(tmp_path / "nf", action=action)
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 800.0}}
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(write_config(tmp_path, data))]) == 2
+    assert "DegeneratePoint" in capsys.readouterr().err
+    assert not (tmp_path / "nf_summary.json").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):

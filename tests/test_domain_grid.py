@@ -58,14 +58,14 @@ def test_deriv_2d_axes():
 
 def _uncached_spectral_deriv(grid, values, axis, floor=0.0):
     """The spectral derivative with its symbol rebuilt on every call."""
-    fh = np.fft.fft(values, axis=axis)
+    fh = np.fft.rfft(values, axis=axis)
     amp = np.max(np.abs(fh), axis=axis, keepdims=True)
     cutoff = np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)
     fh[np.abs(fh) < cutoff] = 0.0
     k = grid._wavenumbers[axis]
     shape = [1] * fh.ndim
     shape[axis] = k.size
-    return np.real(np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis))
+    return np.fft.irfft(1j * k.reshape(shape) * fh, n=values.shape[axis], axis=axis)
 
 
 @pytest.mark.parametrize("sizes", [(64,), (32, 48)])
@@ -81,6 +81,41 @@ def test_deriv_cached_symbol_bit_equal(sizes, reverse):
         for floor in (0.0, 0.5):
             expected = _uncached_spectral_deriv(grid, f, a, floor)
             assert grid.deriv(f, a, floor=floor).tobytes() == expected.tobytes()
+
+
+def _complex_fft_deriv(grid, values, axis, floor=0.0):
+    """The spectral derivative over the full complex spectrum: the reference
+    the real-input (rfft/irfft) derivative must match to roundoff."""
+    n = grid.shape[axis]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacings[axis])
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    fh = np.fft.fft(values, axis=axis)
+    amp = np.max(np.abs(fh), axis=axis, keepdims=True)
+    fh[np.abs(fh) < np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)] = 0.0
+    shape = [1] * fh.ndim
+    shape[axis] = n
+    return np.real(np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis))
+
+
+@pytest.mark.parametrize("sizes", [(17,), (64,), (33, 24), (32, 48)])
+@pytest.mark.parametrize("floor", [0.0, 0.5])
+def test_deriv_matches_complex_fft(sizes, floor):
+    rng = np.random.default_rng(11)
+    grid = pf.build_grid(pf.GridSpec(len(sizes), sizes, (TWO_PI,) * len(sizes)))
+    for extra in ((), (3,), (2, 2)):
+        f = rng.standard_normal(grid.shape + extra)
+        for a in range(grid.dims):
+            expected = _complex_fft_deriv(grid, f, a, floor)
+            err = np.max(np.abs(grid.deriv(f, a, floor=floor) - expected))
+            assert err <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_deriv_nyquist_mode_is_zero(n):
+    # the Nyquist mode has no usable phase for a first derivative
+    grid = pf.build_grid(pf.GridSpec(1, (n,), (TWO_PI,)))
+    assert not np.any(grid.deriv(np.cos(n // 2 * grid.axes[0]), 0))
 
 
 def test_induced_metric_arc_length_circle(flat_circle):
@@ -142,6 +177,19 @@ def test_degenerate_metric_rejected(circle_grid):
     g = np.zeros(circle_grid.shape + (1, 1))
     with pytest.raises(DegenerateMetric):
         pf.orthonormal_frame(circle_grid, pf.prescribed_metric(circle_grid, g))
+
+
+def test_nan_metric_rejected(torus_grid):
+    # NaN fails every comparison, so a guard of the form "reject if g is
+    # too small" would let a NaN metric through
+    g = np.full(torus_grid.shape + (2, 2), np.nan)
+    with pytest.raises(DegenerateMetric):
+        pf.orthonormal_frame(torus_grid, pf.prescribed_metric(torus_grid, g))
+    phi = pf.builtin_map("TorusCliffordLike", {"r1": 1.0, "r2": 1.0}, torus_grid,
+                         pf.SpaceFormSpec(0.0, 4))
+    phi.values[3, 5, 0] = np.nan
+    with pytest.warns(RuntimeWarning), pytest.raises(DegenerateImmersion):
+        pf.induced_metric(phi)
 
 
 def test_integrate_total_volume(circle_grid):

@@ -109,6 +109,17 @@ def test_stability_cap_scales_with_content(flat_circle):
     assert cap4 == pytest.approx(4.0**-6, rel=1e-6)
 
 
+def test_stability_cap_ignores_nyquist(flat_circle):
+    # the first derivative annihilates the Nyquist mode, so no step grows it
+    frame = frame_for(flat_circle, induced=False)
+    s = flat_circle.grid.axes[0]
+    n = s.size
+    nyquist = pf.Section(values=np.stack([np.cos(n // 2 * s), np.sin(4 * s)], -1),
+                         base=flat_circle)
+    assert stability_cap(nyquist, frame, "Triharmonic") == pytest.approx(4.0**-6,
+                                                                         rel=1e-6)
+
+
 def test_triharmonic_flow_converges_small():
     phi0 = small_h2_perturbation()
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=60000, grad_tol=1e-8)

@@ -5,7 +5,7 @@ import pytest
 
 import polyflow as pf
 from polyflow import space_form as sf
-from polyflow.domain_grid import DomainGrid
+from polyflow.domain_grid import DomainGrid, _christoffels, scalar_laplacian
 from polyflow.errors import DegenerateImmersion, NotIsometric
 from polyflow.flow import _trace_metrics, stability_cap
 from polyflow.pullback import Section, TensionChain, tritension_space_form
@@ -464,6 +464,73 @@ def test_chain_matches_standalone_definitions(name, params, grid_args, target, m
                 assert g.values.tobytes() == x.tobytes(), field
         else:
             assert got.values.tobytes() == expected.tobytes(), field
+
+
+def _ref_scalar_laplacian(grid, frame, f):
+    """scalar_laplacian with every second derivative taken, along axes whose
+    frame coefficient is identically zero too."""
+    d = grid.dims
+    df = [grid.deriv(f, a) for a in range(d)]
+    out = np.zeros(grid.shape)
+    for i in range(d):
+        ei_f = np.zeros(grid.shape)
+        for a in range(d):
+            ei_f += frame.e[..., i, a] * df[a]
+        dei_f = [grid.deriv(ei_f, a) for a in range(d)]
+        second = np.zeros(grid.shape)
+        for a in range(d):
+            second += frame.e[..., i, a] * dei_f[a]
+        correction = np.zeros(grid.shape)
+        for c in range(d):
+            correction += frame.div_terms[..., i, c] * df[c]
+        out -= second - correction
+    return out
+
+
+def _ref_div_terms(grid, frame):
+    """orthonormal_frame's div_terms with every coordinate derivative taken."""
+    gamma = _christoffels(grid, frame.metric.g)
+    out = np.zeros_like(frame.e)
+    for i in range(grid.dims):
+        ei = frame.e[..., i, :]
+        for a in range(grid.dims):
+            out[..., i, :] += ei[..., a, None] * grid.deriv(ei, a)
+        out[..., i, :] += np.einsum("...a,...b,...abc->...c", ei, ei, gamma)
+    return out
+
+
+@pytest.mark.parametrize("metric,axes", [("flat", ((0,), (1,))),
+                                         ("warped", ((0,), (0, 1)))])
+def test_frame_axes_skip_exact_zeros(torus_grid, metric, axes):
+    g = pf.identity_metric(torus_grid) if metric == "flat" else _warped_metric(torus_grid)
+    frame = pf.orthonormal_frame(torus_grid, g)
+    assert frame.axes == axes
+    assert frame.div_terms.tobytes() == _ref_div_terms(torus_grid, frame).tobytes()
+    u, v = torus_grid.coords
+    f = np.exp(np.sin(u) * np.cos(2 * v))
+    expected = _ref_scalar_laplacian(torus_grid, frame, f)
+    assert scalar_laplacian(torus_grid, frame, f).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("metric,expected", [("flat", 12), ("warped", 15)])
+def test_chain_deriv_count_2d(monkeypatch, metric, expected):
+    # tau3 takes 18 derivatives with both axes in every trace; a trace skips
+    # the axes whose frame coefficient is identically zero: e[..., 0, 1]
+    # always (Gram-Schmidt), e[..., 1, 0] on the flat frame only
+    phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
+                        pf.SpaceFormSpec(1.0, 3))
+    g = pf.identity_metric(phi.grid) if metric == "flat" else _warped_metric(phi.grid)
+    frame = pf.orthonormal_frame(phi.grid, g)
+    calls = []
+    deriv = DomainGrid.deriv
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return deriv(self, *args, **kwargs)
+
+    monkeypatch.setattr(DomainGrid, "deriv", counting)
+    TensionChain(phi, frame).tau3
+    assert len(calls) == expected
 
 
 def test_flow_iteration_deriv_count(monkeypatch):
