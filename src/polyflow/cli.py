@@ -176,9 +176,10 @@ def _choose_metric(phi, action: Action, notes: list):
 
 
 def _richardson(residual, t: float, tol: float) -> dict:
-    """Residuals at t and t/2: pass when below ``tol`` and decaying O(t^2)."""
+    """Residuals at t and t/2: pass when below ``tol`` and decaying O(t^2).
+    The ratio is None (JSON null) when the half-step residual is 0."""
     r1, r2 = residual(t), residual(t / 2.0)
-    ratio = r1 / r2 if r2 > 0.0 else float("inf")
+    ratio = r1 / r2 if r2 > 0.0 else None
     decays = r2 <= ROUNDOFF_FLOOR or 3.5 <= ratio <= 4.5
     return {"residual": r1, "residual_half_t": r2, "richardson_ratio": ratio,
             "pass": r1 <= tol and decays}

@@ -110,7 +110,8 @@ class FlowConfig:
 @dataclass
 class FlowTrace:
     """Per-iteration history; rejected trials repeat the current state
-    with dt = 0."""
+    with dt = 0.  ``dt_cap`` is the stability cap of each trial, so an
+    accepted row is cap-bound exactly when dt == dt_cap."""
 
     iters: list = field(default_factory=list)
     E: list = field(default_factory=list)
@@ -121,6 +122,7 @@ class FlowTrace:
     sup_tau: list = field(default_factory=list)
     sup_descent: list = field(default_factory=list)
     dt_accepted: list = field(default_factory=list)
+    dt_cap: list = field(default_factory=list)
     status: str = "running"
 
     COLUMNS = (
@@ -133,15 +135,16 @@ class FlowTrace:
         "sup_tau",
         "sup_descent",
         "dt",
+        "dt_cap",
     )
 
     def _series(self) -> tuple:
         return (self.iters, self.E, self.E2, self.E3, self.Etilde4, self.L4_tension,
-                self.sup_tau, self.sup_descent, self.dt_accepted)
+                self.sup_tau, self.sup_descent, self.dt_accepted, self.dt_cap)
 
-    def record(self, it, state_row, dt):
+    def record(self, it, state_row, dt, dt_cap):
         """Append a row: ``state_row`` holds the columns E to sup_descent."""
-        for series, value in zip(self._series(), (it, *state_row, dt)):
+        for series, value in zip(self._series(), (it, *state_row, dt, dt_cap)):
             series.append(value)
 
     def rows(self):
@@ -224,7 +227,9 @@ def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
     wavenumber carrying at least _CAP_VISIBILITY of the field's spectrum
     (frame coefficients bound the metric scaling).  Content below the
     visibility cutoff is handled reactively: if it grows it becomes
-    visible, the cap drops, and one capped step annihilates it.
+    visible, the cap drops, and one capped step annihilates it.  The cap
+    clips a trial only: :func:`run_flow` keeps Armijo's step memory
+    unchanged across an accepted capped step.
     """
     grid = frame.grid
     order = 2 * _ENERGY_ORDER[FlowKind(kind)]
@@ -256,6 +261,11 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     then its trace row is recorded from its tension chain.  On an unchanged
     frame that is the chain the Armijo trial built for it.
 
+    Each trial tries ``min(dt, stability_cap)``, ``dt`` being Armijo's step
+    memory: an accepted trial the cap did not clip sets it to the step over
+    ``shrink``, a rejected trial to the step times ``shrink``, and an
+    accepted capped trial leaves it unchanged.
+
     Returns ``(phi_final, trace)``; a step-size underflow is reported as
     ``trace.status == "stalled"``, a state that cannot be projected or
     framed (e.g. it does not immerse under ReInduceEachStep) as
@@ -269,18 +279,21 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     dt = cfg.initial_dt(phi0.grid)
     trace = FlowTrace()
     phi = candidate = phi0.copy()
-    frame, dt_used = None, math.nan
+    frame, dt_used, cap = None, math.nan, math.nan
 
     for it in range(cfg.max_iters + 1):
         try:
             if it > 0:
-                dt_used = min(dt, stability_cap(descent, frame, cfg.kind))
+                cap = stability_cap(descent, frame, cfg.kind)
+                dt_used = min(dt, cap)
                 candidate, accepted, dt_next, chain = flow_step(
                     phi, frame, cfg, dt_used, chain=chain
                 )
-                dt = min(dt_next, _DT_CEILING)
+                capped = dt_used < dt
+                if not (accepted and capped):
+                    dt = min(dt_next, _DT_CEILING)
                 if not accepted:
-                    trace.record(it, row, 0.0)
+                    trace.record(it, row, 0.0, cap)
                     continue
             if frame is None or reinduce:
                 frame = flow_frame(candidate, cfg)
@@ -298,7 +311,7 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
             trace.status = "nonfinite"
             return phi, trace
         phi = candidate
-        trace.record(it, row, dt_used)
+        trace.record(it, row, dt_used, cap)
         if sup_descent <= cfg.grad_tol:
             trace.status = "converged"
             return phi, trace

@@ -11,6 +11,7 @@ from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig
 
 TWO_PI = 2 * np.pi
+TRACE_HEADER = "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt,dt_cap"
 
 
 def base_config(prefix, action="Energies"):
@@ -150,7 +151,7 @@ def test_run_flow_writes_trace(tmp_path):
     }
     assert run(parse_config(data)) == 0
     trace_lines = (tmp_path / "flow" / "h2_trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt"
+    assert trace_lines[0] == TRACE_HEADER
     assert len(trace_lines) >= 2
     summary = json.loads((tmp_path / "flow" / "h2_summary.json").read_text())
     assert summary["flow"]["status"] == "converged"
@@ -182,7 +183,7 @@ def test_run_flow_degenerate_at_step_0_writes_outputs(tmp_path):
     data["flow"] = {"kind": "Triharmonic", "metric_policy": "ReInduceEachStep"}
     assert main(["run", str(write_config(tmp_path, data))]) == 0
     trace_lines = (tmp_path / "deg0_trace.csv").read_text().splitlines()
-    assert trace_lines == ["iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt"]
+    assert trace_lines == [TRACE_HEADER]
     summary = json.loads((tmp_path / "deg0_summary.json").read_text())
     assert summary["flow"] == {"status": "degenerate", "iterations": 0}
     assert any("ReInduceEachStep" in note for note in summary["notes"])
@@ -199,7 +200,7 @@ def test_run_flow_nonfinite_at_step_0_writes_outputs(tmp_path):
     with pytest.warns(RuntimeWarning):
         assert main(["run", str(write_config(tmp_path, data))]) == 0
     trace_lines = (tmp_path / "nf_trace.csv").read_text().splitlines()
-    assert trace_lines == ["iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt"]
+    assert trace_lines == [TRACE_HEADER]
     summary = json.loads((tmp_path / "nf_summary.json").read_text())
     assert summary["flow"] == {"status": "nonfinite", "iterations": 0}
     assert any("not finite" in note for note in summary["notes"])
@@ -237,12 +238,21 @@ def test_summaries_are_strict_json(tmp_path):
     flow["initial_map"] = {"name": "PerturbedGeodesicH2",
                            "params": {"amplitude": 0.01, "k": 2}}
     flow["flow"] = {"kind": "Triharmonic", "max_iters": 50}
+    # the constant map's half-step residuals are exactly 0: no Richardson ratio
+    constant = base_config(tmp_path / "va", action="VariationCheck")
+    constant["target"] = {"c": -1.0, "n": 2}
+    constant["initial_map"] = {"name": "PerturbedGeodesicH2",
+                               "params": {"amplitude": 0.0, "k": 2}}
     runs = [base_config(tmp_path / "en"), base_config(tmp_path / "au", action="Audit"),
-            flow]
+            flow, constant]
     for data in runs:
         assert run(parse_config(data)) == 0
         summary = _strict_json(Path(data["output_prefix"] + "_summary.json"))
         assert summary["action"] == data["action"]
+    checks = summary["variation"]["checks"].values()
+    assert any(c["residual_half_t"] == 0.0 for c in checks)
+    for c in checks:
+        assert (c["richardson_ratio"] is None) == (c["residual_half_t"] == 0.0)
 
 
 @pytest.mark.parametrize("action", ["Energies", "Audit", "VariationCheck"])

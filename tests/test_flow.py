@@ -1,5 +1,6 @@
 """Gradient flows: descent fields, Armijo steps, convergence, probe."""
 
+import itertools
 import math
 
 import numpy as np
@@ -125,6 +126,7 @@ def test_triharmonic_flow_converges_small():
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=60000, grad_tol=1e-8)
     phi, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "converged"
+    assert trace.iters[-1] <= 3500
     e3 = trace.accepted_series("E3")
     diffs = np.diff(e3)
     assert np.all(diffs <= 1e-12 * np.abs(np.asarray(e3[:-1])))
@@ -196,6 +198,24 @@ def test_probe_geodesic_minimal(circle_grid):
     assert probe.sup_tau <= 1e-12
     assert probe.sup_tau3 <= 1e-9
     assert probe.caveats
+
+
+def test_capped_step_keeps_step_memory(monkeypatch):
+    # the cap binds on the third trial only: the fourth resumes from the
+    # step memory of before it, not from the cap, and unclipped steps double
+    cap, trial = flow_module.stability_cap, itertools.count(1)
+
+    def cap_third_trial(descent, frame, kind):
+        return 1e-9 if next(trial) == 3 else cap(descent, frame, kind)
+
+    monkeypatch.setattr(flow_module, "stability_cap", cap_third_trial)
+    dt0 = 1e-7
+    cfg = pf.FlowConfig(kind="Triharmonic", max_iters=5, grad_tol=1e-12, dt0=dt0)
+    _, trace = pf.run_flow(small_h2_perturbation(), cfg)
+    assert trace.status == "max_iters"
+    dts, caps = trace.dt_accepted[1:], trace.dt_cap[1:]
+    assert [i for i, (dt, c) in enumerate(zip(dts, caps)) if dt == c] == [2]
+    assert dts == [dt0, 2 * dt0, 1e-9, 4 * dt0, 8 * dt0]
 
 
 def test_trace_rows_and_columns(flat_circle):
@@ -283,11 +303,12 @@ def reference_flow(phi0, cfg):
                          float(np.max(descent.norm_field())))
 
     descent, row = enter(phi)
-    rows.append((0, *row, math.nan))
+    rows.append((0, *row, math.nan, math.nan))
     for it in range(1, cfg.max_iters + 1):
         if row[-1] <= cfg.grad_tol:
             break
-        dt_used = min(dt, stability_cap(descent, frame, cfg.kind))
+        cap = stability_cap(descent, frame, cfg.kind)
+        dt_used = min(dt, cap)
         e_now = pf.energy_k(phi, frame, k)
         grad_sq = pf.integrate(phi.grid, frame, sf.inner(
             phi.spec, phi.values, descent.values, descent.values))
@@ -295,16 +316,17 @@ def reference_flow(phi0, cfg):
             sf.exp_map(phi.spec, phi.values, dt_used * descent.values), phi.grid, phi.spec)
         if (pf.energy_k(candidate, frame, k)
                 <= e_now - cfg.armijo_c * dt_used * grad_sq + 1e-13 * abs(e_now)):
-            dt = min(dt_used / cfg.shrink, 1e3)
+            if dt_used >= dt:  # a capped step keeps dt
+                dt = min(dt_used / cfg.shrink, 1e3)
             candidate.values = sf.project_point(phi.spec, candidate.values)
             phi = candidate
             if reinduce:
                 frame = flow_frame(phi, cfg)
             descent, row = enter(phi)
-            rows.append((it, *row, dt_used))
+            rows.append((it, *row, dt_used, cap))
         else:
             dt = min(dt_used * cfg.shrink, 1e3)
-            rows.append((it, *row, 0.0))
+            rows.append((it, *row, 0.0, cap))
     return phi, rows
 
 
