@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -26,7 +27,8 @@ from .domain_grid import (
     orthonormal_frame,
 )
 from .energy import energy_report
-from .errors import ConfigError, DegenerateImmersion, DegeneratePoint, PolyflowError
+from .errors import (ConfigError, DegenerateImmersion, DegeneratePoint, InvalidSpec,
+                     PolyflowError)
 from .examples import builtin_map, example_catalog
 from .flow import FlowConfig, flow_frame, run_flow, theorem_probe
 from .pullback import TensionChain
@@ -77,6 +79,7 @@ def _need(section: dict, key: str, where: str):
 
 
 def parse_config(data: dict) -> ExperimentConfig:
+    """Validate a config mapping; every malformed value is a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(
@@ -85,58 +88,48 @@ def parse_config(data: dict) -> ExperimentConfig:
          "output_prefix", "seed"},
         "config",
     )
-    target_d = _need(data, "target", "config")
-    _reject_unknown(target_d, {"c", "n", "model"}, "target")
     try:
+        target_d = _need(data, "target", "config")
+        _reject_unknown(target_d, {"c", "n", "model"}, "target")
         target = SpaceFormSpec(c=float(_need(target_d, "c", "target")),
                                n=int(_need(target_d, "n", "target")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad target: {exc}") from exc
-    if "model" in target_d and Model(target_d["model"]) is not target.model:
-        raise ConfigError(
-            f"model {target_d['model']!r} contradicts curvature c={target.c}"
-        )
+        if "model" in target_d and Model(target_d["model"]) is not target.model:
+            raise ConfigError(
+                f"model {target_d['model']!r} contradicts curvature c={target.c}"
+            )
 
-    grid_d = _need(data, "grid", "config")
-    _reject_unknown(grid_d, {"dims", "sizes", "lengths", "differentiation"}, "grid")
-    try:
+        grid_d = _need(data, "grid", "config")
+        _reject_unknown(grid_d, {"dims", "sizes", "lengths", "differentiation"}, "grid")
         grid = GridSpec(
             dims=int(_need(grid_d, "dims", "grid")),
             sizes=tuple(_need(grid_d, "sizes", "grid")),
             lengths=tuple(_need(grid_d, "lengths", "grid")),
             differentiation=grid_d.get("differentiation", "Spectral"),
         )
-    except (PolyflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
 
-    map_d = _need(data, "initial_map", "config")
-    _reject_unknown(map_d, {"name", "params"}, "initial_map")
-    name = _need(map_d, "name", "initial_map")
-    params = map_d.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("initial_map.params must be an object")
+        map_d = _need(data, "initial_map", "config")
+        _reject_unknown(map_d, {"name", "params"}, "initial_map")
+        name = str(_need(map_d, "name", "initial_map"))
+        params = map_d.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("initial_map.params must be an object")
 
-    try:
         action = Action(_need(data, "action", "config"))
-    except ValueError as exc:
-        raise ConfigError(f"bad action: {exc}") from exc
-
-    flow_cfg = None
-    if action is Action.FLOW:
-        flow_d = _need(data, "flow", "config")
-        _reject_unknown(flow_d, [f.name for f in fields(FlowConfig)], "flow")
-        try:
+        flow_cfg = None
+        if action is Action.FLOW:
+            flow_d = _need(data, "flow", "config")
+            _reject_unknown(flow_d, [f.name for f in fields(FlowConfig)], "flow")
             flow_cfg = FlowConfig(**flow_d)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad flow config: {exc}") from exc
-    elif "flow" in data:
-        raise ConfigError("flow section is only valid with action = Flow")
+        elif "flow" in data:
+            raise ConfigError("flow section is only valid with action = Flow")
 
-    p_list = tuple(float(p) for p in data.get("p_list", (2.0, 4.0)))
-    if any(p < 1.0 for p in p_list):
-        raise ConfigError("p_list entries must be >= 1")
-    seed = int(data.get("seed", 0))
-    prefix = str(data.get("output_prefix", "polyflow_out"))
+        p_list = tuple(float(p) for p in data.get("p_list", (2.0, 4.0)))
+        if not all(p >= 1.0 for p in p_list):
+            raise ConfigError("p_list entries must be >= 1")
+        seed = int(data.get("seed", 0))
+        prefix = str(data.get("output_prefix", "polyflow_out"))
+    except (InvalidSpec, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value: {exc}") from exc
     return ExperimentConfig(
         target=target,
         grid=grid,
@@ -151,10 +144,19 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_finite_float,
+                             parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -203,7 +205,7 @@ def _variation_results(phi, frame, seed: int) -> dict:
 def _write_trace(path: Path, trace) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(trace.COLUMNS) + "\n")
-        for row in trace.rows():
+        for row in trace.rows:
             fh.write(",".join(repr(v) for v in row) + "\n")
 
 
@@ -227,8 +229,8 @@ def run(config: ExperimentConfig) -> int:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         _write_trace(trace_path, trace)
         summary["flow"] = {"status": trace.status,
-                           "iterations": trace.iters[-1] if trace.iters else 0}
-        if trace.iters:
+                           "iterations": trace.rows[-1][0] if trace.rows else 0}
+        if trace.rows:
             frame = flow_frame(phi_final, config.flow)
             chain = TensionChain(phi_final, frame)
             probe = theorem_probe(phi_final, trace, frame, chain=chain)
@@ -277,11 +279,6 @@ def run(config: ExperimentConfig) -> int:
     return exit_code
 
 
-def _cmd_examples() -> int:
-    print(json.dumps(example_catalog(), indent=2, sort_keys=True))
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="polyflow",
@@ -291,18 +288,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run the experiment in a JSON config")
     p_run.add_argument("config", help="path to the experiment config")
-    p_audit = sub.add_parser("audit", help="run the pointwise identity audit")
-    p_audit.add_argument("config", help="path to the experiment config")
     sub.add_parser("examples", help="list built-in maps and their parameters")
 
     args = parser.parse_args(argv)
     if args.command == "examples":
-        return _cmd_examples()
+        print(json.dumps(example_catalog(), indent=2, sort_keys=True))
+        return 0
     try:
-        config = load_config(args.config)
-        if args.command == "audit":
-            config.action = Action.AUDIT
-        return run(config)
+        return run(load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

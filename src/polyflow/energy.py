@@ -47,31 +47,27 @@ def energy_report(
     frame: FrameField,
     p_list=(2.0, 4.0),
     laplacian_p_list=(),
-    with_tritension: bool = True,
     chain: TensionChain = None,
 ) -> EnergyReport:
     """Evaluate the full energy ladder and the requested L^p tension norms.
 
-    ``with_tritension=False`` skips the tritension field (sup_tau3 reads 0);
-    flow traces use this since they track the descent norm separately.
     ``chain`` is the state's tension chain when the caller already has one.
     """
     grid = phi.grid
     if chain is None:
         chain = TensionChain(phi, frame)
-    tau_norm, lap_norm = chain.tau_norm, chain.lap_norm
     report = EnergyReport(
         E=chain.energy(1),
         E2=chain.energy(2),
         E3=chain.energy(3),
-        Etilde4=0.5 * integrate(grid, frame, lap_norm**2),
+        Etilde4=chain.etilde4,
         sup_tau=chain.sup_norm(1),
-        sup_tau3=chain.sup_norm(3) if with_tritension else 0.0,
+        sup_tau3=chain.sup_norm(3),
         volume=frame.volume,
     )
     report.mean_curvature_sup = report.sup_tau / grid.dims
     for p in p_list:
-        report.Lp_tension[float(p)] = integrate(grid, frame, tau_norm ** float(p))
+        report.Lp_tension[float(p)] = chain.tension_lp(p)
     for p in laplacian_p_list:
-        report.Lp_laplacian[float(p)] = integrate(grid, frame, lap_norm ** float(p))
+        report.Lp_laplacian[float(p)] = integrate(grid, frame, chain.lap_norm ** float(p))
     return report

@@ -24,13 +24,7 @@ def _angles(grid: DomainGrid):
     ]
 
 
-def _require_dims(name, grid, dims):
-    if grid.dims != dims:
-        raise BadParams(f"{name} needs a {dims}-d grid, got dims={grid.dims}")
-
-
 def _circle(params, grid, spec):
-    _require_dims("Circle", grid, 1)
     r = params["r"]
     if r <= 0.0:
         raise BadParams("Circle radius must be positive")
@@ -70,9 +64,6 @@ def _perturbed_geodesic_h2(params, grid, spec):
     # A closed nonconstant curve in hyperbolic space is never a geodesic,
     # so the unperturbed member of this family is the point geodesic: the
     # map oscillates along a fixed geodesic line through the base point.
-    _require_dims("PerturbedGeodesicH2", grid, 1)
-    if spec.model is not sf.Model.HYPERBOLOID:
-        raise BadParams("PerturbedGeodesicH2 needs a hyperboloid target")
     amplitude, k = params["amplitude"], int(params["k"])
     R = 1.0 / np.sqrt(-spec.c)
     (theta,) = _angles(grid)
@@ -86,8 +77,7 @@ def _perturbed_geodesic_h2(params, grid, spec):
 
 
 def _great_circle_s2(params, grid, spec):
-    _require_dims("GreatCircleS2", grid, 1)
-    if spec.model is not sf.Model.SPHERE or spec.n != 2:
+    if spec.n != 2:
         raise BadParams("GreatCircleS2 needs a 2-sphere target")
     winding = int(params["winding"])
     if winding == 0:
@@ -105,7 +95,6 @@ def _great_circle_s2(params, grid, spec):
 
 
 def _torus_clifford_like(params, grid, spec):
-    _require_dims("TorusCliffordLike", grid, 2)
     u, v = _angles(grid)
     if spec.model is sf.Model.FLAT:
         if spec.n != 4:
@@ -152,8 +141,7 @@ def _torus_clifford_like(params, grid, spec):
 
 
 def _graph_surface(params, grid, spec):
-    _require_dims("GraphSurface", grid, 2)
-    if spec.model is not sf.Model.FLAT or spec.n != 5:
+    if spec.n != 5:
         raise BadParams("GraphSurface is a graph over the flat torus in R^5 (n = 5)")
     r1, r2 = params["r1"], params["r2"]
     amplitude, ku, kv = params["amplitude"], int(params["ku"]), int(params["kv"])
@@ -233,19 +221,28 @@ def example_catalog() -> dict:
 def builtin_map(name: str, params: dict, grid: DomainGrid, spec) -> MapField:
     """Instantiate a built-in family on a grid.
 
-    Unknown family names raise :class:`UnknownExample`; unknown or invalid
-    parameters raise :class:`BadParams`.  Defaults fill missing parameters.
+    Unknown family names raise :class:`UnknownExample`; a grid or target
+    outside the family's domain, and unknown or invalid parameters, raise
+    :class:`BadParams`.  Defaults fill missing parameters.
     """
     if name not in _FAMILIES:
         raise UnknownExample(
             f"unknown example {name!r}; available: {sorted(_FAMILIES)}"
         )
     fam = _FAMILIES[name]
+    if grid.dims != fam["dims"]:
+        raise BadParams(f"{name} needs a {fam['dims']}-d grid, got dims={grid.dims}")
+    if spec.model.value not in fam["models"]:
+        raise BadParams(f"{name} needs a target in {fam['models']}, "
+                        f"got {spec.model.value}")
     params = dict(params or {})
     unknown = set(params) - set(fam["defaults"])
     if unknown:
         raise BadParams(f"{name} does not take parameters {sorted(unknown)}")
     full = {**fam["defaults"], **params}
-    values = fam["builder"](full, grid, spec)
+    try:
+        values = fam["builder"](full, grid, spec)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"bad {name} parameters: {exc}") from exc
     values = sf.project_point(spec, values)
     return MapField(values=values, grid=grid, spec=spec)

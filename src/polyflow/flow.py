@@ -25,7 +25,6 @@ from .domain_grid import (
     integrate,
     orthonormal_frame,
 )
-from .energy import energy_report
 from .errors import PolyflowError, StepUnderflow
 from .pullback import MapField, Section, TensionChain
 
@@ -92,9 +91,9 @@ class FlowConfig:
         self.shrink = float(self.shrink)
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.dt0 is not None and self.dt0 <= 0.0:
+        if self.dt0 is not None and not self.dt0 > 0.0:
             raise ValueError("dt0 must be positive")
-        if self.grad_tol <= 0.0:
+        if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
@@ -109,20 +108,13 @@ class FlowConfig:
 
 @dataclass
 class FlowTrace:
-    """Per-iteration history; rejected trials repeat the current state
-    with dt = 0.  ``dt_cap`` is the stability cap of each trial, so an
-    accepted row is cap-bound exactly when dt == dt_cap."""
+    """Per-trial history: one tuple per trial in ``rows``, under ``COLUMNS``.
 
-    iters: list = field(default_factory=list)
-    E: list = field(default_factory=list)
-    E2: list = field(default_factory=list)
-    E3: list = field(default_factory=list)
-    Etilde4: list = field(default_factory=list)
-    L4_tension: list = field(default_factory=list)
-    sup_tau: list = field(default_factory=list)
-    sup_descent: list = field(default_factory=list)
-    dt_accepted: list = field(default_factory=list)
-    dt_cap: list = field(default_factory=list)
+    Rejected trials repeat the current state with dt = 0.  ``dt_cap`` is the
+    stability cap of each trial, so an accepted row is cap-bound exactly
+    when dt == dt_cap."""
+
+    rows: list = field(default_factory=list)
     status: str = "running"
 
     COLUMNS = (
@@ -138,21 +130,12 @@ class FlowTrace:
         "dt_cap",
     )
 
-    def _series(self) -> tuple:
-        return (self.iters, self.E, self.E2, self.E3, self.Etilde4, self.L4_tension,
-                self.sup_tau, self.sup_descent, self.dt_accepted, self.dt_cap)
-
-    def record(self, it, state_row, dt, dt_cap):
-        """Append a row: ``state_row`` holds the columns E to sup_descent."""
-        for series, value in zip(self._series(), (it, *state_row, dt, dt_cap)):
-            series.append(value)
-
-    def rows(self):
-        return zip(*self._series())
+    def column(self, name: str) -> list:
+        i = self.COLUMNS.index(name)
+        return [row[i] for row in self.rows]
 
     def accepted_series(self, name: str) -> list:
-        values = getattr(self, name)
-        return [v for v, dt in zip(values, self.dt_accepted) if dt > 0.0]
+        return [v for v, dt in zip(self.column(name), self.column("dt")) if dt > 0.0]
 
 
 def descent_field(phi: MapField, frame: FrameField, kind: FlowKind) -> Section:
@@ -171,14 +154,14 @@ def flow_step(
 
     ``chain`` is the tension chain of ``(phi, frame)``, built here when not
     given; it supplies the descent field and the current energy.
-    Returns ``(phi_next, accepted, dt_next, chain_next)``, ``chain_next``
-    the tension chain of ``(phi_next, frame)``.  The candidate is
+    Returns ``(phi_next, accepted, chain_next)``, ``chain_next`` the
+    tension chain of ``(phi_next, frame)``.  The candidate is
     exp_phi(dt * descent), re-projected onto the model; it is accepted iff
     the flowed energy drops by at least armijo_c * dt * Int |descent|^2, up
     to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
     monotonicity contract) so the search cannot stall on energy differences
     below evaluation roundoff.  On rejection the state and its chain are
-    returned unchanged with a shrunk step.
+    returned unchanged.  The step size is :func:`run_flow`'s to choose.
     """
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
@@ -187,7 +170,7 @@ def flow_step(
     k = _ENERGY_ORDER[cfg.kind]
     descent = chain.field(k)
     if chain.sup_norm(k) == 0.0:
-        return phi, True, dt, chain
+        return phi, True, chain
     e_now = chain.energy(k)
     grad_sq = integrate(
         phi.grid, frame, sf.inner(phi.spec, phi.values, descent.values, descent.values)
@@ -197,8 +180,8 @@ def flow_step(
                          spec=phi.spec)
     trial = TensionChain(candidate, frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * grad_sq + 1e-13 * abs(e_now):
-        return candidate, True, dt / cfg.shrink, trial
-    return phi, False, dt * cfg.shrink, chain
+        return candidate, True, trial
+    return phi, False, chain
 
 
 def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
@@ -212,9 +195,8 @@ def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
 
 def _trace_metrics(chain: TensionChain) -> tuple:
     """A state's trace columns E to sup_tau."""
-    r = energy_report(chain.phi, chain.frame, p_list=(4.0,), with_tritension=False,
-                      chain=chain)
-    return r.E, r.E2, r.E3, r.Etilde4, r.Lp_tension[4.0], r.sup_tau
+    return (chain.energy(1), chain.energy(2), chain.energy(3), chain.etilde4,
+            chain.tension_lp(4.0), chain.sup_norm(1))
 
 
 def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
@@ -262,9 +244,10 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     frame that is the chain the Armijo trial built for it.
 
     Each trial tries ``min(dt, stability_cap)``, ``dt`` being Armijo's step
-    memory: an accepted trial the cap did not clip sets it to the step over
-    ``shrink``, a rejected trial to the step times ``shrink``, and an
-    accepted capped trial leaves it unchanged.
+    memory, which only this loop changes: an accepted trial the cap did not
+    clip sets it to the step over ``shrink``, a rejected trial to the step
+    times ``shrink`` (both at most ``_DT_CEILING``), and an accepted capped
+    trial leaves it unchanged.
 
     Returns ``(phi_final, trace)``; a step-size underflow is reported as
     ``trace.status == "stalled"``, a state that cannot be projected or
@@ -286,15 +269,14 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
             if it > 0:
                 cap = stability_cap(descent, frame, cfg.kind)
                 dt_used = min(dt, cap)
-                candidate, accepted, dt_next, chain = flow_step(
-                    phi, frame, cfg, dt_used, chain=chain
-                )
-                capped = dt_used < dt
-                if not (accepted and capped):
-                    dt = min(dt_next, _DT_CEILING)
+                candidate, accepted, chain = flow_step(phi, frame, cfg, dt_used,
+                                                       chain=chain)
                 if not accepted:
-                    trace.record(it, row, 0.0, cap)
+                    dt = min(dt_used * cfg.shrink, _DT_CEILING)
+                    trace.rows.append((it, *row, 0.0, cap))
                     continue
+                if dt_used == dt:
+                    dt = min(dt / cfg.shrink, _DT_CEILING)
             if frame is None or reinduce:
                 frame = flow_frame(candidate, cfg)
                 chain = TensionChain(candidate, frame)
@@ -311,7 +293,7 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
             trace.status = "nonfinite"
             return phi, trace
         phi = candidate
-        trace.record(it, row, dt_used, cap)
+        trace.rows.append((it, *row, dt_used, cap))
         if sup_descent <= cfg.grad_tol:
             trace.status = "converged"
             return phi, trace
@@ -371,7 +353,6 @@ def theorem_probe(
         chain = TensionChain(phi, frame)
     tau_norm = chain.tau_norm
     grad_lap_sq = chain.grad_lap_tau_sq
-    report = energy_report(phi, frame, p_list=(4.0,), chain=chain)
 
     sup_tau = chain.sup_norm(1)
     sup_tau3 = chain.sup_norm(3)
@@ -401,8 +382,8 @@ def theorem_probe(
 
     return ProbeVerdict(
         sup_tau3=sup_tau3,
-        etilde4=report.Etilde4,
-        l4_tension=report.Lp_tension[4.0],
+        etilde4=chain.etilde4,
+        l4_tension=chain.tension_lp(4.0),
         sup_tau=sup_tau,
         tau_sq_node_variance=float(np.var(tau_norm**2)),
         sup_grad_laplacian_tau=float(np.sqrt(np.max(np.maximum(grad_lap_sq, 0.0)))),

@@ -108,7 +108,9 @@ class TensionChain:
     exactly zero, and a trace differentiates S_i only along
     ``frame.axes[i]``: both skipped terms add exactly 0.  Every field is the same
     floating-point expression as a standalone evaluation, so sharing never
-    changes a result.  Build one chain per state and drop it with the state.
+    changes a result.  The chain also owns the state's scalars: energies,
+    Etilde4, L^p and sup norms, and the pointwise |tau|^2 and |Delta tau|^2.
+    Build one chain per state and drop it with the state.
     """
 
     def __init__(self, phi: MapField, frame: FrameField):
@@ -116,7 +118,7 @@ class TensionChain:
         self.frame = frame
         self._floor = phi.spectral_floor()
         self._corrections = {}  # nabla_{nabla_{e_i} e_i} V per differentiated V
-        self._scalars = {}  # energies and sup norms, per (name, order)
+        self._scalars = {}  # energies, L^p and sup norms, per (name, order)
 
     def _covariant(self, key: str, values: np.ndarray) -> list:
         """nabla_{e_i} V over the frame directions; the connection terms
@@ -207,12 +209,21 @@ class TensionChain:
         return Section(out, self.phi)
 
     @cached_property
+    def tau_sq(self) -> np.ndarray:
+        return sf.inner(self.phi.spec, self.phi.values, self.tau.values, self.tau.values)
+
+    @cached_property
+    def lap_sq(self) -> np.ndarray:
+        return sf.inner(self.phi.spec, self.phi.values, self.lap_tau.values,
+                        self.lap_tau.values)
+
+    @cached_property
     def tau_norm(self) -> np.ndarray:
-        return self.tau.norm_field()
+        return np.sqrt(np.maximum(self.tau_sq, 0.0))
 
     @cached_property
     def lap_norm(self) -> np.ndarray:
-        return self.lap_tau.norm_field()
+        return np.sqrt(np.maximum(self.lap_sq, 0.0))
 
     @cached_property
     def dphi_sq(self) -> np.ndarray:
@@ -245,6 +256,18 @@ class TensionChain:
                 raise ValueError(f"energy order must be 1, 2 or 3, got {k}")
             self._scalars["E", k] = 0.5 * integrate(self.phi.grid, self.frame, density)
         return self._scalars["E", k]
+
+    @cached_property
+    def etilde4(self) -> float:
+        """Iterated-Laplacian part of the fourth energy, (1/2) Int |Delta tau|^2."""
+        return 0.5 * integrate(self.phi.grid, self.frame, self.lap_norm**2)
+
+    def tension_lp(self, p: float) -> float:
+        """Int |tau|^p, the p-th power of the L^p norm of the tension field."""
+        if ("Lp", p) not in self._scalars:
+            self._scalars["Lp", p] = integrate(self.phi.grid, self.frame,
+                                               self.tau_norm ** float(p))
+        return self._scalars["Lp", p]
 
     def sup_norm(self, k: int) -> float:
         """sup |tau|, |tau2| or |tau3| over the grid."""

@@ -168,6 +168,18 @@ def tension_variation_residual(
     return float(np.max(sf.norm(phi.spec, phi.values, lhs - rhs)))
 
 
+def _verdict(name, excess, tol, note="") -> AuditCheck:
+    """A check that passes when ``excess`` <= ``tol`` at every node; its
+    residual is the largest excess, floored at 0."""
+    failed = int(np.sum(excess > tol))
+    return AuditCheck(name, max(float(np.max(excess)), 0.0), failed, tol, failed == 0,
+                      note=note)
+
+
+def _skipped(name, note) -> AuditCheck:
+    return AuditCheck(name, 0.0, 0, 0.0, True, skipped=True, note=note)
+
+
 def _kato_check(name, grid, frame, a_norm, grad_sq) -> AuditCheck:
     """Kato check for a section alpha, given |alpha| and |nabla alpha|^2.
 
@@ -179,20 +191,10 @@ def _kato_check(name, grid, frame, a_norm, grad_sq) -> AuditCheck:
     fd2 = DomainGrid(replace(grid.spec, differentiation=Differentiation.CENTRAL_FD2))
     rhs = np.sqrt(np.maximum(grad_sq, 0.0))
     lhs = np.sqrt(np.sum(scalar_gradient(fd2, frame, a_norm) ** 2, axis=-1))
-    eligible = a_norm > 1e-6
     h = max(grid.spacings)
     tol = 1e-8 + 10.0 * h**2 * float(np.max(rhs, initial=0.0))
-    excess = np.where(eligible, lhs - rhs, -np.inf)
-    max_residual = float(np.max(excess)) if np.any(eligible) else 0.0
-    failed = int(np.sum(excess > tol))
-    return AuditCheck(
-        name=name,
-        max_residual=max(max_residual, 0.0),
-        nodes_failed=failed,
-        tolerance=tol,
-        passed=failed == 0,
-        note="nodes with |alpha| <= 1e-6 excluded",
-    )
+    excess = np.where(a_norm > 1e-6, lhs - rhs, -np.inf)
+    return _verdict(name, excess, tol, note="nodes with |alpha| <= 1e-6 excluded")
 
 
 def pointwise_identity_audit(
@@ -210,37 +212,25 @@ def pointwise_identity_audit(
     Delta tau.  ``chain`` is the state's tension chain, if already built.
     """
     grid, spec = phi.grid, phi.spec
-    report = AuditReport()
     base_tol = scheme_tolerance(grid)
+    checks = []
 
     if chain is None:
         chain = TensionChain(phi, frame)
-    tau, dphi, grad_tau, lap_tau = chain.tau, chain.dphi, chain.grad_tau, chain.lap_tau
-    tau_sq = sf.inner(spec, phi.values, tau.values, tau.values)
-    grad_tau_sq = chain.grad_tau_sq
+    tau, dphi, lap_tau = chain.tau, chain.dphi, chain.lap_tau
+    tau_sq, grad_tau_sq = chain.tau_sq, chain.grad_tau_sq
 
     # (a) along isometric immersions the tension field is normal to the
     # image: sum_j h(nabla_{e_j} tau, dphi(e_j)) = -h(tau, tau).
     if frame.mode is MetricMode.INDUCED:
         acc = tau_sq.copy()
-        for g, d in zip(grad_tau, dphi):
+        for g, d in zip(chain.grad_tau, dphi):
             acc += sf.inner(spec, phi.values, g.values, d.values)
         tol = base_tol * (1.0 + float(np.max(tau_sq)))
-        resid = float(np.max(np.abs(acc)))
-        failed = int(np.sum(np.abs(acc) > tol))
-        report.checks["tension_orthogonality"] = AuditCheck(
-            "tension_orthogonality", resid, failed, tol, failed == 0
-        )
+        checks.append(_verdict("tension_orthogonality", np.abs(acc), tol))
     else:
-        report.checks["tension_orthogonality"] = AuditCheck(
-            "tension_orthogonality",
-            0.0,
-            0,
-            0.0,
-            True,
-            skipped=True,
-            note="needs an induced (isometric) metric",
-        )
+        checks.append(_skipped("tension_orthogonality",
+                               "needs an induced (isometric) metric"))
 
     # (b) pair symmetry of the curvature tensor on random unit tangent
     # quadruples (unit scale keeps the roundoff of the exact identity
@@ -256,58 +246,33 @@ def pointwise_identity_audit(
         vs.append(v / scale[..., None])
     lhs = sf.inner(spec, x, sf.curvature_op(spec, x, vs[2], vs[3], vs[1]), vs[0])
     rhs = sf.inner(spec, x, sf.curvature_op(spec, x, vs[0], vs[1], vs[3]), vs[2])
-    sym_resid = np.abs(lhs - rhs)
-    tol = 1e-12 * (1.0 + abs(spec.c))
-    failed = int(np.sum(sym_resid > tol))
-    report.checks["curvature_symmetry"] = AuditCheck(
-        "curvature_symmetry", float(np.max(sym_resid)), failed, tol, failed == 0,
-        note=f"{_N_QUADRUPLES} random tangent quadruples",
-    )
+    checks.append(_verdict("curvature_symmetry", np.abs(lhs - rhs),
+                           1e-12 * (1.0 + abs(spec.c)),
+                           note=f"{_N_QUADRUPLES} random tangent quadruples"))
 
     # (c) Bochner identity for the scalar |tau|^2 (positive Laplacian).
     pairing = sf.inner(spec, phi.values, tau.values, lap_tau.values)
     bochner = pairing - 0.5 * scalar_laplacian(grid, frame, tau_sq) - grad_tau_sq
     tol = base_tol * (1.0 + float(np.max(np.abs(pairing))) + float(np.max(grad_tau_sq)))
-    resid = float(np.max(np.abs(bochner)))
-    failed = int(np.sum(np.abs(bochner) > tol))
-    report.checks["bochner_identity"] = AuditCheck(
-        "bochner_identity", resid, failed, tol, failed == 0
-    )
+    checks.append(_verdict("bochner_identity", np.abs(bochner), tol))
 
     # (d) for c <= 0 the curvature contraction against Delta tau has a sign:
     # c * (sum_i <Delta tau, dphi(e_i)>^2 - |Delta tau|^2 |dphi|^2) >= 0.
-    lap_sq = sf.inner(spec, phi.values, lap_tau.values, lap_tau.values)
-    dphi_sq = chain.dphi_sq
-    proj_sq = np.zeros(grid.shape)
-    for d in dphi:
-        proj_sq += sf.inner(spec, phi.values, lap_tau.values, d.values) ** 2
-    quantity = spec.c * (proj_sq - lap_sq * dphi_sq)
     if spec.c <= 0.0:
-        tol = 1e-10 * (1.0 + float(np.max(lap_sq * dphi_sq)))
-        worst = float(np.min(quantity))
-        failed = int(np.sum(quantity < -tol))
-        report.checks["curvature_sign"] = AuditCheck(
-            "curvature_sign", max(-worst, 0.0), failed, tol, failed == 0
-        )
+        lap_dphi_sq = chain.lap_sq * chain.dphi_sq
+        proj_sq = np.zeros(grid.shape)
+        for d in dphi:
+            proj_sq += sf.inner(spec, phi.values, lap_tau.values, d.values) ** 2
+        tol = 1e-10 * (1.0 + float(np.max(lap_dphi_sq)))
+        checks.append(_verdict("curvature_sign", -spec.c * (proj_sq - lap_dphi_sq), tol))
     else:
-        report.checks["curvature_sign"] = AuditCheck(
-            "curvature_sign",
-            0.0,
-            0,
-            0.0,
-            True,
-            skipped=True,
-            note="sign statement applies to c <= 0 only",
-        )
+        checks.append(_skipped("curvature_sign", "sign statement applies to c <= 0 only"))
 
     # (e) Kato inequality |grad |alpha|| <= |nabla alpha| where alpha != 0.
-    report.checks["kato_tension"] = _kato_check(
-        "kato_tension", grid, frame, chain.tau_norm, grad_tau_sq
-    )
-    report.checks["kato_tension_laplacian"] = _kato_check(
-        "kato_tension_laplacian", grid, frame, chain.lap_norm, chain.grad_lap_tau_sq
-    )
-    return report
+    checks.append(_kato_check("kato_tension", grid, frame, chain.tau_norm, grad_tau_sq))
+    checks.append(_kato_check("kato_tension_laplacian", grid, frame, chain.lap_norm,
+                              chain.grad_lap_tau_sq))
+    return AuditReport({c.name: c for c in checks})
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -356,9 +321,7 @@ def caccioppoli_audit(
     if tau3_sup > 1e-5:
         raise NotTriharmonic(f"sup |tau3| = {tau3_sup:.3e} exceeds 1e-5")
 
-    tau, lap = chain.tau, chain.lap_tau
-    tau_norm_sq = sf.inner(spec, phi.values, tau.values, tau.values)
-    lap_sq = sf.inner(spec, phi.values, lap.values, lap.values)
+    tau_norm_sq, lap_sq = chain.tau_sq, chain.lap_sq
     grad_lap_sq = chain.grad_lap_tau_sq
     grad_tau_sq = chain.grad_tau_sq
 

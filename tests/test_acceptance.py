@@ -263,7 +263,7 @@ def test_criterion_08_flow_probe(triharmonic_flow_result):
 
     probe = pf.theorem_probe(phi, trace, frame)
     stationary = True
-    if trace.sup_descent[-1] <= 1e-8:
+    if trace.column("sup_descent")[-1] <= 1e-8:
         for seed in range(10):
             V = pf.random_tangent_section(phi, seed=seed)
             stationary &= (
@@ -272,7 +272,7 @@ def test_criterion_08_flow_probe(triharmonic_flow_result):
     ok = (
         monotone
         and within_budget
-        and trace.sup_descent[-1] <= 1e-6
+        and trace.column("sup_descent")[-1] <= 1e-6
         and probe.sup_tau <= 1e-4
         and probe.tau_sq_node_variance <= 1e-8
         and stationary
@@ -280,7 +280,7 @@ def test_criterion_08_flow_probe(triharmonic_flow_result):
     report(
         8,
         ok,
-        f"{trace.iters[-1]} iters, {elapsed:.0f}s, sup_tau {probe.sup_tau:.1e}, "
+        f"{trace.column('iter')[-1]} iters, {elapsed:.0f}s, sup_tau {probe.sup_tau:.1e}, "
         f"var|tau|^2 {probe.tau_sq_node_variance:.1e}, verdict "
         f"{probe.classification}",
     )

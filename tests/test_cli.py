@@ -8,7 +8,7 @@ import pytest
 
 from polyflow.cli import load_config, main, parse_config, run
 from polyflow.errors import ConfigError
-from polyflow.flow import FlowConfig
+from polyflow.flow import FlowConfig, FlowTrace
 
 TWO_PI = 2 * np.pi
 TRACE_HEADER = "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt,dt_cap"
@@ -71,6 +71,8 @@ def test_parse_rejects_flow_section_without_flow_action(tmp_path):
     {"grad_tol": "tiny"},
     {"kind": "Quadharmonic"},
     {"shrink": 1.5},
+    {"dt0": float("nan")},
+    {"grad_tol": float("nan")},
 ])
 def test_parse_rejects_bad_flow_values(tmp_path, flow):
     data = base_config(tmp_path / "out", action="Flow")
@@ -90,6 +92,53 @@ def test_parse_rejects_bad_p(tmp_path):
     data["p_list"] = [0.5]
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+# Top-level keys replaced by raw JSON text, and the stderr marker of the
+# exit-2 error: values of the wrong type, and numbers that are not finite.
+BAD_VALUES = {
+    "seed_str": ({"seed": '"abc"'}, "config error"),
+    "p_list_str": ({"p_list": '["x"]'}, "config error"),
+    "p_list_scalar": ({"p_list": "4"}, "config error"),
+    "model_unknown": ({"target": '{"c": 0.0, "n": 2, "model": "Foo"}'}, "config error"),
+    "circle_r_str": ({"initial_map": '{"name": "Circle", "params": {"r": "big"}}'},
+                     "BadParams"),
+    "map_name_list": ({"initial_map": '{"name": ["Circle"]}'}, "UnknownExample"),
+    "geodesic_k_str": ({"target": '{"c": -1.0, "n": 2}', "initial_map":
+                        '{"name": "PerturbedGeodesicH2", "params": {"k": "x"}}'},
+                       "BadParams"),
+    "grad_tol_nan": ({"action": '"Flow"', "flow": '{"grad_tol": NaN}'}, "config error"),
+    "grad_tol_huge": ({"action": '"Flow"', "flow": '{"grad_tol": 1e400}'},
+                      "config error"),
+    "dt0_nan": ({"action": '"Flow"', "flow": '{"dt0": NaN}'}, "config error"),
+    "dt0_huge": ({"action": '"Flow"', "flow": '{"dt0": 1e400}'}, "config error"),
+    "max_iters_huge": ({"action": '"Flow"', "flow": '{"max_iters": 1e400}'},
+                       "config error"),
+    "p_list_nan": ({"p_list": "[NaN]"}, "config error"),
+    "p_list_inf": ({"p_list": "[2, Infinity]"}, "config error"),
+    "p_list_huge": ({"p_list": "[-1e400]"}, "config error"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_values_exit_2(tmp_path, capsys, case):
+    raw, marker = BAD_VALUES[case]
+    data = base_config(tmp_path / "bad")
+    data.update({key: f"@{key}@" for key in raw})
+    text = json.dumps(data)
+    for key, value in raw.items():
+        text = text.replace(f'"@{key}@"', value)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert marker in capsys.readouterr().err
+    assert not (tmp_path / "bad_summary.json").exists()
+
+
+def test_trace_header_is_the_column_list():
+    assert ",".join(FlowTrace.COLUMNS) == TRACE_HEADER
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert TRACE_HEADER in readme.read_text()
 
 
 def test_load_config_bad_json(tmp_path):
@@ -278,14 +327,6 @@ def test_main_exit_codes(tmp_path, capsys):
 
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == 2
-
-
-def test_main_audit_overrides_action(tmp_path):
-    cfg = base_config(tmp_path / "aud", action="Energies")
-    path = write_config(tmp_path, cfg, "aud.json")
-    assert main(["audit", str(path)]) == 0
-    summary = json.loads((tmp_path / "aud_summary.json").read_text())
-    assert summary["action"] == "Audit"
 
 
 def test_main_examples(capsys):

@@ -90,6 +90,22 @@ def test_bad_params(circle_grid, torus_grid):
         pf.builtin_map("GraphSurface", {}, torus_grid, pf.SpaceFormSpec(1.0, 3))
 
 
+MODEL_CURVATURE = {"Flat": 0.0, "Sphere": 1.0, "Hyperboloid": -1.0}
+
+
+@pytest.mark.parametrize("name", sorted(pf.example_catalog()))
+def test_family_domain_checked(name, circle_grid, torus_grid):
+    family = pf.example_catalog()[name]
+    grids = {1: circle_grid, 2: torus_grid}
+    spec = pf.SpaceFormSpec(MODEL_CURVATURE[family["models"][0]], 3)
+    with pytest.raises(BadParams, match="-d grid"):
+        pf.builtin_map(name, {}, grids[3 - family["dims"]], spec)
+    for model in sorted(set(MODEL_CURVATURE) - set(family["models"])):
+        with pytest.raises(BadParams, match="needs a target in"):
+            pf.builtin_map(name, {}, grids[family["dims"]],
+                           pf.SpaceFormSpec(MODEL_CURVATURE[model], 3))
+
+
 def test_graph_surface_heights(torus_grid):
     phi = pf.builtin_map("GraphSurface", {"amplitude": 0.2, "ku": 2, "kv": 1},
                          torus_grid, pf.SpaceFormSpec(0.0, 5))

@@ -47,7 +47,7 @@ def test_flow_step_zero_descent_fixed_point(circle_grid):
                          circle_grid, pf.SpaceFormSpec(-1.0, 2))
     frame = frame_for(phi, induced=False)
     cfg = pf.FlowConfig(kind="Triharmonic")
-    out, accepted, dt, _ = pf.flow_step(phi, frame, cfg, 1e-3)
+    out, accepted, _ = pf.flow_step(phi, frame, cfg, 1e-3)
     assert accepted
     assert out is phi
 
@@ -56,18 +56,16 @@ def test_flow_step_armijo_reject_shrinks(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5)
     # enormous step overshoots: energy increases, trial rejected
-    out, accepted, dt, _ = pf.flow_step(flat_circle, frame, cfg, 50.0)
+    out, accepted, _ = pf.flow_step(flat_circle, frame, cfg, 50.0)
     assert not accepted
     assert out is flat_circle
-    assert dt == pytest.approx(25.0)
 
 
 def test_flow_step_accept_grows(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=1e-4)
-    out, accepted, dt, _ = pf.flow_step(flat_circle, frame, cfg, 1e-3)
+    out, accepted, _ = pf.flow_step(flat_circle, frame, cfg, 1e-3)
     assert accepted
-    assert dt == pytest.approx(2e-3)
     frame2 = frame_for(out, induced=False)
     assert pf.energy_k(out, frame2, 1) < pf.energy_k(flat_circle, frame, 1)
 
@@ -83,7 +81,7 @@ def test_harmonic_flow_shrinks_circle(flat_circle):
     # curve-shortening behavior: the radius and the energy both decrease
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=50, grad_tol=1e-12)
     phi, trace = pf.run_flow(flat_circle, cfg)
-    assert trace.E[-1] < trace.E[0]
+    assert trace.column("E")[-1] < trace.column("E")[0]
     assert np.max(np.linalg.norm(phi.values, axis=-1)) < 1.0
 
 
@@ -92,7 +90,7 @@ def test_run_flow_geodesic_immediate(circle_grid):
     cfg = pf.FlowConfig(kind="Triharmonic", grad_tol=1e-8, max_iters=100)
     out, trace = pf.run_flow(phi, cfg)
     assert trace.status == "converged"
-    assert trace.iters == [0]
+    assert trace.column("iter") == [0]
     np.testing.assert_array_equal(out.values, phi.values)
 
 
@@ -126,7 +124,7 @@ def test_triharmonic_flow_converges_small():
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=60000, grad_tol=1e-8)
     phi, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "converged"
-    assert trace.iters[-1] <= 3500
+    assert trace.column("iter")[-1] <= 3500
     e3 = trace.accepted_series("E3")
     diffs = np.diff(e3)
     assert np.all(diffs <= 1e-12 * np.abs(np.asarray(e3[:-1])))
@@ -185,7 +183,7 @@ def test_reinduce_policy_keeps_immersion(torus_grid):
     phi, trace = pf.run_flow(phi0, cfg)
     metric = pf.induced_metric(phi)  # still immerses
     assert metric.mode is pf.MetricMode.INDUCED
-    assert len(trace.iters) == 6
+    assert len(trace.rows) == 6
 
 
 def test_probe_geodesic_minimal(circle_grid):
@@ -213,7 +211,7 @@ def test_capped_step_keeps_step_memory(monkeypatch):
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=5, grad_tol=1e-12, dt0=dt0)
     _, trace = pf.run_flow(small_h2_perturbation(), cfg)
     assert trace.status == "max_iters"
-    dts, caps = trace.dt_accepted[1:], trace.dt_cap[1:]
+    dts, caps = trace.column("dt")[1:], trace.column("dt_cap")[1:]
     assert [i for i, (dt, c) in enumerate(zip(dts, caps)) if dt == c] == [2]
     assert dts == [dt0, 2 * dt0, 1e-9, 4 * dt0, 8 * dt0]
 
@@ -221,8 +219,8 @@ def test_capped_step_keeps_step_memory(monkeypatch):
 def test_trace_rows_and_columns(flat_circle):
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=3, grad_tol=1e-14)
     _, trace = pf.run_flow(flat_circle, cfg)
-    rows = list(trace.rows())
-    assert len(rows) == len(trace.iters)
+    rows = trace.rows
+    assert len(rows) == len(trace.column("iter"))
     assert len(rows[0]) == len(trace.COLUMNS)
 
 
@@ -235,12 +233,12 @@ def test_reinduce_degenerate_keeps_partial_trace():
                         metric_policy="ReInduceEachStep")
     phi, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "degenerate"
-    assert trace.iters == list(range(len(trace.iters)))
-    assert len(trace.iters) > 1
-    assert all(dt > 0.0 for dt in trace.dt_accepted[1:])
+    assert trace.column("iter") == list(range(len(trace.rows)))
+    assert len(trace.rows) > 1
+    assert all(dt > 0.0 for dt in trace.column("dt")[1:])
     assert pf.induced_metric(phi).mode is pf.MetricMode.INDUCED  # still immerses
     frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
-    assert pf.energy_k(phi, frame, 1) == trace.E[-1]
+    assert pf.energy_k(phi, frame, 1) == trace.column("E")[-1]
 
 
 def test_run_flow_degenerate_at_step_0():
@@ -249,7 +247,7 @@ def test_run_flow_degenerate_at_step_0():
     cfg = pf.FlowConfig(kind="Triharmonic", metric_policy="ReInduceEachStep")
     phi, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "degenerate"
-    assert trace.iters == [] and list(trace.rows()) == []
+    assert trace.column("iter") == [] and trace.rows == []
     assert phi is not phi0
     assert np.array_equal(phi.values, phi0.values)
 
@@ -262,7 +260,7 @@ def test_run_flow_nonfinite_at_step_0():
         phi0 = pf.builtin_map("Circle", {"r": 800.0}, grid, pf.SpaceFormSpec(-1.0, 2))
     phi, trace = pf.run_flow(phi0, pf.FlowConfig(kind="Triharmonic"))
     assert trace.status == "nonfinite"
-    assert trace.iters == [] and list(trace.rows()) == []
+    assert trace.column("iter") == [] and trace.rows == []
     assert phi is not phi0
     assert np.array_equal(phi.values, phi0.values, equal_nan=True)
 
@@ -282,7 +280,7 @@ def test_run_flow_nonfinite_keeps_partial_trace(monkeypatch):
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=10, grad_tol=1e-12)
     phi, trace = pf.run_flow(small_h2_perturbation(), cfg)
     assert trace.status == "nonfinite"
-    assert trace.iters == [0, 1, 2]
+    assert trace.column("iter") == [0, 1, 2]
     assert phi is entered[2]
 
 
@@ -296,7 +294,7 @@ def reference_flow(phi0, cfg):
     frame = flow_frame(phi, cfg)
 
     def enter(state):
-        report = pf.energy_report(state, frame, with_tritension=False)
+        report = pf.energy_report(state, frame)
         descent = pf.descent_field(state, frame, cfg.kind)
         return descent, (report.E, report.E2, report.E3, report.Etilde4,
                          report.Lp_tension[4.0], report.sup_tau,
@@ -333,7 +331,7 @@ def reference_flow(phi0, cfg):
 def assert_flow_matches_reference(phi0, cfg):
     phi, trace = pf.run_flow(phi0, cfg)
     ref_phi, ref_rows = reference_flow(phi0, cfg)
-    assert np.array(list(trace.rows())).tobytes() == np.array(ref_rows).tobytes()
+    assert np.array(trace.rows).tobytes() == np.array(ref_rows).tobytes()
     assert phi.values.tobytes() == ref_phi.values.tobytes()
     return trace
 
@@ -345,8 +343,8 @@ def test_run_flow_matches_reference_triharmonic(armijo_c):
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=100, grad_tol=1e-12,
                         armijo_c=armijo_c)
     trace = assert_flow_matches_reference(phi0, cfg)
-    assert len(trace.iters) == 101
-    assert (0.0 in trace.dt_accepted) == (armijo_c > 0.5)
+    assert len(trace.rows) == 101
+    assert (0.0 in trace.column("dt")) == (armijo_c > 0.5)
 
 
 def test_run_flow_matches_reference_reinduce_torus():
@@ -355,4 +353,4 @@ def test_run_flow_matches_reference_reinduce_torus():
                           pf.SpaceFormSpec(1.0, 3))
     cfg = pf.FlowConfig(kind="Biharmonic", max_iters=5, grad_tol=1e-14,
                         metric_policy="ReInduceEachStep")
-    assert len(assert_flow_matches_reference(phi0, cfg).iters) == 6
+    assert len(assert_flow_matches_reference(phi0, cfg).rows) == 6

@@ -554,7 +554,7 @@ def test_flow_iteration_deriv_count(monkeypatch):
         return deriv(self, *args, **kwargs)
 
     monkeypatch.setattr(DomainGrid, "deriv", counting)
-    phi_next, accepted, _, nxt = pf.flow_step(phi, frame, cfg, dt, chain=chain)
+    phi_next, accepted, nxt = pf.flow_step(phi, frame, cfg, dt, chain=chain)
     assert accepted
     nxt.field(3)
     _trace_metrics(nxt)
