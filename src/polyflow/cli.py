@@ -25,6 +25,7 @@ from .domain_grid import (
     identity_metric,
     induced_metric,
     orthonormal_frame,
+    whole_number,
 )
 from .energy import energy_report
 from .errors import (ConfigError, DegenerateImmersion, DegeneratePoint, InvalidSpec,
@@ -92,7 +93,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         target_d = _need(data, "target", "config")
         _reject_unknown(target_d, {"c", "n", "model"}, "target")
         target = SpaceFormSpec(c=float(_need(target_d, "c", "target")),
-                               n=int(_need(target_d, "n", "target")))
+                               n=whole_number(_need(target_d, "n", "target"), "n"))
         if "model" in target_d and Model(target_d["model"]) is not target.model:
             raise ConfigError(
                 f"model {target_d['model']!r} contradicts curvature c={target.c}"
@@ -101,7 +102,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         grid_d = _need(data, "grid", "config")
         _reject_unknown(grid_d, {"dims", "sizes", "lengths", "differentiation"}, "grid")
         grid = GridSpec(
-            dims=int(_need(grid_d, "dims", "grid")),
+            dims=_need(grid_d, "dims", "grid"),
             sizes=tuple(_need(grid_d, "sizes", "grid")),
             lengths=tuple(_need(grid_d, "lengths", "grid")),
             differentiation=grid_d.get("differentiation", "Spectral"),
@@ -126,7 +127,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         p_list = tuple(float(p) for p in data.get("p_list", (2.0, 4.0)))
         if not all(p >= 1.0 for p in p_list):
             raise ConfigError("p_list entries must be >= 1")
-        seed = int(data.get("seed", 0))
+        seed = whole_number(data.get("seed", 0), "seed")
         prefix = str(data.get("output_prefix", "polyflow_out"))
     except (InvalidSpec, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value: {exc}") from exc
@@ -191,11 +192,11 @@ def _variation_results(phi, frame, seed: int) -> dict:
     t = 1e-3
     checks = {}
     for k in (1, 2, 3):
-        V = random_tangent_section(phi, seed=seed + k, max_mode=2, amplitude=0.3)
+        V = random_tangent_section(phi, seed=seed + k)
         checks[f"energy_order_{k}"] = _richardson(
             lambda s: first_variation_residual(phi, V, frame, k, s), t, 1e-4
         )
-    V = random_tangent_section(phi, seed=seed + 7, max_mode=2, amplitude=0.3)
+    V = random_tangent_section(phi, seed=seed + 7)
     checks["tension_variation"] = _richardson(
         lambda s: tension_variation_residual(phi, V, frame, s), t, 1e-3
     )

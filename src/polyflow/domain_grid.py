@@ -47,12 +47,25 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+# An H^3 torus audit peaks near 1 kB of resident memory per node, so this
+# cap keeps any run near 1 GB.
+MAX_NODES = 2**20
 
 # Relative size under which a Fourier coefficient is treated as roundoff
 # noise by the spectral backend.  Measured spurious coefficients of smooth
 # fields sit near 1e-16; legitimate spectra relevant at the acceptance
 # tolerances stay above 1e-13.
 SPECTRAL_REL_CUTOFF = 1e-14
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int.  A value that is not a whole number (64.5, or
+    the string "64") is a ValueError rather than being truncated; whole
+    floats such as 64.0 pass."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return number
 
 
 class Differentiation(str, Enum):
@@ -73,7 +86,7 @@ class GridSpec:
     Parameters
     ----------
     dims : 1 or 2
-    sizes : nodes per axis (each >= 16)
+    sizes : nodes per axis (each >= 16, at most MAX_NODES in all)
     lengths : period of each axis
     differentiation : backend name, see :class:`Differentiation`
     """
@@ -84,7 +97,10 @@ class GridSpec:
     differentiation: Differentiation = Differentiation.SPECTRAL
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "dims", whole_number(self.dims, "dims"))
+        object.__setattr__(
+            self, "sizes", tuple(whole_number(s, "sizes") for s in self.sizes)
+        )
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
         object.__setattr__(
             self, "differentiation", Differentiation(self.differentiation)
@@ -95,6 +111,8 @@ class GridSpec:
             raise InvalidSpec("sizes and lengths must have one entry per axis")
         if any(s < MIN_NODES for s in self.sizes):
             raise InvalidSpec(f"every axis needs >= {MIN_NODES} nodes")
+        if math.prod(self.sizes) > MAX_NODES:
+            raise InvalidSpec(f"a grid may hold at most {MAX_NODES} nodes")
         if any(l <= 0.0 for l in self.lengths):
             raise InvalidSpec("axis lengths must be positive")
 
@@ -198,8 +216,8 @@ class FrameField:
     ``a`` in the i-th frame vector; ``div_terms[..., i, c]`` expresses the
     self-covariant-derivative of the i-th frame vector in the coordinate
     basis; ``vol`` is sqrt(det g).  ``zero_div_terms`` is read from the
-    data: flat frames (constant metric) have exactly zero ``div_terms``, and
-    connection corrections are then skipped.
+    data: flat frames (constant metric) and every 1-d frame have exactly
+    zero ``div_terms``, and connection corrections are then skipped.
     """
 
     e: np.ndarray
@@ -275,24 +293,13 @@ def identity_metric(grid: DomainGrid) -> MetricField:
     return prescribed_metric(grid, g)
 
 
-def _christoffels(grid: DomainGrid, g: np.ndarray) -> np.ndarray:
-    """Gamma^c_ab from the metric, via the grid's differentiation scheme."""
-    d = grid.dims
-    dg = np.empty(grid.shape + (d, d, d))  # dg[..., a, i, j] = d_a g_ij
-    for a in range(d):
-        dg[..., a, :, :] = grid.deriv(g, a)
-    ginv = np.linalg.inv(g)
-    # 0.5 * g^{cd} (d_a g_db + d_b g_da - d_d g_ab)
-    bracket = (
-        np.einsum("...adb->...abd", dg)
-        + np.einsum("...bda->...abd", dg)
-        - np.einsum("...dab->...abd", dg)
-    )
-    return 0.5 * np.einsum("...cd,...abd->...abc", ginv, bracket)
-
-
 def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     """Gram-Schmidt frame (e1 along axis 0) plus connection data.
+
+    The connection terms come from the frame's Lie bracket (Cartan's first
+    structure equation): for an orthonormal pair, nabla_{e1} e1 =
+    -<[e1, e2], e1> e2 and nabla_{e2} e2 = <[e1, e2], e2> e1.  On a circle
+    they vanish, since a unit field on a curve is parallel along itself.
 
     Raises :class:`DegenerateMetric` unless g is positive definite
     (minimum eigenvalue > 1e-10, so not NaN) at every node.
@@ -303,23 +310,24 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
         raise DegenerateMetric("metric is not positive definite everywhere")
     e = np.zeros(grid.shape + (d, d))
     e[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
+    div_terms = np.zeros_like(e)
     if d == 2:
         # w = d2 - (g12/g11) d1, normalized by sqrt(g22 - g12^2/g11)
         w0 = -g[..., 0, 1] / g[..., 0, 0]
         wnorm = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
         e[..., 1, 0] = w0 / wnorm
         e[..., 1, 1] = 1.0 / wnorm
-
-    gamma = _christoffels(grid, g)
-    div_terms = np.zeros_like(e)
-    for i in range(d):
-        ei = e[..., i, :]
-        term = np.zeros(grid.shape + (d,))
+        # [e1, e2]^c = e1^a d_a e2^c - e2^a d_a e1^c, lowered by g
+        e1, e2 = e[..., 0, :], e[..., 1, :]
+        bracket = np.zeros(grid.shape + (d,))
         for a in range(d):
-            if np.any(ei[..., a]):
-                term += ei[..., a, None] * grid.deriv(ei, a)
-        term += np.einsum("...a,...b,...abc->...c", ei, ei, gamma)
-        div_terms[..., i, :] = term
+            if np.any(e1[..., a]):
+                bracket += e1[..., a, None] * grid.deriv(e2, a)
+            if np.any(e2[..., a]):
+                bracket -= e2[..., a, None] * grid.deriv(e1, a)
+        lowered = np.sum(g * bracket[..., None], axis=-2)
+        div_terms[..., 0, :] = -np.sum(lowered * e1, axis=-1)[..., None] * e2
+        div_terms[..., 1, :] = np.sum(lowered * e2, axis=-1)[..., None] * e1
 
     vol = np.sqrt(np.linalg.det(g))
     return FrameField(e=e, div_terms=div_terms, vol=vol, metric=metric, grid=grid)

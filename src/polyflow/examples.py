@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import space_form as sf
-from .domain_grid import DomainGrid
+from .domain_grid import DomainGrid, whole_number
 from .errors import BadParams, UnknownExample
 from .pullback import MapField
 
@@ -64,7 +64,7 @@ def _perturbed_geodesic_h2(params, grid, spec):
     # A closed nonconstant curve in hyperbolic space is never a geodesic,
     # so the unperturbed member of this family is the point geodesic: the
     # map oscillates along a fixed geodesic line through the base point.
-    amplitude, k = params["amplitude"], int(params["k"])
+    amplitude, k = params["amplitude"], whole_number(params["k"], "k")
     R = 1.0 / np.sqrt(-spec.c)
     (theta,) = _angles(grid)
     base = np.zeros(grid.shape + (spec.ambient_dim,))
@@ -79,7 +79,7 @@ def _perturbed_geodesic_h2(params, grid, spec):
 def _great_circle_s2(params, grid, spec):
     if spec.n != 2:
         raise BadParams("GreatCircleS2 needs a 2-sphere target")
-    winding = int(params["winding"])
+    winding = whole_number(params["winding"], "winding")
     if winding == 0:
         raise BadParams("winding must be nonzero")
     R = 1.0 / np.sqrt(spec.c)
@@ -144,7 +144,8 @@ def _graph_surface(params, grid, spec):
     if spec.n != 5:
         raise BadParams("GraphSurface is a graph over the flat torus in R^5 (n = 5)")
     r1, r2 = params["r1"], params["r2"]
-    amplitude, ku, kv = params["amplitude"], int(params["ku"]), int(params["kv"])
+    amplitude = params["amplitude"]
+    ku, kv = whole_number(params["ku"], "ku"), whole_number(params["kv"], "kv")
     if min(r1, r2) <= 0.0:
         raise BadParams("torus radii must be positive")
     u, v = _angles(grid)

@@ -24,6 +24,7 @@ from .domain_grid import (
     induced_metric,
     integrate,
     orthonormal_frame,
+    whole_number,
 )
 from .errors import PolyflowError, StepUnderflow
 from .pullback import MapField, Section, TensionChain
@@ -85,7 +86,7 @@ class FlowConfig:
     def __post_init__(self):
         self.kind = FlowKind(self.kind)
         self.metric_policy = MetricPolicy(self.metric_policy)
-        self.max_iters = int(self.max_iters)
+        self.max_iters = whole_number(self.max_iters, "max_iters")
         self.grad_tol = float(self.grad_tol)
         self.armijo_c = float(self.armijo_c)
         self.shrink = float(self.shrink)

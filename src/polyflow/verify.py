@@ -54,6 +54,10 @@ __all__ = [
 # Random unit tangent quadruples in the curvature-symmetry check.
 _N_QUADRUPLES = 1000
 
+# random_tangent_section: highest Fourier mode per axis, and sup-norm.
+SECTION_MAX_MODE = 2
+SECTION_AMPLITUDE = 0.3
+
 
 @dataclass
 class AuditCheck:
@@ -343,14 +347,12 @@ def caccioppoli_audit(
     return lhs - rhs
 
 
-def random_tangent_section(
-    phi: MapField, seed: int, max_mode: int = 2, amplitude: float = 0.3
-) -> Section:
+def random_tangent_section(phi: MapField, seed: int) -> Section:
     """Seeded band-limited random section along ``phi``.
 
     Each ambient component is a small trigonometric polynomial (modes up to
-    ``max_mode`` per axis); the field is projected to the tangent spaces and
-    rescaled to the requested sup-norm.
+    ``SECTION_MAX_MODE`` per axis); the field is projected to the tangent
+    spaces and rescaled to sup-norm ``SECTION_AMPLITUDE``.
     """
     grid, spec = phi.grid, phi.spec
     rng = np.random.default_rng(seed)
@@ -361,7 +363,8 @@ def random_tangent_section(
     for comp in range(spec.ambient_dim):
         f = np.zeros(grid.shape)
         for _ in range(4):
-            modes = rng.integers(-max_mode, max_mode + 1, size=grid.dims)
+            modes = rng.integers(-SECTION_MAX_MODE, SECTION_MAX_MODE + 1,
+                                 size=grid.dims)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             arg = np.full(grid.shape, phase)
             for a in range(grid.dims):
@@ -371,5 +374,5 @@ def random_tangent_section(
     values = sf.project_tangent(spec, phi.values, values)
     sup = float(np.max(sf.norm(spec, phi.values, values)))
     if sup > 0.0:
-        values *= amplitude / sup
+        values *= SECTION_AMPLITUDE / sup
     return Section(values=values, base=phi)

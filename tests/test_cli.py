@@ -1,6 +1,7 @@
 """Config parsing, experiment runner, output formats, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,20 @@ BAD_VALUES = {
     "p_list_nan": ({"p_list": "[NaN]"}, "config error"),
     "p_list_inf": ({"p_list": "[2, Infinity]"}, "config error"),
     "p_list_huge": ({"p_list": "[-1e400]"}, "config error"),
+    # counts that are not whole numbers are rejected, not truncated
+    "sizes_fraction": ({"grid": '{"dims": 1, "sizes": [64.5], "lengths": [6.28]}'},
+                       "config error"),
+    "dims_fraction": ({"grid": '{"dims": 1.5, "sizes": [64], "lengths": [6.28]}'},
+                      "config error"),
+    "n_fraction": ({"target": '{"c": 0.0, "n": 2.5}'}, "config error"),
+    "seed_fraction": ({"seed": "2.5"}, "config error"),
+    "max_iters_fraction": ({"action": '"Flow"', "flow": '{"max_iters": 2.7}'},
+                           "config error"),
+    "geodesic_k_fraction": ({"target": '{"c": -1.0, "n": 2}', "initial_map":
+                             '{"name": "PerturbedGeodesicH2", "params": {"k": 2.5}}'},
+                            "BadParams"),
+    "sizes_huge": ({"grid": '{"dims": 1, "sizes": [1000000000000], "lengths": [6.28]}'},
+                   "config error"),
 }
 
 
@@ -135,10 +150,35 @@ def test_bad_values_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "bad_summary.json").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_trace_header_is_the_column_list():
     assert ",".join(FlowTrace.COLUMNS) == TRACE_HEADER
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    assert TRACE_HEADER in readme.read_text()
+    assert TRACE_HEADER in README.read_text()
+
+
+def test_readme_examples_run():
+    # the README's Python session runs and its config parses as written
+    text = README.read_text()
+    (session,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(session, str(README), "exec"), {})
+    (config,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert parse_config(json.loads(config)).action.value == "Flow"
+
+
+def test_parse_accepts_whole_floats(tmp_path):
+    data = base_config(tmp_path / "out", action="Flow")
+    data["grid"].update(dims=1.0, sizes=[64.0])
+    data["target"]["n"] = 2.0
+    data["seed"] = 3.0
+    data["flow"] = {"max_iters": 5.0}
+    config = parse_config(data)
+    assert config.grid.sizes == (64,) and config.grid.dims == 1
+    assert config.target.n == 2 and config.seed == 3 and config.flow.max_iters == 5
+    assert all(type(v) is int for v in (config.grid.dims, *config.grid.sizes,
+                                        config.target.n, config.seed,
+                                        config.flow.max_iters))
 
 
 def test_load_config_bad_json(tmp_path):

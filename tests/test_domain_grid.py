@@ -162,6 +162,17 @@ def test_orthonormal_frame_constant_diag(torus_grid):
     np.testing.assert_allclose(frame.vol, 2.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["Spectral", "CentralFD2", "CentralFD4"])
+def test_circle_frame_has_zero_div_terms(kind):
+    # a unit field on a curve is parallel along itself: on a non-constant
+    # 1-d metric the connection terms are exact zeros, not roundoff
+    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,), kind))
+    g = (1.0 + 0.3 * np.sin(grid.axes[0]) ** 2)[..., None, None]
+    frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
+    assert not np.any(frame.div_terms)
+    assert frame.zero_div_terms
+
+
 def test_orthonormal_frame_orthonormality():
     # frame of a genuinely curved induced metric is g-orthonormal nodewise
     grid = pf.build_grid(pf.GridSpec(2, (48, 48), (TWO_PI, TWO_PI)))

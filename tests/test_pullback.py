@@ -5,7 +5,7 @@ import pytest
 
 import polyflow as pf
 from polyflow import space_form as sf
-from polyflow.domain_grid import DomainGrid, _christoffels, scalar_laplacian
+from polyflow.domain_grid import DomainGrid, scalar_laplacian
 from polyflow.errors import DegenerateImmersion, NotIsometric
 from polyflow.flow import _trace_metrics, stability_cap
 from polyflow.pullback import Section, TensionChain, tritension_space_form
@@ -443,17 +443,21 @@ def _warped_metric(grid):
     return pf.prescribed_metric(grid, g)
 
 
-@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
-def test_chain_matches_standalone_definitions(name, params, grid_args, target, metric):
-    phi = build_fixture(name, params, grid_args, target)
+def _case_frame(phi, metric):
     if metric == "warped":
         frame = pf.orthonormal_frame(phi.grid, _warped_metric(phi.grid))
         assert not frame.zero_div_terms
-    else:
-        try:
-            frame = frame_for(phi)
-        except DegenerateImmersion:
-            frame = frame_for(phi, induced=False)
+        return frame
+    try:
+        return frame_for(phi)
+    except DegenerateImmersion:
+        return frame_for(phi, induced=False)
+
+
+@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
+def test_chain_matches_standalone_definitions(name, params, grid_args, target, metric):
+    phi = build_fixture(name, params, grid_args, target)
+    frame = _case_frame(phi, metric)
     assert frame.zero_div_terms == (not np.any(frame.div_terms))
     chain = TensionChain(phi, frame)
     for field, expected in _ref_chain(phi, frame).items():
@@ -489,6 +493,31 @@ def _ref_scalar_laplacian(grid, frame, f):
 
 def _ref_div_terms(grid, frame):
     """orthonormal_frame's div_terms with every coordinate derivative taken."""
+    out = np.zeros_like(frame.e)
+    if grid.dims == 1:
+        return out
+    e1, e2 = frame.e[..., 0, :], frame.e[..., 1, :]
+    bracket = np.zeros(grid.shape + (2,))
+    for a in range(2):
+        bracket += e1[..., a, None] * grid.deriv(e2, a)
+        bracket -= e2[..., a, None] * grid.deriv(e1, a)
+    lowered = np.sum(frame.metric.g * bracket[..., None], axis=-2)
+    out[..., 0, :] = -np.sum(lowered * e1, axis=-1)[..., None] * e2
+    out[..., 1, :] = np.sum(lowered * e2, axis=-1)[..., None] * e1
+    return out
+
+
+def _christoffels(grid, g):
+    """Gamma^c_ab = 0.5 g^cd (d_a g_db + d_b g_da - d_d g_ab)."""
+    dg = np.stack([grid.deriv(g, a) for a in range(grid.dims)], axis=-3)
+    lowered = (np.einsum("...adb->...abd", dg) + np.einsum("...bda->...abd", dg)
+               - np.einsum("...dab->...abd", dg))
+    return 0.5 * np.einsum("...cd,...abd->...abc", np.linalg.inv(g), lowered)
+
+
+def _christoffel_div_terms(grid, frame):
+    """nabla_{e_i} e_i = e_i(e_i^c) + Gamma^c_ab e_i^a e_i^b in coordinates:
+    the route that differentiates and inverts the metric."""
     gamma = _christoffels(grid, frame.metric.g)
     out = np.zeros_like(frame.e)
     for i in range(grid.dims):
@@ -497,6 +526,15 @@ def _ref_div_terms(grid, frame):
             out[..., i, :] += ei[..., a, None] * grid.deriv(ei, a)
         out[..., i, :] += np.einsum("...a,...b,...abc->...c", ei, ei, gamma)
     return out
+
+
+@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
+def test_div_terms_match_christoffel_route(name, params, grid_args, target, metric):
+    phi = build_fixture(name, params, grid_args, target)
+    frame = _case_frame(phi, metric)
+    ref = _christoffel_div_terms(phi.grid, frame)
+    err = np.max(np.abs(frame.div_terms - ref))
+    assert err <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("metric,axes", [("flat", ((0,), (1,))),

@@ -267,8 +267,8 @@ def test_ambient_commutator_fd2_order():
 
 def test_random_tangent_section_properties(circle_grid):
     phi = pf.builtin_map("Circle", {"r": 0.5}, circle_grid, pf.SpaceFormSpec(1.0, 2))
-    V = pf.random_tangent_section(phi, seed=7, amplitude=0.3)
+    V = pf.random_tangent_section(phi, seed=7)
     assert V.tangency_residual() <= 1e-12
     assert np.max(V.norm_field()) == pytest.approx(0.3, rel=1e-12)
-    V2 = pf.random_tangent_section(phi, seed=7, amplitude=0.3)
+    V2 = pf.random_tangent_section(phi, seed=7)
     np.testing.assert_array_equal(V.values, V2.values)
