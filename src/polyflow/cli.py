@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .domain_grid import (
     GridSpec,
     build_grid,
@@ -93,7 +94,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         target_d = _need(data, "target", "config")
         _reject_unknown(target_d, {"c", "n", "model"}, "target")
         target = SpaceFormSpec(c=float(_need(target_d, "c", "target")),
-                               n=whole_number(_need(target_d, "n", "target"), "n"))
+                               n=_need(target_d, "n", "target"))
         if "model" in target_d and Model(target_d["model"]) is not target.model:
             raise ConfigError(
                 f"model {target_d['model']!r} contradicts curvature c={target.c}"
@@ -221,6 +222,12 @@ def run(config: ExperimentConfig) -> int:
         "action": config.action.value,
         "config": config.raw,
         "notes": notes,
+        "provenance": {
+            "polyflow_version": __version__,
+            "numpy_version": np.__version__,
+            "differentiation": config.grid.differentiation.value,
+            "grid_sizes": list(config.grid.sizes),
+        },
     }
     exit_code = 0
 
@@ -230,7 +237,8 @@ def run(config: ExperimentConfig) -> int:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         _write_trace(trace_path, trace)
         summary["flow"] = {"status": trace.status,
-                           "iterations": trace.rows[-1][0] if trace.rows else 0}
+                           "iterations": trace.rows[-1][0] if trace.rows else 0,
+                           "flow_time": math.fsum(trace.column("dt")[1:])}
         if trace.rows:
             frame = flow_frame(phi_final, config.flow)
             chain = TensionChain(phi_final, frame)

@@ -1,11 +1,13 @@
 """Gradient flows for the energy ladder, with Armijo backtracking.
 
 The descent direction for each flow is the corresponding tension-type
-field (tension, bitension, tritension): pairing it against itself in the
-first-variation formula gives a guaranteed energy decrease, so an accepted
-Armijo step can never increase the energy being flowed.  Steps move along
-target geodesics via the exponential map and the state is re-projected
-onto the model every step.
+field (tension, bitension, tritension).  Each step moves the state along
+that field band-limited to its visible spectrum (the Fourier modes the
+stability cap reads, per axis) and re-projected onto the tangent space; the
+first-variation formula pairs that step with the descent field, and an
+accepted Armijo step can never increase the energy being flowed.  Steps
+move along target geodesics via the exponential map and the state is
+re-projected onto the model every step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .domain_grid import (
     orthonormal_frame,
     whole_number,
 )
-from .errors import PolyflowError, StepUnderflow
+from .errors import DegenerateImmersion, PolyflowError, StepUnderflow
 from .pullback import MapField, Section, TensionChain
 
 __all__ = [
@@ -63,7 +65,8 @@ class MetricPolicy(str, Enum):
 _ENERGY_ORDER = {FlowKind.HARMONIC: 1, FlowKind.BIHARMONIC: 2, FlowKind.TRIHARMONIC: 3}
 
 # Spectral content of the descent field below this fraction of its largest
-# coefficient is ignored when estimating the stability cap.
+# coefficient lies outside its visible band: the stability cap ignores it and
+# the flow step does not move it.
 _CAP_VISIBILITY = 1e-6
 _DT_CEILING = 1e3
 
@@ -156,13 +159,17 @@ def flow_step(
     ``chain`` is the tension chain of ``(phi, frame)``, built here when not
     given; it supplies the descent field and the current energy.
     Returns ``(phi_next, accepted, chain_next)``, ``chain_next`` the
-    tension chain of ``(phi_next, frame)``.  The candidate is
-    exp_phi(dt * descent), re-projected onto the model; it is accepted iff
-    the flowed energy drops by at least armijo_c * dt * Int |descent|^2, up
-    to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
-    monotonicity contract) so the search cannot stall on energy differences
-    below evaluation roundoff.  On rejection the state and its chain are
-    returned unchanged.  The step size is :func:`run_flow`'s to choose.
+    tension chain of ``(phi_next, frame)``.  The step direction is the
+    descent field with every Fourier mode above its visible band zeroed
+    (see :func:`_visible_band`) and re-projected onto the tangent space, so
+    content the stability cap cannot see is never stepped and its roundoff
+    is never amplified.  The candidate is exp_phi(dt * step), re-projected
+    onto the model; it is accepted iff the flowed energy drops by at least
+    armijo_c * dt * Int <descent, step>, up to a relative float-resolution
+    slack (1e-13 |E|, well inside the 1e-12 monotonicity contract) so the
+    search cannot stall on energy differences below evaluation roundoff.
+    On rejection the state and its chain are returned unchanged.  The step
+    size is :func:`run_flow`'s to choose.
     """
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
@@ -173,16 +180,49 @@ def flow_step(
     if chain.sup_norm(k) == 0.0:
         return phi, True, chain
     e_now = chain.energy(k)
-    grad_sq = integrate(
-        phi.grid, frame, sf.inner(phi.spec, phi.values, descent.values, descent.values)
-    )
-    moved = sf.exp_map(phi.spec, phi.values, dt * descent.values)
+    step = _step_direction(phi, descent)
+    decrease = integrate(phi.grid, frame,
+                         sf.inner(phi.spec, phi.values, descent.values, step))
+    moved = sf.exp_map(phi.spec, phi.values, dt * step)
     candidate = MapField(values=sf.project_point(phi.spec, moved), grid=phi.grid,
                          spec=phi.spec)
     trial = TensionChain(candidate, frame)
-    if trial.energy(k) <= e_now - cfg.armijo_c * dt * grad_sq + 1e-13 * abs(e_now):
+    if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
         return candidate, True, trial
     return phi, False, chain
+
+
+def _visible_band(values: np.ndarray, grid: DomainGrid) -> list:
+    """Per node axis, ``(spectrum, band)``: the rfft of ``values`` along that
+    axis, and the largest mode index whose coefficient (the largest over the
+    other axes and the components) is at least _CAP_VISIBILITY of the
+    axis's largest.  Only modes a first derivative sees count, so the
+    Nyquist mode (wavenumber 0 in ``deriv``) never sets the band; a field
+    with no visible non-constant mode has band 0.  The stability cap and the
+    flow step both read the band from here."""
+    out = []
+    for axis in range(grid.dims):
+        spectrum = np.fft.rfft(values, axis=axis)
+        mag = np.abs(spectrum)
+        profile = mag.max(axis=tuple(i for i in range(mag.ndim) if i != axis))
+        top = profile.max()
+        visible = np.flatnonzero((profile >= _CAP_VISIBILITY * top)
+                                 & (grid._wavenumbers[axis] > 0.0))
+        band = int(visible[-1]) if top > 0.0 and visible.size else 0
+        out.append((spectrum, band))
+    return out
+
+
+def _step_direction(phi: MapField, descent: Section) -> np.ndarray:
+    """The descent field with every mode above its visible band zeroed, one
+    axis at a time, then projected onto the tangent space at ``phi``."""
+    values = descent.values
+    for axis, (spectrum, band) in enumerate(_visible_band(values, phi.grid)):
+        if axis > 0:  # transform the field already filtered along earlier axes
+            spectrum = np.fft.rfft(values, axis=axis)
+        spectrum[(slice(None),) * axis + (slice(band + 1, None),)] = 0.0
+        values = np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
+    return sf.project_tangent(phi.spec, phi.values, values)
 
 
 def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
@@ -207,28 +247,20 @@ def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
     (1 - dt k^p), p the operator order, so modes with dt k^p > 2 grow and
     the Armijo test only notices after they are baked into the state.  The
     cap is 1 / lambda_max with lambda_max estimated from the largest
-    wavenumber carrying at least _CAP_VISIBILITY of the field's spectrum
-    (frame coefficients bound the metric scaling).  Content below the
-    visibility cutoff is handled reactively: if it grows it becomes
-    visible, the cap drops, and one capped step annihilates it.  The cap
-    clips a trial only: :func:`run_flow` keeps Armijo's step memory
+    wavenumber per axis carrying at least _CAP_VISIBILITY of the field's
+    spectrum, its visible band (:func:`_visible_band`), scaled by the frame
+    coefficients, which bound the metric.  Content above the band is not
+    stepped: :func:`flow_step` moves the state along the descent field's
+    visible band only, so no step grows modes the cap does not resolve.
+    The cap clips a trial only: :func:`run_flow` keeps Armijo's step memory
     unchanged across an accepted capped step.
     """
     grid = frame.grid
     order = 2 * _ENERGY_ORDER[FlowKind(kind)]
     k_total = 0.0
-    for axis in range(grid.dims):
-        fh = np.abs(np.fft.rfft(descent.values, axis=axis))
-        reduce_axes = tuple(i for i in range(fh.ndim) if i != axis)
-        profile = fh.max(axis=reduce_axes)
-        top = profile.max()
-        if top <= 0.0:
-            continue
-        kmag = np.abs(grid._wavenumbers[axis])
-        visible = profile >= _CAP_VISIBILITY * top
-        k_axis = float(kmag[visible].max())
+    for axis, (_, band) in enumerate(_visible_band(descent.values, grid)):
         e_axis = float(np.max(np.abs(frame.e[..., :, axis])))
-        k_total += k_axis * e_axis
+        k_total += float(grid._wavenumbers[axis][band]) * e_axis
     if k_total <= 0.0:
         return _DT_CEILING
     return 1.0 / k_total**order
@@ -311,8 +343,14 @@ class ProbeVerdict:
     tolerance and its tension field vanishes to tolerance,
     "nonminimal-candidate" when it is triharmonic but carries tension
     (reported without interpretation), and "inconclusive" otherwise.
+    ``E`` is the state's energy and ``immersed`` whether its induced metric
+    passes :func:`induced_metric`'s guard: the vanishing theorem is about
+    isometric immersions, so a constant (E = 0) or non-immersed state gets a
+    caveat saying its classification does not test the theorem.
     """
 
+    E: float
+    immersed: bool
     sup_tau3: float
     etilde4: float
     l4_tension: float
@@ -381,7 +419,28 @@ def theorem_probe(
     else:
         classification = "inconclusive"
 
+    caveats = [
+        "compact periodic domain: every energy is finite by construction, "
+        "so finiteness and completeness hypotheses are modeled, not tested",
+        "flow status: " + trace.status,
+    ]
+    energy = chain.energy(1)
+    try:
+        induced_metric(phi)
+        immersed = True
+    except DegenerateImmersion:
+        immersed = False
+    if energy == 0.0:
+        caveats.append("the state is constant (E = 0), not an immersion: its "
+                       "classification does not test the vanishing theorem")
+    elif not immersed:
+        caveats.append("the state does not immerse: its classification does "
+                       "not test the vanishing theorem, which assumes an "
+                       "isometric immersion")
+
     return ProbeVerdict(
+        E=energy,
+        immersed=immersed,
         sup_tau3=sup_tau3,
         etilde4=chain.etilde4,
         l4_tension=chain.tension_lp(4.0),
@@ -392,9 +451,5 @@ def theorem_probe(
         cmc_coefficient_of_variation=cv,
         classification=classification,
         constancy_diagnostics=constancy,
-        caveats=[
-            "compact periodic domain: every energy is finite by construction, "
-            "so finiteness and completeness hypotheses are modeled, not tested",
-            "flow status: " + trace.status,
-        ],
+        caveats=caveats,
     )

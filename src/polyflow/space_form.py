@@ -22,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from .domain_grid import whole_number
 from .errors import DegeneratePoint
 
 __all__ = [
@@ -47,13 +48,15 @@ class SpaceFormSpec:
     """Target space form: curvature ``c`` and dimension ``n``.
 
     The model is forced by the sign of ``c``; ``ambient_dim`` is ``n`` for
-    the flat model and ``n + 1`` otherwise.
+    the flat model and ``n + 1`` otherwise.  ``n`` must be a whole number
+    (2.0 is stored as 2; 2.5 is a ValueError, never truncated).
     """
 
     c: float
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", whole_number(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if not np.isfinite(self.c):

@@ -1,12 +1,14 @@
 """Config parsing, experiment runner, output formats, exit codes."""
 
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyflow
 from polyflow.cli import load_config, main, parse_config, run
 from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig, FlowTrace
@@ -247,6 +249,34 @@ def test_run_flow_writes_trace(tmp_path):
     assert summary["probe"]["classification"] == "minimal"
 
 
+@pytest.mark.parametrize("max_iters, immersed", [(5, True), (20, False)])
+def test_flow_summary_time_provenance_and_probe(tmp_path, max_iters, immersed):
+    # flow_time is the sum of the accepted steps in the trace.  The
+    # biharmonic flow shrinks a hyperbolic circle: after 5 steps it still
+    # immerses, after 20 it has collapsed to a near-constant map, and the
+    # probe says its verdict does not test the theorem
+    data = base_config(tmp_path / "ft", action="Flow")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 1.0}}
+    data["flow"] = {"kind": "Biharmonic", "max_iters": max_iters, "grad_tol": 1e-12}
+    assert run(parse_config(data)) == 0
+    summary = json.loads((tmp_path / "ft_summary.json").read_text())
+    rows = (tmp_path / "ft_trace.csv").read_text().splitlines()[2:]
+    dts = [float(line.split(",")[TRACE_HEADER.split(",").index("dt")]) for line in rows]
+    assert summary["flow"]["flow_time"] == math.fsum(dts) > 0.0
+    assert summary["provenance"] == {
+        "polyflow_version": polyflow.__version__,
+        "numpy_version": np.__version__,
+        "differentiation": "Spectral",
+        "grid_sizes": [64],
+    }
+    probe = summary["probe"]
+    assert probe["immersed"] is immersed
+    assert probe["E"] == summary["energies"]["E"] > 0.0
+    hypothesis = [c for c in probe["caveats"] if "does not immerse" in c]
+    assert len(hypothesis) == (0 if immersed else 1)
+
+
 def test_run_flow_degenerate_writes_outputs(tmp_path):
     prefix = tmp_path / "deg"
     data = base_config(prefix, action="Flow")
@@ -274,7 +304,7 @@ def test_run_flow_degenerate_at_step_0_writes_outputs(tmp_path):
     trace_lines = (tmp_path / "deg0_trace.csv").read_text().splitlines()
     assert trace_lines == [TRACE_HEADER]
     summary = json.loads((tmp_path / "deg0_summary.json").read_text())
-    assert summary["flow"] == {"status": "degenerate", "iterations": 0}
+    assert summary["flow"] == {"status": "degenerate", "iterations": 0, "flow_time": 0.0}
     assert any("ReInduceEachStep" in note for note in summary["notes"])
     assert "probe" not in summary and "energies" not in summary
 
@@ -291,18 +321,28 @@ def test_run_flow_nonfinite_at_step_0_writes_outputs(tmp_path):
     trace_lines = (tmp_path / "nf_trace.csv").read_text().splitlines()
     assert trace_lines == [TRACE_HEADER]
     summary = json.loads((tmp_path / "nf_summary.json").read_text())
-    assert summary["flow"] == {"status": "nonfinite", "iterations": 0}
+    assert summary["flow"] == {"status": "nonfinite", "iterations": 0, "flow_time": 0.0}
     assert any("not finite" in note for note in summary["notes"])
     assert "probe" not in summary and "energies" not in summary
 
 
 def test_run_deterministic_outputs(tmp_path):
+    # summaries and traces carry no timing: two runs write the same bytes
     a = parse_config(base_config(tmp_path / "a", action="Audit"))
     b = parse_config(base_config(tmp_path / "b", action="Audit"))
     assert run(a) == 0 and run(b) == 0
     sa = (tmp_path / "a_summary.json").read_text()
     sb = (tmp_path / "b_summary.json").read_text()
     assert sa.replace(str(tmp_path / "a"), "X") == sb.replace(str(tmp_path / "b"), "X")
+    outputs = []
+    for name in ("fa", "fb"):
+        data = base_config(tmp_path / name, action="Flow")
+        data["flow"] = {"kind": "Harmonic", "max_iters": 10}
+        assert run(parse_config(data)) == 0
+        outputs.append([(tmp_path / f"{name}_{kind}").read_text()
+                        .replace(str(tmp_path / name), "X")
+                        for kind in ("summary.json", "trace.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_summary_floats_round_trip(tmp_path):

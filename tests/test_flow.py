@@ -119,6 +119,50 @@ def test_stability_cap_ignores_nyquist(flat_circle):
                                                                          rel=1e-6)
 
 
+def test_step_direction_drops_modes_above_the_visible_band(flat_circle):
+    # content at k = 4 is kept; content at k = 40, 1e-8 of it, lies below
+    # the visibility cutoff and is removed down to transform roundoff.  In
+    # a flat target every vector is tangent; see the H^2 test for tangency
+    s = flat_circle.grid.axes[0]
+    low = np.stack([np.cos(4 * s), np.sin(4 * s)], -1)
+    high = 1e-8 * np.stack([np.sin(40 * s), np.cos(40 * s)], -1)
+    step = flow_module._step_direction(flat_circle,
+                                       pf.Section(values=low + high, base=flat_circle))
+    assert np.max(np.abs(step - low)) <= 1e-12
+    coeffs = np.abs(np.fft.rfft(step, axis=0))
+    assert np.max(coeffs[40]) <= 1e-14 * np.max(coeffs[4])  # input: 1e-8
+
+
+def test_step_direction_is_tangent_in_h2():
+    # band-limiting a tangent field moves it slightly off the tangent
+    # space; the step is projected back
+    phi = small_h2_perturbation(amplitude=0.05, k=3)
+    descent = pf.descent_field(phi, frame_for(phi, induced=False), "Triharmonic")
+    step = flow_module._step_direction(phi, descent)
+    normal = sf.ambient_form(phi.spec, phi.values, step)
+    assert np.max(np.abs(normal)) <= 1e-13 * np.max(np.abs(step))
+    assert np.max(np.abs(step - descent.values)) <= 1e-6 * np.max(np.abs(step))
+
+
+def test_band_limited_flow_keeps_the_cap_up():
+    # modes above the visible band are not stepped, so their roundoff never
+    # grows into view and the cap never collapses for a step to kill it
+    cfg = pf.FlowConfig(kind="Triharmonic", max_iters=300, grad_tol=1e-12)
+    _, trace = pf.run_flow(small_h2_perturbation(), cfg)
+    assert len(trace.rows) == 301
+    assert min(trace.column("dt_cap")[1:]) >= 1e-8
+
+
+def test_probe_flags_constant_state():
+    # the constant map is triharmonic and "minimal", but not an immersion
+    phi = small_h2_perturbation(amplitude=0.0)
+    _, trace = pf.run_flow(phi, pf.FlowConfig(kind="Triharmonic"))
+    probe = pf.theorem_probe(phi, trace, frame_for(phi, induced=False))
+    assert probe.classification == "minimal"
+    assert probe.E == 0.0 and probe.immersed is False
+    assert any("constant (E = 0)" in c for c in probe.caveats)
+
+
 def test_triharmonic_flow_converges_small():
     phi0 = small_h2_perturbation()
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=60000, grad_tol=1e-8)
@@ -284,9 +328,27 @@ def test_run_flow_nonfinite_keeps_partial_trace(monkeypatch):
     assert phi is entered[2]
 
 
+def band_limit(values):
+    """Along each node axis in turn, zero every Fourier mode above the
+    largest one whose coefficient (largest over the other axes and the
+    components) reaches 1e-6 of the largest; the mean and Nyquist modes
+    never set that band."""
+    for axis, n in enumerate(values.shape[:-1]):
+        mode = np.arange(n // 2 + 1)
+        coeffs = np.moveaxis(np.abs(np.fft.rfft(values, axis=axis)), axis, 0)
+        profile = coeffs.reshape(mode.size, -1).max(axis=1)
+        seen = (profile >= 1e-6 * profile.max()) & (mode > 0) & (2 * mode != n)
+        keep = mode <= (mode[seen].max() if seen.any() else 0)
+        keep = keep.reshape((-1,) + (1,) * (values.ndim - axis - 1))
+        values = np.fft.irfft(np.where(keep, np.fft.rfft(values, axis=axis), 0.0),
+                              n=n, axis=axis)
+    return values
+
+
 def reference_flow(phi0, cfg):
     """run_flow as a plain loop: every energy and descent field from a fresh
-    tension chain, the Armijo trial read once projected (by exp_map) and the
+    tension chain, the step the band-limited descent projected onto the
+    tangent space, the Armijo trial read once projected (by exp_map) and the
     accepted state projected once more."""
     k = {"Harmonic": 1, "Biharmonic": 2, "Triharmonic": 3}[cfg.kind.value]
     reinduce = cfg.metric_policy is pf.MetricPolicy.REINDUCE_EACH_STEP
@@ -308,12 +370,13 @@ def reference_flow(phi0, cfg):
         cap = stability_cap(descent, frame, cfg.kind)
         dt_used = min(dt, cap)
         e_now = pf.energy_k(phi, frame, k)
-        grad_sq = pf.integrate(phi.grid, frame, sf.inner(
-            phi.spec, phi.values, descent.values, descent.values))
+        step = sf.project_tangent(phi.spec, phi.values, band_limit(descent.values))
+        decrease = pf.integrate(phi.grid, frame, sf.inner(
+            phi.spec, phi.values, descent.values, step))
         candidate = pf.MapField(
-            sf.exp_map(phi.spec, phi.values, dt_used * descent.values), phi.grid, phi.spec)
+            sf.exp_map(phi.spec, phi.values, dt_used * step), phi.grid, phi.spec)
         if (pf.energy_k(candidate, frame, k)
-                <= e_now - cfg.armijo_c * dt_used * grad_sq + 1e-13 * abs(e_now)):
+                <= e_now - cfg.armijo_c * dt_used * decrease + 1e-13 * abs(e_now)):
             if dt_used >= dt:  # a capped step keeps dt
                 dt = min(dt_used / cfg.shrink, 1e3)
             candidate.values = sf.project_point(phi.spec, candidate.values)

@@ -33,6 +33,14 @@ def test_spec_models():
     assert HYP.model is sf.Model.HYPERBOLOID and HYP.ambient_dim == 3
 
 
+def test_spec_dimension_is_a_whole_number():
+    spec = sf.SpaceFormSpec(1.0, 2.0)
+    assert spec.n == 2 and isinstance(spec.n, int) and spec.ambient_dim == 3
+    for n in (2.0000001, 2.5, "2"):
+        with pytest.raises(ValueError, match="whole number"):
+            sf.SpaceFormSpec(1.0, n)
+
+
 def test_project_point_flat_identity():
     out = sf.project_point(FLAT, np.array([3.0, 4.0]))
     np.testing.assert_array_equal(out, [3.0, 4.0])
