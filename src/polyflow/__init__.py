@@ -28,7 +28,6 @@ from .flow import (
     FlowTrace,
     MetricPolicy,
     ProbeVerdict,
-    descent_field,
     flow_step,
     run_flow,
     theorem_probe,

@@ -1,13 +1,16 @@
 """Gradient flows for the energy ladder, with Armijo backtracking.
 
 The descent direction for each flow is the corresponding tension-type
-field (tension, bitension, tritension).  Each step moves the state along
-that field band-limited to its visible spectrum (the Fourier modes the
-stability cap reads, per axis) and re-projected onto the tangent space; the
-first-variation formula pairs that step with the descent field, and an
+field (tension, bitension, tritension).  Each Armijo trial
+(:func:`flow_step`) reads the descent field's visible band once per axis
+(the Fourier modes at least _CAP_VISIBILITY of the axis's largest) and
+takes from it both the step, the band-limited descent re-projected onto
+the tangent space, and the stability cap; it tries ``min(dt, cap)``.  The
+first-variation formula pairs the step with the descent field, so an
 accepted Armijo step can never increase the energy being flowed.  Steps
 move along target geodesics via the exponential map and the state is
-re-projected onto the model every step.
+re-projected onto the model every step.  :func:`run_flow` owns Armijo's
+step memory ``dt``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +41,10 @@ __all__ = [
     "FlowConfig",
     "FlowTrace",
     "ProbeVerdict",
-    "descent_field",
+    "Trial",
     "flow_frame",
     "flow_step",
     "run_flow",
-    "stability_cap",
     "theorem_probe",
 ]
 
@@ -142,9 +145,16 @@ class FlowTrace:
         return [v for v, dt in zip(self.column(name), self.column("dt")) if dt > 0.0]
 
 
-def descent_field(phi: MapField, frame: FrameField, kind: FlowKind) -> Section:
-    """Steepest-descent direction of the flowed energy: tau, tau2 or tau3."""
-    return TensionChain(phi, frame).field(_ENERGY_ORDER[FlowKind(kind)])
+class Trial(NamedTuple):
+    """One Armijo trial: the state it leaves (the candidate if accepted,
+    else the state it started from) and that state's tension chain, the
+    step size it tried and the stability cap that bounded it."""
+
+    phi: MapField
+    accepted: bool
+    chain: TensionChain
+    dt: float
+    cap: float
 
 
 def flow_step(
@@ -153,34 +163,31 @@ def flow_step(
     cfg: FlowConfig,
     dt: float,
     chain: TensionChain = None,
-):
-    """One Armijo trial step.
+) -> Trial:
+    """One Armijo trial at ``min(dt, cap)``, ``dt`` being the caller's step.
 
     ``chain`` is the tension chain of ``(phi, frame)``, built here when not
-    given; it supplies the descent field and the current energy.
-    Returns ``(phi_next, accepted, chain_next)``, ``chain_next`` the
-    tension chain of ``(phi_next, frame)``.  The step direction is the
-    descent field with every Fourier mode above its visible band zeroed
-    (see :func:`_visible_band`) and re-projected onto the tangent space, so
-    content the stability cap cannot see is never stepped and its roundoff
-    is never amplified.  The candidate is exp_phi(dt * step), re-projected
-    onto the model; it is accepted iff the flowed energy drops by at least
-    armijo_c * dt * Int <descent, step>, up to a relative float-resolution
-    slack (1e-13 |E|, well inside the 1e-12 monotonicity contract) so the
-    search cannot stall on energy differences below evaluation roundoff.
-    On rejection the state and its chain are returned unchanged.  The step
-    size is :func:`run_flow`'s to choose.
+    given; it supplies the descent field and the current energy.  The step
+    direction and the stability cap both come from the descent field's
+    visible band (:func:`_visible_step`).  The candidate is
+    exp_phi(dt * step), re-projected onto the model; it is accepted iff the
+    flowed energy drops by at least armijo_c * dt * Int <descent, step>, up
+    to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
+    monotonicity contract) so the search cannot stall on energy differences
+    below evaluation roundoff.  On rejection the state and its chain are
+    returned unchanged.  Choosing the next ``dt`` is :func:`run_flow`'s.
     """
-    if dt < DT_FLOOR:
-        raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
     if chain is None:
         chain = TensionChain(phi, frame)
     k = _ENERGY_ORDER[cfg.kind]
     descent = chain.field(k)
+    step, cap = _visible_step(descent, frame, cfg.kind)
+    dt = min(dt, cap)
+    if dt < DT_FLOOR:
+        raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
     if chain.sup_norm(k) == 0.0:
-        return phi, True, chain
+        return Trial(phi, True, chain, dt, cap)
     e_now = chain.energy(k)
-    step = _step_direction(phi, descent)
     decrease = integrate(phi.grid, frame,
                          sf.inner(phi.spec, phi.values, descent.values, step))
     moved = sf.exp_map(phi.spec, phi.values, dt * step)
@@ -188,41 +195,52 @@ def flow_step(
                          spec=phi.spec)
     trial = TensionChain(candidate, frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
-        return candidate, True, trial
-    return phi, False, chain
+        return Trial(candidate, True, trial, dt, cap)
+    return Trial(phi, False, chain, dt, cap)
 
 
-def _visible_band(values: np.ndarray, grid: DomainGrid) -> list:
-    """Per node axis, ``(spectrum, band)``: the rfft of ``values`` along that
-    axis, and the largest mode index whose coefficient (the largest over the
-    other axes and the components) is at least _CAP_VISIBILITY of the
-    axis's largest.  Only modes a first derivative sees count, so the
-    Nyquist mode (wavenumber 0 in ``deriv``) never sets the band; a field
-    with no visible non-constant mode has band 0.  The stability cap and the
-    flow step both read the band from here."""
-    out = []
+def _visible_step(descent: Section, frame: FrameField, kind: FlowKind) -> tuple:
+    """``(step, cap)``, both read from the descent field's visible band.
+
+    Per node axis, the band is the largest mode index whose coefficient in
+    the rfft of ``descent`` (the largest over the other axes and the
+    components) is at least _CAP_VISIBILITY of the axis's largest.  Only
+    modes a first derivative sees count, so the Nyquist mode (wavenumber 0
+    in ``deriv``) never sets it; a field with no visible non-constant mode
+    has band 0.  Every band is read from the unfiltered descent.
+
+    ``step`` is the descent with every mode above its band zeroed, one axis
+    at a time, projected onto the tangent space, so content the cap cannot
+    see is never stepped and its roundoff is never amplified.
+
+    ``cap`` is the largest explicitly stable step for that band.  An
+    explicit step multiplies a mode of wavenumber q by roughly
+    (1 - dt q^p), p the operator order, so modes with dt q^p > 2 grow, and
+    the Armijo test only notices once they are baked into the state.  The
+    cap is 1 / lambda_max, lambda_max estimated from each axis's band
+    wavenumber scaled by the frame coefficients, which bound the metric.
+    """
+    phi, grid = descent.base, frame.grid
+    values = descent.values
+    k_total = 0.0
     for axis in range(grid.dims):
-        spectrum = np.fft.rfft(values, axis=axis)
+        spectrum = np.fft.rfft(descent.values, axis=axis)
         mag = np.abs(spectrum)
         profile = mag.max(axis=tuple(i for i in range(mag.ndim) if i != axis))
         top = profile.max()
         visible = np.flatnonzero((profile >= _CAP_VISIBILITY * top)
                                  & (grid._wavenumbers[axis] > 0.0))
         band = int(visible[-1]) if top > 0.0 and visible.size else 0
-        out.append((spectrum, band))
-    return out
-
-
-def _step_direction(phi: MapField, descent: Section) -> np.ndarray:
-    """The descent field with every mode above its visible band zeroed, one
-    axis at a time, then projected onto the tangent space at ``phi``."""
-    values = descent.values
-    for axis, (spectrum, band) in enumerate(_visible_band(values, phi.grid)):
+        e_axis = float(np.max(np.abs(frame.e[..., :, axis])))
+        k_total += float(grid._wavenumbers[axis][band]) * e_axis
         if axis > 0:  # transform the field already filtered along earlier axes
             spectrum = np.fft.rfft(values, axis=axis)
         spectrum[(slice(None),) * axis + (slice(band + 1, None),)] = 0.0
         values = np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
-    return sf.project_tangent(phi.spec, phi.values, values)
+    step = sf.project_tangent(phi.spec, phi.values, values)
+    if k_total <= 0.0:
+        return step, _DT_CEILING
+    return step, 1.0 / k_total ** (2 * _ENERGY_ORDER[FlowKind(kind)])
 
 
 def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
@@ -240,32 +258,6 @@ def _trace_metrics(chain: TensionChain) -> tuple:
             chain.tension_lp(4.0), chain.sup_norm(1))
 
 
-def stability_cap(descent: Section, frame: FrameField, kind: FlowKind) -> float:
-    """Largest explicitly stable step for the visible descent spectrum.
-
-    An explicit step multiplies a descent mode of wavenumber k by roughly
-    (1 - dt k^p), p the operator order, so modes with dt k^p > 2 grow and
-    the Armijo test only notices after they are baked into the state.  The
-    cap is 1 / lambda_max with lambda_max estimated from the largest
-    wavenumber per axis carrying at least _CAP_VISIBILITY of the field's
-    spectrum, its visible band (:func:`_visible_band`), scaled by the frame
-    coefficients, which bound the metric.  Content above the band is not
-    stepped: :func:`flow_step` moves the state along the descent field's
-    visible band only, so no step grows modes the cap does not resolve.
-    The cap clips a trial only: :func:`run_flow` keeps Armijo's step memory
-    unchanged across an accepted capped step.
-    """
-    grid = frame.grid
-    order = 2 * _ENERGY_ORDER[FlowKind(kind)]
-    k_total = 0.0
-    for axis, (_, band) in enumerate(_visible_band(descent.values, grid)):
-        e_axis = float(np.max(np.abs(frame.e[..., :, axis])))
-        k_total += float(grid._wavenumbers[axis][band]) * e_axis
-    if k_total <= 0.0:
-        return _DT_CEILING
-    return 1.0 / k_total**order
-
-
 def run_flow(phi0: MapField, cfg: FlowConfig):
     """Iterate Armijo steps until sup |descent| <= grad_tol or max_iters.
 
@@ -276,11 +268,11 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     then its trace row is recorded from its tension chain.  On an unchanged
     frame that is the chain the Armijo trial built for it.
 
-    Each trial tries ``min(dt, stability_cap)``, ``dt`` being Armijo's step
-    memory, which only this loop changes: an accepted trial the cap did not
-    clip sets it to the step over ``shrink``, a rejected trial to the step
-    times ``shrink`` (both at most ``_DT_CEILING``), and an accepted capped
-    trial leaves it unchanged.
+    Each trial is one :func:`flow_step` at Armijo's step memory ``dt``,
+    which only this loop changes: an accepted trial the cap did not clip
+    sets it to the step over ``shrink``, a rejected trial to the step times
+    ``shrink`` (both at most ``_DT_CEILING``), and an accepted capped trial
+    leaves it unchanged.
 
     Returns ``(phi_final, trace)``; a step-size underflow is reported as
     ``trace.status == "stalled"``, a state that cannot be projected or
@@ -300,10 +292,8 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     for it in range(cfg.max_iters + 1):
         try:
             if it > 0:
-                cap = stability_cap(descent, frame, cfg.kind)
-                dt_used = min(dt, cap)
-                candidate, accepted, chain = flow_step(phi, frame, cfg, dt_used,
-                                                       chain=chain)
+                candidate, accepted, chain, dt_used, cap = flow_step(
+                    phi, frame, cfg, dt, chain=chain)
                 if not accepted:
                     dt = min(dt_used * cfg.shrink, _DT_CEILING)
                     trace.rows.append((it, *row, 0.0, cap))
@@ -313,7 +303,6 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
             if frame is None or reinduce:
                 frame = flow_frame(candidate, cfg)
                 chain = TensionChain(candidate, frame)
-            descent = chain.field(k)
             sup_descent = chain.sup_norm(k)
             row = (*_trace_metrics(chain), sup_descent)
         except StepUnderflow:

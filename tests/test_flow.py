@@ -10,7 +10,7 @@ import polyflow as pf
 from polyflow import flow as flow_module
 from polyflow import space_form as sf
 from polyflow.errors import StepUnderflow
-from polyflow.flow import flow_frame, stability_cap
+from polyflow.flow import _visible_step, flow_frame
 
 from conftest import frame_for
 
@@ -28,8 +28,8 @@ def small_h2_perturbation(n=64, amplitude=0.02, k=2):
 def test_descent_field_matches_tension_fields(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     tau = pf.tension(flat_circle, frame)
-    d1 = pf.descent_field(flat_circle, frame, "Harmonic")
-    d3 = pf.descent_field(flat_circle, frame, "Triharmonic")
+    chain = pf.TensionChain(flat_circle, frame)
+    d1, d3 = chain.field(1), chain.field(3)
     assert np.max(np.abs(d1.values - tau.values)) == 0.0
     assert np.max(np.abs(d3.values - tau.values)) <= 1e-11  # tau3 = tau at r=1
 
@@ -37,9 +37,9 @@ def test_descent_field_matches_tension_fields(flat_circle):
 def test_descent_field_geodesic_zero(circle_grid):
     phi = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
     frame = frame_for(phi, induced=False)
-    for kind in ("Harmonic", "Biharmonic", "Triharmonic"):
-        d = pf.descent_field(phi, frame, kind)
-        assert np.max(d.norm_field()) <= 1e-9
+    chain = pf.TensionChain(phi, frame)
+    for k in (1, 2, 3):
+        assert np.max(chain.field(k).norm_field()) <= 1e-9
 
 
 def test_flow_step_zero_descent_fixed_point(circle_grid):
@@ -47,27 +47,29 @@ def test_flow_step_zero_descent_fixed_point(circle_grid):
                          circle_grid, pf.SpaceFormSpec(-1.0, 2))
     frame = frame_for(phi, induced=False)
     cfg = pf.FlowConfig(kind="Triharmonic")
-    out, accepted, _ = pf.flow_step(phi, frame, cfg, 1e-3)
-    assert accepted
-    assert out is phi
+    trial = pf.flow_step(phi, frame, cfg, 1e-3)
+    assert trial.accepted
+    assert trial.phi is phi
 
 
 def test_flow_step_armijo_reject_shrinks(flat_circle):
     frame = frame_for(flat_circle, induced=False)
-    cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5)
-    # enormous step overshoots: energy increases, trial rejected
-    out, accepted, _ = pf.flow_step(flat_circle, frame, cfg, 50.0)
-    assert not accepted
-    assert out is flat_circle
+    cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=0.99999)
+    # the cap clips dt = 50 to 1, where the unit circle's energy drops by pi
+    # (half the first-order prediction), short of the Armijo bound
+    trial = pf.flow_step(flat_circle, frame, cfg, 50.0)
+    assert trial.dt == trial.cap == pytest.approx(1.0, rel=1e-12)
+    assert not trial.accepted
+    assert trial.phi is flat_circle
 
 
 def test_flow_step_accept_grows(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=1e-4)
-    out, accepted, _ = pf.flow_step(flat_circle, frame, cfg, 1e-3)
-    assert accepted
-    frame2 = frame_for(out, induced=False)
-    assert pf.energy_k(out, frame2, 1) < pf.energy_k(flat_circle, frame, 1)
+    trial = pf.flow_step(flat_circle, frame, cfg, 1e-3)
+    assert trial.accepted and trial.dt == 1e-3
+    frame2 = frame_for(trial.phi, induced=False)
+    assert pf.energy_k(trial.phi, frame2, 1) < pf.energy_k(flat_circle, frame, 1)
 
 
 def test_flow_step_underflow(flat_circle):
@@ -97,14 +99,14 @@ def test_run_flow_geodesic_immediate(circle_grid):
 def test_stability_cap_scales_with_content(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     tau = pf.tension(flat_circle, frame)  # pure wavenumber 1
-    cap1 = stability_cap(tau, frame, "Triharmonic")
+    _, cap1 = _visible_step(tau, frame, "Triharmonic")
     assert cap1 == pytest.approx(1.0, rel=1e-6)
     s = flat_circle.grid.axes[0]
     wobble = pf.Section(
         values=tau.values + 0.001 * np.stack([np.sin(4 * s), np.cos(4 * s)], -1),
         base=flat_circle,
     )
-    cap4 = stability_cap(wobble, frame, "Triharmonic")
+    _, cap4 = _visible_step(wobble, frame, "Triharmonic")
     assert cap4 == pytest.approx(4.0**-6, rel=1e-6)
 
 
@@ -115,8 +117,8 @@ def test_stability_cap_ignores_nyquist(flat_circle):
     n = s.size
     nyquist = pf.Section(values=np.stack([np.cos(n // 2 * s), np.sin(4 * s)], -1),
                          base=flat_circle)
-    assert stability_cap(nyquist, frame, "Triharmonic") == pytest.approx(4.0**-6,
-                                                                         rel=1e-6)
+    _, cap = _visible_step(nyquist, frame, "Triharmonic")
+    assert cap == pytest.approx(4.0**-6, rel=1e-6)
 
 
 def test_step_direction_drops_modes_above_the_visible_band(flat_circle):
@@ -126,8 +128,8 @@ def test_step_direction_drops_modes_above_the_visible_band(flat_circle):
     s = flat_circle.grid.axes[0]
     low = np.stack([np.cos(4 * s), np.sin(4 * s)], -1)
     high = 1e-8 * np.stack([np.sin(40 * s), np.cos(40 * s)], -1)
-    step = flow_module._step_direction(flat_circle,
-                                       pf.Section(values=low + high, base=flat_circle))
+    step, _ = _visible_step(pf.Section(values=low + high, base=flat_circle),
+                            frame_for(flat_circle, induced=False), "Triharmonic")
     assert np.max(np.abs(step - low)) <= 1e-12
     coeffs = np.abs(np.fft.rfft(step, axis=0))
     assert np.max(coeffs[40]) <= 1e-14 * np.max(coeffs[4])  # input: 1e-8
@@ -137,8 +139,9 @@ def test_step_direction_is_tangent_in_h2():
     # band-limiting a tangent field moves it slightly off the tangent
     # space; the step is projected back
     phi = small_h2_perturbation(amplitude=0.05, k=3)
-    descent = pf.descent_field(phi, frame_for(phi, induced=False), "Triharmonic")
-    step = flow_module._step_direction(phi, descent)
+    frame = frame_for(phi, induced=False)
+    descent = pf.TensionChain(phi, frame).field(3)
+    step, _ = _visible_step(descent, frame, "Triharmonic")
     normal = sf.ambient_form(phi.spec, phi.values, step)
     assert np.max(np.abs(normal)) <= 1e-13 * np.max(np.abs(step))
     assert np.max(np.abs(step - descent.values)) <= 1e-6 * np.max(np.abs(step))
@@ -245,12 +248,13 @@ def test_probe_geodesic_minimal(circle_grid):
 def test_capped_step_keeps_step_memory(monkeypatch):
     # the cap binds on the third trial only: the fourth resumes from the
     # step memory of before it, not from the cap, and unclipped steps double
-    cap, trial = flow_module.stability_cap, itertools.count(1)
+    trial = itertools.count(1)
 
     def cap_third_trial(descent, frame, kind):
-        return 1e-9 if next(trial) == 3 else cap(descent, frame, kind)
+        step, cap = _visible_step(descent, frame, kind)
+        return step, 1e-9 if next(trial) == 3 else cap
 
-    monkeypatch.setattr(flow_module, "stability_cap", cap_third_trial)
+    monkeypatch.setattr(flow_module, "_visible_step", cap_third_trial)
     dt0 = 1e-7
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=5, grad_tol=1e-12, dt0=dt0)
     _, trace = pf.run_flow(small_h2_perturbation(), cfg)
@@ -328,27 +332,48 @@ def test_run_flow_nonfinite_keeps_partial_trace(monkeypatch):
     assert phi is entered[2]
 
 
-def band_limit(values):
-    """Along each node axis in turn, zero every Fourier mode above the
-    largest one whose coefficient (largest over the other axes and the
-    components) reaches 1e-6 of the largest; the mean and Nyquist modes
-    never set that band."""
+def visible_bands(values):
+    """Per node axis, the largest Fourier mode whose coefficient (largest
+    over the other axes and the components) reaches 1e-6 of the largest;
+    the mean and Nyquist modes never set it, and it is 0 when no other mode
+    does."""
+    bands = []
     for axis, n in enumerate(values.shape[:-1]):
         mode = np.arange(n // 2 + 1)
         coeffs = np.moveaxis(np.abs(np.fft.rfft(values, axis=axis)), axis, 0)
         profile = coeffs.reshape(mode.size, -1).max(axis=1)
-        seen = (profile >= 1e-6 * profile.max()) & (mode > 0) & (2 * mode != n)
-        keep = mode <= (mode[seen].max() if seen.any() else 0)
+        seen = ((profile >= 1e-6 * profile.max()) & (profile > 0.0) & (mode > 0)
+                & (2 * mode != n))
+        bands.append(int(mode[seen].max()) if seen.any() else 0)
+    return bands
+
+
+def band_limit(values, bands):
+    """Along each node axis in turn, zero every Fourier mode above its band."""
+    for axis, band in enumerate(bands):
+        n = values.shape[axis]
+        keep = np.arange(n // 2 + 1) <= band
         keep = keep.reshape((-1,) + (1,) * (values.ndim - axis - 1))
         values = np.fft.irfft(np.where(keep, np.fft.rfft(values, axis=axis), 0.0),
                               n=n, axis=axis)
     return values
 
 
+def reference_cap(bands, frame, k):
+    """1 / (sum_a band_a max |e[..., :, a]|)^(2k), at most 1e3: the explicit
+    stability edge of the bands on 2 pi-periodic axes, where mode m has
+    wavenumber m."""
+    total = 0.0
+    for axis, band in enumerate(bands):
+        total += band * float(np.max(np.abs(frame.e[..., :, axis])))
+    return 1.0 / total ** (2 * k) if total > 0.0 else 1e3
+
+
 def reference_flow(phi0, cfg):
     """run_flow as a plain loop: every energy and descent field from a fresh
-    tension chain, the step the band-limited descent projected onto the
-    tangent space, the Armijo trial read once projected (by exp_map) and the
+    tension chain, the cap and the band limit from its own band reading,
+    the step the band-limited descent projected onto the tangent space, the
+    Armijo trial read once projected (by exp_map) and the
     accepted state projected once more."""
     k = {"Harmonic": 1, "Biharmonic": 2, "Triharmonic": 3}[cfg.kind.value]
     reinduce = cfg.metric_policy is pf.MetricPolicy.REINDUCE_EACH_STEP
@@ -357,7 +382,7 @@ def reference_flow(phi0, cfg):
 
     def enter(state):
         report = pf.energy_report(state, frame)
-        descent = pf.descent_field(state, frame, cfg.kind)
+        descent = pf.TensionChain(state, frame).field(k)
         return descent, (report.E, report.E2, report.E3, report.Etilde4,
                          report.Lp_tension[4.0], report.sup_tau,
                          float(np.max(descent.norm_field())))
@@ -367,10 +392,12 @@ def reference_flow(phi0, cfg):
     for it in range(1, cfg.max_iters + 1):
         if row[-1] <= cfg.grad_tol:
             break
-        cap = stability_cap(descent, frame, cfg.kind)
+        bands = visible_bands(descent.values)
+        cap = reference_cap(bands, frame, k)
         dt_used = min(dt, cap)
         e_now = pf.energy_k(phi, frame, k)
-        step = sf.project_tangent(phi.spec, phi.values, band_limit(descent.values))
+        step = sf.project_tangent(phi.spec, phi.values,
+                                  band_limit(descent.values, bands))
         decrease = pf.integrate(phi.grid, frame, sf.inner(
             phi.spec, phi.values, descent.values, step))
         candidate = pf.MapField(

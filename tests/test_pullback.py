@@ -7,7 +7,7 @@ import polyflow as pf
 from polyflow import space_form as sf
 from polyflow.domain_grid import DomainGrid, scalar_laplacian
 from polyflow.errors import DegenerateImmersion, NotIsometric
-from polyflow.flow import _trace_metrics, stability_cap
+from polyflow.flow import _trace_metrics
 from polyflow.pullback import Section, TensionChain, tritension_space_form
 
 from conftest import build_fixture, builtin_fixture_set, frame_for
@@ -580,21 +580,33 @@ def test_flow_iteration_deriv_count(monkeypatch):
     frame = frame_for(phi, induced=False)
     cfg = pf.FlowConfig(kind="Triharmonic")
     chain = TensionChain(phi, frame)
-    descent = chain.field(3)
+    chain.field(3)
     _trace_metrics(chain)
-    dt = min(cfg.initial_dt(grid), stability_cap(descent, frame, cfg.kind))
 
-    calls = []
-    deriv = DomainGrid.deriv
+    calls, transforms = [], []
+    deriv, rfft = DomainGrid.deriv, np.fft.rfft
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         return deriv(self, *args, **kwargs)
 
+    def counting_rfft(*args, **kwargs):
+        transforms.append(1)
+        return rfft(*args, **kwargs)
+
     monkeypatch.setattr(DomainGrid, "deriv", counting)
-    phi_next, accepted, nxt = pf.flow_step(phi, frame, cfg, dt, chain=chain)
-    assert accepted
+    trial = pf.flow_step(phi, frame, cfg, cfg.initial_dt(grid), chain=chain)
+    assert trial.accepted
+    nxt = trial.chain
     nxt.field(3)
     _trace_metrics(nxt)
     nxt.energy(3)
     assert len(calls) <= 6
+
+    # over a whole flow, each trial reads the descent's visible band with
+    # one rfft beyond those of its derivatives
+    trials = 10
+    calls.clear()
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    pf.run_flow(phi, pf.FlowConfig(kind="Triharmonic", max_iters=trials, grad_tol=1e-12))
+    assert len(transforms) == len(calls) + trials
