@@ -113,8 +113,8 @@ class GridSpec:
             raise InvalidSpec(f"every axis needs >= {MIN_NODES} nodes")
         if math.prod(self.sizes) > MAX_NODES:
             raise InvalidSpec(f"a grid may hold at most {MAX_NODES} nodes")
-        if any(l <= 0.0 for l in self.lengths):
-            raise InvalidSpec("axis lengths must be positive")
+        if not all(0.0 < l < math.inf for l in self.lengths):
+            raise InvalidSpec("axis lengths must be positive and finite")
 
 
 class DomainGrid:

@@ -35,6 +35,12 @@ def test_build_grid_bad_dims():
         pf.GridSpec(2, (32,), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("length", [float("nan"), float("inf"), 0.0, -1.0])
+def test_build_grid_bad_lengths(length):
+    with pytest.raises(InvalidSpec):
+        pf.GridSpec(1, (64,), (length,))
+
+
 @pytest.mark.parametrize(
     "kind,tol",
     [("Spectral", 1e-12), ("CentralFD4", 1e-4), ("CentralFD2", 2e-2)],
