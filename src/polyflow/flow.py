@@ -170,7 +170,7 @@ def flow_step(
     given; it supplies the descent field and the current energy.  The step
     direction and the stability cap both come from the descent field's
     visible band (:func:`_visible_step`).  The candidate is
-    exp_phi(dt * step), re-projected onto the model; it is accepted iff the
+    exp_phi(dt * step), which ends on the model; it is accepted iff the
     flowed energy drops by at least armijo_c * dt * Int <descent, step>, up
     to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
     monotonicity contract) so the search cannot stall on energy differences
@@ -190,9 +190,8 @@ def flow_step(
     e_now = chain.energy(k)
     decrease = integrate(phi.grid, frame,
                          sf.inner(phi.spec, phi.values, descent.values, step))
-    moved = sf.exp_map(phi.spec, phi.values, dt * step)
-    candidate = MapField(values=sf.project_point(phi.spec, moved), grid=phi.grid,
-                         spec=phi.spec)
+    candidate = MapField(values=sf.exp_map(phi.spec, phi.values, dt * step),
+                         grid=phi.grid, spec=phi.spec)
     trial = TensionChain(candidate, frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
         return Trial(candidate, True, trial, dt, cap)
@@ -261,11 +260,12 @@ def _trace_metrics(chain: TensionChain) -> tuple:
 def run_flow(phi0: MapField, cfg: FlowConfig):
     """Iterate Armijo steps until sup |descent| <= grad_tol or max_iters.
 
-    Every state (``phi0`` at step 0, then each accepted, re-projected
-    trial) is entered the same way: framed by :func:`flow_frame`, once under
-    FixedPrescribed and per state under ReInduceEachStep, where the flowed
-    energy need not decrease since the functional changes with the metric;
-    then its trace row is recorded from its tension chain.  On an unchanged
+    Every state (``phi0`` at step 0, then each accepted trial, which
+    ``exp_map`` projected onto the model) is entered the same way: framed
+    by :func:`flow_frame`, once under FixedPrescribed and per state under
+    ReInduceEachStep, where the flowed energy need not decrease since the
+    functional changes with the metric; then its trace row is recorded from
+    its tension chain.  On an unchanged
     frame that is the chain the Armijo trial built for it.
 
     Each trial is one :func:`flow_step` at Armijo's step memory ``dt``,

@@ -372,9 +372,8 @@ def reference_cap(bands, frame, k):
 def reference_flow(phi0, cfg):
     """run_flow as a plain loop: every energy and descent field from a fresh
     tension chain, the cap and the band limit from its own band reading,
-    the step the band-limited descent projected onto the tangent space, the
-    Armijo trial read once projected (by exp_map) and the
-    accepted state projected once more."""
+    the step the band-limited descent projected onto the tangent space, and
+    the Armijo trial projected once, by exp_map."""
     k = {"Harmonic": 1, "Biharmonic": 2, "Triharmonic": 3}[cfg.kind.value]
     reinduce = cfg.metric_policy is pf.MetricPolicy.REINDUCE_EACH_STEP
     phi, dt, rows = phi0.copy(), cfg.initial_dt(phi0.grid), []
@@ -406,7 +405,6 @@ def reference_flow(phi0, cfg):
                 <= e_now - cfg.armijo_c * dt_used * decrease + 1e-13 * abs(e_now)):
             if dt_used >= dt:  # a capped step keeps dt
                 dt = min(dt_used / cfg.shrink, 1e3)
-            candidate.values = sf.project_point(phi.spec, candidate.values)
             phi = candidate
             if reinduce:
                 frame = flow_frame(phi, cfg)
