@@ -157,13 +157,8 @@ class Trial(NamedTuple):
     cap: float
 
 
-def flow_step(
-    phi: MapField,
-    frame: FrameField,
-    cfg: FlowConfig,
-    dt: float,
-    chain: TensionChain = None,
-) -> Trial:
+def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
+              chain: TensionChain = None) -> Trial:
     """One Armijo trial at ``min(dt, cap)``, ``dt`` being the caller's step.
 
     ``chain`` is the tension chain of ``(phi, frame)``, built here when not
@@ -202,30 +197,28 @@ def _visible_step(descent: Section, frame: FrameField, kind: FlowKind) -> tuple:
     """``(step, cap)``, both read from the descent field's visible band.
 
     Per node axis, the band is the largest mode index whose coefficient in
-    the rfft of ``descent`` (the largest over the other axes and the
-    components) is at least _CAP_VISIBILITY of the axis's largest.  Only
-    modes a first derivative sees count, so the Nyquist mode (wavenumber 0
-    in ``deriv``) never sets it; a field with no visible non-constant mode
-    has band 0.  Every band is read from the unfiltered descent.
+    the rfft of the unfiltered ``descent`` (the largest over the other axes
+    and the components) is at least _CAP_VISIBILITY of the axis's largest.
+    Only modes a first derivative sees count, so the Nyquist mode
+    (wavenumber 0 in ``deriv``) never sets it; with no such mode it is 0.
 
     ``step`` is the descent with every mode above its band zeroed, one axis
-    at a time, projected onto the tangent space, so content the cap cannot
-    see is never stepped and its roundoff is never amplified.
-
-    ``cap`` is the largest explicitly stable step for that band.  An
-    explicit step multiplies a mode of wavenumber q by roughly
-    (1 - dt q^p), p the operator order, so modes with dt q^p > 2 grow, and
-    the Armijo test only notices once they are baked into the state.  The
-    cap is 1 / lambda_max, lambda_max estimated from each axis's band
-    wavenumber scaled by the frame coefficients, which bound the metric.
+    at a time, projected onto the tangent space: content the cap cannot see
+    is never stepped, so its roundoff is never amplified.  ``cap`` is the
+    largest explicitly stable step for the bands.  An explicit step
+    multiplies a mode of wavenumber q by roughly (1 - dt q^p), p the
+    operator order, so modes with dt q^p > 2 grow, and the Armijo test only
+    notices once they are baked into the state.  The cap is 1 / lambda_max,
+    lambda_max estimated from each axis's band wavenumber scaled by the
+    frame coefficients, which bound the metric.
     """
     phi, grid = descent.base, frame.grid
     values = descent.values
     k_total = 0.0
     for axis in range(grid.dims):
         spectrum = np.fft.rfft(descent.values, axis=axis)
-        mag = np.abs(spectrum)
-        profile = mag.max(axis=tuple(i for i in range(mag.ndim) if i != axis))
+        profile = np.abs(spectrum).max(
+            axis=tuple(i for i in range(spectrum.ndim) if i != axis))
         top = profile.max()
         visible = np.flatnonzero((profile >= _CAP_VISIBILITY * top)
                                  & (grid._wavenumbers[axis] > 0.0))
@@ -236,10 +229,9 @@ def _visible_step(descent: Section, frame: FrameField, kind: FlowKind) -> tuple:
             spectrum = np.fft.rfft(values, axis=axis)
         spectrum[(slice(None),) * axis + (slice(band + 1, None),)] = 0.0
         values = np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
-    step = sf.project_tangent(phi.spec, phi.values, values)
-    if k_total <= 0.0:
-        return step, _DT_CEILING
-    return step, 1.0 / k_total ** (2 * _ENERGY_ORDER[FlowKind(kind)])
+    order = 2 * _ENERGY_ORDER[FlowKind(kind)]
+    cap = 1.0 / k_total**order if k_total > 0.0 else _DT_CEILING
+    return sf.project_tangent(phi.spec, phi.values, values), cap
 
 
 def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
