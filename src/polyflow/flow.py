@@ -257,8 +257,8 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     by :func:`flow_frame`, once under FixedPrescribed and per state under
     ReInduceEachStep, where the flowed energy need not decrease since the
     functional changes with the metric; then its trace row is recorded from
-    its tension chain.  On an unchanged
-    frame that is the chain the Armijo trial built for it.
+    its tension chain.  On an unchanged frame that is the chain the Armijo
+    trial built for it.
 
     Each trial is one :func:`flow_step` at Armijo's step memory ``dt``,
     which only this loop changes: an accepted trial the cap did not clip
