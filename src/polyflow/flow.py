@@ -1,16 +1,24 @@
 """Gradient flows for the energy ladder, with Armijo backtracking.
 
 The descent direction for each flow is the corresponding tension-type
-field (tension, bitension, tritension).  Each Armijo trial
-(:func:`flow_step`) reads the descent field's visible band once per axis
-(the Fourier modes at least _CAP_VISIBILITY of the axis's largest) and
-takes from it both the step, the band-limited descent re-projected onto
-the tangent space, and the stability cap; it tries ``min(dt, cap)``.  The
-first-variation formula pairs the step with the descent field, so an
-accepted Armijo step can never increase the energy being flowed.  Steps
-move along target geodesics via the exponential map and the state is
-re-projected onto the model every step.  :func:`run_flow` owns Armijo's
-step memory ``dt``.
+field (tension, bitension, tritension).  How an Armijo trial
+(:func:`flow_step`) turns it into a step depends on the metric policy:
+
+* FixedPrescribed takes a linearly implicit Euler step for the leading
+  operator: the descent's coefficients in an orthonormal tangent frame have
+  their spectrum divided by ``1 + dt |q|^(2k)`` (:func:`_implicit_step`).
+  Every ``dt`` is stable, so no cap applies and the trial's cap is ``inf``.
+* ReInduceEachStep keeps the explicit step and its stability cap: the
+  descent field's visible band (the Fourier modes at least _CAP_VISIBILITY
+  of each axis's largest) is read once per axis and gives both the step,
+  the band-limited descent re-projected onto the tangent space, and the
+  cap; the trial tries ``min(dt, cap)``.
+
+The first-variation formula pairs the step with the descent field, and
+either step pairs positively with it, so an accepted Armijo step can never
+increase the energy being flowed.  Steps move along target geodesics via
+the exponential map and the state is re-projected onto the model every
+step.  :func:`run_flow` owns Armijo's step memory ``dt``.
 """
 
 from __future__ import annotations
@@ -64,12 +72,13 @@ class MetricPolicy(str, Enum):
 
 # Order k of the flowed energy E_k.  Its descent operator has differential
 # order 2k, so a mode of wavenumber q is explicitly stable only for dt below
-# ~2/q^(2k); the default first step is 0.1 h^(k+1).
+# ~2/q^(2k), and the implicit step damps it by 1 / (1 + dt q^(2k)); the
+# default first step is 0.1 h^(k+1).
 _ENERGY_ORDER = {FlowKind.HARMONIC: 1, FlowKind.BIHARMONIC: 2, FlowKind.TRIHARMONIC: 3}
 
 # Spectral content of the descent field below this fraction of its largest
 # coefficient lies outside its visible band: the stability cap ignores it and
-# the flow step does not move it.
+# the explicit (ReInduceEachStep) step does not move it.
 _CAP_VISIBILITY = 1e-6
 _DT_CEILING = 1e3
 
@@ -93,13 +102,15 @@ class FlowConfig:
         self.kind = FlowKind(self.kind)
         self.metric_policy = MetricPolicy(self.metric_policy)
         self.max_iters = whole_number(self.max_iters, "max_iters")
+        if self.dt0 is not None:
+            self.dt0 = float(self.dt0)
         self.grad_tol = float(self.grad_tol)
         self.armijo_c = float(self.armijo_c)
         self.shrink = float(self.shrink)
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.dt0 is not None and not self.dt0 > 0.0:
-            raise ValueError("dt0 must be positive")
+        if self.dt0 is not None and not 0.0 < self.dt0 < math.inf:
+            raise ValueError("dt0 must be positive and finite")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
         if not 0.0 < self.armijo_c < 1.0:
@@ -118,8 +129,9 @@ class FlowTrace:
     """Per-trial history: one tuple per trial in ``rows``, under ``COLUMNS``.
 
     Rejected trials repeat the current state with dt = 0.  ``dt_cap`` is the
-    stability cap of each trial, so an accepted row is cap-bound exactly
-    when dt == dt_cap."""
+    stability cap of each trial: finite under ReInduceEachStep, where an
+    accepted row is cap-bound exactly when dt == dt_cap, and ``inf`` under
+    FixedPrescribed, whose implicit step needs no cap."""
 
     rows: list = field(default_factory=list)
     status: str = "running"
@@ -148,7 +160,8 @@ class FlowTrace:
 class Trial(NamedTuple):
     """One Armijo trial: the state it leaves (the candidate if accepted,
     else the state it started from) and that state's tension chain, the
-    step size it tried and the stability cap that bounded it."""
+    step size it tried and the stability cap that bounded it (``inf`` under
+    FixedPrescribed, where no cap applies)."""
 
     phi: MapField
     accepted: bool
@@ -159,12 +172,14 @@ class Trial(NamedTuple):
 
 def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
               chain: TensionChain = None) -> Trial:
-    """One Armijo trial at ``min(dt, cap)``, ``dt`` being the caller's step.
+    """One Armijo trial at step size ``dt``, the caller's step memory.
 
     ``chain`` is the tension chain of ``(phi, frame)``, built here when not
-    given; it supplies the descent field and the current energy.  The step
-    direction and the stability cap both come from the descent field's
-    visible band (:func:`_visible_step`).  The candidate is
+    given; it supplies the descent field and the current energy.  Under
+    FixedPrescribed the step is the implicit one (:func:`_implicit_step`)
+    and ``dt`` is tried as given; under ReInduceEachStep the step direction
+    and the stability cap both come from the descent field's visible band
+    (:func:`_visible_step`) and ``min(dt, cap)`` is tried.  The candidate is
     exp_phi(dt * step), which ends on the model; it is accepted iff the
     flowed energy drops by at least armijo_c * dt * Int <descent, step>, up
     to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
@@ -176,8 +191,11 @@ def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
         chain = TensionChain(phi, frame)
     k = _ENERGY_ORDER[cfg.kind]
     descent = chain.field(k)
-    step, cap = _visible_step(descent, frame, cfg.kind)
-    dt = min(dt, cap)
+    if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
+        step, cap = _visible_step(descent, frame, cfg.kind)
+        dt = min(dt, cap)
+    else:
+        step, cap = _implicit_step(descent, k, dt), math.inf
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
     if chain.sup_norm(k) == 0.0:
@@ -193,8 +211,50 @@ def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
     return Trial(phi, False, chain, dt, cap)
 
 
+def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
+    """Linearly implicit Euler step of the leading operator, for the flat
+    FixedPrescribed frame.
+
+    The descent field is written as coefficients ``c_i`` in an orthonormal
+    frame of the target's tangent spaces: the ambient components on flat and
+    sphere targets, whose ambient form is positive definite, and the
+    hyperboloid's boost frame (:func:`space_form.boost_frame`) otherwise.
+    Each coefficient's spectrum is divided by ``1 + dt |q|^(2k)``, with the
+    true wavenumbers ``q`` (the Nyquist mode included), and the step is
+    rebuilt from the frame, or projected onto the tangent space on flat and
+    sphere targets.  The pairing ``Int <descent, step>`` is then
+    ``sum_q |c_q|^2 / (1 + dt |q|^(2k)) > 0`` for every ``dt``, so the
+    step needs no cap and no band limit.  The FixedPrescribed frame comes
+    from :func:`identity_metric`: its volume element is 1, so no volume
+    weighting enters the pairing.
+    """
+    phi = descent.base
+    spec, grid, x = phi.spec, phi.grid, phi.values
+    boost = spec.model is sf.Model.HYPERBOLOID
+    if boost:
+        frame = sf.boost_frame(spec, x)
+        coeffs = sf.ambient_form(spec, descent.values[..., None, :], frame)
+    else:
+        coeffs = descent.values
+    # |q|^2 on the rfftn half spectrum; the last node axis is the halved one
+    q_sq = 0.0
+    for axis, (n, length) in enumerate(zip(grid.shape, grid.spec.lengths)):
+        mode = np.arange(n)
+        mode = mode[:n // 2 + 1] if axis == grid.dims - 1 else np.minimum(mode, n - mode)
+        shape = [1] * coeffs.ndim
+        shape[axis] = mode.size
+        q_sq = q_sq + ((2.0 * np.pi / length) * mode).reshape(shape) ** 2
+    axes = tuple(range(grid.dims))
+    spectrum = np.fft.rfftn(coeffs, axes=axes) / (1.0 + dt * q_sq**k)
+    coeffs = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+    if boost:
+        return (coeffs[..., :, None] * frame).sum(axis=-2)
+    return sf.project_tangent(spec, x, coeffs)
+
+
 def _visible_step(descent: Section, frame: FrameField, kind: FlowKind) -> tuple:
-    """``(step, cap)``, both read from the descent field's visible band.
+    """``(step, cap)`` of the explicit ReInduceEachStep trial, both read
+    from the descent field's visible band.
 
     Per node axis, the band is the largest mode index whose coefficient in
     the rfft of the unfiltered ``descent`` (the largest over the other axes
@@ -264,7 +324,8 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     which only this loop changes: an accepted trial the cap did not clip
     sets it to the step over ``shrink``, a rejected trial to the step times
     ``shrink`` (both at most ``_DT_CEILING``), and an accepted capped trial
-    leaves it unchanged.
+    leaves it unchanged.  Only ReInduceEachStep trials have a finite cap;
+    the cap of a FixedPrescribed trial is ``inf``, so it never clips.
 
     Returns ``(phi_final, trace)``; a step-size underflow is reported as
     ``trace.status == "stalled"``, a state that cannot be projected or

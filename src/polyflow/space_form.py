@@ -33,6 +33,7 @@ __all__ = [
     "project_tangent",
     "inner",
     "exp_map",
+    "boost_frame",
     "curvature_op",
 ]
 
@@ -151,6 +152,28 @@ def exp_map(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     else:
         out = np.cosh(rho)[..., None] * x + _stable_ratio(np.sinh, rho)[..., None] * v
     return project_point(spec, out)
+
+
+def boost_frame(spec: SpaceFormSpec, x: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frame of the hyperboloid at every point ``x``.
+
+    ``E[..., i, :]`` is ``E_i = e_i + (x_i/r) (e_0 + x/r) / (1 + x_0/r)``,
+    i = 1..n, with r = 1/sqrt(-c): the Lorentz boost taking the base point
+    (r, 0, ..., 0) to ``x`` applied to the coordinate vectors e_1..e_n.  It
+    is Minkowski-orthonormal and tangent at ``x``, and defined on the whole
+    upper sheet (x_0 >= r), so one frame serves every point.  The result has
+    shape ``x.shape[:-1] + (n, n + 1)``.
+    """
+    if spec.model is not Model.HYPERBOLOID:
+        raise ValueError("the boost frame is defined on the hyperboloid only")
+    r = 1.0 / np.sqrt(-spec.c)
+    x = np.asarray(x, dtype=float)
+    w = x / r
+    w[..., 0] += 1.0  # e_0 + x/r
+    a = x[..., 1:] / (r * w[..., :1])  # (x_i/r) / (1 + x_0/r)
+    frame = a[..., :, None] * w[..., None, :]
+    frame[..., 1:] += np.eye(spec.n)
+    return frame
 
 
 def curvature_op(

@@ -75,6 +75,7 @@ def test_parse_rejects_flow_section_without_flow_action(tmp_path):
     {"kind": "Quadharmonic"},
     {"shrink": 1.5},
     {"dt0": float("nan")},
+    {"dt0": float("inf")},
     {"grad_tol": float("nan")},
 ])
 def test_parse_rejects_bad_flow_values(tmp_path, flow):
@@ -244,6 +245,9 @@ def test_run_flow_writes_trace(tmp_path):
     trace_lines = (tmp_path / "flow" / "h2_trace.csv").read_text().splitlines()
     assert trace_lines[0] == TRACE_HEADER
     assert len(trace_lines) >= 2
+    # no stability cap applies to a FixedPrescribed flow
+    assert [line.split(",")[-1] for line in trace_lines[1:]] == (
+        ["nan"] + ["inf"] * (len(trace_lines) - 2))
     summary = json.loads((tmp_path / "flow" / "h2_summary.json").read_text())
     assert summary["flow"]["status"] == "converged"
     assert summary["probe"]["classification"] == "minimal"

@@ -584,7 +584,7 @@ def test_flow_iteration_deriv_count(monkeypatch):
     _trace_metrics(chain)
 
     calls, transforms = [], []
-    deriv, rfft = DomainGrid.deriv, np.fft.rfft
+    deriv, rfft, rfftn = DomainGrid.deriv, np.fft.rfft, np.fft.rfftn
 
     def counting(self, *args, **kwargs):
         calls.append(1)
@@ -593,6 +593,10 @@ def test_flow_iteration_deriv_count(monkeypatch):
     def counting_rfft(*args, **kwargs):
         transforms.append(1)
         return rfft(*args, **kwargs)
+
+    def counting_rfftn(*args, **kwargs):
+        transforms.append(1)
+        return rfftn(*args, **kwargs)
 
     monkeypatch.setattr(DomainGrid, "deriv", counting)
     trial = pf.flow_step(phi, frame, cfg, cfg.initial_dt(grid), chain=chain)
@@ -603,10 +607,13 @@ def test_flow_iteration_deriv_count(monkeypatch):
     nxt.energy(3)
     assert len(calls) <= 6
 
-    # over a whole flow, each trial reads the descent's visible band with
-    # one rfft beyond those of its derivatives
+    # over a whole flow, each trial's implicit step transforms the descent's
+    # frame coefficients once (one rfftn) beyond its derivatives' rffts
     trials = 10
     calls.clear()
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    pf.run_flow(phi, pf.FlowConfig(kind="Triharmonic", max_iters=trials, grad_tol=1e-12))
+    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
+    _, trace = pf.run_flow(phi, pf.FlowConfig(kind="Triharmonic", max_iters=trials,
+                                              grad_tol=1e-12))
+    assert len(trace.rows) == trials + 1
     assert len(transforms) == len(calls) + trials

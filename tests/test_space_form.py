@@ -138,6 +138,30 @@ def test_exp_map_stays_on_model(spec):
         assert sf.constraint_residual(spec, out) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [-1.0, -4.0, -0.25])
+def test_boost_frame_is_orthonormal_and_tangent(c, n):
+    # random points of the upper sheet out to |p| ~ 30; the frame's entries
+    # grow like |p|^2, so the tolerance is relative to 1 + |p|^2
+    spec = sf.SpaceFormSpec(c, n)
+    rng = np.random.default_rng(6)
+    y = rng.standard_normal((200, n)) * rng.uniform(0.0, 8.0, (200, 1))
+    x = np.concatenate([np.sqrt(-1.0 / c + np.sum(y * y, -1))[:, None], y], -1)
+    frame = sf.boost_frame(spec, x)
+    assert frame.shape == (200, n, n + 1)
+    scale = 1.0 + np.sum(x * x, -1)
+    gram = sf.ambient_form(spec, frame[:, :, None, :], frame[:, None, :, :])
+    assert np.all(np.max(np.abs(gram - np.eye(n)), axis=(1, 2)) <= 1e-14 * scale)
+    normal = sf.ambient_form(spec, frame, x[:, None, :])
+    assert np.all(np.max(np.abs(normal), axis=1) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("spec", [FLAT, SPHERE])
+def test_boost_frame_needs_the_hyperboloid(spec):
+    with pytest.raises(ValueError, match="hyperboloid"):
+        sf.boost_frame(spec, random_point(spec, np.random.default_rng(0)))
+
+
 def test_curvature_flat_vanishes():
     rng = np.random.default_rng(3)
     args = [rng.standard_normal(2) for _ in range(3)]
