@@ -20,7 +20,7 @@ from .domain_grid import (
     orthonormal_frame,
     prescribed_metric,
 )
-from .energy import EnergyReport, energy_k, energy_report
+from .energy import EnergyReport, energy_report
 from .examples import builtin_map, example_catalog
 from .flow import (
     FlowConfig,
@@ -36,15 +36,7 @@ from .pullback import (
     MapField,
     Section,
     TensionChain,
-    bitension,
-    curvature_contraction,
-    differential,
-    iterated_laplacian,
-    jacobi,
-    nabla_bar,
-    rough_laplacian,
     tension,
-    tritension_general,
     tritension_space_form,
 )
 from .space_form import (

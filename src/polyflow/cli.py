@@ -26,6 +26,7 @@ from .domain_grid import (
     identity_metric,
     induced_metric,
     orthonormal_frame,
+    real_number,
     whole_number,
 )
 from .energy import energy_report
@@ -93,7 +94,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     try:
         target_d = _need(data, "target", "config")
         _reject_unknown(target_d, {"c", "n", "model"}, "target")
-        target = SpaceFormSpec(c=float(_need(target_d, "c", "target")),
+        target = SpaceFormSpec(c=real_number(_need(target_d, "c", "target"), "c"),
                                n=_need(target_d, "n", "target"))
         if "model" in target_d and Model(target_d["model"]) is not target.model:
             raise ConfigError(
@@ -125,7 +126,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         elif "flow" in data:
             raise ConfigError("flow section is only valid with action = Flow")
 
-        p_list = tuple(float(p) for p in data.get("p_list", (2.0, 4.0)))
+        p_list = tuple(real_number(p, "p_list") for p in data.get("p_list", (2.0, 4.0)))
         if not all(p >= 1.0 for p in p_list):
             raise ConfigError("p_list entries must be >= 1")
         seed = whole_number(data.get("seed", 0), "seed")

@@ -59,13 +59,20 @@ SPECTRAL_REL_CUTOFF = 1e-14
 
 
 def whole_number(value, name: str) -> int:
-    """``value`` as an int.  A value that is not a whole number (64.5, or
-    the string "64") is a ValueError rather than being truncated; whole
-    floats such as 64.0 pass."""
+    """``value`` as an int.  A value that is not a whole number (64.5, the
+    string "64", or a bool) is a ValueError rather than being truncated;
+    whole floats such as 64.0 pass."""
     number = int(value)
-    if number != value:
+    if number != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return number
+
+
+def real_number(value, name: str) -> float:
+    """``value`` as a float.  A bool is a ValueError rather than 0.0 or 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class Differentiation(str, Enum):
@@ -101,7 +108,9 @@ class GridSpec:
         object.__setattr__(
             self, "sizes", tuple(whole_number(s, "sizes") for s in self.sizes)
         )
-        object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
+        object.__setattr__(
+            self, "lengths", tuple(real_number(l, "lengths") for l in self.lengths)
+        )
         object.__setattr__(
             self, "differentiation", Differentiation(self.differentiation)
         )

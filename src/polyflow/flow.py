@@ -38,6 +38,7 @@ from .domain_grid import (
     induced_metric,
     integrate,
     orthonormal_frame,
+    real_number,
     whole_number,
 )
 from .errors import DegenerateImmersion, PolyflowError, StepUnderflow
@@ -103,10 +104,10 @@ class FlowConfig:
         self.metric_policy = MetricPolicy(self.metric_policy)
         self.max_iters = whole_number(self.max_iters, "max_iters")
         if self.dt0 is not None:
-            self.dt0 = float(self.dt0)
-        self.grad_tol = float(self.grad_tol)
-        self.armijo_c = float(self.armijo_c)
-        self.shrink = float(self.shrink)
+            self.dt0 = real_number(self.dt0, "dt0")
+        self.grad_tol = real_number(self.grad_tol, "grad_tol")
+        self.armijo_c = real_number(self.armijo_c, "armijo_c")
+        self.shrink = real_number(self.shrink, "shrink")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.dt0 is not None and not 0.0 < self.dt0 < math.inf:

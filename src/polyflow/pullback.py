@@ -1,10 +1,12 @@
 """Operator calculus on vector fields along a map.
 
-Everything acting on sections of the pullback bundle lives here: the
-differential, the induced connection (ambient derivative followed by the
-tangent projection), the nonnegative connection Laplacian, the curvature
-contraction, the Jacobi operator, and the tension / bitension / tritension
-fields.  Sections are stored in ambient coordinates and re-projected after
+Everything acting on sections of the pullback bundle lives on one object,
+:class:`TensionChain`: the differential, the induced connection (ambient
+derivative followed by the tangent projection), the nonnegative connection
+Laplacian, the curvature contraction, the Jacobi operator, and the tension /
+bitension / tritension fields.  :func:`tritension_space_form` is the
+isometric-immersion formula for tau3, kept apart as an independent check of
+the chain.  Sections are stored in ambient coordinates and re-projected after
 every derivative, so tangency is a checkable invariant instead of a
 representation assumption.
 """
@@ -25,15 +27,7 @@ __all__ = [
     "MapField",
     "Section",
     "TensionChain",
-    "differential",
-    "nabla_bar",
     "tension",
-    "rough_laplacian",
-    "iterated_laplacian",
-    "curvature_contraction",
-    "jacobi",
-    "bitension",
-    "tritension_general",
     "tritension_space_form",
 ]
 
@@ -106,11 +100,13 @@ class TensionChain:
     first access and then shared; each coordinate derivative is taken once.
     Connection corrections are skipped on frames whose ``div_terms`` are
     exactly zero, and a trace differentiates S_i only along
-    ``frame.axes[i]``: both skipped terms add exactly 0.  Every field is the same
-    floating-point expression as a standalone evaluation, so sharing never
-    changes a result.  The chain also owns the state's scalars: energies,
-    Etilde4, L^p and sup norms, and the pointwise |tau|^2 and |Delta tau|^2.
-    Build one chain per state and drop it with the state.
+    ``frame.axes[i]``: both skipped terms add exactly 0.  Every field is the
+    same floating-point expression as a standalone evaluation, so sharing
+    never changes a result.  ``nabla``, ``laplacian``, ``curvature`` and
+    ``jacobi`` apply the chain's operators to any section along phi.  The
+    chain also owns the state's scalars: energies, Etilde4, L^p and sup
+    norms, and the pointwise |tau|^2 and |Delta tau|^2.  Build one chain per
+    state and drop it with the state.
     """
 
     def __init__(self, phi: MapField, frame: FrameField):
@@ -120,12 +116,19 @@ class TensionChain:
         self._corrections = {}  # nabla_{nabla_{e_i} e_i} V per differentiated V
         self._scalars = {}  # energies, L^p and sup norms, per (name, order)
 
-    def _covariant(self, key: str, values: np.ndarray) -> list:
-        """nabla_{e_i} V over the frame directions; the connection terms
-        nabla_{nabla_{e_i} e_i} V go to ``_corrections[key]`` unless zero."""
+    def nabla(self, V: Section) -> list:
+        """Induced connection nabla_{e_i} V for each frame direction e_i:
+        the ambient derivative of V along e_i, projected back onto the
+        tangent space of the target."""
+        return self._covariant(None, V.values)
+
+    def _covariant(self, key: str | None, values: np.ndarray) -> list:
+        """nabla_{e_i} V over the frame directions.  Under a ``key`` the
+        connection terms nabla_{nabla_{e_i} e_i} V, which share V's coordinate
+        derivatives, go to ``_corrections[key]`` unless zero."""
         phi, frame = self.phi, self.frame
         derivs = _coordinate_derivs(phi, values, self._floor, range(phi.grid.dims))
-        if not frame.zero_div_terms:
+        if key is not None and not frame.zero_div_terms:
             self._corrections[key] = [
                 _along(phi, derivs, frame.div_terms[..., i, :])
                 for i in range(phi.grid.dims)
@@ -150,6 +153,13 @@ class TensionChain:
     def laplacian(self, V: Section) -> Section:
         """Nonnegative connection Laplacian of a section along phi."""
         return self._trace(self._covariant("V", V.values), "V", -1.0)
+
+    def jacobi(self, V: Section, lap: Section = None) -> Section:
+        """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i).
+        ``lap`` is Delta V when the chain already holds it."""
+        if lap is None:
+            lap = self.laplacian(V)
+        return Section(lap.values - self.curvature(V).values, self.phi)
 
     def curvature(self, V: Section) -> Section:
         """sum_i R(V, dphi(e_i)) dphi(e_i); zero for flat targets."""
@@ -194,13 +204,13 @@ class TensionChain:
 
     @cached_property
     def tau2(self) -> Section:
-        """Bitension J(tau) = Delta tau - sum_i R(tau, dphi(e_i)) dphi(e_i)."""
-        return Section(self.lap_tau.values - self.curvature(self.tau).values, self.phi)
+        """Bitension J(tau)."""
+        return self.jacobi(self.tau, self.lap_tau)
 
     @cached_property
     def tau3(self) -> Section:
         """Tritension J(Delta tau) - sum_i R(nabla_{e_i} tau, tau) dphi(e_i)."""
-        out = self.lap2_tau.values - self.curvature(self.lap_tau).values
+        out = self.jacobi(self.lap_tau, self.lap2_tau).values
         if self.phi.spec.c != 0.0:
             for g, d in zip(self.grad_tau, self.dphi):
                 out -= sf.curvature_op(
@@ -277,73 +287,15 @@ class TensionChain:
         return self._scalars["sup", k]
 
 
-def differential(phi: MapField, frame: FrameField) -> list:
-    """Frame components dphi(e_i) of the differential, as Sections."""
-    return TensionChain(phi, frame).dphi
-
-
-def nabla_bar(V: Section, i: int, frame: FrameField) -> Section:
-    """Induced connection along the i-th frame direction.
-
-    Differentiate the ambient representative along e_i, then project back
-    onto the tangent space of the target.
-    """
-    phi = V.base
-    derivs = _coordinate_derivs(phi, V.values, phi.spectral_floor(), frame.axes[i])
-    return Section(_along(phi, derivs, frame.e[..., i, :]), phi)
-
-
 def tension(phi: MapField, frame: FrameField) -> Section:
     """Trace of the second fundamental form.
 
     tau = sum_i { nabla_{e_i}(dphi(e_i)) - dphi(nabla_{e_i} e_i) }.
-    Vanishes exactly on geodesics / totally geodesic maps.
+    Vanishes exactly on geodesics / totally geodesic maps.  Short for
+    ``TensionChain(phi, frame).tau``; perfbench's per-layer report reads its
+    calls under this name.
     """
     return TensionChain(phi, frame).tau
-
-
-def rough_laplacian(V: Section, frame: FrameField) -> Section:
-    """Nonnegative connection Laplacian.
-
-    Delta V = -sum_i { nabla_{e_i} nabla_{e_i} V - nabla_{nabla_{e_i} e_i} V },
-    so on the flat circle Delta V = -V'' componentwise.
-    """
-    return TensionChain(V.base, frame).laplacian(V)
-
-
-def iterated_laplacian(V: Section, ell: int, frame: FrameField) -> Section:
-    """(ell - 1)-fold application of the rough Laplacian; ell = 1 is V."""
-    if ell < 1:
-        raise ValueError(f"iteration index must be >= 1, got {ell}")
-    chain = TensionChain(V.base, frame)
-    out = V
-    for _ in range(ell - 1):
-        out = chain.laplacian(out)
-    return out
-
-
-def curvature_contraction(V: Section, frame: FrameField) -> Section:
-    """Curvature term sum_i R(V, dphi(e_i)) dphi(e_i); zero for flat targets."""
-    return TensionChain(V.base, frame).curvature(V)
-
-
-def jacobi(V: Section, frame: FrameField) -> Section:
-    """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i)."""
-    chain = TensionChain(V.base, frame)
-    return Section(chain.laplacian(V).values - chain.curvature(V).values, V.base)
-
-
-def bitension(phi: MapField, frame: FrameField) -> Section:
-    """Bitension field: the Jacobi operator applied to the tension field."""
-    return TensionChain(phi, frame).tau2
-
-
-def tritension_general(phi: MapField, frame: FrameField) -> Section:
-    """Tritension field for an arbitrary smooth map:
-
-    tau3 = J(Delta tau) - sum_i R(nabla_{e_i} tau, tau) dphi(e_i).
-    """
-    return TensionChain(phi, frame).tau3
 
 
 def tritension_space_form(phi: MapField, frame: FrameField) -> Section:
@@ -365,7 +317,7 @@ def tritension_space_form(phi: MapField, frame: FrameField) -> Section:
             )
     chain = TensionChain(phi, frame)
     tau = chain.tau
-    out = chain.lap2_tau.values - chain.curvature(chain.lap_tau).values
+    out = chain.jacobi(chain.lap_tau, chain.lap2_tau).values
     if phi.spec.c != 0.0:
         h_tt = sf.inner(phi.spec, phi.values, tau.values, tau.values)
         out -= phi.spec.c * h_tt[..., None] * tau.values

@@ -28,15 +28,8 @@ from .domain_grid import (
     scalar_gradient,
     scalar_laplacian,
 )
-from .energy import energy_k
 from .errors import MetricModeError, NotTriharmonic, RadiusTooLarge
-from .pullback import (
-    MapField,
-    Section,
-    TensionChain,
-    jacobi,
-    tension,
-)
+from .pullback import MapField, Section, TensionChain
 
 __all__ = [
     "AuditCheck",
@@ -148,8 +141,8 @@ def first_variation_residual(
     tau_k = TensionChain(phi, frame).field(k)
     pairing = sf.inner(phi.spec, phi.values, tau_k.values, V.values)
     analytic = -integrate(phi.grid, frame, pairing)
-    e_plus = energy_k(vary(phi, V, t), frame, k)
-    e_minus = energy_k(vary(phi, V, -t), frame, k)
+    e_plus = TensionChain(vary(phi, V, t), frame).energy(k)
+    e_minus = TensionChain(vary(phi, V, -t), frame).energy(k)
     fd = (e_plus - e_minus) / (2.0 * t)
     return abs(fd - analytic) / (1.0 + abs(analytic))
 
@@ -163,12 +156,12 @@ def tension_variation_residual(
     tension fields of the two varied maps.
     """
     _require_prescribed(frame)
-    tau_plus = tension(vary(phi, V, t), frame)
-    tau_minus = tension(vary(phi, V, -t), frame)
+    tau_plus = TensionChain(vary(phi, V, t), frame).tau
+    tau_minus = TensionChain(vary(phi, V, -t), frame).tau
     lhs = sf.project_tangent(
         phi.spec, phi.values, (tau_plus.values - tau_minus.values) / (2.0 * t)
     )
-    rhs = -jacobi(V, frame).values
+    rhs = -TensionChain(phi, frame).jacobi(V).values
     return float(np.max(sf.norm(phi.spec, phi.values, lhs - rhs)))
 
 

@@ -33,9 +33,8 @@ def circle_oracle_errors(n, differentiation):
     grid = pf.build_grid(pf.GridSpec(1, (n,), (TWO_PI,), differentiation))
     phi = pf.builtin_map("Circle", {"r": 1.0}, grid, pf.SpaceFormSpec(0.0, 2))
     frame = pf.orthonormal_frame(grid, pf.identity_metric(grid))
-    tau = pf.tension(phi, frame)
-    lap = pf.rough_laplacian(tau, frame)
-    tau3 = pf.tritension_general(phi, frame)
+    chain = pf.TensionChain(phi, frame)
+    tau, lap, tau3 = chain.tau, chain.lap_tau, chain.tau3
     return (
         float(np.max(np.abs(tau.norm_field() - 1.0))),
         float(np.max(np.abs(lap.values - tau.values))),
@@ -101,13 +100,13 @@ def test_criterion_03_first_variation():
 
     # headline case: circle r=1, V=tau, both sides -2 pi
     phi = pf.builtin_map("Circle", {"r": 1.0}, grid, pf.SpaceFormSpec(0.0, 2))
-    tau = pf.tension(phi, frame)
-    tau3 = pf.tritension_general(phi, frame)
+    chain = pf.TensionChain(phi, frame)
+    tau, tau3 = chain.tau, chain.tau3
     analytic = -pf.integrate(
         grid, frame, sf.inner(phi.spec, phi.values, tau3.values, tau.values)
     )
-    e3p = pf.energy_k(pf.vary(phi, tau, 1e-3), frame, 3)
-    e3m = pf.energy_k(pf.vary(phi, tau, -1e-3), frame, 3)
+    e3p = pf.TensionChain(pf.vary(phi, tau, 1e-3), frame).energy(3)
+    e3m = pf.TensionChain(pf.vary(phi, tau, -1e-3), frame).energy(3)
     fd = (e3p - e3m) / 2e-3
     ok &= abs(analytic + TWO_PI) <= 1e-4 * TWO_PI
     ok &= abs(fd + TWO_PI) <= 1e-4 * TWO_PI
@@ -155,7 +154,7 @@ def test_criterion_04_tritension_agreement():
     for name, params, grid_args, target in fixtures:
         phi = build_fixture(name, params, grid_args, target)
         frame = frame_for(phi)
-        general = pf.tritension_general(phi, frame)
+        general = pf.TensionChain(phi, frame).tau3
         special = tritension_space_form(phi, frame)
         resid = float(
             np.max(np.abs(general.values - special.values))
@@ -217,11 +216,8 @@ def test_criterion_07_harmonic_implies_triharmonic():
         pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.0, "k": 3}, grid,
                        pf.SpaceFormSpec(-1.0, 2)),
     ):
-        for field in (
-            pf.tension(phi, frame),
-            pf.bitension(phi, frame),
-            pf.tritension_general(phi, frame),
-        ):
+        chain = pf.TensionChain(phi, frame)
+        for field in (chain.tau, chain.tau2, chain.tau3):
             worst = max(worst, float(np.max(field.norm_field())))
     report(7, worst <= 1e-9, f"worst geodesic tension-chain sup {worst:.2e}")
 

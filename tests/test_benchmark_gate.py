@@ -4,17 +4,28 @@
 final E3 with a recorded reference within ``TRI_E3_RTOL``.  A large-step
 flow lands near that edge, so every input variant is checked here with the
 benchmark's own ``observe`` and ``check``, against its unchanged reference
-file, before a benchmark run would reject the change.
+file, before a benchmark run would reject the change.  One traced worker run
+checks that the names the benchmark's per-layer report reads still exist.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from polyflow.cli import parse_config, run
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# Traced functions that perfbench/run.py's per-layer report reads without a
+# default: renaming one in src/ makes every traced benchmark run fail.
+PER_LAYER_READS = ("domain_grid.deriv", "pullback.tension", "flow.flow_step",
+                   "flow.run_flow")
 
 
 def load_workloads():
@@ -35,3 +46,15 @@ def test_flow_tri_1d_variant_passes_the_gate(tmp_path, seed):
     obs = workloads.observe("flow_tri_1d", label, cfg, run(parse_config(cfg)))
     ref = workloads.reference_for(REFERENCE, "flow_tri_1d", seed, label)
     assert workloads.check("flow_tri_1d", label, cfg, obs, ref) == []
+
+
+def test_traced_worker_reports_what_per_layer_reads(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--workload", "flow_tri_1d",
+         "--seed", "0", "--out", str(tmp_path), "--trace"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["ops"] and all(op["exit_code"] == 0 for op in result["ops"])
+    assert set(PER_LAYER_READS) <= set(result["functions"])

@@ -153,6 +153,37 @@ def test_bad_values_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "bad_summary.json").exists()
 
 
+# (section, key, value): a JSON true where a number is expected is a config
+# error naming the key, never read as 1.
+BOOLEAN_VALUES = [
+    ("target", "c", True),
+    ("target", "n", True),
+    ("grid", "dims", True),
+    ("grid", "sizes", [True]),
+    ("grid", "lengths", [True]),
+    ("flow", "dt0", True),
+    ("flow", "grad_tol", True),
+    ("flow", "armijo_c", True),
+    ("flow", "shrink", True),
+    ("flow", "max_iters", True),
+    (None, "seed", True),
+    (None, "p_list", [True]),
+]
+
+
+@pytest.mark.parametrize("section,key,value", BOOLEAN_VALUES,
+                         ids=[f"{s or 'config'}.{k}" for s, k, _ in BOOLEAN_VALUES])
+def test_boolean_values_exit_2(tmp_path, capsys, section, key, value):
+    data = base_config(tmp_path / "bad", action="Flow")
+    data["flow"] = {"kind": "Harmonic", "max_iters": 1}
+    del data["target"]["model"]  # c = 1 would contradict the Flat model
+    (data[section] if section else data)[key] = value
+    assert main(["run", str(write_config(tmp_path, data))]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} must be" in err
+    assert not (tmp_path / "bad_summary.json").exists()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -59,15 +59,6 @@ def test_isometric_dirichlet_energy(torus_grid):
     assert rep.E == pytest.approx(0.5 * 2 * rep.volume, rel=1e-8)
 
 
-def test_laplacian_p_norms(flat_circle):
-    frame = frame_for(flat_circle)
-    rep = pf.energy_report(flat_circle, frame, p_list=(2.0,),
-                           laplacian_p_list=(2.0, 3.0))
-    # |lap tau| = 1 on the unit circle, so every p-norm is the volume
-    assert rep.Lp_laplacian[2.0] == pytest.approx(TWO_PI, abs=1e-10)
-    assert rep.Lp_laplacian[3.0] == pytest.approx(TWO_PI, abs=1e-10)
-
-
 @pytest.mark.parametrize("name,params,grid_args,target", builtin_fixture_set())
 def test_holder_and_nonnegativity(name, params, grid_args, target):
     phi = build_fixture(name, params, grid_args, target)
@@ -85,8 +76,9 @@ def test_holder_and_nonnegativity(name, params, grid_args, target):
 def test_energy_k_matches_report(flat_circle):
     frame = frame_for(flat_circle)
     rep = pf.energy_report(flat_circle, frame)
-    assert pf.energy_k(flat_circle, frame, 1) == pytest.approx(rep.E, abs=1e-14)
-    assert pf.energy_k(flat_circle, frame, 2) == pytest.approx(rep.E2, abs=1e-14)
-    assert pf.energy_k(flat_circle, frame, 3) == pytest.approx(rep.E3, abs=1e-14)
+    chain = pf.TensionChain(flat_circle, frame)
+    assert chain.energy(1) == pytest.approx(rep.E, abs=1e-14)
+    assert chain.energy(2) == pytest.approx(rep.E2, abs=1e-14)
+    assert chain.energy(3) == pytest.approx(rep.E3, abs=1e-14)
     with pytest.raises(ValueError):
-        pf.energy_k(flat_circle, frame, 4)
+        chain.energy(4)

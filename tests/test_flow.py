@@ -42,6 +42,8 @@ def test_flow_config_stores_dt0_as_float():
         assert type(cfg.dt0) is float and cfg.dt0 == float(dt0)
     with pytest.raises(ValueError):
         pf.FlowConfig(dt0="small")
+    with pytest.raises(ValueError, match="dt0 must be a real number"):
+        pf.FlowConfig(dt0=True)
 
 
 def test_descent_field_matches_tension_fields(flat_circle):
@@ -104,7 +106,8 @@ def test_flow_step_accept_grows(flat_circle):
     trial = pf.flow_step(flat_circle, frame, cfg, 1e-3)
     assert trial.accepted and trial.dt == 1e-3
     frame2 = frame_for(trial.phi, induced=False)
-    assert pf.energy_k(trial.phi, frame2, 1) < pf.energy_k(flat_circle, frame, 1)
+    assert (pf.TensionChain(trial.phi, frame2).energy(1)
+            < pf.TensionChain(flat_circle, frame).energy(1))
 
 
 def test_flow_step_underflow(flat_circle):
@@ -404,7 +407,7 @@ def test_reinduce_degenerate_keeps_partial_trace():
     assert all(dt > 0.0 for dt in trace.column("dt")[1:])
     assert pf.induced_metric(phi).mode is pf.MetricMode.INDUCED  # still immerses
     frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
-    assert pf.energy_k(phi, frame, 1) == trace.column("E")[-1]
+    assert pf.TensionChain(phi, frame).energy(1) == trace.column("E")[-1]
 
 
 def test_run_flow_degenerate_at_step_0():
@@ -559,12 +562,12 @@ def reference_flow(phi0, cfg):
         else:
             cap, dt_used = math.inf, dt
             step = implicit_step(phi, descent.values, k, dt)
-        e_now = pf.energy_k(phi, frame, k)
+        e_now = pf.TensionChain(phi, frame).energy(k)
         decrease = pf.integrate(phi.grid, frame, sf.inner(
             phi.spec, phi.values, descent.values, step))
         candidate = pf.MapField(
             sf.exp_map(phi.spec, phi.values, dt_used * step), phi.grid, phi.spec)
-        if (pf.energy_k(candidate, frame, k)
+        if (pf.TensionChain(candidate, frame).energy(k)
                 <= e_now - cfg.armijo_c * dt_used * decrease + 1e-13 * abs(e_now)):
             if dt_used >= dt:  # a capped step keeps dt
                 dt = min(dt_used / cfg.shrink, 1e3)

@@ -1,4 +1,5 @@
-"""Operator stack: differential, connection, Laplacians, tension fields."""
+"""Operator stack: differential, connection, Laplacians, tension fields,
+all read from one TensionChain per state."""
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def arc_length_circle(r, n=256):
 
 def test_differential_circle(flat_circle):
     frame = frame_for(flat_circle)
-    (d,) = pf.differential(flat_circle, frame)
+    (d,) = TensionChain(flat_circle, frame).dphi
     s = flat_circle.grid.axes[0]
     expected = np.stack([-np.sin(s), np.cos(s)], axis=-1)
     assert np.max(np.abs(d.values - expected)) <= 1e-12
@@ -34,7 +35,7 @@ def test_differential_constant_map(circle_grid):
     values = np.broadcast_to([1.5, -0.5], circle_grid.shape + (2,)).copy()
     phi = pf.MapField(values=values, grid=circle_grid, spec=spec)
     frame = frame_for(phi, induced=False)
-    (d,) = pf.differential(phi, frame)
+    (d,) = TensionChain(phi, frame).dphi
     assert np.max(np.abs(d.values)) == 0.0
 
 
@@ -43,15 +44,15 @@ def test_differential_isometric_norm(torus_grid):
                         pf.SpaceFormSpec(1.0, 3))
     frame = frame_for(phi)
     total = np.zeros(phi.grid.shape)
-    for d in pf.differential(phi, frame):
+    for d in TensionChain(phi, frame).dphi:
         total += sf.inner(phi.spec, phi.values, d.values, d.values)
     np.testing.assert_allclose(total, 2.0, atol=1e-10)
 
 
 def test_nabla_bar_circle_tension(flat_circle):
     frame = frame_for(flat_circle)
-    tau = pf.tension(flat_circle, frame)
-    grad = pf.nabla_bar(tau, 0, frame)
+    chain = TensionChain(flat_circle, frame)
+    (grad,) = chain.nabla(chain.tau)
     s = flat_circle.grid.axes[0]
     expected = np.stack([np.sin(s), -np.cos(s)], axis=-1)
     assert np.max(np.abs(grad.values - expected)) <= 1e-12
@@ -64,7 +65,7 @@ def test_nabla_bar_parallel_normal_field(circle_grid):
     normal = np.zeros(circle_grid.shape + (3,))
     normal[..., 2] = 1.0
     V = Section(values=normal, base=phi)
-    grad = pf.nabla_bar(V, 0, frame)
+    (grad,) = TensionChain(phi, frame).nabla(V)
     assert np.max(np.abs(grad.values)) <= 1e-14
 
 
@@ -73,7 +74,7 @@ def test_nabla_bar_sine_field(circle_grid):
     frame = frame_for(phi)
     s = circle_grid.axes[0]
     V = Section(values=np.sin(s)[..., None] * np.array([0.0, 0.0, 1.0]), base=phi)
-    grad = pf.nabla_bar(V, 0, frame)
+    (grad,) = TensionChain(phi, frame).nabla(V)
     expected = np.cos(s)[..., None] * np.array([0.0, 0.0, 1.0])
     assert np.max(np.abs(grad.values - expected)) <= 1e-12
 
@@ -135,16 +136,16 @@ def test_tension_flat_product_torus(torus_grid):
 
 def test_rough_laplacian_circle(flat_circle):
     frame = frame_for(flat_circle)
-    tau = pf.tension(flat_circle, frame)
-    lap = pf.rough_laplacian(tau, frame)
+    chain = TensionChain(flat_circle, frame)
+    tau, lap = chain.tau, chain.lap_tau
     assert np.max(np.abs(lap.values - tau.values)) <= 1e-12
 
 
 def test_rough_laplacian_circle_r2():
     phi = arc_length_circle(2.0)
     frame = frame_for(phi)
-    tau = pf.tension(phi, frame)
-    lap = pf.rough_laplacian(tau, frame)
+    chain = TensionChain(phi, frame)
+    tau, lap = chain.tau, chain.lap_tau
     assert np.max(np.abs(lap.values - 0.25 * tau.values)) <= 1e-12
     assert np.max(np.abs(lap.norm_field() - 0.125)) <= 1e-12
 
@@ -155,7 +156,7 @@ def test_rough_laplacian_constant_field(circle_grid, flat_circle):
         values=np.broadcast_to([0.2, 0.1], circle_grid.shape + (2,)).copy(),
         base=flat_circle,
     )
-    lap = pf.rough_laplacian(V, frame)
+    lap = TensionChain(flat_circle, frame).laplacian(V)
     assert np.max(np.abs(lap.values)) == 0.0
 
 
@@ -163,25 +164,21 @@ def test_rough_laplacian_eigenfield(circle_grid, flat_circle):
     frame = frame_for(flat_circle, induced=False)
     s = circle_grid.axes[0]
     V = Section(values=np.stack([np.sin(s), np.zeros_like(s)], -1), base=flat_circle)
-    lap = pf.rough_laplacian(V, frame)
+    lap = TensionChain(flat_circle, frame).laplacian(V)
     assert np.max(np.abs(lap.values - V.values)) <= 1e-12
 
 
 def test_iterated_laplacian(flat_circle):
     frame = frame_for(flat_circle)
-    tau = pf.tension(flat_circle, frame)
-    assert pf.iterated_laplacian(tau, 1, frame) is tau
-    for ell in (2, 3):
-        out = pf.iterated_laplacian(tau, ell, frame)
-        assert np.max(np.abs(out.values - tau.values)) <= 1e-11
-    with pytest.raises(ValueError):
-        pf.iterated_laplacian(tau, 0, frame)
+    chain = TensionChain(flat_circle, frame)
+    for out in (chain.lap_tau, chain.lap2_tau):
+        assert np.max(np.abs(out.values - chain.tau.values)) <= 1e-11
 
 
 def test_curvature_contraction_flat(flat_circle):
     frame = frame_for(flat_circle)
-    tau = pf.tension(flat_circle, frame)
-    out = pf.curvature_contraction(tau, frame)
+    chain = TensionChain(flat_circle, frame)
+    out = chain.curvature(chain.tau)
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -190,9 +187,10 @@ def test_curvature_contraction_normal_section(circle_grid):
     # collapses to c * dims * V (space-form tensor, h(V, dphi) = 0)
     phi = pf.builtin_map("Circle", {"r": 0.8}, circle_grid, pf.SpaceFormSpec(-1.0, 2))
     frame = frame_for(phi)
-    tau = pf.tension(phi, frame)
+    chain = TensionChain(phi, frame)
+    tau = chain.tau
     V = Section(values=tau.values / tau.norm_field()[..., None], base=phi)
-    out = pf.curvature_contraction(V, frame)
+    out = chain.curvature(V)
     assert np.max(np.abs(out.values - phi.spec.c * 1 * V.values)) <= 1e-12
 
 
@@ -200,16 +198,18 @@ def test_curvature_contraction_tangent_line(circle_grid):
     # dims = 1 and V = dphi(e1): R(V, V)V = 0
     phi = pf.builtin_map("Circle", {"r": 0.5}, circle_grid, pf.SpaceFormSpec(1.0, 2))
     frame = frame_for(phi)
-    (d,) = pf.differential(phi, frame)
-    out = pf.curvature_contraction(d, frame)
+    chain = TensionChain(phi, frame)
+    (d,) = chain.dphi
+    out = chain.curvature(d)
     assert np.max(out.norm_field()) <= 1e-13
 
 
 def test_jacobi_flat_is_laplacian(flat_circle):
     frame = frame_for(flat_circle)
-    tau = pf.tension(flat_circle, frame)
-    jac = pf.jacobi(tau, frame)
-    lap = pf.rough_laplacian(tau, frame)
+    chain = TensionChain(flat_circle, frame)
+    tau = chain.tau
+    jac = chain.jacobi(tau)
+    lap = chain.laplacian(tau)
     assert np.max(np.abs(jac.values - lap.values)) == 0.0
     assert np.max(np.abs(jac.values - tau.values)) <= 1e-12
 
@@ -217,13 +217,13 @@ def test_jacobi_flat_is_laplacian(flat_circle):
 def test_jacobi_zero_section(flat_circle):
     frame = frame_for(flat_circle)
     V = Section(values=np.zeros_like(flat_circle.values), base=flat_circle)
-    assert np.max(np.abs(pf.jacobi(V, frame).values)) == 0.0
+    assert np.max(np.abs(TensionChain(flat_circle, frame).jacobi(V).values)) == 0.0
 
 
 def test_bitension_circle(flat_circle):
     frame = frame_for(flat_circle)
-    tau2 = pf.bitension(flat_circle, frame)
-    tau = pf.tension(flat_circle, frame)
+    chain = TensionChain(flat_circle, frame)
+    tau2, tau = chain.tau2, chain.tau
     assert np.max(np.abs(tau2.values - tau.values)) <= 1e-11
     assert np.max(np.abs(tau2.norm_field() - 1.0)) <= 1e-11
 
@@ -231,17 +231,18 @@ def test_bitension_circle(flat_circle):
 def test_bitension_scaling():
     phi = arc_length_circle(2.0)
     frame = frame_for(phi)
-    tau2 = pf.bitension(phi, frame)
-    tau = pf.tension(phi, frame)
+    chain = TensionChain(phi, frame)
+    tau2, tau = chain.tau2, chain.tau
     assert np.max(np.abs(tau2.values - 0.25 * tau.values)) <= 1e-12
 
 
 def test_harmonic_chain_geodesic(circle_grid):
     phi = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
     frame = frame_for(phi)
-    assert np.max(pf.tension(phi, frame).norm_field()) <= 1e-13
-    assert np.max(pf.bitension(phi, frame).norm_field()) <= 1e-12
-    assert np.max(pf.tritension_general(phi, frame).norm_field()) <= 1e-9
+    chain = TensionChain(phi, frame)
+    assert np.max(chain.tau.norm_field()) <= 1e-13
+    assert np.max(chain.tau2.norm_field()) <= 1e-12
+    assert np.max(chain.tau3.norm_field()) <= 1e-9
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -249,9 +250,8 @@ def test_tritension_circle_scaling_law(r):
     # |tau| = 1/r, |lap tau| = 1/r^3, |tau3| = 1/r^5 for arc-length circles
     phi = arc_length_circle(r)
     frame = frame_for(phi)
-    tau = pf.tension(phi, frame)
-    lap = pf.rough_laplacian(tau, frame)
-    tau3 = pf.tritension_general(phi, frame)
+    chain = TensionChain(phi, frame)
+    tau, lap, tau3 = chain.tau, chain.lap_tau, chain.tau3
     assert np.max(np.abs(tau.norm_field() - r**-1)) <= 1e-10 * r**-1
     assert np.max(np.abs(lap.norm_field() - r**-3)) <= 1e-9 * r**-3
     assert np.max(np.abs(tau3.norm_field() - r**-5)) <= 1e-9 * r**-5
@@ -263,7 +263,7 @@ def test_tritension_circle_scaling_fd2_converges():
         grid = pf.build_grid(pf.GridSpec(1, (n,), (TWO_PI,), "CentralFD2"))
         phi = pf.builtin_map("Circle", {"r": 1.0}, grid, pf.SpaceFormSpec(0.0, 2))
         frame = pf.orthonormal_frame(grid, pf.identity_metric(grid))
-        tau3 = pf.tritension_general(phi, frame)
+        tau3 = TensionChain(phi, frame).tau3
         errs.append(np.max(np.abs(tau3.norm_field() - 1.0)))
     order = np.log2(errs[0] / errs[1])
     assert 1.7 <= order <= 2.3
@@ -272,9 +272,9 @@ def test_tritension_circle_scaling_fd2_converges():
 def test_tritension_flat_equals_iterated_laplacian(torus_grid):
     phi = pf.builtin_map("GraphSurface", {}, torus_grid, pf.SpaceFormSpec(0.0, 5))
     frame = frame_for(phi)
-    tau3 = pf.tritension_general(phi, frame)
-    lap2 = pf.iterated_laplacian(pf.tension(phi, frame), 3, frame)
-    assert np.max(np.abs(tau3.values - lap2.values)) == 0.0
+    chain = TensionChain(phi, frame)
+    lap2 = chain.laplacian(chain.laplacian(chain.tau))
+    assert np.max(np.abs(chain.tau3.values - lap2.values)) == 0.0
 
 
 AGREEMENT_FIXTURES = [
@@ -297,7 +297,7 @@ AGREEMENT_FIXTURES = [
 def test_tritension_space_form_agreement(name, params, grid_args, target):
     phi = build_fixture(name, params, grid_args, target)
     frame = frame_for(phi)
-    general = pf.tritension_general(phi, frame)
+    general = TensionChain(phi, frame).tau3
     special = tritension_space_form(phi, frame)
     sup = np.max(general.norm_field())
     diff = np.max(np.abs(general.values - special.values))
@@ -320,11 +320,12 @@ def test_linearity_of_operators(circle_grid):
     W = pf.random_tangent_section(phi, seed=22)
     a, b = 0.7, -1.3
     combo = Section(values=a * V.values + b * W.values, base=phi)
+    chain = TensionChain(phi, frame)
     for op in (
-        lambda X: pf.nabla_bar(X, 0, frame),
-        lambda X: pf.rough_laplacian(X, frame),
-        lambda X: pf.curvature_contraction(X, frame),
-        lambda X: pf.jacobi(X, frame),
+        lambda X: chain.nabla(X)[0],
+        chain.laplacian,
+        chain.curvature,
+        chain.jacobi,
     ):
         lhs = op(combo).values
         rhs = a * op(V).values + b * op(W).values
@@ -335,10 +336,10 @@ def test_sections_tangent(torus_grid):
     phi = pf.builtin_map("TorusCliffordLike", {}, torus_grid,
                          pf.SpaceFormSpec(1.0, 3))
     frame = frame_for(phi)
-    tau = pf.tension(phi, frame)
-    assert tau.tangency_residual() <= 1e-8
-    assert pf.rough_laplacian(tau, frame).tangency_residual() <= 1e-8
-    assert pf.tritension_general(phi, frame).tangency_residual() <= 1e-8
+    chain = TensionChain(phi, frame)
+    assert chain.tau.tangency_residual() <= 1e-8
+    assert chain.lap_tau.tangency_residual() <= 1e-8
+    assert chain.tau3.tangency_residual() <= 1e-8
 
 
 def test_rough_laplacian_self_adjoint(circle_grid):
@@ -346,10 +347,11 @@ def test_rough_laplacian_self_adjoint(circle_grid):
     frame = frame_for(phi)
     V = pf.random_tangent_section(phi, seed=5)
     W = pf.random_tangent_section(phi, seed=6)
+    chain = TensionChain(phi, frame)
     a = pf.integrate(circle_grid, frame, sf.inner(
-        phi.spec, phi.values, pf.rough_laplacian(V, frame).values, W.values))
+        phi.spec, phi.values, chain.laplacian(V).values, W.values))
     b = pf.integrate(circle_grid, frame, sf.inner(
-        phi.spec, phi.values, V.values, pf.rough_laplacian(W, frame).values))
+        phi.spec, phi.values, V.values, chain.laplacian(W).values))
     assert abs(a - b) <= 1e-8
 
 
@@ -468,6 +470,25 @@ def test_chain_matches_standalone_definitions(name, params, grid_args, target, m
                 assert g.values.tobytes() == x.tobytes(), field
         else:
             assert got.values.tobytes() == expected.tobytes(), field
+
+
+@pytest.mark.parametrize("name,params,grid_args,target", [
+    ("Circle", {"r": 0.7}, (1, (256,), (TWO_PI,)), pf.SpaceFormSpec(-1.0, 2)),
+    ("TorusCliffordLike", {"a": 1.0, "rho": 0.4}, (2, (64, 64), (TWO_PI, TWO_PI)),
+     pf.SpaceFormSpec(-1.0, 3)),
+], ids=["circle-H2", "tube-torus-H3"])
+def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
+    # the operators applied afresh to a cached field reproduce the cached
+    # field that reuses it, bit for bit
+    phi = build_fixture(name, params, grid_args, target)
+    frame = frame_for(phi)
+    assert frame.zero_div_terms == (phi.grid.dims == 1)
+    chain = TensionChain(phi, frame)
+    assert np.array_equal(chain.jacobi(chain.tau).values, chain.tau2.values)
+    for fresh, cached in zip(chain.nabla(chain.tau), chain.grad_tau, strict=True):
+        assert np.array_equal(fresh.values, cached.values)
+    j_lap = chain.lap2_tau.values - chain.curvature(chain.lap_tau).values
+    assert np.array_equal(chain.jacobi(chain.lap_tau).values, j_lap)
 
 
 def _ref_scalar_laplacian(grid, frame, f):

@@ -58,8 +58,8 @@ def test_first_variation_circle_tritension(flat_circle):
     # closed form: E3 along the radial family is pi (1 - t)^2, slope -2 pi;
     # the analytic side pairs tau3 = tau against V = tau
     frame = frame_for(flat_circle, induced=False)
-    tau = pf.tension(flat_circle, frame)
-    tau3 = pf.tritension_general(flat_circle, frame)
+    chain = pf.TensionChain(flat_circle, frame)
+    tau, tau3 = chain.tau, chain.tau3
     analytic = -pf.integrate(
         flat_circle.grid, frame,
         sf.inner(flat_circle.spec, flat_circle.values, tau3.values, tau.values),
