@@ -33,7 +33,7 @@ from .energy import energy_report
 from .errors import (ConfigError, DegenerateImmersion, DegeneratePoint, InvalidSpec,
                      PolyflowError)
 from .examples import builtin_map, example_catalog
-from .flow import FlowConfig, flow_frame, run_flow, theorem_probe
+from .flow import FlowConfig, run_flow, theorem_probe
 from .pullback import TensionChain
 from .space_form import Model, SpaceFormSpec
 from .verify import (
@@ -190,17 +190,17 @@ def _richardson(residual, t: float, tol: float) -> dict:
             "pass": r1 <= tol and decays}
 
 
-def _variation_results(phi, frame, seed: int) -> dict:
+def _variation_results(chain: TensionChain, seed: int) -> dict:
     t = 1e-3
     checks = {}
     for k in (1, 2, 3):
-        V = random_tangent_section(phi, seed=seed + k)
+        V = random_tangent_section(chain.phi, seed=seed + k)
         checks[f"energy_order_{k}"] = _richardson(
-            lambda s: first_variation_residual(phi, V, frame, k, s), t, 1e-4
+            lambda s: first_variation_residual(chain, V, k, s), t, 1e-4
         )
-    V = random_tangent_section(phi, seed=seed + 7)
+    V = random_tangent_section(chain.phi, seed=seed + 7)
     checks["tension_variation"] = _richardson(
-        lambda s: tension_variation_residual(phi, V, frame, s), t, 1e-3
+        lambda s: tension_variation_residual(chain, V, s), t, 1e-3
     )
     return {"t": t, "checks": checks, "pass": all(c["pass"] for c in checks.values())}
 
@@ -233,21 +233,16 @@ def run(config: ExperimentConfig) -> int:
     exit_code = 0
 
     if config.action is Action.FLOW:
-        phi_final, trace = run_flow(phi, config.flow)
+        state, trace = run_flow(phi, config.flow)
         trace_path = Path(config.output_prefix + "_trace.csv")
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         _write_trace(trace_path, trace)
         summary["flow"] = {"status": trace.status,
                            "iterations": trace.rows[-1][0] if trace.rows else 0,
                            "flow_time": math.fsum(trace.column("dt")[1:])}
-        if trace.rows:
-            frame = flow_frame(phi_final, config.flow)
-            chain = TensionChain(phi_final, frame)
-            probe = theorem_probe(phi_final, trace, frame, chain=chain)
-            summary["probe"] = probe.to_dict()
-            summary["energies"] = energy_report(
-                phi_final, frame, p_list=config.p_list, chain=chain
-            ).to_dict()
+        if state is not None:
+            summary["probe"] = theorem_probe(state, trace.status).to_dict()
+            summary["energies"] = energy_report(state, p_list=config.p_list).to_dict()
         elif trace.status == "nonfinite":
             notes.append("the initial map is not finite; no state was probed")
         else:
@@ -257,14 +252,11 @@ def run(config: ExperimentConfig) -> int:
         if not np.all(np.isfinite(phi.values)):
             raise DegeneratePoint("the initial map has non-finite coordinates")
         metric = _choose_metric(phi, config.action, notes)
-        frame = orthonormal_frame(grid, metric)
-        chain = TensionChain(phi, frame)
+        chain = TensionChain(phi, orthonormal_frame(grid, metric))
         summary["metric_mode"] = metric.mode.value
-        summary["energies"] = energy_report(
-            phi, frame, p_list=config.p_list, chain=chain
-        ).to_dict()
+        summary["energies"] = energy_report(chain, p_list=config.p_list).to_dict()
         if config.action is Action.AUDIT:
-            report = pointwise_identity_audit(phi, frame, seed=config.seed, chain=chain)
+            report = pointwise_identity_audit(chain, seed=config.seed)
             summary["audit"] = report.to_dict()
             if not report.passed:
                 failing = [n for n, c in report.checks.items()
@@ -272,7 +264,7 @@ def run(config: ExperimentConfig) -> int:
                 print(f"audit failed: {', '.join(failing)}", file=sys.stderr)
                 exit_code = 1
         elif config.action is Action.VARIATION_CHECK:
-            variation = _variation_results(phi, frame, config.seed)
+            variation = _variation_results(chain, config.seed)
             summary["variation"] = variation
             if not variation["pass"]:
                 failing = [n for n, c in variation["checks"].items()

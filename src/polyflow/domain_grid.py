@@ -69,8 +69,9 @@ def whole_number(value, name: str) -> int:
 
 
 def real_number(value, name: str) -> float:
-    """``value`` as a float.  A bool is a ValueError rather than 0.0 or 1.0."""
-    if isinstance(value, (bool, np.bool_)):
+    """``value`` as a float.  A bool or a string is a ValueError rather
+    than 0.0, 1.0 or the number the string spells."""
+    if isinstance(value, (bool, np.bool_, str)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .domain_grid import FrameField
-from .pullback import MapField, TensionChain
+from .pullback import TensionChain
 
 __all__ = ["EnergyReport", "energy_report"]
 
@@ -35,18 +34,9 @@ class EnergyReport:
         return out
 
 
-def energy_report(
-    phi: MapField,
-    frame: FrameField,
-    p_list=(2.0, 4.0),
-    chain: TensionChain = None,
-) -> EnergyReport:
-    """Evaluate the full energy ladder and the requested L^p tension norms.
-
-    ``chain`` is the state's tension chain when the caller already has one.
-    """
-    if chain is None:
-        chain = TensionChain(phi, frame)
+def energy_report(chain: TensionChain, p_list=(2.0, 4.0)) -> EnergyReport:
+    """Evaluate the full energy ladder and the requested L^p tension norms
+    of the state whose tension chain is ``chain``."""
     report = EnergyReport(
         E=chain.energy(1),
         E2=chain.energy(2),
@@ -54,9 +44,9 @@ def energy_report(
         Etilde4=chain.etilde4,
         sup_tau=chain.sup_norm(1),
         sup_tau3=chain.sup_norm(3),
-        volume=frame.volume,
+        volume=chain.frame.volume,
     )
-    report.mean_curvature_sup = report.sup_tau / phi.grid.dims
+    report.mean_curvature_sup = report.sup_tau / chain.phi.grid.dims
     for p in p_list:
         report.Lp_tension[float(p)] = chain.tension_lp(p)
     return report

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import space_form as sf
-from .domain_grid import DomainGrid, whole_number
+from .domain_grid import DomainGrid, real_number, whole_number
 from .errors import BadParams, UnknownExample
 from .pullback import MapField
 
@@ -224,7 +224,8 @@ def builtin_map(name: str, params: dict, grid: DomainGrid, spec) -> MapField:
 
     Unknown family names raise :class:`UnknownExample`; a grid or target
     outside the family's domain, and unknown or invalid parameters, raise
-    :class:`BadParams`.  Defaults fill missing parameters.
+    :class:`BadParams`.  Defaults fill missing parameters; a parameter whose
+    default is a float must be a real number (not a bool or a string).
     """
     if name not in _FAMILIES:
         raise UnknownExample(
@@ -242,6 +243,9 @@ def builtin_map(name: str, params: dict, grid: DomainGrid, spec) -> MapField:
         raise BadParams(f"{name} does not take parameters {sorted(unknown)}")
     full = {**fam["defaults"], **params}
     try:
+        for key, default in fam["defaults"].items():
+            if isinstance(default, float):
+                full[key] = real_number(full[key], key)
         values = fam["builder"](full, grid, spec)
     except (TypeError, ValueError) as exc:
         raise BadParams(f"bad {name} parameters: {exc}") from exc

@@ -159,12 +159,11 @@ class FlowTrace:
 
 
 class Trial(NamedTuple):
-    """One Armijo trial: the state it leaves (the candidate if accepted,
-    else the state it started from) and that state's tension chain, the
-    step size it tried and the stability cap that bounded it (``inf`` under
-    FixedPrescribed, where no cap applies)."""
+    """One Armijo trial: whether it was accepted, the tension chain of the
+    state it leaves (the candidate if accepted, else the state it started
+    from), the step size it tried and the stability cap that bounded it
+    (``inf`` under FixedPrescribed, where no cap applies)."""
 
-    phi: MapField
     accepted: bool
     chain: TensionChain
     dt: float
@@ -185,8 +184,8 @@ def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
     flowed energy drops by at least armijo_c * dt * Int <descent, step>, up
     to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
     monotonicity contract) so the search cannot stall on energy differences
-    below evaluation roundoff.  On rejection the state and its chain are
-    returned unchanged.  Choosing the next ``dt`` is :func:`run_flow`'s.
+    below evaluation roundoff.  On rejection ``chain`` is returned
+    unchanged.  Choosing the next ``dt`` is :func:`run_flow`'s.
     """
     if chain is None:
         chain = TensionChain(phi, frame)
@@ -200,7 +199,7 @@ def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
     if chain.sup_norm(k) == 0.0:
-        return Trial(phi, True, chain, dt, cap)
+        return Trial(True, chain, dt, cap)
     e_now = chain.energy(k)
     decrease = integrate(phi.grid, frame,
                          sf.inner(phi.spec, phi.values, descent.values, step))
@@ -208,8 +207,8 @@ def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
                          grid=phi.grid, spec=phi.spec)
     trial = TensionChain(candidate, frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
-        return Trial(candidate, True, trial, dt, cap)
-    return Trial(phi, False, chain, dt, cap)
+        return Trial(True, trial, dt, cap)
+    return Trial(False, chain, dt, cap)
 
 
 def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
@@ -328,54 +327,54 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     leaves it unchanged.  Only ReInduceEachStep trials have a finite cap;
     the cap of a FixedPrescribed trial is ``inf``, so it never clips.
 
-    Returns ``(phi_final, trace)``; a step-size underflow is reported as
+    Returns ``(state, trace)``, ``state`` the tension chain of the last
+    good state, on the frame it was entered with; it is ``None`` exactly
+    when no trace row was written.  A step-size underflow is reported as
     ``trace.status == "stalled"``, a state that cannot be projected or
     framed (e.g. it does not immerse under ReInduceEachStep) as
     ``"degenerate"``, and one with a non-finite trace row as
-    ``"nonfinite"``.  Either way the last good state and the partial trace
-    are returned; when ``phi0`` itself cannot be entered, that is an empty
-    trace and a copy of ``phi0``.
+    ``"nonfinite"``; either way the last good state and the partial trace
+    are returned.
     """
     k = _ENERGY_ORDER[cfg.kind]
     reinduce = cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP
     dt = cfg.initial_dt(phi0.grid)
     trace = FlowTrace()
-    phi = candidate = phi0.copy()
-    frame, dt_used, cap = None, math.nan, math.nan
+    state, candidate, dt_used, cap = None, phi0, math.nan, math.nan
 
     for it in range(cfg.max_iters + 1):
         try:
             if it > 0:
-                candidate, accepted, chain, dt_used, cap = flow_step(
-                    phi, frame, cfg, dt, chain=chain)
+                accepted, chain, dt_used, cap = flow_step(
+                    state.phi, state.frame, cfg, dt, chain=state)
                 if not accepted:
                     dt = min(dt_used * cfg.shrink, _DT_CEILING)
                     trace.rows.append((it, *row, 0.0, cap))
                     continue
                 if dt_used == dt:
                     dt = min(dt / cfg.shrink, _DT_CEILING)
-            if frame is None or reinduce:
-                frame = flow_frame(candidate, cfg)
-                chain = TensionChain(candidate, frame)
+                candidate = chain.phi
+            if state is None or reinduce:
+                chain = TensionChain(candidate, flow_frame(candidate, cfg))
             sup_descent = chain.sup_norm(k)
             row = (*_trace_metrics(chain), sup_descent)
         except StepUnderflow:
             trace.status = "stalled"
-            return phi, trace
+            return state, trace
         except PolyflowError:
             trace.status = "degenerate"
-            return phi, trace
+            return state, trace
         if not all(map(math.isfinite, row)):
             trace.status = "nonfinite"
-            return phi, trace
-        phi = candidate
+            return state, trace
+        state = chain
         trace.rows.append((it, *row, dt_used, cap))
         if sup_descent <= cfg.grad_tol:
             trace.status = "converged"
-            return phi, trace
+            return state, trace
 
     trace.status = "max_iters"
-    return phi, trace
+    return state, trace
 
 
 @dataclass
@@ -415,24 +414,18 @@ class ProbeVerdict:
         return out
 
 
-def theorem_probe(
-    phi: MapField,
-    trace: FlowTrace,
-    frame: FrameField,
-    chain: TensionChain = None,
-) -> ProbeVerdict:
-    """Measure a terminal state against the vanishing predictions.
+def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
+    """Measure a terminal state, given by its tension chain and its flow
+    status, against the vanishing predictions.
 
     Reports the triharmonicity defect sup |tau3|, the finiteness surrogates
     Etilde4 and Int |tau|^4 (always finite on a compact grid), the
     minimality measures sup |tau| and the node variance of |tau|^2, the
     parallelism measure sup |nabla Delta tau|, and a constant-mean-curvature
     diagnostic (coefficient of variation of |tau|; measured, never
-    enforced).  ``chain`` is the state's tension chain, if already built.
+    enforced).
     """
-    grid = phi.grid
-    if chain is None:
-        chain = TensionChain(phi, frame)
+    phi, frame = chain.phi, chain.frame
     tau_norm = chain.tau_norm
     grad_lap_sq = chain.grad_lap_tau_sq
 
@@ -450,7 +443,7 @@ def theorem_probe(
         ("tension", tau_norm, chain.grad_tau_sq),
         ("laplacian_tau", chain.lap_norm, grad_lap_sq),
     ):
-        weighted = integrate(grid, frame, a_norm**2 * grad_sq)
+        weighted = integrate(phi.grid, frame, a_norm**2 * grad_sq)
         constancy[name] = {
             "weighted_gradient_integral": weighted,
             "norm_variance": float(np.var(a_norm)),
@@ -465,7 +458,7 @@ def theorem_probe(
     caveats = [
         "compact periodic domain: every energy is finite by construction, "
         "so finiteness and completeness hypotheses are modeled, not tested",
-        "flow status: " + trace.status,
+        "flow status: " + status,
     ]
     energy = chain.energy(1)
     try:

@@ -298,8 +298,9 @@ def tension(phi: MapField, frame: FrameField) -> Section:
     return TensionChain(phi, frame).tau
 
 
-def tritension_space_form(phi: MapField, frame: FrameField) -> Section:
-    """Tritension field specialized to isometric immersions:
+def tritension_space_form(chain: TensionChain) -> Section:
+    """Tritension field of the state whose tension chain is ``chain``,
+    specialized to isometric immersions:
 
     tau3 = Delta^2 tau - sum_i R(Delta tau, dphi(e_i)) dphi(e_i)
            - c h(tau, tau) tau.
@@ -309,13 +310,13 @@ def tritension_space_form(phi: MapField, frame: FrameField) -> Section:
     the tension field being normal to the image, which fails quantitatively
     for non-isometric maps.
     """
+    phi, frame = chain.phi, chain.frame
     if frame.mode is not MetricMode.INDUCED:
         dev = float(np.max(np.abs(induced_metric(phi).g - frame.metric.g)))
         if dev > ISOMETRY_TOL:
             raise NotIsometric(
                 f"prescribed metric deviates from the pullback metric by {dev:.3e}"
             )
-    chain = TensionChain(phi, frame)
     tau = chain.tau
     out = chain.jacobi(chain.lap_tau, chain.lap2_tau).values
     if phi.spec.c != 0.0:

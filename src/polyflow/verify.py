@@ -125,20 +125,20 @@ def _require_prescribed(frame: FrameField):
         )
 
 
-def first_variation_residual(
-    phi: MapField, V: Section, frame: FrameField, k: int, t: float
-) -> float:
-    """Central-difference check of dE_k/dt = -Int <tau_k, V>.
+def first_variation_residual(chain: TensionChain, V: Section, k: int, t: float) -> float:
+    """Central-difference check of dE_k/dt = -Int <tau_k, V> at the state
+    whose tension chain is ``chain``.
 
     Returns |FD(t) - A| / (1 + |A|) with FD the symmetric quotient of E_k
     along the geodesic variation and A the analytic pairing.  Decays at
     O(t^2) plus the scheme error, except for families on which E_k is
     polynomial in t (flat targets), where the quotient is exact.
     """
+    phi, frame = chain.phi, chain.frame
     _require_prescribed(frame)
     if k not in (1, 2, 3):
         raise ValueError(f"variation order must be 1, 2 or 3, got {k}")
-    tau_k = TensionChain(phi, frame).field(k)
+    tau_k = chain.field(k)
     pairing = sf.inner(phi.spec, phi.values, tau_k.values, V.values)
     analytic = -integrate(phi.grid, frame, pairing)
     e_plus = TensionChain(vary(phi, V, t), frame).energy(k)
@@ -147,21 +147,21 @@ def first_variation_residual(
     return abs(fd - analytic) / (1.0 + abs(analytic))
 
 
-def tension_variation_residual(
-    phi: MapField, V: Section, frame: FrameField, t: float
-) -> float:
-    """Sup-norm check of d/dt tau(phi_t)|_0 = -Delta V + sum_j R(V, dphi(e_j)) dphi(e_j).
+def tension_variation_residual(chain: TensionChain, V: Section, t: float) -> float:
+    """Sup-norm check of d/dt tau(phi_t)|_0 = -Delta V + sum_j R(V, dphi(e_j)) dphi(e_j)
+    at the state whose tension chain is ``chain``.
 
     The time derivative is the projected ambient central difference of the
     tension fields of the two varied maps.
     """
+    phi, frame = chain.phi, chain.frame
     _require_prescribed(frame)
     tau_plus = TensionChain(vary(phi, V, t), frame).tau
     tau_minus = TensionChain(vary(phi, V, -t), frame).tau
     lhs = sf.project_tangent(
         phi.spec, phi.values, (tau_plus.values - tau_minus.values) / (2.0 * t)
     )
-    rhs = -TensionChain(phi, frame).jacobi(V).values
+    rhs = -chain.jacobi(V).values
     return float(np.max(sf.norm(phi.spec, phi.values, lhs - rhs)))
 
 
@@ -194,26 +194,21 @@ def _kato_check(name, grid, frame, a_norm, grad_sq) -> AuditCheck:
     return _verdict(name, excess, tol, note="nodes with |alpha| <= 1e-6 excluded")
 
 
-def pointwise_identity_audit(
-    phi: MapField,
-    frame: FrameField,
-    seed: int = 0,
-    chain: TensionChain = None,
-) -> AuditReport:
-    """Run the bundled pointwise checks and report residuals.
+def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
+    """Run the bundled pointwise checks on the state whose tension chain is
+    ``chain`` and report residuals.
 
     Checks: tension orthogonality (isometric data only), curvature-tensor
     symmetry on random tangent quadruples, the Bochner identity
     <tau, Delta tau> = (1/2) Delta |tau|^2 + |nabla tau|^2, the sign of the
     curvature contraction for c <= 0, and the Kato inequality for tau and
-    Delta tau.  ``chain`` is the state's tension chain, if already built.
+    Delta tau.
     """
+    phi, frame = chain.phi, chain.frame
     grid, spec = phi.grid, phi.spec
     base_tol = scheme_tolerance(grid)
     checks = []
 
-    if chain is None:
-        chain = TensionChain(phi, frame)
     tau, dphi, lap_tau = chain.tau, chain.dphi, chain.lap_tau
     tau_sq, grad_tau_sq = chain.tau_sq, chain.grad_tau_sq
 
@@ -293,10 +288,9 @@ def cutoff(grid: DomainGrid, center, r: float) -> CutoffField:
     return CutoffField(eta=eta, center=center_t, r=float(r), distance=d, grid=grid)
 
 
-def caccioppoli_audit(
-    phi: MapField, frame: FrameField, eta: CutoffField, eps: float
-) -> float:
-    """Margin of the localized energy inequality for triharmonic states.
+def caccioppoli_audit(chain: TensionChain, eta: CutoffField, eps: float) -> float:
+    """Margin of the localized energy inequality for the triharmonic state
+    whose tension chain is ``chain``.
 
     For a map with vanishing tritension field into a target with c <= 0,
 
@@ -310,10 +304,9 @@ def caccioppoli_audit(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    spec, grid = phi.spec, phi.grid
+    frame, spec, grid = chain.frame, chain.phi.spec, chain.phi.grid
     if spec.c > 0.0:
         raise NotTriharmonic("inequality requires nonpositive curvature")
-    chain = TensionChain(phi, frame)
     tau3_sup = chain.sup_norm(3)
     if tau3_sup > 1e-5:
         raise NotTriharmonic(f"sup |tau3| = {tau3_sup:.3e} exceeds 1e-5")

@@ -73,3 +73,7 @@ def frame_for(phi, induced=True):
     else:
         metric = pf.identity_metric(phi.grid)
     return pf.orthonormal_frame(phi.grid, metric)
+
+
+def chain_for(phi, induced=True):
+    return pf.TensionChain(phi, frame_for(phi, induced))

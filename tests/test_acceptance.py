@@ -18,7 +18,7 @@ from polyflow.domain_grid import scalar_gradient
 from polyflow.errors import DegenerateImmersion
 from polyflow.pullback import tritension_space_form
 
-from conftest import build_fixture, builtin_fixture_set, frame_for
+from conftest import build_fixture, builtin_fixture_set, chain_for, frame_for
 
 TWO_PI = 2 * np.pi
 FD_FLOOR = 1e-9  # below this the central difference is exact, O(t^2) vacuous
@@ -39,15 +39,14 @@ def circle_oracle_errors(n, differentiation):
         float(np.max(np.abs(tau.norm_field() - 1.0))),
         float(np.max(np.abs(lap.values - tau.values))),
         float(np.max(np.abs(tau3.values - tau.values))),
-        phi,
-        frame,
+        chain,
     )
 
 
 def test_criterion_01_circle_oracle():
     start = time.perf_counter()
-    e_tau, e_lap, e_tau3, phi, frame = circle_oracle_errors(256, "Spectral")
-    rep = pf.energy_report(phi, frame, p_list=(4.0,))
+    e_tau, e_lap, e_tau3, chain = circle_oracle_errors(256, "Spectral")
+    rep = pf.energy_report(chain, p_list=(4.0,))
     spectral_ok = (
         max(e_tau, e_lap, e_tau3) <= 1e-8
         and abs(rep.E2 - np.pi) <= 1e-8
@@ -74,7 +73,7 @@ def test_criterion_02_scaling_law():
     for r in (0.5, 1.0, 2.0):
         grid = pf.build_grid(pf.GridSpec(1, (256,), (TWO_PI * r,)))
         phi = pf.builtin_map("Circle", {"r": r}, grid, pf.SpaceFormSpec(0.0, 2))
-        rep = pf.energy_report(phi, frame_for(phi), p_list=(4.0,))
+        rep = pf.energy_report(chain_for(phi), p_list=(4.0,))
         rel = max(
             abs(rep.E2 - np.pi / r) / (np.pi / r),
             abs(rep.E3 - np.pi / r**3) / (np.pi / r**3),
@@ -85,9 +84,9 @@ def test_criterion_02_scaling_law():
     report(2, ok, "; ".join(details))
 
 
-def _variation_protocol(phi, frame, V, k):
-    r_t = pf.first_variation_residual(phi, V, frame, k, 1e-3)
-    r_half = pf.first_variation_residual(phi, V, frame, k, 5e-4)
+def _variation_protocol(chain, V, k):
+    r_t = pf.first_variation_residual(chain, V, k, 1e-3)
+    r_half = pf.first_variation_residual(chain, V, k, 5e-4)
     decays = r_half <= FD_FLOOR or 3.5 <= r_t / r_half <= 4.5
     return r_t <= 1e-4 and decays, r_t
 
@@ -111,7 +110,7 @@ def test_criterion_03_first_variation():
     ok &= abs(analytic + TWO_PI) <= 1e-4 * TWO_PI
     ok &= abs(fd + TWO_PI) <= 1e-4 * TWO_PI
     for k in (1, 2, 3):
-        passed, _ = _variation_protocol(phi, frame, tau, k)
+        passed, _ = _variation_protocol(chain, tau, k)
         ok = ok and passed
 
     # five random directions per model
@@ -124,10 +123,11 @@ def test_criterion_03_first_variation():
     }
     worst = 0.0
     for name, test_map in models.items():
+        map_chain = pf.TensionChain(test_map, frame)
         for i in range(5):
             V = pf.random_tangent_section(test_map, seed=100 + i)
             for k in (1, 2, 3):
-                passed, r_t = _variation_protocol(test_map, frame, V, k)
+                passed, r_t = _variation_protocol(map_chain, V, k)
                 worst = max(worst, r_t)
                 ok = ok and passed
     elapsed = time.perf_counter() - start
@@ -153,9 +153,8 @@ def test_criterion_04_tritension_agreement():
     worst = 0.0
     for name, params, grid_args, target in fixtures:
         phi = build_fixture(name, params, grid_args, target)
-        frame = frame_for(phi)
-        general = pf.TensionChain(phi, frame).tau3
-        special = tritension_space_form(phi, frame)
+        chain = chain_for(phi)
+        general, special = chain.tau3, tritension_space_form(chain)
         resid = float(
             np.max(np.abs(general.values - special.values))
             / (1.0 + np.max(general.norm_field()))
@@ -173,7 +172,7 @@ def test_criterion_05_identity_audit():
             frame = frame_for(phi)
         except DegenerateImmersion:
             frame = frame_for(phi, induced=False)
-        rep = pf.pointwise_identity_audit(phi, frame, seed=0)
+        rep = pf.pointwise_identity_audit(pf.TensionChain(phi, frame), seed=0)
         kato_clean = (
             rep.checks["kato_tension"].nodes_failed == 0
             and rep.checks["kato_tension_laplacian"].nodes_failed == 0
@@ -198,9 +197,10 @@ def test_criterion_06_tension_variation():
                        pf.SpaceFormSpec(-1.0, 2)),
     ]
     for phi in fixtures:
+        chain = pf.TensionChain(phi, frame)
         V = pf.random_tangent_section(phi, seed=7)
-        r_t = pf.tension_variation_residual(phi, V, frame, 1e-3)
-        r_half = pf.tension_variation_residual(phi, V, frame, 5e-4)
+        r_t = pf.tension_variation_residual(chain, V, 1e-3)
+        r_half = pf.tension_variation_residual(chain, V, 5e-4)
         decays = r_half <= FD_FLOOR or 3.5 <= r_t / r_half <= 4.5
         ok = ok and r_t <= 1e-3 and decays
         worst = max(worst, r_t)
@@ -236,14 +236,13 @@ def triharmonic_flow_result():
         metric_policy="FixedPrescribed",
     )
     start = time.perf_counter()
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     elapsed = time.perf_counter() - start
-    frame = pf.orthonormal_frame(grid, pf.identity_metric(grid))
-    return phi, trace, frame, elapsed
+    return state, trace, elapsed
 
 
 def test_criterion_08_flow_probe(triharmonic_flow_result):
-    phi, trace, frame, elapsed = triharmonic_flow_result
+    state, trace, elapsed = triharmonic_flow_result
 
     # hard sub-assertions: Armijo monotonicity, runtime budget
     e3 = trace.accepted_series("E3")
@@ -257,13 +256,13 @@ def test_criterion_08_flow_probe(triharmonic_flow_result):
                f"monotone={monotone}, {elapsed:.0f}s (convergence inconclusive)")
         return
 
-    probe = pf.theorem_probe(phi, trace, frame)
+    probe = pf.theorem_probe(state, trace.status)
     stationary = True
     if trace.column("sup_descent")[-1] <= 1e-8:
         for seed in range(10):
-            V = pf.random_tangent_section(phi, seed=seed)
+            V = pf.random_tangent_section(state.phi, seed=seed)
             stationary &= (
-                pf.first_variation_residual(phi, V, frame, 3, 1e-3) <= 1e-6
+                pf.first_variation_residual(state, V, 3, 1e-3) <= 1e-6
             )
     ok = (
         monotone
@@ -304,13 +303,13 @@ def test_criterion_09_cutoff_and_caccioppoli(triharmonic_flow_result):
     cut = pf.cutoff(grid, (128,), TWO_PI / 8)
     geo = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.0, "k": 3}, grid,
                          pf.SpaceFormSpec(-1.0, 2))
-    m_geo = pf.caccioppoli_audit(geo, frame, cut, 0.5)
+    m_geo = pf.caccioppoli_audit(pf.TensionChain(geo, frame), cut, 0.5)
     ok = ok and m_geo >= -1e-8
     details.append(f"geodesic margin {m_geo:.2e}")
 
-    phi, trace, frame8, _ = triharmonic_flow_result
+    state, trace, _ = triharmonic_flow_result
     if trace.status == "converged":
-        m_flow = pf.caccioppoli_audit(phi, frame8, cut, 0.5)
+        m_flow = pf.caccioppoli_audit(state, cut, 0.5)
         ok = ok and m_flow >= -1e-8 * (1 + abs(m_flow))
         details.append(f"converged-state margin {m_flow:.2e}")
     report(9, ok, "; ".join(details))
@@ -325,7 +324,7 @@ def test_criterion_10_holder_consistency():
             frame = frame_for(phi)
         except DegenerateImmersion:
             frame = frame_for(phi, induced=False)
-        rep = pf.energy_report(phi, frame, p_list=(4.0,))
+        rep = pf.energy_report(pf.TensionChain(phi, frame), p_list=(4.0,))
         bound = 0.5 * np.sqrt(rep.volume) * np.sqrt(rep.Lp_tension[4.0])
         excess = rep.E2 - bound
         worst = max(worst, excess)

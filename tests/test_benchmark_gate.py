@@ -5,7 +5,8 @@ final E3 with a recorded reference within ``TRI_E3_RTOL``.  A large-step
 flow lands near that edge, so every input variant is checked here with the
 benchmark's own ``observe`` and ``check``, against its unchanged reference
 file, before a benchmark run would reject the change.  One traced worker run
-checks that the names the benchmark's per-layer report reads still exist.
+per timed workload checks that the names the benchmark's per-layer report
+reads still exist.
 """
 
 import importlib.util
@@ -48,11 +49,12 @@ def test_flow_tri_1d_variant_passes_the_gate(tmp_path, seed):
     assert workloads.check("flow_tri_1d", label, cfg, obs, ref) == []
 
 
-def test_traced_worker_reports_what_per_layer_reads(tmp_path):
+@pytest.mark.parametrize("workload", ["flow_tri_1d", "audit_2d"])
+def test_traced_worker_reports_what_per_layer_reads(tmp_path, workload):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "worker.py"), "--workload", "flow_tri_1d",
+        [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
          "--seed", "0", "--out", str(tmp_path), "--trace"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])

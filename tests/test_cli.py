@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import polyflow
+from polyflow import cli
 from polyflow.cli import load_config, main, parse_config, run
 from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig, FlowTrace
+from polyflow.pullback import TensionChain
 
 TWO_PI = 2 * np.pi
 TRACE_HEADER = "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt,dt_cap"
@@ -171,9 +173,24 @@ BOOLEAN_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("section,key,value", BOOLEAN_VALUES,
-                         ids=[f"{s or 'config'}.{k}" for s, k, _ in BOOLEAN_VALUES])
-def test_boolean_values_exit_2(tmp_path, capsys, section, key, value):
+# A JSON string where a real number is expected is a config error naming the
+# key too, never parsed as the number it spells.
+STRING_VALUES = [
+    ("target", "c", "-1"),
+    ("grid", "lengths", ["6.283185307179586"]),
+    (None, "p_list", ["4"]),
+    ("flow", "dt0", "0.25"),
+    ("flow", "grad_tol", "1e-8"),
+    ("flow", "armijo_c", "1e-4"),
+    ("flow", "shrink", "0.5"),
+]
+
+
+def case_ids(cases):
+    return [f"{s or 'config'}.{k}" for s, k, _ in cases]
+
+
+def assert_config_error_names_key(tmp_path, capsys, section, key, value):
     data = base_config(tmp_path / "bad", action="Flow")
     data["flow"] = {"kind": "Harmonic", "max_iters": 1}
     del data["target"]["model"]  # c = 1 would contradict the Flat model
@@ -181,6 +198,40 @@ def test_boolean_values_exit_2(tmp_path, capsys, section, key, value):
     assert main(["run", str(write_config(tmp_path, data))]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{key} must be" in err
+    assert not (tmp_path / "bad_summary.json").exists()
+
+
+@pytest.mark.parametrize("section,key,value", BOOLEAN_VALUES,
+                         ids=case_ids(BOOLEAN_VALUES))
+def test_boolean_values_exit_2(tmp_path, capsys, section, key, value):
+    assert_config_error_names_key(tmp_path, capsys, section, key, value)
+
+
+@pytest.mark.parametrize("section,key,value", STRING_VALUES,
+                         ids=case_ids(STRING_VALUES))
+def test_string_values_exit_2(tmp_path, capsys, section, key, value):
+    assert_config_error_names_key(tmp_path, capsys, section, key, value)
+
+
+# (family, target, grid dims, parameter): a JSON true for a real-valued map
+# parameter is an error naming the parameter, never read as 1.0.
+BOOLEAN_MAP_PARAMS = [
+    ("Circle", {"c": 0.0, "n": 2}, 1, "r"),
+    ("PerturbedGeodesicH2", {"c": -1.0, "n": 2}, 1, "amplitude"),
+    ("TorusCliffordLike", {"c": 1.0, "n": 3}, 2, "alpha"),
+]
+
+
+@pytest.mark.parametrize("name,target,dims,key", BOOLEAN_MAP_PARAMS,
+                         ids=[f"{n}.{k}" for n, _, _, k in BOOLEAN_MAP_PARAMS])
+def test_boolean_map_parameters_exit_2(tmp_path, capsys, name, target, dims, key):
+    data = base_config(tmp_path / "bad")
+    data["target"] = target
+    data["grid"].update(dims=dims, sizes=[16] * dims, lengths=[TWO_PI] * dims)
+    data["initial_map"] = {"name": name, "params": {key: True}}
+    assert main(["run", str(write_config(tmp_path, data))]) == 2
+    err = capsys.readouterr().err
+    assert "BadParams" in err and f"{key} must be a real number" in err
     assert not (tmp_path / "bad_summary.json").exists()
 
 
@@ -359,6 +410,51 @@ def test_run_flow_nonfinite_at_step_0_writes_outputs(tmp_path):
     assert summary["flow"] == {"status": "nonfinite", "iterations": 0, "flow_time": 0.0}
     assert any("not finite" in note for note in summary["notes"])
     assert "probe" not in summary and "energies" not in summary
+
+
+def record_chains(monkeypatch) -> list:
+    """The map of every TensionChain built from now on, in order."""
+    maps, init = [], TensionChain.__init__
+
+    def recording(self, phi, frame):
+        maps.append(phi)
+        init(self, phi, frame)
+
+    monkeypatch.setattr(TensionChain, "__init__", recording)
+    return maps
+
+
+def test_variation_check_builds_one_chain_of_its_map(tmp_path, monkeypatch):
+    # the energies and the eight residuals share the unvaried map's chain;
+    # each residual builds chains of its two varied maps only
+    maps = record_chains(monkeypatch)
+    data = base_config(tmp_path / "var", action="VariationCheck")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 0.8}}
+    assert run(parse_config(data)) == 0
+    assert sum(phi is maps[0] for phi in maps) == 1
+    assert len(maps) == 1 + 8 * 2
+
+
+@pytest.mark.parametrize("policy", ["FixedPrescribed", "ReInduceEachStep"])
+def test_flow_builds_no_chain_after_run_flow(tmp_path, monkeypatch, policy):
+    # the probe and the energies read the end state's chain from run_flow
+    maps, built_by_flow = record_chains(monkeypatch), []
+    flow = cli.run_flow
+
+    def recording_flow(*args):
+        out = flow(*args)
+        built_by_flow.append(len(maps))
+        return out
+
+    monkeypatch.setattr(cli, "run_flow", recording_flow)
+    data = base_config(tmp_path / "flow", action="Flow")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["flow"] = {"kind": "Biharmonic", "max_iters": 3, "metric_policy": policy}
+    assert run(parse_config(data)) == 0
+    summary = json.loads((tmp_path / "flow_summary.json").read_text())
+    assert "probe" in summary and "energies" in summary
+    assert built_by_flow == [len(maps)] and len(maps) > 0
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -37,13 +37,12 @@ def test_flow_config_rejects_bad_dt0(dt0):
 
 
 def test_flow_config_stores_dt0_as_float():
-    for dt0 in (2, "0.25", np.float32(0.5)):
+    for dt0 in (2, np.float32(0.5)):
         cfg = pf.FlowConfig(dt0=dt0)
         assert type(cfg.dt0) is float and cfg.dt0 == float(dt0)
-    with pytest.raises(ValueError):
-        pf.FlowConfig(dt0="small")
-    with pytest.raises(ValueError, match="dt0 must be a real number"):
-        pf.FlowConfig(dt0=True)
+    for dt0 in ("0.25", "small", True):
+        with pytest.raises(ValueError, match="dt0 must be a real number"):
+            pf.FlowConfig(dt0=dt0)
 
 
 def test_descent_field_matches_tension_fields(flat_circle):
@@ -70,7 +69,7 @@ def test_flow_step_zero_descent_fixed_point(circle_grid):
     cfg = pf.FlowConfig(kind="Triharmonic")
     trial = pf.flow_step(phi, frame, cfg, 1e-3)
     assert trial.accepted
-    assert trial.phi is phi
+    assert trial.chain.phi is phi
 
 
 def test_flow_step_armijo_reject_shrinks(flat_circle):
@@ -82,7 +81,7 @@ def test_flow_step_armijo_reject_shrinks(flat_circle):
     trial = pf.flow_step(flat_circle, frame, cfg, 50.0)
     assert trial.dt == trial.cap == pytest.approx(1.0, rel=1e-12)
     assert not trial.accepted
-    assert trial.phi is flat_circle
+    assert trial.chain.phi is flat_circle
 
 
 def test_implicit_flow_step_is_not_capped(flat_circle):
@@ -96,7 +95,7 @@ def test_implicit_flow_step_is_not_capped(flat_circle):
     assert not trial.accepted
     accepted = pf.flow_step(flat_circle, frame, pf.FlowConfig(kind="Harmonic"), 50.0)
     assert accepted.accepted
-    radius = np.linalg.norm(accepted.phi.values, axis=-1)
+    radius = np.linalg.norm(accepted.chain.phi.values, axis=-1)
     assert np.max(np.abs(radius - 1.0 / 51.0)) <= 1e-12
 
 
@@ -105,8 +104,8 @@ def test_flow_step_accept_grows(flat_circle):
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=1e-4)
     trial = pf.flow_step(flat_circle, frame, cfg, 1e-3)
     assert trial.accepted and trial.dt == 1e-3
-    frame2 = frame_for(trial.phi, induced=False)
-    assert (pf.TensionChain(trial.phi, frame2).energy(1)
+    frame2 = frame_for(trial.chain.phi, induced=False)
+    assert (pf.TensionChain(trial.chain.phi, frame2).energy(1)
             < pf.TensionChain(flat_circle, frame).energy(1))
 
 
@@ -120,18 +119,18 @@ def test_flow_step_underflow(flat_circle):
 def test_harmonic_flow_shrinks_circle(flat_circle):
     # curve-shortening behavior: the radius and the energy both decrease
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=50, grad_tol=1e-12)
-    phi, trace = pf.run_flow(flat_circle, cfg)
+    state, trace = pf.run_flow(flat_circle, cfg)
     assert trace.column("E")[-1] < trace.column("E")[0]
-    assert np.max(np.linalg.norm(phi.values, axis=-1)) < 1.0
+    assert np.max(np.linalg.norm(state.phi.values, axis=-1)) < 1.0
 
 
 def test_run_flow_geodesic_immediate(circle_grid):
     phi = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
     cfg = pf.FlowConfig(kind="Triharmonic", grad_tol=1e-8, max_iters=100)
-    out, trace = pf.run_flow(phi, cfg)
+    state, trace = pf.run_flow(phi, cfg)
     assert trace.status == "converged"
     assert trace.column("iter") == [0]
-    np.testing.assert_array_equal(out.values, phi.values)
+    np.testing.assert_array_equal(state.phi.values, phi.values)
 
 
 def test_stability_cap_scales_with_content(flat_circle):
@@ -220,18 +219,17 @@ def test_criterion_8_flow_is_stationary_at_tight_tolerance():
     phi0 = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.05, "k": 3}, grid,
                           pf.SpaceFormSpec(-1.0, 2))
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=100000, grad_tol=1e-8)
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "converged"
     assert trace.column("sup_descent")[-1] <= 1e-8
     assert trace.column("iter")[-1] <= 100
     assert_monotone(trace.accepted_series("E3"))
     assert all(c == math.inf for c in trace.column("dt_cap")[1:])
-    frame = frame_for(phi, induced=False)
     for seed in range(10):
-        V = pf.random_tangent_section(phi, seed=seed)
-        assert pf.first_variation_residual(phi, V, frame, 3, 1e-3) <= 1e-6
-    assert pf.theorem_probe(phi, trace, frame).classification == "minimal"
-    assert np.max(np.abs(phi.values - [1.0, 0.0, 0.0])) <= 1e-10  # base point
+        V = pf.random_tangent_section(state.phi, seed=seed)
+        assert pf.first_variation_residual(state, V, 3, 1e-3) <= 1e-6
+    assert pf.theorem_probe(state, trace.status).classification == "minimal"
+    assert np.max(np.abs(state.phi.values - [1.0, 0.0, 0.0])) <= 1e-10  # base point
 
 
 def test_triharmonic_flow_2d_converges():
@@ -241,13 +239,13 @@ def test_triharmonic_flow_2d_converges():
     phi0 = pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": 0.4}, grid,
                           pf.SpaceFormSpec(-1.0, 3))
     cfg = pf.FlowConfig(kind="Triharmonic", grad_tol=1e-6)
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "converged"
     assert trace.column("iter")[-1] <= 60
     e3 = trace.column("E3")[:1] + trace.accepted_series("E3")
     assert_monotone(e3)
     assert e3[0] > 600.0 and e3[-1] <= 1e-9
-    assert phi.constraint_residual() <= 1e-12
+    assert state.phi.constraint_residual() <= 1e-12
 
 
 SIN_R_BI = 1.0 / np.sqrt(2.0)  # k-tension of an S^2 circle vanishes iff
@@ -259,7 +257,7 @@ def static_probe(r, c):
     phi = pf.builtin_map("Circle", {"r": r}, grid, pf.SpaceFormSpec(c, 2))
     frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
     chain = pf.TensionChain(phi, frame)
-    return chain, pf.theorem_probe(phi, pf.FlowTrace(), frame, chain=chain)
+    return chain, pf.theorem_probe(chain, "running")
 
 
 def test_probe_sharpness_controls():
@@ -282,8 +280,8 @@ def test_probe_sharpness_controls():
 def test_probe_flags_constant_state():
     # the constant map is triharmonic and "minimal", but not an immersion
     phi = small_h2_perturbation(amplitude=0.0)
-    _, trace = pf.run_flow(phi, pf.FlowConfig(kind="Triharmonic"))
-    probe = pf.theorem_probe(phi, trace, frame_for(phi, induced=False))
+    state, trace = pf.run_flow(phi, pf.FlowConfig(kind="Triharmonic"))
+    probe = pf.theorem_probe(state, trace.status)
     assert probe.classification == "minimal"
     assert probe.E == 0.0 and probe.immersed is False
     assert any("constant (E = 0)" in c for c in probe.caveats)
@@ -292,20 +290,19 @@ def test_probe_flags_constant_state():
 def test_triharmonic_flow_converges_small():
     phi0 = small_h2_perturbation()
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=60000, grad_tol=1e-8)
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "converged"
     assert trace.column("iter")[-1] <= 3500
     assert_monotone(trace.accepted_series("E3"))
-    assert phi.constraint_residual() <= 1e-10
+    assert state.phi.constraint_residual() <= 1e-10
 
     # critical-point consistency: the terminal state is stationary in all
     # tested directions
-    frame = frame_for(phi, induced=False)
     for seed in range(10):
-        V = pf.random_tangent_section(phi, seed=seed)
-        assert pf.first_variation_residual(phi, V, frame, 3, 1e-3) <= 1e-6
+        V = pf.random_tangent_section(state.phi, seed=seed)
+        assert pf.first_variation_residual(state, V, 3, 1e-3) <= 1e-6
 
-    probe = pf.theorem_probe(phi, trace, frame)
+    probe = pf.theorem_probe(state, trace.status)
     assert probe.classification == "minimal"
     assert probe.sup_tau <= 1e-4
     assert probe.tau_sq_node_variance <= 1e-8
@@ -317,7 +314,7 @@ def test_triharmonic_flow_converges_small():
 def test_biharmonic_flow_decreases_e2():
     phi0 = small_h2_perturbation(amplitude=0.01)
     cfg = pf.FlowConfig(kind="Biharmonic", max_iters=2000, grad_tol=1e-7)
-    phi, trace = pf.run_flow(phi0, cfg)
+    _, trace = pf.run_flow(phi0, cfg)
     e2 = trace.accepted_series("E2")
     assert e2[-1] < e2[0]
     assert_monotone(e2)
@@ -336,10 +333,9 @@ def test_harmonic_flow_perturbed_great_circle():
     )
     phi0 = pf.vary(base, bump, 1.0)
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=20000, grad_tol=1e-8)
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "converged"
-    frame = frame_for(phi, induced=False)
-    assert np.max(pf.tension(phi, frame).norm_field()) <= 1e-8
+    assert np.max(state.tau.norm_field()) <= 1e-8
 
 
 def test_reinduce_policy_keeps_immersion(torus_grid):
@@ -347,8 +343,8 @@ def test_reinduce_policy_keeps_immersion(torus_grid):
                           pf.SpaceFormSpec(1.0, 3))
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=5, grad_tol=1e-14,
                         metric_policy="ReInduceEachStep")
-    phi, trace = pf.run_flow(phi0, cfg)
-    metric = pf.induced_metric(phi)  # still immerses
+    state, trace = pf.run_flow(phi0, cfg)
+    metric = pf.induced_metric(state.phi)  # still immerses
     assert metric.mode is pf.MetricMode.INDUCED
     assert len(trace.rows) == 6
 
@@ -356,9 +352,8 @@ def test_reinduce_policy_keeps_immersion(torus_grid):
 def test_probe_geodesic_minimal(circle_grid):
     phi = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
     cfg = pf.FlowConfig(kind="Triharmonic", grad_tol=1e-8, max_iters=10)
-    out, trace = pf.run_flow(phi, cfg)
-    frame = frame_for(out, induced=False)
-    probe = pf.theorem_probe(out, trace, frame)
+    state, trace = pf.run_flow(phi, cfg)
+    probe = pf.theorem_probe(state, trace.status)
     assert probe.classification == "minimal"
     assert probe.sup_tau <= 1e-12
     assert probe.sup_tau3 <= 1e-9
@@ -400,25 +395,25 @@ def test_reinduce_degenerate_keeps_partial_trace():
     phi0 = pf.builtin_map("Circle", {"r": 0.3}, grid, pf.SpaceFormSpec(-1.0, 2))
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=50, grad_tol=1e-8,
                         metric_policy="ReInduceEachStep")
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "degenerate"
     assert trace.column("iter") == list(range(len(trace.rows)))
     assert len(trace.rows) > 1
     assert all(dt > 0.0 for dt in trace.column("dt")[1:])
-    assert pf.induced_metric(phi).mode is pf.MetricMode.INDUCED  # still immerses
-    frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
-    assert pf.TensionChain(phi, frame).energy(1) == trace.column("E")[-1]
+    metric = pf.induced_metric(state.phi)  # still immerses
+    assert metric.mode is pf.MetricMode.INDUCED
+    frame = pf.orthonormal_frame(grid, metric)
+    assert pf.TensionChain(state.phi, frame).energy(1) == trace.column("E")[-1]
 
 
 def test_run_flow_degenerate_at_step_0():
     # the initial map does not immerse, so ReInduceEachStep cannot frame it
     phi0 = small_h2_perturbation(amplitude=0.05, k=3)
     cfg = pf.FlowConfig(kind="Triharmonic", metric_policy="ReInduceEachStep")
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "degenerate"
     assert trace.column("iter") == [] and trace.rows == []
-    assert phi is not phi0
-    assert np.array_equal(phi.values, phi0.values)
+    assert state is None
 
 
 def test_run_flow_nonfinite_at_step_0():
@@ -427,11 +422,41 @@ def test_run_flow_nonfinite_at_step_0():
     grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
     with pytest.warns(RuntimeWarning):
         phi0 = pf.builtin_map("Circle", {"r": 800.0}, grid, pf.SpaceFormSpec(-1.0, 2))
-    phi, trace = pf.run_flow(phi0, pf.FlowConfig(kind="Triharmonic"))
+    state, trace = pf.run_flow(phi0, pf.FlowConfig(kind="Triharmonic"))
     assert trace.status == "nonfinite"
     assert trace.column("iter") == [] and trace.rows == []
-    assert phi is not phi0
-    assert np.array_equal(phi.values, phi0.values, equal_nan=True)
+    assert state is None
+
+
+def end_state_flow(case):
+    """(initial map, config, end status) of a flow that ends as ``case`` says."""
+    if case == "fixed-converged":
+        return (small_h2_perturbation(), pf.FlowConfig(kind="Triharmonic"),
+                "converged")
+    if case == "reinduce-max-iters":
+        grid = pf.build_grid(pf.GridSpec(2, (32, 32), (TWO_PI, TWO_PI)))
+        phi0 = pf.builtin_map("TorusCliffordLike", {"alpha": np.pi / 5}, grid,
+                              pf.SpaceFormSpec(1.0, 3))
+        return phi0, pf.FlowConfig(kind="Biharmonic", max_iters=5, grad_tol=1e-14,
+                                   metric_policy="ReInduceEachStep"), "max_iters"
+    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
+    phi0 = pf.builtin_map("Circle", {"r": 0.3}, grid, pf.SpaceFormSpec(-1.0, 2))
+    return phi0, pf.FlowConfig(kind="Harmonic", max_iters=50, grad_tol=1e-8,
+                               metric_policy="ReInduceEachStep"), "degenerate"
+
+
+@pytest.mark.parametrize("case", ["fixed-converged", "reinduce-max-iters",
+                                  "reinduce-degenerate"])
+def test_run_flow_state_is_its_end_state(case):
+    # the returned chain reads as one rebuilt from the end state's map
+    phi0, cfg, status = end_state_flow(case)
+    state, trace = pf.run_flow(phi0, cfg)
+    assert trace.status == status
+    rebuilt = pf.TensionChain(state.phi, flow_frame(state.phi, cfg))
+    assert pf.energy_report(state).to_dict() == pf.energy_report(rebuilt).to_dict()
+    assert (pf.theorem_probe(state, trace.status).to_dict()
+            == pf.theorem_probe(rebuilt, trace.status).to_dict())
+    assert state.energy(1) == trace.column("E")[-1]
 
 
 def test_run_flow_nonfinite_keeps_partial_trace(monkeypatch):
@@ -447,10 +472,10 @@ def test_run_flow_nonfinite_keeps_partial_trace(monkeypatch):
 
     monkeypatch.setattr(flow_module, "_trace_metrics", metrics)
     cfg = pf.FlowConfig(kind="Triharmonic", max_iters=10, grad_tol=1e-12)
-    phi, trace = pf.run_flow(small_h2_perturbation(), cfg)
+    state, trace = pf.run_flow(small_h2_perturbation(), cfg)
     assert trace.status == "nonfinite"
     assert trace.column("iter") == [0, 1, 2]
-    assert phi is entered[2]
+    assert state.phi is entered[2]
 
 
 def visible_bands(values):
@@ -542,7 +567,7 @@ def reference_flow(phi0, cfg):
     frame = flow_frame(phi, cfg)
 
     def enter(state):
-        report = pf.energy_report(state, frame)
+        report = pf.energy_report(pf.TensionChain(state, frame))
         descent = pf.TensionChain(state, frame).field(k)
         return descent, (report.E, report.E2, report.E3, report.Etilde4,
                          report.Lp_tension[4.0], report.sup_tau,
@@ -583,10 +608,10 @@ def reference_flow(phi0, cfg):
 
 
 def assert_flow_matches_reference(phi0, cfg):
-    phi, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(phi0, cfg)
     ref_phi, ref_rows = reference_flow(phi0, cfg)
     assert np.array(trace.rows).tobytes() == np.array(ref_rows).tobytes()
-    assert phi.values.tobytes() == ref_phi.values.tobytes()
+    assert state.phi.values.tobytes() == ref_phi.values.tobytes()
     return trace
 
 

@@ -11,7 +11,7 @@ from polyflow.errors import DegenerateImmersion, NotIsometric
 from polyflow.flow import _trace_metrics
 from polyflow.pullback import Section, TensionChain, tritension_space_form
 
-from conftest import build_fixture, builtin_fixture_set, frame_for
+from conftest import build_fixture, builtin_fixture_set, chain_for, frame_for
 
 TWO_PI = 2 * np.pi
 
@@ -296,9 +296,8 @@ AGREEMENT_FIXTURES = [
 @pytest.mark.parametrize("name,params,grid_args,target", AGREEMENT_FIXTURES)
 def test_tritension_space_form_agreement(name, params, grid_args, target):
     phi = build_fixture(name, params, grid_args, target)
-    frame = frame_for(phi)
-    general = TensionChain(phi, frame).tau3
-    special = tritension_space_form(phi, frame)
+    chain = chain_for(phi)
+    general, special = chain.tau3, tritension_space_form(chain)
     sup = np.max(general.norm_field())
     diff = np.max(np.abs(general.values - special.values))
     assert diff / (1.0 + sup) <= 1e-7
@@ -307,9 +306,9 @@ def test_tritension_space_form_agreement(name, params, grid_args, target):
 def test_tritension_space_form_not_isometric(circle_grid):
     phi = pf.builtin_map("Circle", {"r": np.pi / 3}, circle_grid,
                          pf.SpaceFormSpec(1.0, 2))
-    frame = frame_for(phi, induced=False)  # prescribed flat: g != phi*h
+    chain = chain_for(phi, induced=False)  # prescribed flat: g != phi*h
     with pytest.raises(NotIsometric):
-        tritension_space_form(phi, frame)
+        tritension_space_form(chain)
 
 
 def test_linearity_of_operators(circle_grid):

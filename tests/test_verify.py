@@ -13,7 +13,7 @@ from polyflow.errors import (
 )
 from polyflow.pullback import Section
 
-from conftest import build_fixture, builtin_fixture_set, frame_for
+from conftest import build_fixture, builtin_fixture_set, chain_for, frame_for
 
 TWO_PI = 2 * np.pi
 
@@ -57,38 +57,36 @@ def test_vary_stays_on_model(circle_grid):
 def test_first_variation_circle_tritension(flat_circle):
     # closed form: E3 along the radial family is pi (1 - t)^2, slope -2 pi;
     # the analytic side pairs tau3 = tau against V = tau
-    frame = frame_for(flat_circle, induced=False)
-    chain = pf.TensionChain(flat_circle, frame)
-    tau, tau3 = chain.tau, chain.tau3
+    chain = chain_for(flat_circle, induced=False)
+    frame, tau, tau3 = chain.frame, chain.tau, chain.tau3
     analytic = -pf.integrate(
         flat_circle.grid, frame,
         sf.inner(flat_circle.spec, flat_circle.values, tau3.values, tau.values),
     )
     assert analytic == pytest.approx(-TWO_PI, abs=1e-10)
-    resid = pf.first_variation_residual(flat_circle, tau, frame, 3, 1e-3)
+    resid = pf.first_variation_residual(chain, tau, 3, 1e-3)
     assert resid <= 1e-4
 
 
 def test_first_variation_zero_section(flat_circle):
-    frame = frame_for(flat_circle, induced=False)
     V = Section(values=np.zeros_like(flat_circle.values), base=flat_circle)
-    assert pf.first_variation_residual(flat_circle, V, frame, 1, 1e-3) == 0.0
+    chain = chain_for(flat_circle, induced=False)
+    assert pf.first_variation_residual(chain, V, 1, 1e-3) == 0.0
 
 
 def test_first_variation_geodesic_critical(circle_grid):
     phi = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
-    frame = frame_for(phi, induced=False)
+    chain = chain_for(phi, induced=False)
     V = pf.random_tangent_section(phi, seed=3)
-    assert pf.first_variation_residual(phi, V, frame, 1, 1e-4) <= 1e-6
+    assert pf.first_variation_residual(chain, V, 1, 1e-4) <= 1e-6
 
 
 def test_first_variation_requires_prescribed(flat_circle):
-    frame = frame_for(flat_circle, induced=True)
-    tau = pf.tension(flat_circle, frame)
+    chain = chain_for(flat_circle, induced=True)
     with pytest.raises(MetricModeError):
-        pf.first_variation_residual(flat_circle, tau, frame, 1, 1e-3)
+        pf.first_variation_residual(chain, chain.tau, 1, 1e-3)
     with pytest.raises(MetricModeError):
-        pf.tension_variation_residual(flat_circle, tau, frame, 1e-3)
+        pf.tension_variation_residual(chain, chain.tau, 1e-3)
 
 
 @pytest.mark.parametrize("target", [pf.SpaceFormSpec(1.0, 2),
@@ -96,35 +94,35 @@ def test_first_variation_requires_prescribed(flat_circle):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_first_variation_curved_richardson(circle_grid, target, k):
     phi = pf.builtin_map("Circle", {"r": 0.9}, circle_grid, target)
-    frame = frame_for(phi, induced=False)
+    chain = chain_for(phi, induced=False)
     V = pf.random_tangent_section(phi, seed=17 + k)
-    r_t = pf.first_variation_residual(phi, V, frame, k, 1e-3)
-    r_half = pf.first_variation_residual(phi, V, frame, k, 5e-4)
+    r_t = pf.first_variation_residual(chain, V, k, 1e-3)
+    r_half = pf.first_variation_residual(chain, V, k, 5e-4)
     assert r_t <= 1e-4
     assert richardson_ok(r_t, r_half)
 
 
 def test_tension_variation_flat_projected_sine(flat_circle):
-    frame = frame_for(flat_circle, induced=False)
     s = flat_circle.grid.axes[0]
     V = Section(values=np.stack([np.zeros_like(s), np.sin(s)], -1),
                 base=flat_circle)
-    assert pf.tension_variation_residual(flat_circle, V, frame, 1e-3) <= 1e-3
+    chain = chain_for(flat_circle, induced=False)
+    assert pf.tension_variation_residual(chain, V, 1e-3) <= 1e-3
 
 
 def test_tension_variation_zero_section(flat_circle):
-    frame = frame_for(flat_circle, induced=False)
     V = Section(values=np.zeros_like(flat_circle.values), base=flat_circle)
-    assert pf.tension_variation_residual(flat_circle, V, frame, 1e-3) <= 1e-14
+    chain = chain_for(flat_circle, induced=False)
+    assert pf.tension_variation_residual(chain, V, 1e-3) <= 1e-14
 
 
 def test_tension_variation_curved_richardson(circle_grid):
     phi = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.05, "k": 3},
                          circle_grid, pf.SpaceFormSpec(-1.0, 2))
-    frame = frame_for(phi, induced=False)
+    chain = chain_for(phi, induced=False)
     V = pf.random_tangent_section(phi, seed=42)
-    r_t = pf.tension_variation_residual(phi, V, frame, 1e-3)
-    r_half = pf.tension_variation_residual(phi, V, frame, 5e-4)
+    r_t = pf.tension_variation_residual(chain, V, 1e-3)
+    r_half = pf.tension_variation_residual(chain, V, 5e-4)
     assert r_t <= 1e-3
     assert richardson_ok(r_t, r_half)
 
@@ -136,7 +134,7 @@ def test_identity_audit_builtin(name, params, grid_args, target):
         frame = frame_for(phi)
     except DegenerateImmersion:
         frame = frame_for(phi, induced=False)
-    report = pf.pointwise_identity_audit(phi, frame, seed=0)
+    report = pf.pointwise_identity_audit(pf.TensionChain(phi, frame), seed=0)
     assert report.passed, report.to_dict()
     kato = report.checks["kato_tension"]
     assert kato.nodes_failed == 0
@@ -145,15 +143,13 @@ def test_identity_audit_builtin(name, params, grid_args, target):
 
 
 def test_audit_orthogonality_skipped_without_isometry(flat_circle):
-    frame = frame_for(flat_circle, induced=False)
-    report = pf.pointwise_identity_audit(flat_circle, frame)
+    report = pf.pointwise_identity_audit(chain_for(flat_circle, induced=False))
     assert report.checks["tension_orthogonality"].skipped
     assert report.passed
 
 
 def test_audit_circle_orthogonality_residual(flat_circle):
-    frame = frame_for(flat_circle, induced=True)
-    report = pf.pointwise_identity_audit(flat_circle, frame)
+    report = pf.pointwise_identity_audit(chain_for(flat_circle, induced=True))
     check = report.checks["tension_orthogonality"]
     assert not check.skipped
     assert check.max_residual <= 1e-8
@@ -161,8 +157,7 @@ def test_audit_circle_orthogonality_residual(flat_circle):
 
 def test_audit_circle_bochner(flat_circle):
     # |tau| constant: <tau, lap tau> = 1, Delta |tau|^2 = 0, |grad tau|^2 = 1
-    frame = frame_for(flat_circle, induced=True)
-    report = pf.pointwise_identity_audit(flat_circle, frame)
+    report = pf.pointwise_identity_audit(chain_for(flat_circle, induced=True))
     assert report.checks["bochner_identity"].max_residual <= 1e-10
 
 
@@ -201,25 +196,23 @@ def test_caccioppoli_geodesic_margin(circle_grid):
     spec = pf.SpaceFormSpec(-1.0, 2)
     phi = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.0, "k": 3},
                          circle_grid, spec)
-    frame = frame_for(phi, induced=False)
     cut = pf.cutoff(circle_grid, (128,), TWO_PI / 8)
-    margin = pf.caccioppoli_audit(phi, frame, cut, 0.5)
+    margin = pf.caccioppoli_audit(chain_for(phi, induced=False), cut, 0.5)
     assert margin >= -1e-8
 
 
 def test_caccioppoli_preconditions(circle_grid, flat_circle):
     cut = pf.cutoff(circle_grid, (128,), TWO_PI / 8)
-    frame = frame_for(flat_circle, induced=False)
-    with pytest.raises(NotTriharmonic):
-        pf.caccioppoli_audit(flat_circle, frame, cut, 0.5)  # tau3 != 0
+    with pytest.raises(NotTriharmonic):  # tau3 != 0
+        pf.caccioppoli_audit(chain_for(flat_circle, induced=False), cut, 0.5)
     sphere = pf.builtin_map("GreatCircleS2", {}, circle_grid,
                             pf.SpaceFormSpec(1.0, 2))
     with pytest.raises(NotTriharmonic):
-        pf.caccioppoli_audit(sphere, frame_for(sphere, induced=False), cut, 0.5)
+        pf.caccioppoli_audit(chain_for(sphere, induced=False), cut, 0.5)
     geo = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.0, "k": 3},
                          circle_grid, pf.SpaceFormSpec(-1.0, 2))
     with pytest.raises(ValueError):
-        pf.caccioppoli_audit(geo, frame_for(geo, induced=False), cut, 1.5)
+        pf.caccioppoli_audit(chain_for(geo, induced=False), cut, 1.5)
 
 
 def test_ambient_commutator_matches_curvature(torus_grid):
