@@ -223,22 +223,22 @@ class FrameField:
     """Orthonormal frame with connection data.
 
     ``e[..., i, a]`` is the coefficient of the coordinate field along axis
-    ``a`` in the i-th frame vector; ``div_terms[..., i, c]`` expresses the
-    self-covariant-derivative of the i-th frame vector in the coordinate
-    basis; ``vol`` is sqrt(det g).  ``zero_div_terms`` is read from the
-    data: flat frames (constant metric) and every 1-d frame have exactly
-    zero ``div_terms``, and connection corrections are then skipped.
+    ``a`` in the i-th frame vector; ``connection[..., i, j]`` is
+    <nabla_{e_i} e_i, e_j>, in frame coefficients; ``vol`` is sqrt(det g).
+    ``zero_connection`` is read from the data: flat frames (constant metric)
+    and every 1-d frame have an exactly zero ``connection``, and connection
+    corrections are then skipped.
     """
 
     e: np.ndarray
-    div_terms: np.ndarray
+    connection: np.ndarray
     vol: np.ndarray
     metric: MetricField = field(repr=False, default=None)
     grid: DomainGrid = field(repr=False, default=None)
-    zero_div_terms: bool = field(init=False, repr=False)
+    zero_connection: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.zero_div_terms = not np.any(self.div_terms)
+        self.zero_connection = not np.any(self.connection)
 
     @property
     def mode(self) -> MetricMode:
@@ -306,7 +306,7 @@ def identity_metric(grid: DomainGrid) -> MetricField:
 def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     """Gram-Schmidt frame (e1 along axis 0) plus connection data.
 
-    The connection terms come from the frame's Lie bracket (Cartan's first
+    The connection comes from the frame's Lie bracket (Cartan's first
     structure equation): for an orthonormal pair, nabla_{e1} e1 =
     -<[e1, e2], e1> e2 and nabla_{e2} e2 = <[e1, e2], e2> e1.  On a circle
     they vanish, since a unit field on a curve is parallel along itself.
@@ -320,7 +320,7 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
         raise DegenerateMetric("metric is not positive definite everywhere")
     e = np.zeros(grid.shape + (d, d))
     e[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
-    div_terms = np.zeros_like(e)
+    connection = np.zeros_like(e)
     if d == 2:
         # w = d2 - (g12/g11) d1, normalized by sqrt(g22 - g12^2/g11)
         w0 = -g[..., 0, 1] / g[..., 0, 0]
@@ -336,11 +336,11 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
             if np.any(e2[..., a]):
                 bracket -= e2[..., a, None] * grid.deriv(e1, a)
         lowered = np.sum(g * bracket[..., None], axis=-2)
-        div_terms[..., 0, :] = -np.sum(lowered * e1, axis=-1)[..., None] * e2
-        div_terms[..., 1, :] = np.sum(lowered * e2, axis=-1)[..., None] * e1
+        connection[..., 0, 1] = -np.sum(lowered * e1, axis=-1)
+        connection[..., 1, 0] = np.sum(lowered * e2, axis=-1)
 
     vol = np.sqrt(np.linalg.det(g))
-    return FrameField(e=e, div_terms=div_terms, vol=vol, metric=metric, grid=grid)
+    return FrameField(e=e, connection=connection, vol=vol, metric=metric, grid=grid)
 
 
 def integrate(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> float:
@@ -370,20 +370,16 @@ def scalar_laplacian(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.n
 
     Sign convention matches the connection Laplacian used on sections:
     Delta f = -sum_i { e_i(e_i(f)) - (nabla_{e_i} e_i)(f) }, so that on the
-    flat circle Delta f = -f''.
+    flat circle Delta f = -f''; (nabla_{e_i} e_i)(f) = sum_j connection[i, j] e_j(f).
     """
-    d = grid.dims
-    df = [grid.deriv(f, a) for a in range(d)]
+    grad = scalar_gradient(grid, frame, f)
     out = np.zeros(grid.shape)
-    for i in range(d):
-        ei_f = np.zeros(grid.shape)
-        for a in range(d):
-            ei_f += frame.e[..., i, a] * df[a]
+    for i in range(grid.dims):
         second = np.zeros(grid.shape)
         for a in frame.axes[i]:
-            second += frame.e[..., i, a] * grid.deriv(ei_f, a)
+            second += frame.e[..., i, a] * grid.deriv(grad[..., i], a)
         correction = np.zeros(grid.shape)
-        for c in range(d):
-            correction += frame.div_terms[..., i, c] * df[c]
+        for j in range(grid.dims):
+            correction += frame.connection[..., i, j] * grad[..., j]
         out -= second - correction
     return out

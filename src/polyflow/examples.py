@@ -28,10 +28,10 @@ def _circle(params, grid, spec):
     r = params["r"]
     if r <= 0.0:
         raise BadParams("Circle radius must be positive")
+    if spec.n != 2:
+        raise BadParams("Circle lives in a 2-dimensional target (n = 2)")
     (theta,) = _angles(grid)
     if spec.model is sf.Model.FLAT:
-        if spec.n != 2:
-            raise BadParams("flat Circle lives in the plane (n = 2)")
         values = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
     elif spec.model is sf.Model.SPHERE:
         R = 1.0 / np.sqrt(spec.c)

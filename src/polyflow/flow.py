@@ -170,25 +170,24 @@ class Trial(NamedTuple):
     cap: float
 
 
-def flow_step(phi: MapField, frame: FrameField, cfg: FlowConfig, dt: float,
-              chain: TensionChain = None) -> Trial:
-    """One Armijo trial at step size ``dt``, the caller's step memory.
+def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
+    """One Armijo trial from the state whose tension chain is ``chain``, at
+    step size ``dt``, the caller's step memory.
 
-    ``chain`` is the tension chain of ``(phi, frame)``, built here when not
-    given; it supplies the descent field and the current energy.  Under
-    FixedPrescribed the step is the implicit one (:func:`_implicit_step`)
-    and ``dt`` is tried as given; under ReInduceEachStep the step direction
-    and the stability cap both come from the descent field's visible band
-    (:func:`_visible_step`) and ``min(dt, cap)`` is tried.  The candidate is
-    exp_phi(dt * step), which ends on the model; it is accepted iff the
-    flowed energy drops by at least armijo_c * dt * Int <descent, step>, up
-    to a relative float-resolution slack (1e-13 |E|, well inside the 1e-12
-    monotonicity contract) so the search cannot stall on energy differences
-    below evaluation roundoff.  On rejection ``chain`` is returned
-    unchanged.  Choosing the next ``dt`` is :func:`run_flow`'s.
+    The chain supplies the state ``(phi, frame)``, the descent field and the
+    current energy.  Under FixedPrescribed the step is the implicit one
+    (:func:`_implicit_step`) and ``dt`` is tried as given; under
+    ReInduceEachStep the step direction and the stability cap both come from
+    the descent field's visible band (:func:`_visible_step`) and
+    ``min(dt, cap)`` is tried.  The candidate is exp_phi(dt * step), which
+    ends on the model; it is accepted iff the flowed energy drops by at
+    least armijo_c * dt * Int <descent, step>, up to a relative
+    float-resolution slack (1e-13 |E|, well inside the 1e-12 monotonicity
+    contract) so the search cannot stall on energy differences below
+    evaluation roundoff.  On rejection ``chain`` is returned unchanged.
+    Choosing the next ``dt`` is :func:`run_flow`'s.
     """
-    if chain is None:
-        chain = TensionChain(phi, frame)
+    phi, frame = chain.phi, chain.frame
     k = _ENERGY_ORDER[cfg.kind]
     descent = chain.field(k)
     if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
@@ -345,8 +344,7 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     for it in range(cfg.max_iters + 1):
         try:
             if it > 0:
-                accepted, chain, dt_used, cap = flow_step(
-                    state.phi, state.frame, cfg, dt, chain=state)
+                accepted, chain, dt_used, cap = flow_step(state, cfg, dt=dt)
                 if not accepted:
                     dt = min(dt_used * cfg.shrink, _DT_CEILING)
                     trace.rows.append((it, *row, 0.0, cap))

@@ -78,12 +78,6 @@ class Section:
         return sf.norm(self.base.spec, self.base.values, self.values)
 
 
-def _coordinate_derivs(phi: MapField, values: np.ndarray, floor: float,
-                       axes) -> dict:
-    """Coordinate derivatives d_a(V) of an ambient field along phi, per axis a."""
-    return {a: phi.grid.deriv(values, a, floor=floor) for a in axes}
-
-
 def _along(phi: MapField, derivs: dict, coeffs: np.ndarray) -> np.ndarray:
     """Projected sum_a coeffs[..., a] * d_a(V), given the d_a(V)."""
     out = np.zeros_like(next(iter(derivs.values())))
@@ -98,7 +92,7 @@ class TensionChain:
     ``dphi``, ``tau``, ``grad_tau`` (nabla_{e_i} tau), ``lap_tau``,
     ``grad_lap_tau``, ``lap2_tau``, ``tau2`` and ``tau3`` are evaluated on
     first access and then shared; each coordinate derivative is taken once.
-    Connection corrections are skipped on frames whose ``div_terms`` are
+    Connection corrections are skipped on frames whose ``connection`` is
     exactly zero, and a trace differentiates S_i only along
     ``frame.axes[i]``: both skipped terms add exactly 0.  Every field is the
     same floating-point expression as a standalone evaluation, so sharing
@@ -113,46 +107,35 @@ class TensionChain:
         self.phi = phi
         self.frame = frame
         self._floor = phi.spectral_floor()
-        self._corrections = {}  # nabla_{nabla_{e_i} e_i} V per differentiated V
         self._scalars = {}  # energies, L^p and sup norms, per (name, order)
 
-    def nabla(self, V: Section) -> list:
+    def nabla(self, V: Section | MapField) -> list:
         """Induced connection nabla_{e_i} V for each frame direction e_i:
         the ambient derivative of V along e_i, projected back onto the
-        tangent space of the target."""
-        return self._covariant(None, V.values)
-
-    def _covariant(self, key: str | None, values: np.ndarray) -> list:
-        """nabla_{e_i} V over the frame directions.  Under a ``key`` the
-        connection terms nabla_{nabla_{e_i} e_i} V, which share V's coordinate
-        derivatives, go to ``_corrections[key]`` unless zero."""
+        tangent space of the target.  Of phi itself, this is dphi(e_i)."""
         phi, frame = self.phi, self.frame
-        derivs = _coordinate_derivs(phi, values, self._floor, range(phi.grid.dims))
-        if key is not None and not frame.zero_div_terms:
-            self._corrections[key] = [
-                _along(phi, derivs, frame.div_terms[..., i, :])
-                for i in range(phi.grid.dims)
-            ]
+        derivs = {a: phi.grid.deriv(V.values, a, floor=self._floor)
+                  for a in range(phi.grid.dims)}
         return [Section(_along(phi, derivs, frame.e[..., i, :]), phi)
                 for i in range(phi.grid.dims)]
 
-    def _trace(self, sections: list, key: str, sign: float) -> Section:
-        """sign * sum_i {nabla_{e_i} S_i - C_i}, C_i the connection terms
-        of ``key``: tau for S_i = dphi(e_i), -Delta V for S_i = nabla_{e_i} V.
-        Each key is traced once (the traces are cached), so C_i are released."""
-        corrections = self._corrections.pop(key, None)
+    def _trace(self, sections: list, sign: float) -> Section:
+        """sign * sum_i {nabla_{e_i} S_i - sum_j <nabla_{e_i} e_i, e_j> S_j}:
+        tau for S_i = dphi(e_i), -Delta V for S_i = nabla_{e_i} V."""
+        phi, frame = self.phi, self.frame
         out = np.zeros_like(sections[0].values)
         for i, s in enumerate(sections):
-            derivs = _coordinate_derivs(self.phi, s.values, self._floor,
-                                        self.frame.axes[i])
-            out += sign * _along(self.phi, derivs, self.frame.e[..., i, :])
-            if corrections is not None:
-                out -= sign * corrections[i]
-        return Section(out, self.phi)
+            derivs = {a: phi.grid.deriv(s.values, a, floor=self._floor)
+                      for a in frame.axes[i]}
+            out += sign * _along(phi, derivs, frame.e[..., i, :])
+            if not frame.zero_connection:
+                out -= sign * sum(frame.connection[..., i, j, None] * t.values
+                                  for j, t in enumerate(sections))
+        return Section(out, phi)
 
     def laplacian(self, V: Section) -> Section:
         """Nonnegative connection Laplacian of a section along phi."""
-        return self._trace(self._covariant("V", V.values), "V", -1.0)
+        return self._trace(self.nabla(V), -1.0)
 
     def jacobi(self, V: Section, lap: Section = None) -> Section:
         """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i).
@@ -180,27 +163,27 @@ class TensionChain:
 
     @cached_property
     def dphi(self) -> list:
-        return self._covariant("phi", self.phi.values)
+        return self.nabla(self.phi)
 
     @cached_property
     def tau(self) -> Section:
-        return self._trace(self.dphi, "phi", 1.0)
+        return self._trace(self.dphi, 1.0)
 
     @cached_property
     def grad_tau(self) -> list:
-        return self._covariant("tau", self.tau.values)
+        return self.nabla(self.tau)
 
     @cached_property
     def lap_tau(self) -> Section:
-        return self._trace(self.grad_tau, "tau", -1.0)
+        return self._trace(self.grad_tau, -1.0)
 
     @cached_property
     def grad_lap_tau(self) -> list:
-        return self._covariant("lap_tau", self.lap_tau.values)
+        return self.nabla(self.lap_tau)
 
     @cached_property
     def lap2_tau(self) -> Section:
-        return self._trace(self.grad_lap_tau, "lap_tau", -1.0)
+        return self._trace(self.grad_lap_tau, -1.0)
 
     @cached_property
     def tau2(self) -> Section:

@@ -235,6 +235,23 @@ def test_boolean_map_parameters_exit_2(tmp_path, capsys, name, target, dims, key
     assert not (tmp_path / "bad_summary.json").exists()
 
 
+@pytest.mark.parametrize("action", ["Energies", "Audit", "VariationCheck", "Flow"])
+@pytest.mark.parametrize("target", [{"c": 0.0, "n": 3}, {"c": 1.0, "n": 3},
+                                    {"c": -1.0, "n": 4}], ids=["R3", "S3", "H4"])
+def test_circle_off_a_2d_target_exits_2(tmp_path, capsys, action, target):
+    # the circle lives in a plane, 2-sphere or hyperbolic plane: any other
+    # dimension is a named error, never a map into a smaller space
+    data = base_config(tmp_path / "ci", action=action)
+    data["target"] = target
+    data["initial_map"] = {"name": "Circle", "params": {"r": 0.7}}
+    if action == "Flow":
+        data["flow"] = {"kind": "Harmonic", "max_iters": 1}
+    assert main(["run", str(write_config(tmp_path, data))]) == 2
+    err = capsys.readouterr().err
+    assert "BadParams" in err and "n = 2" in err
+    assert not (tmp_path / "ci_summary.json").exists()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

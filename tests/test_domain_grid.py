@@ -153,7 +153,7 @@ def test_orthonormal_frame_identity(torus_grid):
     frame = pf.orthonormal_frame(torus_grid, pf.identity_metric(torus_grid))
     expected = np.broadcast_to(np.eye(2), frame.e.shape)
     np.testing.assert_allclose(frame.e, expected, atol=1e-14)
-    np.testing.assert_allclose(frame.div_terms, 0.0, atol=1e-14)
+    np.testing.assert_allclose(frame.connection, 0.0, atol=1e-14)
     np.testing.assert_allclose(frame.vol, 1.0, atol=1e-14)
 
 
@@ -164,7 +164,7 @@ def test_orthonormal_frame_constant_diag(torus_grid):
     frame = pf.orthonormal_frame(torus_grid, pf.prescribed_metric(torus_grid, g))
     np.testing.assert_allclose(frame.e[..., 0, 0], 0.5, atol=1e-14)
     np.testing.assert_allclose(frame.e[..., 1, 1], 1.0, atol=1e-14)
-    np.testing.assert_allclose(frame.div_terms, 0.0, atol=1e-12)
+    np.testing.assert_allclose(frame.connection, 0.0, atol=1e-12)
     np.testing.assert_allclose(frame.vol, 2.0, atol=1e-14)
 
 
@@ -175,8 +175,8 @@ def test_circle_frame_has_zero_div_terms(kind):
     grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,), kind))
     g = (1.0 + 0.3 * np.sin(grid.axes[0]) ** 2)[..., None, None]
     frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
-    assert not np.any(frame.div_terms)
-    assert frame.zero_div_terms
+    assert not np.any(frame.connection)
+    assert frame.zero_connection
 
 
 def test_orthonormal_frame_orthonormality():

@@ -67,7 +67,7 @@ def test_flow_step_zero_descent_fixed_point(circle_grid):
                          circle_grid, pf.SpaceFormSpec(-1.0, 2))
     frame = frame_for(phi, induced=False)
     cfg = pf.FlowConfig(kind="Triharmonic")
-    trial = pf.flow_step(phi, frame, cfg, 1e-3)
+    trial = pf.flow_step(pf.TensionChain(phi, frame), cfg, dt=1e-3)
     assert trial.accepted
     assert trial.chain.phi is phi
 
@@ -78,7 +78,7 @@ def test_flow_step_armijo_reject_shrinks(flat_circle):
                         metric_policy="ReInduceEachStep")
     # the cap clips dt = 50 to 1, where the unit circle's energy drops by pi
     # (half the first-order prediction), short of the Armijo bound
-    trial = pf.flow_step(flat_circle, frame, cfg, 50.0)
+    trial = pf.flow_step(pf.TensionChain(flat_circle, frame), cfg, dt=50.0)
     assert trial.dt == trial.cap == pytest.approx(1.0, rel=1e-12)
     assert not trial.accepted
     assert trial.chain.phi is flat_circle
@@ -90,10 +90,11 @@ def test_implicit_flow_step_is_not_capped(flat_circle):
     # prediction, which armijo_c = 0.99999 rejects; the step is not clipped
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=0.99999)
-    trial = pf.flow_step(flat_circle, frame, cfg, 50.0)
+    chain = pf.TensionChain(flat_circle, frame)
+    trial = pf.flow_step(chain, cfg, dt=50.0)
     assert trial.dt == 50.0 and trial.cap == math.inf
     assert not trial.accepted
-    accepted = pf.flow_step(flat_circle, frame, pf.FlowConfig(kind="Harmonic"), 50.0)
+    accepted = pf.flow_step(chain, pf.FlowConfig(kind="Harmonic"), dt=50.0)
     assert accepted.accepted
     radius = np.linalg.norm(accepted.chain.phi.values, axis=-1)
     assert np.max(np.abs(radius - 1.0 / 51.0)) <= 1e-12
@@ -102,7 +103,7 @@ def test_implicit_flow_step_is_not_capped(flat_circle):
 def test_flow_step_accept_grows(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=1e-4)
-    trial = pf.flow_step(flat_circle, frame, cfg, 1e-3)
+    trial = pf.flow_step(pf.TensionChain(flat_circle, frame), cfg, dt=1e-3)
     assert trial.accepted and trial.dt == 1e-3
     frame2 = frame_for(trial.chain.phi, induced=False)
     assert (pf.TensionChain(trial.chain.phi, frame2).energy(1)
@@ -113,7 +114,7 @@ def test_flow_step_underflow(flat_circle):
     frame = frame_for(flat_circle, induced=False)
     cfg = pf.FlowConfig(kind="Harmonic")
     with pytest.raises(StepUnderflow):
-        pf.flow_step(flat_circle, frame, cfg, 1e-15)
+        pf.flow_step(pf.TensionChain(flat_circle, frame), cfg, dt=1e-15)
 
 
 def test_harmonic_flow_shrinks_circle(flat_circle):

@@ -379,37 +379,56 @@ def _ref_differential(phi, frame):
     return [_ref_nabla(phi, phi.values, frame.e[..., i, :]) for i in range(dims)]
 
 
-def _ref_tension(phi, frame):
+def _coordinate_connection(frame):
+    """nabla_{e_i} e_i in the coordinate basis: sum_j connection[i, j] e_j."""
+    return np.einsum("...ij,...ja->...ia", frame.connection, frame.e)
+
+
+def _ref_correction(phi, frame, values, i, coordinate):
+    """nabla_{nabla_{e_i} e_i} V, dphi(nabla_{e_i} e_i) for V = phi: from the
+    frame coefficients, sum_j connection[i, j] nabla_{e_j} V, or with
+    ``coordinate`` the projected derivative of V along the coordinate
+    components of nabla_{e_i} e_i."""
+    if coordinate:
+        return _ref_nabla(phi, values, _coordinate_connection(frame)[..., i, :])
+    out = np.zeros_like(values)
+    for j in range(phi.grid.dims):
+        out += frame.connection[..., i, j, None] * _ref_nabla(
+            phi, values, frame.e[..., j, :])
+    return out
+
+
+def _ref_tension(phi, frame, coordinate=False):
     dphi = _ref_differential(phi, frame)
     out = np.zeros_like(phi.values)
     for i in range(phi.grid.dims):
         out += _ref_nabla(phi, dphi[i], frame.e[..., i, :])
-        out -= _ref_nabla(phi, phi.values, frame.div_terms[..., i, :])
+        out -= _ref_correction(phi, frame, phi.values, i, coordinate)
     return out
 
 
-def _ref_laplacian(phi, frame, values):
+def _ref_laplacian(phi, frame, values, coordinate=False):
     out = np.zeros_like(values)
     for i in range(phi.grid.dims):
         e_i = frame.e[..., i, :]
         out -= _ref_nabla(phi, _ref_nabla(phi, values, e_i), e_i)
-        out += _ref_nabla(phi, values, frame.div_terms[..., i, :])
+        out += _ref_correction(phi, frame, values, i, coordinate)
     return out
 
 
-def _ref_jacobi(phi, frame, values):
+def _ref_jacobi(phi, frame, values, coordinate=False):
     curv = np.zeros_like(values)
     if phi.spec.c != 0.0:
         for d in _ref_differential(phi, frame):
             curv += sf.curvature_op(phi.spec, phi.values, values, d, d)
-    return _ref_laplacian(phi, frame, values) - curv
+    return _ref_laplacian(phi, frame, values, coordinate) - curv
 
 
-def _ref_chain(phi, frame):
+def _ref_chain(phi, frame, coordinate=False):
     dims = phi.grid.dims
-    tau = _ref_tension(phi, frame)
-    lap = _ref_laplacian(phi, frame, tau)
-    tau3 = _ref_jacobi(phi, frame, lap)
+    tau = _ref_tension(phi, frame, coordinate)
+    lap = _ref_laplacian(phi, frame, tau, coordinate)
+    tau3 = _ref_jacobi(phi, frame, lap, coordinate)
     if phi.spec.c != 0.0:
         dphi = _ref_differential(phi, frame)
         for i in range(dims):
@@ -421,7 +440,7 @@ def _ref_chain(phi, frame):
         "grad_tau": [_ref_nabla(phi, tau, frame.e[..., i, :]) for i in range(dims)],
         "lap_tau": lap,
         "grad_lap_tau": [_ref_nabla(phi, lap, frame.e[..., i, :]) for i in range(dims)],
-        "tau2": _ref_jacobi(phi, frame, tau),
+        "tau2": _ref_jacobi(phi, frame, tau, coordinate),
         "tau3": tau3,
     }
 
@@ -435,7 +454,7 @@ def _chain_cases():
 
 
 def _warped_metric(grid):
-    """Prescribed non-flat metric: its frame has non-zero div_terms."""
+    """Prescribed non-flat metric: its frame has a non-zero connection."""
     g = np.zeros(grid.shape + (grid.dims, grid.dims))
     u, v = grid.coords
     g[..., 0, 0] = 1.0 + 0.3 * np.sin(u) ** 2
@@ -447,7 +466,7 @@ def _warped_metric(grid):
 def _case_frame(phi, metric):
     if metric == "warped":
         frame = pf.orthonormal_frame(phi.grid, _warped_metric(phi.grid))
-        assert not frame.zero_div_terms
+        assert not frame.zero_connection
         return frame
     try:
         return frame_for(phi)
@@ -459,7 +478,7 @@ def _case_frame(phi, metric):
 def test_chain_matches_standalone_definitions(name, params, grid_args, target, metric):
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
-    assert frame.zero_div_terms == (not np.any(frame.div_terms))
+    assert frame.zero_connection == (not np.any(frame.connection))
     chain = TensionChain(phi, frame)
     for field, expected in _ref_chain(phi, frame).items():
         got = getattr(chain, field)
@@ -481,7 +500,7 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     # field that reuses it, bit for bit
     phi = build_fixture(name, params, grid_args, target)
     frame = frame_for(phi)
-    assert frame.zero_div_terms == (phi.grid.dims == 1)
+    assert frame.zero_connection == (phi.grid.dims == 1)
     chain = TensionChain(phi, frame)
     assert np.array_equal(chain.jacobi(chain.tau).values, chain.tau2.values)
     for fresh, cached in zip(chain.nabla(chain.tau), chain.grad_tau, strict=True):
@@ -490,29 +509,48 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     assert np.array_equal(chain.jacobi(chain.lap_tau).values, j_lap)
 
 
+@pytest.mark.parametrize("metric", ["warped", "induced"])
+def test_chain_matches_coordinate_form_connection(metric):
+    # correcting by the frame coefficients of nabla_{e_i} e_i, from sections
+    # the chain already holds, agrees to roundoff with differentiating along
+    # its coordinate components
+    phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
+                        pf.SpaceFormSpec(-1.0, 3))
+    frame = _case_frame(phi, metric)
+    assert not frame.zero_connection
+    chain = TensionChain(phi, frame)
+    expected = _ref_chain(phi, frame, coordinate=True)
+    for field in ("tau", "lap_tau", "tau3"):
+        got, ref = getattr(chain, field).values, expected[field]
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), field
+
+
 def _ref_scalar_laplacian(grid, frame, f):
     """scalar_laplacian with every second derivative taken, along axes whose
     frame coefficient is identically zero too."""
     d = grid.dims
     df = [grid.deriv(f, a) for a in range(d)]
-    out = np.zeros(grid.shape)
+    grad = []
     for i in range(d):
         ei_f = np.zeros(grid.shape)
         for a in range(d):
             ei_f += frame.e[..., i, a] * df[a]
-        dei_f = [grid.deriv(ei_f, a) for a in range(d)]
+        grad.append(ei_f)
+    out = np.zeros(grid.shape)
+    for i in range(d):
+        dei_f = [grid.deriv(grad[i], a) for a in range(d)]
         second = np.zeros(grid.shape)
         for a in range(d):
             second += frame.e[..., i, a] * dei_f[a]
         correction = np.zeros(grid.shape)
-        for c in range(d):
-            correction += frame.div_terms[..., i, c] * df[c]
+        for j in range(d):
+            correction += frame.connection[..., i, j] * grad[j]
         out -= second - correction
     return out
 
 
-def _ref_div_terms(grid, frame):
-    """orthonormal_frame's div_terms with every coordinate derivative taken."""
+def _ref_connection(grid, frame):
+    """orthonormal_frame's connection with every coordinate derivative taken."""
     out = np.zeros_like(frame.e)
     if grid.dims == 1:
         return out
@@ -522,8 +560,8 @@ def _ref_div_terms(grid, frame):
         bracket += e1[..., a, None] * grid.deriv(e2, a)
         bracket -= e2[..., a, None] * grid.deriv(e1, a)
     lowered = np.sum(frame.metric.g * bracket[..., None], axis=-2)
-    out[..., 0, :] = -np.sum(lowered * e1, axis=-1)[..., None] * e2
-    out[..., 1, :] = np.sum(lowered * e2, axis=-1)[..., None] * e1
+    out[..., 0, 1] = -np.sum(lowered * e1, axis=-1)
+    out[..., 1, 0] = np.sum(lowered * e2, axis=-1)
     return out
 
 
@@ -535,7 +573,7 @@ def _christoffels(grid, g):
     return 0.5 * np.einsum("...cd,...abd->...abc", np.linalg.inv(g), lowered)
 
 
-def _christoffel_div_terms(grid, frame):
+def _christoffel_connection(grid, frame):
     """nabla_{e_i} e_i = e_i(e_i^c) + Gamma^c_ab e_i^a e_i^b in coordinates:
     the route that differentiates and inverts the metric."""
     gamma = _christoffels(grid, frame.metric.g)
@@ -552,8 +590,8 @@ def _christoffel_div_terms(grid, frame):
 def test_div_terms_match_christoffel_route(name, params, grid_args, target, metric):
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
-    ref = _christoffel_div_terms(phi.grid, frame)
-    err = np.max(np.abs(frame.div_terms - ref))
+    ref = _christoffel_connection(phi.grid, frame)
+    err = np.max(np.abs(_coordinate_connection(frame) - ref))
     assert err <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
@@ -563,7 +601,7 @@ def test_frame_axes_skip_exact_zeros(torus_grid, metric, axes):
     g = pf.identity_metric(torus_grid) if metric == "flat" else _warped_metric(torus_grid)
     frame = pf.orthonormal_frame(torus_grid, g)
     assert frame.axes == axes
-    assert frame.div_terms.tobytes() == _ref_div_terms(torus_grid, frame).tobytes()
+    assert frame.connection.tobytes() == _ref_connection(torus_grid, frame).tobytes()
     u, v = torus_grid.coords
     f = np.exp(np.sin(u) * np.cos(2 * v))
     expected = _ref_scalar_laplacian(torus_grid, frame, f)
@@ -589,6 +627,26 @@ def test_chain_deriv_count_2d(monkeypatch, metric, expected):
     monkeypatch.setattr(DomainGrid, "deriv", counting)
     TensionChain(phi, frame).tau3
     assert len(calls) == expected
+
+
+def test_chain_projection_count_2d(monkeypatch):
+    # tau3 projects each nabla_{e_i} of phi, tau and Delta tau and each of
+    # the three traces' derivative sums once: 12 on a 2-d frame; the
+    # connection corrections reuse sections the chain holds
+    phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
+                        pf.SpaceFormSpec(-1.0, 3))
+    frame = frame_for(phi)
+    assert not frame.zero_connection
+    calls = []
+    project = sf.project_tangent
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(sf, "project_tangent", counting)
+    TensionChain(phi, frame).tau3
+    assert len(calls) == 12
 
 
 def test_flow_iteration_deriv_count(monkeypatch):
@@ -619,7 +677,7 @@ def test_flow_iteration_deriv_count(monkeypatch):
         return rfftn(*args, **kwargs)
 
     monkeypatch.setattr(DomainGrid, "deriv", counting)
-    trial = pf.flow_step(phi, frame, cfg, cfg.initial_dt(grid), chain=chain)
+    trial = pf.flow_step(chain, cfg, dt=cfg.initial_dt(grid))
     assert trial.accepted
     nxt = trial.chain
     nxt.field(3)
