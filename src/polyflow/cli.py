@@ -130,6 +130,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not all(p >= 1.0 for p in p_list):
             raise ConfigError("p_list entries must be >= 1")
         seed = whole_number(data.get("seed", 0), "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         prefix = str(data.get("output_prefix", "polyflow_out"))
     except (InvalidSpec, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value: {exc}") from exc
@@ -273,6 +275,10 @@ def run(config: ExperimentConfig) -> int:
                       file=sys.stderr)
                 exit_code = 1
 
+    for p, value in summary.get("energies", {}).get("Lp_tension", {}).items():
+        if not math.isfinite(value):  # Infinity is not JSON
+            summary["energies"]["Lp_tension"][p] = None
+            notes.append(f"Int |tau|^p overflows at p = {p}; written as null")
     out_path = Path(config.output_prefix + "_summary.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as fh:

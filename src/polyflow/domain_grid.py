@@ -264,6 +264,22 @@ def build_grid(spec: GridSpec) -> DomainGrid:
     return DomainGrid(spec)
 
 
+def _det2(g: np.ndarray) -> np.ndarray:
+    """Determinant of every 1x1 or 2x2 matrix of a metric field."""
+    if g.shape[-1] == 1:
+        return g[..., 0, 0]
+    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+
+
+def _min_eigenvalue(g: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue of every symmetric 1x1 or 2x2 g, with no division."""
+    if g.shape[-1] == 1:
+        return g[..., 0, 0]
+    half_tr = 0.5 * (g[..., 0, 0] + g[..., 1, 1])
+    half_diff = 0.5 * (g[..., 0, 0] - g[..., 1, 1])
+    return half_tr - np.sqrt(half_diff**2 + g[..., 0, 1] ** 2)
+
+
 def induced_metric(phi) -> MetricField:
     """Pullback metric g_ab = h(d_a phi, d_b phi) of a map field.
 
@@ -281,7 +297,7 @@ def induced_metric(phi) -> MetricField:
             gab = ambient_form(spec, dphi[a], dphi[b])
             g[..., a, b] = gab
             g[..., b, a] = gab
-    if not np.all(np.linalg.det(g) > 1e-10):
+    if not np.all(_det2(g) > 1e-10):
         raise DegenerateImmersion("induced metric is singular: map fails to immerse")
     return MetricField(g=g, mode=MetricMode.INDUCED, grid=grid)
 
@@ -316,7 +332,7 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     """
     g = metric.g
     d = grid.dims
-    if not np.all(np.linalg.eigvalsh(g)[..., 0] > 1e-10):
+    if not np.all(_min_eigenvalue(g) > 1e-10):
         raise DegenerateMetric("metric is not positive definite everywhere")
     e = np.zeros(grid.shape + (d, d))
     e[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
@@ -335,11 +351,12 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
                 bracket += e1[..., a, None] * grid.deriv(e2, a)
             if np.any(e2[..., a]):
                 bracket -= e2[..., a, None] * grid.deriv(e1, a)
-        lowered = np.sum(g * bracket[..., None], axis=-2)
-        connection[..., 0, 1] = -np.sum(lowered * e1, axis=-1)
-        connection[..., 1, 0] = np.sum(lowered * e2, axis=-1)
+        l0 = g[..., 0, 0] * bracket[..., 0] + g[..., 1, 0] * bracket[..., 1]
+        l1 = g[..., 0, 1] * bracket[..., 0] + g[..., 1, 1] * bracket[..., 1]
+        connection[..., 0, 1] = -(l0 * e1[..., 0] + l1 * e1[..., 1])
+        connection[..., 1, 0] = l0 * e2[..., 0] + l1 * e2[..., 1]
 
-    vol = np.sqrt(np.linalg.det(g))
+    vol = np.sqrt(_det2(g))
     return FrameField(e=e, connection=connection, vol=vol, metric=metric, grid=grid)
 
 

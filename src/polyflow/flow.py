@@ -247,7 +247,7 @@ def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
     spectrum = np.fft.rfftn(coeffs, axes=axes) / (1.0 + dt * q_sq**k)
     coeffs = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
     if boost:
-        return (coeffs[..., :, None] * frame).sum(axis=-2)
+        return sum(coeffs[..., i, None] * frame[..., i, :] for i in range(spec.n))
     return sf.project_tangent(spec, x, coeffs)
 
 

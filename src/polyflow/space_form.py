@@ -76,7 +76,9 @@ class SpaceFormSpec:
 
 def ambient_form(spec: SpaceFormSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Ambient bilinear form: Euclidean dot, or Minkowski for c < 0."""
-    dot = np.add.reduce(u * v, axis=-1)
+    dot = u[..., 0] * v[..., 0] + 0.0  # numpy's own sum order for < 8 terms
+    for i in range(1, u.shape[-1]):
+        dot += u[..., i] * v[..., i]
     if spec.model is Model.HYPERBOLOID:
         dot = dot - 2.0 * u[..., 0] * v[..., 0]
     return dot

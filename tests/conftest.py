@@ -1,7 +1,24 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import polyflow as pf
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def load_summary(source):
+    """Parse JSON strictly: NaN, Infinity and -Infinity raise ValueError.
+
+    ``source`` is a ``Path`` to a file (a summary) or the JSON text itself
+    (a process's output).
+    """
+    text = source.read_text() if isinstance(source, Path) else source
+    return json.loads(text, parse_constant=_not_json)
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +94,13 @@ def frame_for(phi, induced=True):
 
 def chain_for(phi, induced=True):
     return pf.TensionChain(phi, frame_for(phi, induced))
+
+
+def warped_metric(grid):
+    """Prescribed non-flat metric: its frame has a non-zero connection."""
+    g = np.zeros(grid.shape + (grid.dims, grid.dims))
+    u, v = grid.coords
+    g[..., 0, 0] = 1.0 + 0.3 * np.sin(u) ** 2
+    g[..., 1, 1] = 1.0 + 0.2 * np.cos(v)
+    g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(u + v)
+    return pf.prescribed_metric(grid, g)

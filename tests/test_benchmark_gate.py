@@ -10,7 +10,6 @@ reads still exist.
 """
 
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -19,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from polyflow.cli import parse_config, run
+
+from conftest import load_summary
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -57,6 +58,6 @@ def test_traced_worker_reports_what_per_layer_reads(tmp_path, workload):
         [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
          "--seed", "0", "--out", str(tmp_path), "--trace"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = load_summary(proc.stdout.splitlines()[-1])
     assert result["ops"] and all(op["exit_code"] == 0 for op in result["ops"])
     assert set(PER_LAYER_READS) <= set(result["functions"])

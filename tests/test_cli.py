@@ -15,6 +15,8 @@ from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig, FlowTrace
 from polyflow.pullback import TensionChain
 
+from conftest import load_summary
+
 TWO_PI = 2 * np.pi
 TRACE_HEADER = "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt,dt_cap"
 
@@ -252,6 +254,37 @@ def test_circle_off_a_2d_target_exits_2(tmp_path, capsys, action, target):
     assert not (tmp_path / "ci_summary.json").exists()
 
 
+@pytest.mark.parametrize("action", ["Energies", "Audit", "VariationCheck", "Flow"])
+def test_negative_seed_exits_2(tmp_path, capsys, action):
+    # np.random.default_rng rejects a negative seed, and VariationCheck seeds
+    # with seed + k: the config is refused before any run starts
+    data = base_config(tmp_path / "neg", action=action)
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 0.7}}
+    data["seed"] = -2 if action == "VariationCheck" else -1
+    if action == "Flow":
+        data["flow"] = {"kind": "Harmonic", "max_iters": 1}
+    assert main(["run", str(write_config(tmp_path, data))]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed must be >= 0" in err
+    assert not (tmp_path / "neg_summary.json").exists()
+
+
+def test_overflowing_lp_norm_is_written_as_null(tmp_path):
+    # |tau| = coth(0.7) > 1 on this circle, so Int |tau|^p overflows at
+    # p = 1e5; Infinity is not JSON, so the value is null and a note names p
+    data = base_config(tmp_path / "lp")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 0.7}}
+    data["p_list"] = [2.0, 100000.0]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run(parse_config(data)) == 0
+    summary = load_summary(tmp_path / "lp_summary.json")
+    lp = summary["energies"]["Lp_tension"]
+    assert lp["100000.0"] is None and math.isfinite(lp["2.0"])
+    assert summary["notes"] == ["Int |tau|^p overflows at p = 100000.0; written as null"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -266,7 +299,7 @@ def test_readme_examples_run():
     (session,) = re.findall(r"```python\n(.*?)```", text, re.S)
     exec(compile(session, str(README), "exec"), {})
     (config,) = re.findall(r"```json\n(.*?)```", text, re.S)
-    assert parse_config(json.loads(config)).action.value == "Flow"
+    assert parse_config(load_summary(config)).action.value == "Flow"
 
 
 def test_parse_accepts_whole_floats(tmp_path):
@@ -294,7 +327,7 @@ def test_run_energies(tmp_path):
     prefix = tmp_path / "out" / "circle"
     config = parse_config(base_config(prefix))
     assert run(config) == 0
-    summary = json.loads((tmp_path / "out" / "circle_summary.json").read_text())
+    summary = load_summary(tmp_path / "out" / "circle_summary.json")
     assert summary["action"] == "Energies"
     assert summary["energies"]["E2"] == pytest.approx(np.pi, abs=1e-10)
     assert summary["metric_mode"] == "Induced"
@@ -306,7 +339,7 @@ def test_run_audit_geodesic(tmp_path):
     data["target"] = {"c": 1.0, "n": 2}
     data["initial_map"] = {"name": "GreatCircleS2", "params": {}}
     assert run(parse_config(data)) == 0
-    summary = json.loads((tmp_path / "geo_summary.json").read_text())
+    summary = load_summary(tmp_path / "geo_summary.json")
     assert all(c["pass"] or c["skipped"] for c in summary["audit"].values())
 
 
@@ -317,7 +350,7 @@ def test_run_variation_check(tmp_path):
     data["initial_map"] = {"name": "Circle", "params": {"r": 0.8}}
     data["grid"]["sizes"] = [128]
     assert run(parse_config(data)) == 0
-    summary = json.loads((tmp_path / "var_summary.json").read_text())
+    summary = load_summary(tmp_path / "var_summary.json")
     assert summary["variation"]["pass"]
     assert set(summary["variation"]["checks"]) == {
         "energy_order_1",
@@ -347,7 +380,7 @@ def test_run_flow_writes_trace(tmp_path):
     # no stability cap applies to a FixedPrescribed flow
     assert [line.split(",")[-1] for line in trace_lines[1:]] == (
         ["nan"] + ["inf"] * (len(trace_lines) - 2))
-    summary = json.loads((tmp_path / "flow" / "h2_summary.json").read_text())
+    summary = load_summary(tmp_path / "flow" / "h2_summary.json")
     assert summary["flow"]["status"] == "converged"
     assert summary["probe"]["classification"] == "minimal"
 
@@ -363,7 +396,7 @@ def test_flow_summary_time_provenance_and_probe(tmp_path, max_iters, immersed):
     data["initial_map"] = {"name": "Circle", "params": {"r": 1.0}}
     data["flow"] = {"kind": "Biharmonic", "max_iters": max_iters, "grad_tol": 1e-12}
     assert run(parse_config(data)) == 0
-    summary = json.loads((tmp_path / "ft_summary.json").read_text())
+    summary = load_summary(tmp_path / "ft_summary.json")
     rows = (tmp_path / "ft_trace.csv").read_text().splitlines()[2:]
     dts = [float(line.split(",")[TRACE_HEADER.split(",").index("dt")]) for line in rows]
     assert summary["flow"]["flow_time"] == math.fsum(dts) > 0.0
@@ -388,7 +421,7 @@ def test_run_flow_degenerate_writes_outputs(tmp_path):
     data["flow"] = {"kind": "Harmonic", "max_iters": 50, "grad_tol": 1e-8,
                     "metric_policy": "ReInduceEachStep"}
     assert run(parse_config(data)) == 0
-    summary = json.loads((tmp_path / "deg_summary.json").read_text())
+    summary = load_summary(tmp_path / "deg_summary.json")
     assert summary["flow"]["status"] == "degenerate"
     trace_lines = (tmp_path / "deg_trace.csv").read_text().splitlines()
     assert len(trace_lines) == summary["flow"]["iterations"] + 2
@@ -406,7 +439,7 @@ def test_run_flow_degenerate_at_step_0_writes_outputs(tmp_path):
     assert main(["run", str(write_config(tmp_path, data))]) == 0
     trace_lines = (tmp_path / "deg0_trace.csv").read_text().splitlines()
     assert trace_lines == [TRACE_HEADER]
-    summary = json.loads((tmp_path / "deg0_summary.json").read_text())
+    summary = load_summary(tmp_path / "deg0_summary.json")
     assert summary["flow"] == {"status": "degenerate", "iterations": 0, "flow_time": 0.0}
     assert any("ReInduceEachStep" in note for note in summary["notes"])
     assert "probe" not in summary and "energies" not in summary
@@ -423,7 +456,7 @@ def test_run_flow_nonfinite_at_step_0_writes_outputs(tmp_path):
         assert main(["run", str(write_config(tmp_path, data))]) == 0
     trace_lines = (tmp_path / "nf_trace.csv").read_text().splitlines()
     assert trace_lines == [TRACE_HEADER]
-    summary = json.loads((tmp_path / "nf_summary.json").read_text())
+    summary = load_summary(tmp_path / "nf_summary.json")
     assert summary["flow"] == {"status": "nonfinite", "iterations": 0, "flow_time": 0.0}
     assert any("not finite" in note for note in summary["notes"])
     assert "probe" not in summary and "energies" not in summary
@@ -469,7 +502,7 @@ def test_flow_builds_no_chain_after_run_flow(tmp_path, monkeypatch, policy):
     data["target"] = {"c": -1.0, "n": 2}
     data["flow"] = {"kind": "Biharmonic", "max_iters": 3, "metric_policy": policy}
     assert run(parse_config(data)) == 0
-    summary = json.loads((tmp_path / "flow_summary.json").read_text())
+    summary = load_summary(tmp_path / "flow_summary.json")
     assert "probe" in summary and "energies" in summary
     assert built_by_flow == [len(maps)] and len(maps) > 0
 
@@ -496,16 +529,9 @@ def test_run_deterministic_outputs(tmp_path):
 def test_summary_floats_round_trip(tmp_path):
     prefix = tmp_path / "rt"
     run(parse_config(base_config(prefix)))
-    summary = json.loads((tmp_path / "rt_summary.json").read_text())
+    summary = load_summary(tmp_path / "rt_summary.json")
     e2 = summary["energies"]["E2"]
-    assert json.loads(json.dumps(e2)) == e2
-
-
-def _strict_json(path):
-    def reject(constant):
-        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
-
-    return json.loads(path.read_text(), parse_constant=reject)
+    assert load_summary(json.dumps(e2)) == e2
 
 
 def test_summaries_are_strict_json(tmp_path):
@@ -524,7 +550,7 @@ def test_summaries_are_strict_json(tmp_path):
             flow, constant]
     for data in runs:
         assert run(parse_config(data)) == 0
-        summary = _strict_json(Path(data["output_prefix"] + "_summary.json"))
+        summary = load_summary(Path(data["output_prefix"] + "_summary.json"))
         assert summary["action"] == data["action"]
     checks = summary["variation"]["checks"].values()
     assert any(c["residual_half_t"] == 0.0 for c in checks)
@@ -559,7 +585,7 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_main_examples(capsys):
     assert main(["examples"]) == 0
-    catalog = json.loads(capsys.readouterr().out)
+    catalog = load_summary(capsys.readouterr().out)
     assert "Circle" in catalog
 
 

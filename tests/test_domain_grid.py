@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import polyflow as pf
-from polyflow.domain_grid import (SPECTRAL_REL_CUTOFF, scalar_gradient,
-                                  scalar_laplacian)
+from polyflow.domain_grid import (SPECTRAL_REL_CUTOFF, _det2, _min_eigenvalue,
+                                  scalar_gradient, scalar_laplacian)
 from polyflow.errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
+
+from conftest import warped_metric
 
 TWO_PI = 2 * np.pi
 
@@ -205,7 +207,91 @@ def test_nan_metric_rejected(torus_grid):
     phi = pf.builtin_map("TorusCliffordLike", {"r1": 1.0, "r2": 1.0}, torus_grid,
                          pf.SpaceFormSpec(0.0, 4))
     phi.values[3, 5, 0] = np.nan
-    with pytest.warns(RuntimeWarning), pytest.raises(DegenerateImmersion):
+    with pytest.raises(DegenerateImmersion):
+        pf.induced_metric(phi)
+
+
+def _random_spd(shape, rng):
+    """Symmetric 2x2 field, eigenvalues in [0.5, 2], random orientation."""
+    lam = rng.uniform(0.5, 2.0, shape + (2,))
+    theta = rng.uniform(0.0, np.pi, shape)
+    c, s = np.cos(theta), np.sin(theta)
+    g = np.empty(shape + (2, 2))
+    g[..., 0, 0] = lam[..., 0] * c**2 + lam[..., 1] * s**2
+    g[..., 1, 1] = lam[..., 0] * s**2 + lam[..., 1] * c**2
+    g[..., 0, 1] = g[..., 1, 0] = (lam[..., 0] - lam[..., 1]) * c * s
+    return g
+
+
+@pytest.mark.parametrize("case", ["warped", "random", "circle"])
+def test_metric_kernels_match_lapack(torus_grid, case):
+    # the closed-form determinant and smaller eigenvalue against LAPACK
+    if case == "warped":
+        g = warped_metric(torus_grid).g
+    elif case == "random":
+        g = _random_spd(torus_grid.shape, np.random.default_rng(5))
+    else:
+        s = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        g = (0.5 + 0.3 * np.sin(s) ** 2)[:, None, None]
+    np.testing.assert_allclose(_det2(g), np.linalg.det(g), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(_min_eigenvalue(g), np.linalg.eigvalsh(g)[..., 0],
+                               rtol=1e-14, atol=0.0)
+    if case == "circle":  # a 1x1 metric is its own eigenvalue and determinant
+        assert _min_eigenvalue(g).tobytes() == np.linalg.eigvalsh(g)[..., 0].tobytes()
+        assert _det2(g).tobytes() == g[..., 0, 0].tobytes()
+
+
+BAD_METRICS = {
+    "zero": np.zeros((2, 2)),
+    "indefinite": np.diag([1.0, -1.0]),
+    "negative": -np.eye(2),
+    "nan": np.full((2, 2), np.nan),
+    "below_guard": np.diag([1.0, 5e-11]),
+}
+
+
+# a 1x1 metric is never indefinite
+@pytest.mark.parametrize("dims,kind", [(d, k) for d in (1, 2) for k in BAD_METRICS
+                                       if (d, k) != (1, "indefinite")])
+def test_frame_rejects_a_bad_metric_at_one_node(circle_grid, torus_grid, dims, kind):
+    # with RuntimeWarning an error, rejection also shows no 0/0 warning
+    grid = circle_grid if dims == 1 else torus_grid
+    bad = BAD_METRICS[kind][-dims:, -dims:]
+    g = pf.identity_metric(grid).g.copy()
+    g[(3,) * dims] = bad
+    with pytest.raises(DegenerateMetric):
+        pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
+    g[(3,) * dims] = bad + 1e-9 * np.eye(dims) if kind == "below_guard" else np.eye(dims)
+    pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
+
+
+def _raw_map(grid, spec, values):
+    return pf.MapField(values=np.stack(values, axis=-1), grid=grid, spec=spec)
+
+
+# The Minkowski form of the hyperboloid's ambient space makes a curve moving
+# in x0 alone timelike (g < 0), and a surface moving in x0 along one axis and
+# x1 along the other indefinite.  No induced 2-d metric is negative definite,
+# since the form has one negative direction.
+@pytest.mark.parametrize("dims,kind", [(1, "zero"), (1, "negative"), (1, "nan"),
+                                       (2, "zero"), (2, "indefinite"), (2, "nan")])
+def test_induced_metric_rejects_a_bad_map(circle_grid, torus_grid, dims, kind):
+    grid = circle_grid if dims == 1 else torus_grid
+    spec = pf.SpaceFormSpec(-1.0, 2)
+    one, zero = np.ones(grid.shape), np.zeros(grid.shape)
+    if kind == "zero":
+        phi = _raw_map(grid, spec, [one, zero, zero])
+    elif kind in ("negative", "indefinite"):
+        x0 = 2.0 + 0.5 * np.sin(grid.coords[0])
+        x1 = np.sin(grid.coords[-1]) if dims == 2 else zero
+        phi = _raw_map(grid, spec, [x0, x1, zero])
+    else:
+        name, spec = (("Circle", spec) if dims == 1
+                      else ("TorusCliffordLike", pf.SpaceFormSpec(-1.0, 3)))
+        phi = pf.builtin_map(name, {}, grid, spec)
+        pf.induced_metric(phi)  # an immersion until the NaN
+        phi.values[(3,) * dims + (0,)] = np.nan
+    with pytest.raises(DegenerateImmersion):
         pf.induced_metric(phi)
 
 

@@ -11,7 +11,8 @@ from polyflow.errors import DegenerateImmersion, NotIsometric
 from polyflow.flow import _trace_metrics
 from polyflow.pullback import Section, TensionChain, tritension_space_form
 
-from conftest import build_fixture, builtin_fixture_set, chain_for, frame_for
+from conftest import (build_fixture, builtin_fixture_set, chain_for, frame_for,
+                      warped_metric)
 
 TWO_PI = 2 * np.pi
 
@@ -453,19 +454,9 @@ def _chain_cases():
     return cases + [pytest.param(*torus, "warped", id="TorusCliffordLike-warped")]
 
 
-def _warped_metric(grid):
-    """Prescribed non-flat metric: its frame has a non-zero connection."""
-    g = np.zeros(grid.shape + (grid.dims, grid.dims))
-    u, v = grid.coords
-    g[..., 0, 0] = 1.0 + 0.3 * np.sin(u) ** 2
-    g[..., 1, 1] = 1.0 + 0.2 * np.cos(v)
-    g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(u + v)
-    return pf.prescribed_metric(grid, g)
-
-
 def _case_frame(phi, metric):
     if metric == "warped":
-        frame = pf.orthonormal_frame(phi.grid, _warped_metric(phi.grid))
+        frame = pf.orthonormal_frame(phi.grid, warped_metric(phi.grid))
         assert not frame.zero_connection
         return frame
     try:
@@ -598,7 +589,7 @@ def test_div_terms_match_christoffel_route(name, params, grid_args, target, metr
 @pytest.mark.parametrize("metric,axes", [("flat", ((0,), (1,))),
                                          ("warped", ((0,), (0, 1)))])
 def test_frame_axes_skip_exact_zeros(torus_grid, metric, axes):
-    g = pf.identity_metric(torus_grid) if metric == "flat" else _warped_metric(torus_grid)
+    g = pf.identity_metric(torus_grid) if metric == "flat" else warped_metric(torus_grid)
     frame = pf.orthonormal_frame(torus_grid, g)
     assert frame.axes == axes
     assert frame.connection.tobytes() == _ref_connection(torus_grid, frame).tobytes()
@@ -615,7 +606,7 @@ def test_chain_deriv_count_2d(monkeypatch, metric, expected):
     # always (Gram-Schmidt), e[..., 1, 0] on the flat frame only
     phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(1.0, 3))
-    g = pf.identity_metric(phi.grid) if metric == "flat" else _warped_metric(phi.grid)
+    g = pf.identity_metric(phi.grid) if metric == "flat" else warped_metric(phi.grid)
     frame = pf.orthonormal_frame(phi.grid, g)
     calls = []
     deriv = DomainGrid.deriv

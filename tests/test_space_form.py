@@ -156,6 +156,33 @@ def test_boost_frame_is_orthonormal_and_tangent(c, n):
     assert np.all(np.max(np.abs(normal), axis=1) <= 1e-14 * scale)
 
 
+def _reference_form(spec, u, v):
+    """The ambient form as a numpy reduction over the ambient axis."""
+    dot = np.add.reduce(u * v, axis=-1)
+    if spec.model is sf.Model.HYPERBOLOID:
+        dot = dot - 2.0 * u[..., 0] * v[..., 0]
+    return dot
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
+def test_ambient_form_is_bitwise_add_reduce(c, m):
+    # the unrolled sum is numpy's own summation order, signed zeros included
+    spec = sf.SpaceFormSpec(c, m if c == 0.0 else m - 1)
+    assert spec.ambient_dim == m
+    rng = np.random.default_rng(m)
+    u = rng.standard_normal((32, 48, m)) * 10.0 ** rng.integers(-8, 9, (32, 48, m))
+    v = rng.standard_normal((32, 48, m))
+    u[0] = 0.0
+    v[0] = -np.abs(v[0])  # every product -0.0: the sum reads +0.0
+    u[1, :, :2] = -0.0  # zeros of either sign among non-zero products
+    frame = rng.standard_normal((32, 48, m - 1, m))  # as in the implicit step
+    for a, b in ((u, v), (v, u), (u, u), (u[..., None, :], frame)):
+        got, ref = sf.ambient_form(spec, a, b), _reference_form(spec, a, b)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("spec", [FLAT, SPHERE])
 def test_boost_frame_needs_the_hyperboloid(spec):
     with pytest.raises(ValueError, match="hyperboloid"):
