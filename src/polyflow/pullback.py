@@ -34,13 +34,31 @@ __all__ = [
 ISOMETRY_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapField:
-    """Discrete map into the target: one ambient point per grid node."""
+    """Discrete map into the target: one ambient point per grid node.
+
+    ``values`` is a read-only view set at construction, so the cached
+    ``coordinate_derivs`` cannot go stale through it; a changed map is a new
+    MapField.  The array passed in stays writable: do not change it after.
+    """
 
     values: np.ndarray  # grid.shape + (ambient_dim,)
     grid: DomainGrid = field(repr=False, default=None)
     spec: sf.SpaceFormSpec = None
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def coordinate_derivs(self) -> tuple:
+        """d_a phi along each node axis a, at the map's spectral floor; taken
+        once per map and read by the induced metric and every tension chain."""
+        floor = self.spectral_floor()
+        return tuple(self.grid.deriv(self.values, a, floor=floor)
+                     for a in range(self.grid.dims))
 
     def constraint_residual(self) -> float:
         return float(np.max(sf.constraint_residual(self.spec, self.values)))
@@ -53,9 +71,6 @@ class MapField:
         amplified k^6-fold by the tritension chain.
         """
         return SPECTRAL_REL_CUTOFF * max(1.0, float(np.max(np.abs(self.values))))
-
-    def copy(self) -> "MapField":
-        return MapField(values=self.values.copy(), grid=self.grid, spec=self.spec)
 
 
 @dataclass
@@ -78,11 +93,12 @@ class Section:
         return sf.norm(self.base.spec, self.base.values, self.values)
 
 
-def _along(phi: MapField, derivs: dict, coeffs: np.ndarray) -> np.ndarray:
-    """Projected sum_a coeffs[..., a] * d_a(V), given the d_a(V)."""
-    out = np.zeros_like(next(iter(derivs.values())))
-    for a, d in derivs.items():
-        out += coeffs[..., a, None] * d
+def _along(phi: MapField, derivs, coeffs: np.ndarray, axes: tuple) -> np.ndarray:
+    """Projected sum_a coeffs[..., a] * d_a(V) over ``axes``, given the d_a(V)
+    indexed by axis."""
+    out = np.zeros_like(derivs[axes[0]])
+    for a in axes:
+        out += coeffs[..., a, None] * derivs[a]
     return sf.project_tangent(phi.spec, phi.values, out)
 
 
@@ -112,25 +128,31 @@ class TensionChain:
     def nabla(self, V: Section | MapField) -> list:
         """Induced connection nabla_{e_i} V for each frame direction e_i:
         the ambient derivative of V along e_i, projected back onto the
-        tangent space of the target.  Of phi itself, this is dphi(e_i)."""
+        tangent space of the target.  Of phi itself, this is dphi(e_i), read
+        from the map's ``coordinate_derivs``."""
         phi, frame = self.phi, self.frame
-        derivs = {a: phi.grid.deriv(V.values, a, floor=self._floor)
-                  for a in range(phi.grid.dims)}
-        return [Section(_along(phi, derivs, frame.e[..., i, :]), phi)
+        if V is phi:
+            derivs = phi.coordinate_derivs
+        else:
+            derivs = [phi.grid.deriv(V.values, a, floor=self._floor)
+                      for a in range(phi.grid.dims)]
+        return [Section(_along(phi, derivs, frame.e[..., i, :], frame.axes[i]), phi)
                 for i in range(phi.grid.dims)]
 
     def _trace(self, sections: list, sign: float) -> Section:
         """sign * sum_i {nabla_{e_i} S_i - sum_j <nabla_{e_i} e_i, e_j> S_j}:
-        tau for S_i = dphi(e_i), -Delta V for S_i = nabla_{e_i} V."""
+        tau for S_i = dphi(e_i), -Delta V for S_i = nabla_{e_i} V.  ``sign``
+        is +1 or -1 and picks add or subtract; it multiplies nothing."""
         phi, frame = self.phi, self.frame
+        add, sub = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
         out = np.zeros_like(sections[0].values)
         for i, s in enumerate(sections):
             derivs = {a: phi.grid.deriv(s.values, a, floor=self._floor)
                       for a in frame.axes[i]}
-            out += sign * _along(phi, derivs, frame.e[..., i, :])
+            add(out, _along(phi, derivs, frame.e[..., i, :], frame.axes[i]), out=out)
             if not frame.zero_connection:
-                out -= sign * sum(frame.connection[..., i, j, None] * t.values
-                                  for j, t in enumerate(sections))
+                sub(out, sum(frame.connection[..., i, j, None] * t.values
+                             for j, t in enumerate(sections)), out=out)
         return Section(out, phi)
 
     def laplacian(self, V: Section) -> Section:

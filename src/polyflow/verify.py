@@ -107,9 +107,9 @@ def scheme_tolerance(grid: DomainGrid) -> float:
 
 
 def vary(phi: MapField, V: Section, t: float) -> MapField:
-    """Geodesic variation phi_t(x) = exp_{phi(x)}(t V(x))."""
+    """Geodesic variation phi_t(x) = exp_{phi(x)}(t V(x)); phi itself at t = 0."""
     if t == 0.0:
-        return phi.copy()
+        return phi
     return MapField(
         values=sf.exp_map(phi.spec, phi.values, t * V.values),
         grid=phi.grid,
@@ -177,18 +177,27 @@ def _skipped(name, note) -> AuditCheck:
     return AuditCheck(name, 0.0, 0, 0.0, True, skipped=True, note=note)
 
 
-def _kato_check(name, grid, frame, a_norm, grad_sq) -> AuditCheck:
+def _gradient_sq(grid, frame, f) -> np.ndarray:
+    """|grad f|^2 summed component by component: the same bits as
+    ``np.sum(... ** 2, axis=-1)``, without numpy's per-node loop."""
+    grad = scalar_gradient(grid, frame, f)
+    out = grad[..., 0] ** 2
+    for i in range(1, grid.dims):
+        out += grad[..., i] ** 2
+    return out
+
+
+def _kato_check(name, fd2, frame, a_norm, grad_sq) -> AuditCheck:
     """Kato check for a section alpha, given |alpha| and |nabla alpha|^2.
 
     |alpha| is merely Lipschitz at zeros of alpha: spectral differentiation
     of a kinked scalar rings globally, while the 2nd-order central
     difference quotient stays bounded by the local Lipschitz constant, so
-    grad |alpha| is taken on a CentralFD2 twin of the grid.
+    grad |alpha| is taken on ``fd2``, a CentralFD2 twin of the grid.
     """
-    fd2 = DomainGrid(replace(grid.spec, differentiation=Differentiation.CENTRAL_FD2))
     rhs = np.sqrt(np.maximum(grad_sq, 0.0))
-    lhs = np.sqrt(np.sum(scalar_gradient(fd2, frame, a_norm) ** 2, axis=-1))
-    h = max(grid.spacings)
+    lhs = np.sqrt(_gradient_sq(fd2, frame, a_norm))
+    h = max(fd2.spacings)
     tol = 1e-8 + 10.0 * h**2 * float(np.max(rhs, initial=0.0))
     excess = np.where(a_norm > 1e-6, lhs - rhs, -np.inf)
     return _verdict(name, excess, tol, note="nodes with |alpha| <= 1e-6 excluded")
@@ -261,8 +270,9 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
         checks.append(_skipped("curvature_sign", "sign statement applies to c <= 0 only"))
 
     # (e) Kato inequality |grad |alpha|| <= |nabla alpha| where alpha != 0.
-    checks.append(_kato_check("kato_tension", grid, frame, chain.tau_norm, grad_tau_sq))
-    checks.append(_kato_check("kato_tension_laplacian", grid, frame, chain.lap_norm,
+    fd2 = DomainGrid(replace(grid.spec, differentiation=Differentiation.CENTRAL_FD2))
+    checks.append(_kato_check("kato_tension", fd2, frame, chain.tau_norm, grad_tau_sq))
+    checks.append(_kato_check("kato_tension_laplacian", fd2, frame, chain.lap_norm,
                               chain.grad_lap_tau_sq))
     return AuditReport({c.name: c for c in checks})
 
@@ -315,10 +325,8 @@ def caccioppoli_audit(chain: TensionChain, eta: CutoffField, eps: float) -> floa
     grad_lap_sq = chain.grad_lap_tau_sq
     grad_tau_sq = chain.grad_tau_sq
 
-    grad_eta_sq = np.sum(scalar_gradient(grid, frame, eta.eta) ** 2, axis=-1)
-    grad_tau_norm_sq = np.sum(
-        scalar_gradient(grid, frame, tau_norm_sq) ** 2, axis=-1
-    )
+    grad_eta_sq = _gradient_sq(grid, frame, eta.eta)
+    grad_tau_norm_sq = _gradient_sq(grid, frame, tau_norm_sq)
     ball = eta.ball_mask().astype(float)
 
     c = spec.c

@@ -96,6 +96,18 @@ def chain_for(phi, induced=True):
     return pf.TensionChain(phi, frame_for(phi, induced))
 
 
+def record_derivs(monkeypatch) -> list:
+    """The backend name of every ``DomainGrid.deriv`` call from now on."""
+    kinds, deriv = [], pf.DomainGrid.deriv
+
+    def recording(self, *args, **kwargs):
+        kinds.append(self.spec.differentiation.value)
+        return deriv(self, *args, **kwargs)
+
+    monkeypatch.setattr(pf.DomainGrid, "deriv", recording)
+    return kinds
+
+
 def warped_metric(grid):
     """Prescribed non-flat metric: its frame has a non-zero connection."""
     g = np.zeros(grid.shape + (grid.dims, grid.dims))

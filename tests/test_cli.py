@@ -15,7 +15,7 @@ from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig, FlowTrace
 from polyflow.pullback import TensionChain
 
-from conftest import load_summary
+from conftest import load_summary, record_derivs
 
 TWO_PI = 2 * np.pi
 TRACE_HEADER = "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt,dt_cap"
@@ -505,6 +505,24 @@ def test_flow_builds_no_chain_after_run_flow(tmp_path, monkeypatch, policy):
     summary = load_summary(tmp_path / "flow_summary.json")
     assert "probe" in summary and "energies" in summary
     assert built_by_flow == [len(maps)] and len(maps) > 0
+
+
+@pytest.mark.parametrize("target,spectral", [({"c": 1.0, "n": 3}, 18),
+                                             ({"c": 0.0, "n": 4}, 18),
+                                             ({"c": -1.0, "n": 3}, 23)])
+def test_audit_deriv_count(tmp_path, monkeypatch, target, spectral):
+    # the map's d_a phi is taken once for the induced metric and the chain;
+    # the Kato check takes grad |alpha| of two sections on its CentralFD2 twin
+    kinds = record_derivs(monkeypatch)
+    data = base_config(tmp_path / "audit", action="Audit")
+    data["target"] = target
+    data["grid"] = {"dims": 2, "sizes": [48, 48], "lengths": [TWO_PI, TWO_PI],
+                    "differentiation": "Spectral"}
+    data["initial_map"] = {"name": "TorusCliffordLike", "params": {}}
+    assert run(parse_config(data)) == 0
+    assert kinds.count("Spectral") == spectral
+    assert kinds.count("CentralFD2") == 4
+    assert len(kinds) == spectral + 4
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -91,6 +91,51 @@ def test_deriv_cached_symbol_bit_equal(sizes, reverse):
             assert grid.deriv(f, a, floor=floor).tobytes() == expected.tobytes()
 
 
+def _band_limited(grid, components, rng):
+    """A few trigonometric modes (|m| <= 4 per axis) per component: most of
+    its Fourier coefficients are roundoff, as in a map's derivatives."""
+    u, v = grid.coords
+    f = np.zeros(grid.shape + (components,))
+    for c in range(components):
+        for _ in range(3):
+            m0, m1 = rng.integers(-4, 5, size=2)
+            f[..., c] += rng.standard_normal() * np.cos(m0 * u + m1 * v
+                                                       + rng.uniform(0.0, TWO_PI))
+    return f
+
+
+def _decaying(grid, components):
+    """exp of a trigonometric field per component: its spectrum decays
+    geometrically through the cutoff, so each line's max decides the mask."""
+    u, v = grid.coords
+    return np.stack([np.exp(0.9 * np.sin(u + 0.7 * c) * np.cos(v - 0.3 * c)
+                            + 0.2 * c * np.cos(u)) for c in range(components)], axis=-1)
+
+
+@pytest.mark.parametrize("sizes", [(32, 48), (33, 24)])
+@pytest.mark.parametrize("components", [4, 2])
+@pytest.mark.parametrize("kind", ["band_limited", "decaying"])
+def test_deriv_bit_equal_on_smooth_fields(sizes, components, kind):
+    # lines along the middle node axis, transformed after a move to the last
+    # axis, and the masked zeroing keep every bit where most coefficients
+    # are masked as noise (a random normal field masks almost none), and
+    # where the mask depends on each line's max
+    grid = pf.build_grid(pf.GridSpec(2, sizes, (TWO_PI, TWO_PI)))
+    if kind == "band_limited":
+        f = _band_limited(grid, components, np.random.default_rng(7))
+    else:
+        f = _decaying(grid, components)
+    map_floor = SPECTRAL_REL_CUTOFF * max(1.0, float(np.max(np.abs(f))))
+    for floor in (0.0, map_floor):
+        for a in range(grid.dims):
+            mag = np.abs(np.fft.rfft(f, axis=a))
+            cutoff = np.maximum(SPECTRAL_REL_CUTOFF * np.max(mag, axis=a, keepdims=True),
+                                floor)
+            assert np.mean(mag < cutoff) > (0.75 if kind == "band_limited" else 0.1)
+            expected = _uncached_spectral_deriv(grid, f, a, floor)
+            assert grid.deriv(f, a, floor=floor).tobytes() == expected.tobytes()
+
+
 def _complex_fft_deriv(grid, values, axis, floor=0.0):
     """The spectral derivative over the full complex spectrum: the reference
     the real-input (rfft/irfft) derivative must match to roundoff."""
@@ -206,9 +251,10 @@ def test_nan_metric_rejected(torus_grid):
         pf.orthonormal_frame(torus_grid, pf.prescribed_metric(torus_grid, g))
     phi = pf.builtin_map("TorusCliffordLike", {"r1": 1.0, "r2": 1.0}, torus_grid,
                          pf.SpaceFormSpec(0.0, 4))
-    phi.values[3, 5, 0] = np.nan
+    values = phi.values.copy()
+    values[3, 5, 0] = np.nan
     with pytest.raises(DegenerateImmersion):
-        pf.induced_metric(phi)
+        pf.induced_metric(pf.MapField(values=values, grid=torus_grid, spec=phi.spec))
 
 
 def _random_spd(shape, rng):
@@ -290,7 +336,9 @@ def test_induced_metric_rejects_a_bad_map(circle_grid, torus_grid, dims, kind):
                       else ("TorusCliffordLike", pf.SpaceFormSpec(-1.0, 3)))
         phi = pf.builtin_map(name, {}, grid, spec)
         pf.induced_metric(phi)  # an immersion until the NaN
-        phi.values[(3,) * dims + (0,)] = np.nan
+        values = phi.values.copy()
+        values[(3,) * dims + (0,)] = np.nan
+        phi = pf.MapField(values=values, grid=grid, spec=spec)
     with pytest.raises(DegenerateImmersion):
         pf.induced_metric(phi)
 

@@ -12,7 +12,7 @@ from polyflow import space_form as sf
 from polyflow.errors import StepUnderflow
 from polyflow.flow import _implicit_step, _visible_step, flow_frame
 
-from conftest import frame_for
+from conftest import frame_for, record_derivs
 
 TWO_PI = 2 * np.pi
 
@@ -276,6 +276,22 @@ def test_probe_sharpness_controls():
         _, probe = static_probe(r, -1.0)
         assert probe.classification == "inconclusive" and probe.immersed
         assert probe.sup_tau3 >= floor
+
+
+def test_probe_takes_no_derivative_on_criterion_8_end_state(monkeypatch):
+    # the immersion check reads the map's d_a phi, which the flow's chain
+    # of the end state already holds
+    grid = pf.build_grid(pf.GridSpec(1, (256,), (TWO_PI,)))
+    phi0 = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.05, "k": 3}, grid,
+                          pf.SpaceFormSpec(-1.0, 2))
+    state, trace = pf.run_flow(phi0, pf.FlowConfig(kind="Triharmonic",
+                                                   max_iters=100000, grad_tol=1e-6))
+    assert trace.status == "converged"
+    kinds = record_derivs(monkeypatch)
+    probe = pf.theorem_probe(state, trace.status)
+    assert probe.classification == "minimal"
+    assert not probe.immersed  # the flow ends at a constant map
+    assert kinds == []
 
 
 def test_probe_flags_constant_state():
@@ -564,7 +580,7 @@ def reference_flow(phi0, cfg):
     tangent space.  The Armijo trial is projected once, by exp_map."""
     k = {"Harmonic": 1, "Biharmonic": 2, "Triharmonic": 3}[cfg.kind.value]
     reinduce = cfg.metric_policy is pf.MetricPolicy.REINDUCE_EACH_STEP
-    phi, dt, rows = phi0.copy(), cfg.initial_dt(phi0.grid), []
+    phi, dt, rows = phi0, cfg.initial_dt(phi0.grid), []
     frame = flow_frame(phi, cfg)
 
     def enter(state):

@@ -12,7 +12,7 @@ from polyflow.flow import _trace_metrics
 from polyflow.pullback import Section, TensionChain, tritension_space_form
 
 from conftest import (build_fixture, builtin_fixture_set, chain_for, frame_for,
-                      warped_metric)
+                      record_derivs, warped_metric)
 
 TWO_PI = 2 * np.pi
 
@@ -597,6 +597,41 @@ def test_frame_axes_skip_exact_zeros(torus_grid, metric, axes):
     f = np.exp(np.sin(u) * np.cos(2 * v))
     expected = _ref_scalar_laplacian(torus_grid, frame, f)
     assert scalar_laplacian(torus_grid, frame, f).tobytes() == expected.tobytes()
+
+
+def test_map_values_are_read_only(flat_circle):
+    # a map's cached coordinate derivatives cannot go stale
+    with pytest.raises(ValueError):
+        flat_circle.values[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        flat_circle.values = flat_circle.values.copy()
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_induced_metric_and_chain_share_the_map_derivatives(monkeypatch, c):
+    # d_a phi is taken once per map: the induced metric takes it, and the
+    # chain's dphi reads the same arrays without a derivative of its own
+    phi = build_fixture("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)),
+                        pf.SpaceFormSpec(c, 3))
+    kinds = record_derivs(monkeypatch)
+    metric = pf.induced_metric(phi)
+    derivs = phi.coordinate_derivs
+    assert len(kinds) == 2
+    for a in range(2):
+        for b in range(2):
+            assert (metric.g[..., a, b].tobytes()
+                    == sf.ambient_form(phi.spec, derivs[a], derivs[b]).tobytes())
+    frame = pf.orthonormal_frame(phi.grid, metric)
+    kinds.clear()
+    chain = TensionChain(phi, frame)
+    for i, d in enumerate(chain.dphi):
+        along = np.zeros_like(derivs[0])
+        for a in frame.axes[i]:
+            along += frame.e[..., i, a, None] * derivs[a]
+        expected = sf.project_tangent(phi.spec, phi.values, along)
+        assert d.values.tobytes() == expected.tobytes()
+    assert kinds == []
+    assert phi.coordinate_derivs is derivs
 
 
 @pytest.mark.parametrize("metric,expected", [("flat", 12), ("warped", 15)])

@@ -11,9 +11,12 @@ from polyflow.errors import (
     NotTriharmonic,
     RadiusTooLarge,
 )
+from polyflow.domain_grid import scalar_gradient
 from polyflow.pullback import Section
+from polyflow.verify import _gradient_sq
 
-from conftest import build_fixture, builtin_fixture_set, chain_for, frame_for
+from conftest import (build_fixture, builtin_fixture_set, chain_for, frame_for,
+                      warped_metric)
 
 TWO_PI = 2 * np.pi
 
@@ -190,6 +193,22 @@ def test_cutoff_gradient_bound(dims):
 def test_cutoff_radius_too_large(circle_grid):
     with pytest.raises(RadiusTooLarge):
         pf.cutoff(circle_grid, (0,), TWO_PI / 3)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_gradient_sq_matches_numpy_sum(circle_grid, torus_grid, dims):
+    # the component-by-component |grad f|^2 of the Kato and Caccioppoli
+    # checks keeps the bits of numpy's reduction over the component axis
+    grid = circle_grid if dims == 1 else torus_grid
+    if dims == 1:
+        g = (1.0 + 0.3 * np.sin(grid.axes[0]) ** 2)[:, None, None]
+        metric = pf.prescribed_metric(grid, g)
+    else:
+        metric = warped_metric(grid)
+    frame = pf.orthonormal_frame(grid, metric)
+    f = np.exp(np.sin(grid.coords[0]) * np.cos(2 * grid.coords[-1]))
+    expected = np.sum(scalar_gradient(grid, frame, f) ** 2, axis=-1)
+    assert _gradient_sq(grid, frame, f).tobytes() == expected.tobytes()
 
 
 def test_caccioppoli_geodesic_margin(circle_grid):
