@@ -95,8 +95,9 @@ class Section:
 
 def _along(phi: MapField, derivs, coeffs: np.ndarray, axes: tuple) -> np.ndarray:
     """Projected sum_a coeffs[..., a] * d_a(V) over ``axes``, given the d_a(V)
-    indexed by axis."""
-    out = np.zeros_like(derivs[axes[0]])
+    indexed by axis.  The sum is C-ordered whatever the layout of the d_a(V),
+    which may be strided views (``DomainGrid.deriv``)."""
+    out = np.zeros(derivs[axes[0]].shape)
     for a in axes:
         out += coeffs[..., a, None] * derivs[a]
     return sf.project_tangent(phi.spec, phi.values, out)

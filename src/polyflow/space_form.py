@@ -113,7 +113,8 @@ def project_tangent(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.nda
     """Orthogonal projection of ``v`` onto the tangent space at ``x``."""
     if spec.model is Model.FLAT:
         return np.asarray(v, dtype=float)
-    return v - spec.c * ambient_form(spec, x, v)[..., None] * x
+    normal = spec.c * ambient_form(spec, x, v)[..., None] * x
+    return np.subtract(v, normal, out=normal)
 
 
 def inner(spec: SpaceFormSpec, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -188,9 +189,10 @@ def curvature_op(
     """Constant-curvature tensor R(X, Y)Z = c * (h(Y,Z) X - h(X,Z) Y)."""
     if spec.c == 0.0:
         return np.zeros(np.broadcast(X, Y, Z).shape)
-    hYZ = inner(spec, x, Y, Z)[..., None]
-    hXZ = inner(spec, x, X, Z)[..., None]
-    return spec.c * (hYZ * X - hXZ * Y)
+    out = inner(spec, x, Y, Z)[..., None] * X
+    out -= inner(spec, x, X, Z)[..., None] * Y
+    out *= spec.c
+    return out
 
 
 def constraint_residual(spec: SpaceFormSpec, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import polyflow
-from polyflow import cli
+from polyflow import cli, domain_grid
+from polyflow import space_form as sf
 from polyflow.cli import load_config, main, parse_config, run
 from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig, FlowTrace
@@ -285,6 +286,28 @@ def test_overflowing_lp_norm_is_written_as_null(tmp_path):
     assert summary["notes"] == ["Int |tau|^p overflows at p = 100000.0; written as null"]
 
 
+@pytest.mark.parametrize("p", [1403.7577800274958, 1409.0])
+def test_lp_norm_is_the_integral_not_the_node_sum(tmp_path, p):
+    # the 64-node sum of |tau|^p vol overflows for p in about (1401.8, 1409.5),
+    # while Int |tau|^p = volume |tau|^p (|tau| is constant) fits below
+    # p = 1403.76; beyond it the integral itself overflows and is null
+    data = base_config(tmp_path / "lp")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["initial_map"] = {"name": "Circle", "params": {"r": 0.7}}
+    data["p_list"] = [p]
+    assert run(parse_config(data)) == 0
+    summary = load_summary(tmp_path / "lp_summary.json")
+    energies = summary["energies"]
+    lp = energies["Lp_tension"][str(p)]
+    if p < 1405.0:
+        assert lp == pytest.approx(energies["volume"] * energies["sup_tau"] ** p,
+                                   rel=1e-9)
+        assert summary["notes"] == []
+    else:
+        assert lp is None
+        assert summary["notes"] == [f"Int |tau|^p overflows at p = {p}; written as null"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -523,6 +546,66 @@ def test_audit_deriv_count(tmp_path, monkeypatch, target, spectral):
     assert kinds.count("Spectral") == spectral
     assert kinds.count("CentralFD2") == 4
     assert len(kinds) == spectral + 4
+
+
+def _kernel_configs(prefix) -> list:
+    """Audits of the three TorusCliffordLike targets at 48^2, and criterion
+    8's triharmonic flow."""
+    configs = []
+    for label, target in (("s3", {"c": 1.0, "n": 3}), ("r4", {"c": 0.0, "n": 4}),
+                          ("h3", {"c": -1.0, "n": 3})):
+        data = base_config(prefix / label, action="Audit")
+        data["target"] = target
+        data["grid"] = {"dims": 2, "sizes": [48, 48], "lengths": [TWO_PI, TWO_PI],
+                        "differentiation": "Spectral"}
+        data["initial_map"] = {"name": "TorusCliffordLike", "params": {}}
+        configs.append(data)
+    data = base_config(prefix / "tri", action="Flow")
+    data["target"] = {"c": -1.0, "n": 2}
+    data["grid"]["sizes"] = [256]
+    data["initial_map"] = {"name": "PerturbedGeodesicH2",
+                           "params": {"amplitude": 0.05, "k": 3}}
+    data["flow"] = {"kind": "Triharmonic", "max_iters": 100000, "grad_tol": 1e-6,
+                    "armijo_c": 1e-4, "shrink": 0.5,
+                    "metric_policy": "FixedPrescribed"}
+    return configs + [data]
+
+
+def _run_kernel_configs(prefix) -> dict:
+    prefix.mkdir()
+    for data in _kernel_configs(prefix):
+        assert run(parse_config(data)) == 0
+    return {path.name: path.read_text().replace(str(prefix), "X")
+            for path in sorted(prefix.iterdir())}
+
+
+def test_outputs_equal_the_reference_kernels(tmp_path, monkeypatch):
+    # the correctly rounded fast sum, the strided middle-axis derivatives and
+    # the in-place projections change no byte against math.fsum, contiguous
+    # derivative copies and the plain expressions
+    built = _run_kernel_configs(tmp_path / "built")
+    deriv = domain_grid.DomainGrid.deriv
+
+    def project_tangent(spec, x, v):
+        if spec.model is sf.Model.FLAT:
+            return np.asarray(v, dtype=float)
+        return v - spec.c * sf.ambient_form(spec, x, v)[..., None] * x
+
+    def curvature_op(spec, x, X, Y, Z):
+        if spec.c == 0.0:
+            return np.zeros(np.broadcast(X, Y, Z).shape)
+        hYZ = sf.inner(spec, x, Y, Z)[..., None]
+        hXZ = sf.inner(spec, x, X, Z)[..., None]
+        return spec.c * (hYZ * X - hXZ * Y)
+
+    monkeypatch.setattr(domain_grid, "exact_sum", lambda x: math.fsum(memoryview(x)))
+    monkeypatch.setattr(domain_grid.DomainGrid, "deriv",
+                        lambda *args, **kw: np.ascontiguousarray(deriv(*args, **kw)))
+    monkeypatch.setattr(sf, "project_tangent", project_tangent)
+    monkeypatch.setattr(sf, "curvature_op", curvature_op)
+    reference = _run_kernel_configs(tmp_path / "reference")
+    assert len(built) == 5 and "tri_trace.csv" in built
+    assert built == reference
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -1,11 +1,15 @@
 """Grids, metrics, frames, and integration."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
 import polyflow as pf
-from polyflow.domain_grid import (SPECTRAL_REL_CUTOFF, _det2, _min_eigenvalue,
-                                  scalar_gradient, scalar_laplacian)
+from polyflow.domain_grid import (FSUM_MAX_TERMS, SPECTRAL_REL_CUTOFF, _det2,
+                                  _min_eigenvalue, exact_sum, scalar_gradient,
+                                  scalar_laplacian)
 from polyflow.errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
 
 from conftest import warped_metric
@@ -402,6 +406,101 @@ def test_integration_by_parts_curved_metric(kind):
         h = grid.spacings[0]
         tol = 1e-10 if kind == "Spectral" else 2.0 * h**2
         assert abs(lhs - rhs) <= tol
+
+
+def _fsum_outcome(sum_fn, x):
+    """The bytes of sum_fn(x), "nan" for any NaN, or the exception type."""
+    try:
+        value = sum_fn(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def _adversarial_sums(rng):
+    """Seeded arrays on both sides of FSUM_MAX_TERMS, by construction."""
+    sizes = (16, 1000, FSUM_MAX_TERMS - 1, FSUM_MAX_TERMS, 4097, 16384)
+    for n in sizes:
+        yield rng.normal(size=n)
+        yield rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, size=n)
+        yield np.exp(20.0 * rng.normal(size=n)) * rng.choice((-1.0, 1.0), size=n)
+        x = rng.normal(size=n // 2) * 10.0 ** rng.uniform(-8, 8, size=n // 2)
+        yield np.concatenate([x, -x[::-1]])  # exactly 0
+        yield np.concatenate([x, [1e-300], -x[::-1]])
+        yield rng.permutation(np.resize([1e16, 0.1, -1e16, 0.1, 0.1], n))
+        yield rng.normal(size=n) * 5e-324 * 2.0**rng.integers(0, 60, size=n)
+        yield np.zeros(n)
+        yield -np.zeros(n)
+    n = 4096
+    for top in (2.0**-900, 2.0**960):  # the fast path's range of max|x|
+        for m in (np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)):
+            x = rng.uniform(-m, m, size=n)
+            x[rng.integers(n)] = -m
+            yield x
+    yield np.full(n, 1e305)  # the sum overflows
+    for special in (np.nan, np.inf, -np.inf):
+        x = rng.normal(size=n)
+        x[rng.integers(n)] = special
+        yield x
+    yield np.concatenate([[np.inf, -np.inf], rng.normal(size=n)])
+
+
+def test_exact_sum_matches_fsum_bit_for_bit():
+    # sign of a zero, NaN, the infinities and fsum's errors included
+    rng = np.random.default_rng(17)
+    for x in _adversarial_sums(rng):
+        assert _fsum_outcome(exact_sum, x) == _fsum_outcome(math.fsum, x)
+
+
+def _record_fsum_lengths(monkeypatch) -> list:
+    lengths, fsum = [], math.fsum
+
+    def recording(terms):
+        lengths.append(len(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", recording)
+    return lengths
+
+
+def test_exact_sum_falls_back_to_fsum_near_rounding_boundaries(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 4096
+    x = rng.normal(size=n // 2)
+    exact_zero = np.concatenate([x, -x[::-1]])
+    near_midpoint = np.zeros(n)  # 1 + 2**-53 is halfway between two floats
+    near_midpoint[:3] = (1.0, 2.0**-53, 1e-30)
+    near_midpoint = rng.permutation(near_midpoint)
+    wide = rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, size=n)
+    expected = [math.fsum(x) for x in (exact_zero, near_midpoint, wide)]
+    lengths = _record_fsum_lengths(monkeypatch)
+    zero, midpoint = exact_sum(exact_zero), exact_sum(near_midpoint)
+    assert lengths == [3, 3, n] * 2
+    assert zero == expected[0] == 0.0
+    assert math.copysign(1.0, zero) == math.copysign(1.0, expected[0])
+    assert midpoint == expected[1] == 1.0 + 2.0**-52
+    del lengths[:]
+    assert exact_sum(wide) == expected[2]
+    assert lengths == [3, 3]  # no fallback
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_integrate_of_an_overflowing_node_sum(n):
+    # n terms of 1e308 overflow as a node sum, but times h = 1/n the
+    # integral is 1e308; over twice the length it is beyond the float range.
+    # integrate never raises
+    f = np.full(n, 1e308)
+    with pytest.raises(OverflowError):
+        math.fsum(f)
+    for length, expected in ((1.0, 1e308), (2.0, math.inf)):
+        grid = pf.build_grid(pf.GridSpec(1, (n,), (length,)))
+        frame = pf.orthonormal_frame(grid, pf.identity_metric(grid))
+        assert pf.integrate(grid, frame, f) == pytest.approx(expected, rel=1e-15)
+        assert pf.integrate(grid, frame, -f) == pytest.approx(-expected, rel=1e-15)
+    f[:2] = np.inf, -np.inf
+    assert math.isnan(pf.integrate(grid, frame, f))
+    f[:2] = np.nan, 0.0
+    assert math.isnan(pf.integrate(grid, frame, f))
 
 
 def test_periodic_distance_wraps():

@@ -304,6 +304,26 @@ def test_tritension_space_form_agreement(name, params, grid_args, target):
     assert diff / (1.0 + sup) <= 1e-7
 
 
+@pytest.mark.parametrize("target", [pf.SpaceFormSpec(1.0, 3),
+                                    pf.SpaceFormSpec(-1.0, 3),
+                                    pf.SpaceFormSpec(0.0, 4)])
+def test_chain_fields_are_c_ordered(target):
+    # deriv returns middle-axis derivatives as strided views; every section
+    # built from them stays C-ordered, so order-dependent reductions over a
+    # section (the probe's mean, std and var) see one layout.  On R^4 the
+    # tangent projection is the identity, so only the accumulator of
+    # nabla's sum sets the layout
+    phi = build_fixture("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)),
+                        target)
+    chain = chain_for(phi)
+    assert not phi.coordinate_derivs[1].flags.c_contiguous
+    for name in ("dphi", "tau", "grad_tau", "lap_tau", "grad_lap_tau", "lap2_tau",
+                 "tau2", "tau3"):
+        value = getattr(chain, name)
+        for section in value if isinstance(value, list) else [value]:
+            assert section.values.flags.c_contiguous, name
+
+
 def test_tritension_space_form_not_isometric(circle_grid):
     phi = pf.builtin_map("Circle", {"r": np.pi / 3}, circle_grid,
                          pf.SpaceFormSpec(1.0, 2))
