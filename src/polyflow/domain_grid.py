@@ -157,6 +157,7 @@ class DomainGrid:
             if n % 2 == 0:
                 k[-1] = 0.0
         self._symbols = {}  # 1j * k shaped for deriv, per (axis, field ndim)
+        self._q_powers = {}  # |q|^(2k) for the implicit flow step, per order k
 
     @property
     def dims(self) -> int:
@@ -165,6 +166,21 @@ class DomainGrid:
     @property
     def node_count(self) -> int:
         return int(np.prod(self.shape))
+
+    def q_power(self, k: int) -> np.ndarray:
+        """|q|^(2k) on the rfftn half spectrum of a field with one trailing
+        component axis, per order ``k``; q is the true wavenumber (Nyquist
+        kept, which ``deriv`` zeroes)."""
+        if k not in self._q_powers:
+            q_sq = 0.0
+            for axis, (n, length) in enumerate(zip(self.shape, self.spec.lengths)):
+                mode = np.minimum(np.arange(n), np.arange(n, 0, -1))
+                if axis == self.dims - 1:  # rfftn halves the last node axis
+                    mode = mode[:n // 2 + 1]
+                shape = (-1,) + (1,) * (self.dims - axis)
+                q_sq = q_sq + ((2.0 * np.pi / length) * mode).reshape(shape) ** 2
+            self._q_powers[k] = q_sq**k
+        return self._q_powers[k]
 
     def deriv(self, values: np.ndarray, axis: int, floor: float = 0.0) -> np.ndarray:
         """First derivative of a periodic field along a node axis.

@@ -5,9 +5,9 @@ field (tension, bitension, tritension).  How an Armijo trial
 (:func:`flow_step`) turns it into a step depends on the metric policy:
 
 * FixedPrescribed takes a linearly implicit Euler step for the leading
-  operator: the descent's coefficients in an orthonormal tangent frame have
-  their spectrum divided by ``1 + dt |q|^(2k)`` (:func:`_implicit_step`).
-  Every ``dt`` is stable, so no cap applies and the trial's cap is ``inf``.
+  operator: the descent's coefficients in an orthonormal tangent frame
+  (closed form on the hyperboloid) are divided by ``1 + dt |q|^(2k)`` in
+  spectrum (:func:`_implicit_step`); no cap applies, the trial's is ``inf``.
 * ReInduceEachStep keeps the explicit step and its stability cap: the
   descent field's visible band (the Fourier modes at least _CAP_VISIBILITY
   of each axis's largest) is read once per axis and gives both the step,
@@ -211,44 +211,37 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
 
 
 def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
-    """Linearly implicit Euler step of the leading operator, for the flat
-    FixedPrescribed frame.
-
-    The descent field is written as coefficients ``c_i`` in an orthonormal
-    frame of the target's tangent spaces: the ambient components on flat and
-    sphere targets, whose ambient form is positive definite, and the
-    hyperboloid's boost frame (:func:`space_form.boost_frame`) otherwise.
-    Each coefficient's spectrum is divided by ``1 + dt |q|^(2k)``, with the
-    true wavenumbers ``q`` (the Nyquist mode included), and the step is
-    rebuilt from the frame, or projected onto the tangent space on flat and
-    sphere targets.  The pairing ``Int <descent, step>`` is then
-    ``sum_q |c_q|^2 / (1 + dt |q|^(2k)) > 0`` for every ``dt``, so the
-    step needs no cap and no band limit.  The FixedPrescribed frame comes
-    from :func:`identity_metric`: its volume element is 1, so no volume
-    weighting enters the pairing.
-    """
+    """Linearly implicit Euler step of the leading operator on the flat
+    FixedPrescribed frame, whose volume element is 1: the descent's
+    coefficients in an orthonormal tangent frame (its ambient components on
+    flat and sphere targets, :func:`_boost_coefficients` on the hyperboloid)
+    have their spectra divided by ``1 + dt |q|^(2k)``, q the true wavenumber
+    (Nyquist included), and the step is rebuilt from them.  The pairing
+    Int <descent, step> = sum_q |c_q|^2 / (1 + dt |q|^(2k)) is positive for
+    every dt, so the step needs no cap and no band limit."""
     phi = descent.base
-    spec, grid, x = phi.spec, phi.grid, phi.values
+    spec, grid, x, coeffs = phi.spec, phi.grid, phi.values, descent.values
     boost = spec.model is sf.Model.HYPERBOLOID
     if boost:
-        frame = sf.boost_frame(spec, x)
-        coeffs = sf.ambient_form(spec, descent.values[..., None, :], frame)
-    else:
-        coeffs = descent.values
-    # |q|^2 on the rfftn half spectrum; the last node axis is the halved one
-    q_sq = 0.0
-    for axis, (n, length) in enumerate(zip(grid.shape, grid.spec.lengths)):
-        mode = np.arange(n)
-        mode = mode[:n // 2 + 1] if axis == grid.dims - 1 else np.minimum(mode, n - mode)
-        shape = [1] * coeffs.ndim
-        shape[axis] = mode.size
-        q_sq = q_sq + ((2.0 * np.pi / length) * mode).reshape(shape) ** 2
+        r = 1.0 / math.sqrt(-spec.c)
+        a, coeffs = _boost_coefficients(x, coeffs, r)
     axes = tuple(range(grid.dims))
-    spectrum = np.fft.rfftn(coeffs, axes=axes) / (1.0 + dt * q_sq**k)
+    spectrum = np.fft.rfftn(coeffs, axes=axes) / (1.0 + dt * grid.q_power(k))
     coeffs = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
-    if boost:
-        return sum(coeffs[..., i, None] * frame[..., i, :] for i in range(spec.n))
-    return sf.project_tangent(spec, x, coeffs)
+    if not boost:
+        return sf.project_tangent(spec, x, coeffs)
+    # sum_i c_i E_i = (s (1 + x0/r), c + (s/r) x[1:]): tangent by algebra
+    s = sum(a[..., i] * coeffs[..., i] for i in range(spec.n))
+    return np.concatenate([(s * (1.0 + x[..., 0] / r))[..., None],
+                           coeffs + (s / r)[..., None] * x[..., 1:]], axis=-1)
+
+
+def _boost_coefficients(x: np.ndarray, v: np.ndarray, r: float) -> tuple:
+    """``(a, v[1:] - a v0)``, ``a = x[1:] / (r + x0)``: a tangent ``v``'s
+    coefficients in the boost frame ``E_i = e_i + a_i (e_0 + x/r)`` at ``x``
+    (r = 1/sqrt(-c)), since <v, e_0 + x/r> = -v0; the frame is never formed."""
+    a = x[..., 1:] / (r + x[..., :1])
+    return a, v[..., 1:] - a * v[..., :1]
 
 
 def _visible_step(descent: Section, frame: FrameField, kind: FlowKind) -> tuple:
@@ -387,10 +380,12 @@ class ProbeVerdict:
     passes :func:`induced_metric`'s guard: the vanishing theorem is about
     isometric immersions, so a constant (E = 0) or non-immersed state gets a
     caveat saying its classification does not test the theorem.
+    ``isometry_defect`` = max |h(d_a phi, d_b phi) - g_ab|, g the frame's.
     """
 
     E: float
     immersed: bool
+    isometry_defect: float
     sup_tau3: float
     etilde4: float
     l4_tension: float
@@ -459,6 +454,10 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         "flow status: " + status,
     ]
     energy = chain.energy(1)
+    dphi, g, dims = phi.coordinate_derivs, frame.metric.g, range(phi.grid.dims)
+    isometry_defect = max(float(np.max(np.abs(
+        sf.inner(phi.spec, phi.values, dphi[a], dphi[b]) - g[..., a, b])))
+        for a in dims for b in dims)
     try:
         induced_metric(phi)
         immersed = True
@@ -475,6 +474,7 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
     return ProbeVerdict(
         E=energy,
         immersed=immersed,
+        isometry_defect=isometry_defect,
         sup_tau3=sup_tau3,
         etilde4=chain.etilde4,
         l4_tension=chain.tension_lp(4.0),

@@ -33,7 +33,6 @@ __all__ = [
     "project_tangent",
     "inner",
     "exp_map",
-    "boost_frame",
     "curvature_op",
 ]
 
@@ -75,12 +74,17 @@ class SpaceFormSpec:
 
 
 def ambient_form(spec: SpaceFormSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ambient bilinear form: Euclidean dot, or Minkowski for c < 0."""
-    dot = u[..., 0] * v[..., 0] + 0.0  # numpy's own sum order for < 8 terms
+    """Ambient bilinear form: Euclidean dot, in numpy's own sum order for < 8
+    terms, or Minkowski for c < 0, u1 v1 + ... + un vn - u0 v0 in order."""
+    if spec.model is Model.HYPERBOLOID:
+        dot = u[..., 1] * v[..., 1]
+        for i in range(2, u.shape[-1]):
+            dot += u[..., i] * v[..., i]
+        dot -= u[..., 0] * v[..., 0]
+        return dot
+    dot = u[..., 0] * v[..., 0] + 0.0
     for i in range(1, u.shape[-1]):
         dot += u[..., i] * v[..., i]
-    if spec.model is Model.HYPERBOLOID:
-        dot = dot - 2.0 * u[..., 0] * v[..., 0]
     return dot
 
 
@@ -155,28 +159,6 @@ def exp_map(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     else:
         out = np.cosh(rho)[..., None] * x + _stable_ratio(np.sinh, rho)[..., None] * v
     return project_point(spec, out)
-
-
-def boost_frame(spec: SpaceFormSpec, x: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frame of the hyperboloid at every point ``x``.
-
-    ``E[..., i, :]`` is ``E_i = e_i + (x_i/r) (e_0 + x/r) / (1 + x_0/r)``,
-    i = 1..n, with r = 1/sqrt(-c): the Lorentz boost taking the base point
-    (r, 0, ..., 0) to ``x`` applied to the coordinate vectors e_1..e_n.  It
-    is Minkowski-orthonormal and tangent at ``x``, and defined on the whole
-    upper sheet (x_0 >= r), so one frame serves every point.  The result has
-    shape ``x.shape[:-1] + (n, n + 1)``.
-    """
-    if spec.model is not Model.HYPERBOLOID:
-        raise ValueError("the boost frame is defined on the hyperboloid only")
-    r = 1.0 / np.sqrt(-spec.c)
-    x = np.asarray(x, dtype=float)
-    w = x / r
-    w[..., 0] += 1.0  # e_0 + x/r
-    a = x[..., 1:] / (r * w[..., :1])  # (x_i/r) / (1 + x_0/r)
-    frame = a[..., :, None] * w[..., None, :]
-    frame[..., 1:] += np.eye(spec.n)
-    return frame
 
 
 def curvature_op(

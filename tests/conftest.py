@@ -116,3 +116,13 @@ def warped_metric(grid):
     g[..., 1, 1] = 1.0 + 0.2 * np.cos(v)
     g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(u + v)
     return pf.prescribed_metric(grid, g)
+
+
+def reference_boost_frame(x, c):
+    """E_i = e_i + (x_i / r) (e_0 + x / r) / (1 + x_0 / r), i = 1..n, with
+    r = 1 / sqrt(-c): one array per frame vector."""
+    r = 1.0 / np.sqrt(-c)
+    dim = x.shape[-1]
+    w = np.eye(dim)[0] + x / r
+    return [(x[..., i] / r / (1.0 + x[..., 0] / r))[..., None] * w + np.eye(dim)[i]
+            for i in range(1, dim)]

@@ -431,6 +431,7 @@ def test_flow_summary_time_provenance_and_probe(tmp_path, max_iters, immersed):
     }
     probe = summary["probe"]
     assert probe["immersed"] is immersed
+    assert probe["isometry_defect"] > 0.0  # the flat frame is not the induced metric
     assert probe["E"] == summary["energies"]["E"] > 0.0
     hypothesis = [c for c in probe["caveats"] if "does not immerse" in c]
     assert len(hypothesis) == (0 if immersed else 1)

@@ -1,10 +1,16 @@
 """Target-geometry primitives: projections, exponential map, curvature."""
 
+import math
+
 import numpy as np
 import pytest
 
+import polyflow as pf
 from polyflow import space_form as sf
 from polyflow.errors import DegeneratePoint
+from polyflow.flow import _boost_coefficients, _implicit_step
+
+from conftest import reference_boost_frame
 
 FLAT = sf.SpaceFormSpec(0.0, 2)
 SPHERE = sf.SpaceFormSpec(1.0, 2)
@@ -141,33 +147,60 @@ def test_exp_map_stays_on_model(spec):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("c", [-1.0, -4.0, -0.25])
 def test_boost_frame_is_orthonormal_and_tangent(c, n):
-    # random points of the upper sheet out to |p| ~ 30; the frame's entries
-    # grow like |p|^2, so the tolerance is relative to 1 + |p|^2
+    # the implicit flow step's boost frame, in closed form, at random points
+    # of the upper sheet out to |p| ~ 30 and at 40 far ones (x0 ~ 1e3 r).
+    # V = sum_i w_i E_i has ambient size ~ |w| (1 + x0/r), so roundoff is
+    # bounded relative to |V| (1 + |x|/r) and to |V|^2
     spec = sf.SpaceFormSpec(c, n)
+    r = 1.0 / np.sqrt(-c)
     rng = np.random.default_rng(6)
     y = rng.standard_normal((200, n)) * rng.uniform(0.0, 8.0, (200, 1))
+    y[-40:] *= 1e3 * r / np.sqrt(np.sum(y[-40:] ** 2, -1, keepdims=True))
     x = np.concatenate([np.sqrt(-1.0 / c + np.sum(y * y, -1))[:, None], y], -1)
-    frame = sf.boost_frame(spec, x)
-    assert frame.shape == (200, n, n + 1)
-    scale = 1.0 + np.sum(x * x, -1)
-    gram = sf.ambient_form(spec, frame[:, :, None, :], frame[:, None, :, :])
-    assert np.all(np.max(np.abs(gram - np.eye(n)), axis=(1, 2)) <= 1e-14 * scale)
-    normal = sf.ambient_form(spec, frame, x[:, None, :])
-    assert np.all(np.max(np.abs(normal), axis=1) <= 1e-14 * scale)
+    frame = reference_boost_frame(x, c)
+    V = sum(w[:, None] * E for w, E in zip(rng.standard_normal((n, 200)), frame))
+    size = np.max(np.abs(V), -1)
+    scale = size * (1.0 + np.max(np.abs(x), -1) / r)
+    # the coefficients are the reference frame's
+    a, coeffs = _boost_coefficients(x, V, r)
+    ref = np.stack([sf.inner(spec, x, V, E) for E in frame], -1)
+    assert np.all(np.max(np.abs(coeffs - ref), -1) <= 1e-13 * scale)
+    # the coefficient map is an isometry: sum_i c_i^2 = <V, V>_L
+    defect = np.abs(np.sum(coeffs**2, -1) - sf.inner(spec, x, V, V))
+    assert np.all(defect <= 1e-13 * np.sum(V * V, -1))
+    # an implicit step at dt = 0 rebuilds V from its coefficients, tangent
+    grid = pf.build_grid(pf.GridSpec(1, (200,), (2.0 * np.pi,)))
+    descent = pf.Section(V, pf.MapField(x, grid, spec))
+    step = _implicit_step(descent, 3, 0.0)
+    assert np.all(np.max(np.abs(step - V), -1) <= 1e-13 * scale)
+    normal = sf.ambient_form(spec, step, x)
+    assert np.all(np.abs(normal) <= 1e-14 * size * np.max(np.abs(x), -1))
 
 
-def _reference_form(spec, u, v):
-    """The ambient form as a numpy reduction over the ambient axis."""
+def _doubled_form(spec, u, v):
+    """The ambient form as a numpy reduction over the ambient axis; on the
+    hyperboloid with u0 v0 added in, then subtracted twice."""
     dot = np.add.reduce(u * v, axis=-1)
     if spec.model is sf.Model.HYPERBOLOID:
         dot = dot - 2.0 * u[..., 0] * v[..., 0]
     return dot
 
 
+def _fsum_form(u, v):
+    """Per node, the correctly rounded sum of the signed products
+    u1 v1 + ... + un vn - u0 v0, by math.fsum."""
+    p = u * v
+    p[..., 0] *= -1.0
+    return np.array([math.fsum(t) for t in p.reshape(-1, p.shape[-1])]).reshape(p.shape[:-1])
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
 def test_ambient_form_is_bitwise_add_reduce(c, m):
-    # the unrolled sum is numpy's own summation order, signed zeros included
+    # c >= 0: the unrolled sum is numpy's own summation order, signed zeros
+    # included.  c < 0: the spatial terms in order, u0 v0 subtracted last;
+    # its m - 1 roundings and the one of the fsum reference put it within
+    # about m 2^-53 sum |u_i v_i| of fsum, and the bound allows twice that
     spec = sf.SpaceFormSpec(c, m if c == 0.0 else m - 1)
     assert spec.ambient_dim == m
     rng = np.random.default_rng(m)
@@ -176,17 +209,36 @@ def test_ambient_form_is_bitwise_add_reduce(c, m):
     u[0] = 0.0
     v[0] = -np.abs(v[0])  # every product -0.0: the sum reads +0.0
     u[1, :, :2] = -0.0  # zeros of either sign among non-zero products
-    frame = rng.standard_normal((32, 48, m - 1, m))  # as in the implicit step
+    frame = rng.standard_normal((32, 48, m - 1, m))  # a frame's worth of vectors
     for a, b in ((u, v), (v, u), (u, u), (u[..., None, :], frame)):
-        got, ref = sf.ambient_form(spec, a, b), _reference_form(spec, a, b)
-        assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+        got = sf.ambient_form(spec, a, b)
+        if c >= 0.0:
+            ref = _doubled_form(spec, a, b)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        else:
+            a, b = np.broadcast_arrays(a, b)
+            ref = _fsum_form(a, b)
+            assert got.shape == ref.shape
+            bound = m * 2.0**-52 * np.sum(np.abs(a * b), -1)
+            assert np.all(np.abs(got - ref) <= bound)
 
 
-@pytest.mark.parametrize("spec", [FLAT, SPHERE])
-def test_boost_frame_needs_the_hyperboloid(spec):
-    with pytest.raises(ValueError, match="hyperboloid"):
-        sf.boost_frame(spec, random_point(spec, np.random.default_rng(0)))
+@pytest.mark.parametrize("n", [2, 3])
+def test_ambient_form_far_on_the_hyperboloid(n):
+    # <x, x>_L = -1 at x0 ~ 1e3: terms of 1e6 cancel to -1.  Subtracting
+    # u0 v0 once lands at least as close to fsum of the products as adding
+    # it and subtracting it twice (largest errors measured: 5.8e-11 against
+    # 2.3e-10 on H^2, 1.2e-10 against 3.5e-10 on H^3)
+    spec = sf.SpaceFormSpec(-1.0, n)
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((4000, n))
+    y *= 1e3 / np.sqrt(np.sum(y * y, -1, keepdims=True))
+    x = np.concatenate([np.sqrt(1.0 + np.sum(y * y, -1))[:, None], y], -1)
+    exact = _fsum_form(x, x)
+    folded = np.max(np.abs(sf.ambient_form(spec, x, x) - exact))
+    doubled = np.max(np.abs(_doubled_form(spec, x, x) - exact))
+    assert folded <= doubled
 
 
 def test_curvature_flat_vanishes():
