@@ -245,11 +245,8 @@ def run(config: ExperimentConfig) -> int:
         if state is not None:
             summary["probe"] = theorem_probe(state, trace.status).to_dict()
             summary["energies"] = energy_report(state, p_list=config.p_list).to_dict()
-        elif trace.status == "nonfinite":
-            notes.append("the initial map is not finite; no state was probed")
         else:
-            notes.append("the initial map has no frame under metric policy "
-                         f"{config.flow.metric_policy.value}; no state was probed")
+            notes.append("the initial map is not finite; no state was probed")
     else:
         if not np.all(np.isfinite(phi.values)):
             raise DegeneratePoint("the initial map has non-finite coordinates")

@@ -315,22 +315,13 @@ def induced_metric(phi) -> MetricField:
     """Pullback metric g_ab = h(d_a phi, d_b phi) of a map field.
 
     Raises :class:`DegenerateImmersion` unless det g > 1e-10 at every node,
-    so a NaN metric is rejected too.  The d_a phi are the map's own
-    ``coordinate_derivs``, shared with its tension chains.
+    so a NaN metric is rejected too.  g is the map's own ``pullback_metric``,
+    formed once from the ``coordinate_derivs`` its tension chains share.
     """
-    from .space_form import ambient_form  # local import avoids a cycle
-
-    grid, spec = phi.grid, phi.spec
-    dphi = phi.coordinate_derivs
-    g = np.empty(grid.shape + (grid.dims, grid.dims))
-    for a in range(grid.dims):
-        for b in range(a, grid.dims):
-            gab = ambient_form(spec, dphi[a], dphi[b])
-            g[..., a, b] = gab
-            g[..., b, a] = gab
+    g = phi.pullback_metric
     if not np.all(_det2(g) > 1e-10):
         raise DegenerateImmersion("induced metric is singular: map fails to immerse")
-    return MetricField(g=g, mode=MetricMode.INDUCED, grid=grid)
+    return MetricField(g=g, mode=MetricMode.INDUCED, grid=phi.grid)
 
 
 def prescribed_metric(grid: DomainGrid, g: np.ndarray) -> MetricField:

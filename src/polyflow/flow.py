@@ -1,23 +1,16 @@
 """Gradient flows for the energy ladder, with Armijo backtracking.
 
 The descent direction for each flow is the corresponding tension-type
-field (tension, bitension, tritension).  How an Armijo trial
-(:func:`flow_step`) turns it into a step depends on the metric policy:
+field (tension, bitension, tritension) on the flat prescribed frame.  An
+Armijo trial (:func:`flow_step`) takes a linearly implicit Euler step for
+the leading operator: the descent's coefficients in an orthonormal tangent
+frame (closed form on the hyperboloid) are divided by ``1 + dt |q|^(2k)``
+in spectrum (:func:`_implicit_step`).
 
-* FixedPrescribed takes a linearly implicit Euler step for the leading
-  operator: the descent's coefficients in an orthonormal tangent frame
-  (closed form on the hyperboloid) are divided by ``1 + dt |q|^(2k)`` in
-  spectrum (:func:`_implicit_step`); no cap applies, the trial's is ``inf``.
-* ReInduceEachStep keeps the explicit step and its stability cap: the
-  descent field's visible band (the Fourier modes at least _CAP_VISIBILITY
-  of each axis's largest) is read once per axis and gives both the step,
-  the band-limited descent re-projected onto the tangent space, and the
-  cap; the trial tries ``min(dt, cap)``.
-
-The first-variation formula pairs the step with the descent field, and
-either step pairs positively with it, so an accepted Armijo step can never
-increase the energy being flowed.  Steps move along target geodesics via
-the exponential map and the state is re-projected onto the model every
+The first-variation formula pairs the step with the descent field, and the
+step pairs positively with it for every dt, so an accepted Armijo step can
+never increase the energy being flowed.  Steps move along target geodesics
+via the exponential map and the state is re-projected onto the model every
 step.  :func:`run_flow` owns Armijo's step memory ``dt``.
 """
 
@@ -33,7 +26,6 @@ import numpy as np
 from . import space_form as sf
 from .domain_grid import (
     DomainGrid,
-    FrameField,
     identity_metric,
     induced_metric,
     integrate,
@@ -51,7 +43,6 @@ __all__ = [
     "FlowTrace",
     "ProbeVerdict",
     "Trial",
-    "flow_frame",
     "flow_step",
     "run_flow",
     "theorem_probe",
@@ -67,8 +58,9 @@ class FlowKind(str, Enum):
 
 
 class MetricPolicy(str, Enum):
+    """The domain metric a flow runs on: the flat prescribed one."""
+
     FIXED_PRESCRIBED = "FixedPrescribed"
-    REINDUCE_EACH_STEP = "ReInduceEachStep"
 
 
 # Order k of the flowed energy E_k.  Its descent operator has differential
@@ -77,10 +69,6 @@ class MetricPolicy(str, Enum):
 # default first step is 0.1 h^(k+1).
 _ENERGY_ORDER = {FlowKind.HARMONIC: 1, FlowKind.BIHARMONIC: 2, FlowKind.TRIHARMONIC: 3}
 
-# Spectral content of the descent field below this fraction of its largest
-# coefficient lies outside its visible band: the stability cap ignores it and
-# the explicit (ReInduceEachStep) step does not move it.
-_CAP_VISIBILITY = 1e-6
 _DT_CEILING = 1e3
 
 # theorem_probe's verdict: triharmonic when sup |tau3| is below the first,
@@ -129,10 +117,7 @@ class FlowConfig:
 class FlowTrace:
     """Per-trial history: one tuple per trial in ``rows``, under ``COLUMNS``.
 
-    Rejected trials repeat the current state with dt = 0.  ``dt_cap`` is the
-    stability cap of each trial: finite under ReInduceEachStep, where an
-    accepted row is cap-bound exactly when dt == dt_cap, and ``inf`` under
-    FixedPrescribed, whose implicit step needs no cap."""
+    Rejected trials repeat the current state with dt = 0."""
 
     rows: list = field(default_factory=list)
     status: str = "running"
@@ -147,7 +132,6 @@ class FlowTrace:
         "sup_tau",
         "sup_descent",
         "dt",
-        "dt_cap",
     )
 
     def column(self, name: str) -> list:
@@ -161,13 +145,11 @@ class FlowTrace:
 class Trial(NamedTuple):
     """One Armijo trial: whether it was accepted, the tension chain of the
     state it leaves (the candidate if accepted, else the state it started
-    from), the step size it tried and the stability cap that bounded it
-    (``inf`` under FixedPrescribed, where no cap applies)."""
+    from) and the step size it tried."""
 
     accepted: bool
     chain: TensionChain
     dt: float
-    cap: float
 
 
 def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
@@ -175,11 +157,8 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
     step size ``dt``, the caller's step memory.
 
     The chain supplies the state ``(phi, frame)``, the descent field and the
-    current energy.  Under FixedPrescribed the step is the implicit one
-    (:func:`_implicit_step`) and ``dt`` is tried as given; under
-    ReInduceEachStep the step direction and the stability cap both come from
-    the descent field's visible band (:func:`_visible_step`) and
-    ``min(dt, cap)`` is tried.  The candidate is exp_phi(dt * step), which
+    current energy.  The step is the implicit one (:func:`_implicit_step`)
+    and ``dt`` is tried as given.  The candidate is exp_phi(dt * step), which
     ends on the model; it is accepted iff the flowed energy drops by at
     least armijo_c * dt * Int <descent, step>, up to a relative
     float-resolution slack (1e-13 |E|, well inside the 1e-12 monotonicity
@@ -189,16 +168,12 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
     """
     phi, frame = chain.phi, chain.frame
     k = _ENERGY_ORDER[cfg.kind]
-    descent = chain.field(k)
-    if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
-        step, cap = _visible_step(descent, frame, cfg.kind)
-        dt = min(dt, cap)
-    else:
-        step, cap = _implicit_step(descent, k, dt), math.inf
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
     if chain.sup_norm(k) == 0.0:
-        return Trial(True, chain, dt, cap)
+        return Trial(True, chain, dt)
+    descent = chain.field(k)
+    step = _implicit_step(descent, k, dt)
     e_now = chain.energy(k)
     decrease = integrate(phi.grid, frame,
                          sf.inner(phi.spec, phi.values, descent.values, step))
@@ -206,13 +181,13 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
                          grid=phi.grid, spec=phi.spec)
     trial = TensionChain(candidate, frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
-        return Trial(True, trial, dt, cap)
-    return Trial(False, chain, dt, cap)
+        return Trial(True, trial, dt)
+    return Trial(False, chain, dt)
 
 
 def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
     """Linearly implicit Euler step of the leading operator on the flat
-    FixedPrescribed frame, whose volume element is 1: the descent's
+    frame, whose volume element is 1: the descent's
     coefficients in an orthonormal tangent frame (its ambient components on
     flat and sphere targets, :func:`_boost_coefficients` on the hyperboloid)
     have their spectra divided by ``1 + dt |q|^(2k)``, q the true wavenumber
@@ -244,57 +219,6 @@ def _boost_coefficients(x: np.ndarray, v: np.ndarray, r: float) -> tuple:
     return a, v[..., 1:] - a * v[..., :1]
 
 
-def _visible_step(descent: Section, frame: FrameField, kind: FlowKind) -> tuple:
-    """``(step, cap)`` of the explicit ReInduceEachStep trial, both read
-    from the descent field's visible band.
-
-    Per node axis, the band is the largest mode index whose coefficient in
-    the rfft of the unfiltered ``descent`` (the largest over the other axes
-    and the components) is at least _CAP_VISIBILITY of the axis's largest.
-    Only modes a first derivative sees count, so the Nyquist mode
-    (wavenumber 0 in ``deriv``) never sets it; with no such mode it is 0.
-
-    ``step`` is the descent with every mode above its band zeroed, one axis
-    at a time, projected onto the tangent space: content the cap cannot see
-    is never stepped, so its roundoff is never amplified.  ``cap`` is the
-    largest explicitly stable step for the bands.  An explicit step
-    multiplies a mode of wavenumber q by roughly (1 - dt q^p), p the
-    operator order, so modes with dt q^p > 2 grow, and the Armijo test only
-    notices once they are baked into the state.  The cap is 1 / lambda_max,
-    lambda_max estimated from each axis's band wavenumber scaled by the
-    frame coefficients, which bound the metric.
-    """
-    phi, grid = descent.base, frame.grid
-    values = descent.values
-    k_total = 0.0
-    for axis in range(grid.dims):
-        spectrum = np.fft.rfft(descent.values, axis=axis)
-        profile = np.abs(spectrum).max(
-            axis=tuple(i for i in range(spectrum.ndim) if i != axis))
-        top = profile.max()
-        visible = np.flatnonzero((profile >= _CAP_VISIBILITY * top)
-                                 & (grid._wavenumbers[axis] > 0.0))
-        band = int(visible[-1]) if top > 0.0 and visible.size else 0
-        e_axis = float(np.max(np.abs(frame.e[..., :, axis])))
-        k_total += float(grid._wavenumbers[axis][band]) * e_axis
-        if axis > 0:  # transform the field already filtered along earlier axes
-            spectrum = np.fft.rfft(values, axis=axis)
-        spectrum[(slice(None),) * axis + (slice(band + 1, None),)] = 0.0
-        values = np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
-    order = 2 * _ENERGY_ORDER[FlowKind(kind)]
-    cap = 1.0 / k_total**order if k_total > 0.0 else _DT_CEILING
-    return sf.project_tangent(phi.spec, phi.values, values), cap
-
-
-def flow_frame(phi: MapField, cfg: FlowConfig) -> FrameField:
-    """Frame of a flow state under ``cfg.metric_policy``: flat for
-    FixedPrescribed, induced by ``phi`` (which must immerse) for
-    ReInduceEachStep."""
-    if cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP:
-        return orthonormal_frame(phi.grid, induced_metric(phi))
-    return orthonormal_frame(phi.grid, identity_metric(phi.grid))
-
-
 def _trace_metrics(chain: TensionChain) -> tuple:
     """A state's trace columns E to sup_tau."""
     return (chain.energy(1), chain.energy(2), chain.energy(3), chain.etilde4,
@@ -305,48 +229,37 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     """Iterate Armijo steps until sup |descent| <= grad_tol or max_iters.
 
     Every state (``phi0`` at step 0, then each accepted trial, which
-    ``exp_map`` projected onto the model) is entered the same way: framed
-    by :func:`flow_frame`, once under FixedPrescribed and per state under
-    ReInduceEachStep, where the flowed energy need not decrease since the
-    functional changes with the metric; then its trace row is recorded from
-    its tension chain.  On an unchanged frame that is the chain the Armijo
-    trial built for it.
+    ``exp_map`` projected onto the model) lies on the one flat frame built
+    at step 0, so the chain the Armijo trial built for a candidate is the
+    next state's chain; each state's trace row is recorded from its chain.
 
     Each trial is one :func:`flow_step` at Armijo's step memory ``dt``,
-    which only this loop changes: an accepted trial the cap did not clip
-    sets it to the step over ``shrink``, a rejected trial to the step times
-    ``shrink`` (both at most ``_DT_CEILING``), and an accepted capped trial
-    leaves it unchanged.  Only ReInduceEachStep trials have a finite cap;
-    the cap of a FixedPrescribed trial is ``inf``, so it never clips.
+    which only this loop changes: an accepted trial sets it to ``dt / shrink``
+    and a rejected one to ``dt * shrink``, both at most ``_DT_CEILING``.
 
     Returns ``(state, trace)``, ``state`` the tension chain of the last
-    good state, on the frame it was entered with; it is ``None`` exactly
-    when no trace row was written.  A step-size underflow is reported as
-    ``trace.status == "stalled"``, a state that cannot be projected or
-    framed (e.g. it does not immerse under ReInduceEachStep) as
-    ``"degenerate"``, and one with a non-finite trace row as
+    good state; it is ``None`` exactly when no trace row was written.  A
+    step-size underflow is reported as ``trace.status == "stalled"``, a
+    trial whose candidate cannot be projected onto the model as
+    ``"degenerate"``, and a state with a non-finite trace row as
     ``"nonfinite"``; either way the last good state and the partial trace
     are returned.
     """
     k = _ENERGY_ORDER[cfg.kind]
-    reinduce = cfg.metric_policy is MetricPolicy.REINDUCE_EACH_STEP
     dt = cfg.initial_dt(phi0.grid)
     trace = FlowTrace()
-    state, candidate, dt_used, cap = None, phi0, math.nan, math.nan
+    frame = orthonormal_frame(phi0.grid, identity_metric(phi0.grid))
+    state, chain, dt_used = None, TensionChain(phi0, frame), math.nan
 
     for it in range(cfg.max_iters + 1):
         try:
             if it > 0:
-                accepted, chain, dt_used, cap = flow_step(state, cfg, dt=dt)
+                accepted, chain, dt_used = flow_step(state, cfg, dt=dt)
                 if not accepted:
-                    dt = min(dt_used * cfg.shrink, _DT_CEILING)
-                    trace.rows.append((it, *row, 0.0, cap))
+                    dt = min(dt * cfg.shrink, _DT_CEILING)
+                    trace.rows.append((it, *row, 0.0))
                     continue
-                if dt_used == dt:
-                    dt = min(dt / cfg.shrink, _DT_CEILING)
-                candidate = chain.phi
-            if state is None or reinduce:
-                chain = TensionChain(candidate, flow_frame(candidate, cfg))
+                dt = min(dt / cfg.shrink, _DT_CEILING)
             sup_descent = chain.sup_norm(k)
             row = (*_trace_metrics(chain), sup_descent)
         except StepUnderflow:
@@ -359,7 +272,7 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
             trace.status = "nonfinite"
             return state, trace
         state = chain
-        trace.rows.append((it, *row, dt_used, cap))
+        trace.rows.append((it, *row, dt_used))
         if sup_descent <= cfg.grad_tol:
             trace.status = "converged"
             return state, trace
@@ -454,10 +367,7 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         "flow status: " + status,
     ]
     energy = chain.energy(1)
-    dphi, g, dims = phi.coordinate_derivs, frame.metric.g, range(phi.grid.dims)
-    isometry_defect = max(float(np.max(np.abs(
-        sf.inner(phi.spec, phi.values, dphi[a], dphi[b]) - g[..., a, b])))
-        for a in dims for b in dims)
+    isometry_defect = float(np.max(np.abs(phi.pullback_metric - frame.metric.g)))
     try:
         induced_metric(phi)
         immersed = True

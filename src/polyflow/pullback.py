@@ -60,6 +60,20 @@ class MapField:
         return tuple(self.grid.deriv(self.values, a, floor=floor)
                      for a in range(self.grid.dims))
 
+    @cached_property
+    def pullback_metric(self) -> np.ndarray:
+        """h(d_a phi, d_b phi) per node, ``grid.shape + (dims, dims)``, read
+        only: formed once per map from ``coordinate_derivs``, unguarded;
+        :func:`induced_metric` checks that it immerses."""
+        dphi, dims = self.coordinate_derivs, self.grid.dims
+        g = np.empty(self.grid.shape + (dims, dims))
+        for a in range(dims):
+            for b in range(a, dims):
+                gab = sf.ambient_form(self.spec, dphi[a], dphi[b])
+                g[..., a, b] = g[..., b, a] = gab
+        g.flags.writeable = False
+        return g
+
     def constraint_residual(self) -> float:
         return float(np.max(sf.constraint_residual(self.spec, self.values)))
 

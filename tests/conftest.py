@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow import space_form as sf
+from polyflow.errors import DegeneratePoint
 
 
 def _not_json(constant):
@@ -106,6 +109,20 @@ def record_derivs(monkeypatch) -> list:
 
     monkeypatch.setattr(pf.DomainGrid, "deriv", recording)
     return kinds
+
+
+def fail_third_trial(monkeypatch):
+    """From now on the third ``exp_map`` call, the third Armijo trial's,
+    raises DegeneratePoint, as ``project_point`` does for a point with no
+    rescaling onto the model."""
+    calls, exp_map = itertools.count(1), sf.exp_map
+
+    def failing(spec, x, v):
+        if next(calls) == 3:
+            raise DegeneratePoint("no rescaling onto the model")
+        return exp_map(spec, x, v)
+
+    monkeypatch.setattr(sf, "exp_map", failing)
 
 
 def warped_metric(grid):

@@ -16,10 +16,10 @@ from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig, FlowTrace
 from polyflow.pullback import TensionChain
 
-from conftest import load_summary, record_derivs
+from conftest import fail_third_trial, load_summary, record_derivs
 
 TWO_PI = 2 * np.pi
-TRACE_HEADER = "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt,dt_cap"
+TRACE_HEADER = "iter,E,E2,E3,Etilde4,L4_tension,sup_tau,sup_descent,dt"
 
 
 def base_config(prefix, action="Energies"):
@@ -140,6 +140,9 @@ BAD_VALUES = {
                             "BadParams"),
     "sizes_huge": ({"grid": '{"dims": 1, "sizes": [1000000000000], "lengths": [6.28]}'},
                    "config error"),
+    "metric_policy_reinduce": ({"action": '"Flow"',
+                                "flow": '{"metric_policy": "ReInduceEachStep"}'},
+                               "config error"),
 }
 
 
@@ -400,9 +403,6 @@ def test_run_flow_writes_trace(tmp_path):
     trace_lines = (tmp_path / "flow" / "h2_trace.csv").read_text().splitlines()
     assert trace_lines[0] == TRACE_HEADER
     assert len(trace_lines) >= 2
-    # no stability cap applies to a FixedPrescribed flow
-    assert [line.split(",")[-1] for line in trace_lines[1:]] == (
-        ["nan"] + ["inf"] * (len(trace_lines) - 2))
     summary = load_summary(tmp_path / "flow" / "h2_summary.json")
     assert summary["flow"]["status"] == "converged"
     assert summary["probe"]["classification"] == "minimal"
@@ -437,36 +437,22 @@ def test_flow_summary_time_provenance_and_probe(tmp_path, max_iters, immersed):
     assert len(hypothesis) == (0 if immersed else 1)
 
 
-def test_run_flow_degenerate_writes_outputs(tmp_path):
-    prefix = tmp_path / "deg"
-    data = base_config(prefix, action="Flow")
+def test_run_flow_degenerate_writes_outputs(tmp_path, monkeypatch):
+    # the third trial's candidate cannot be projected onto the model: the
+    # flow ends "degenerate" and its last good state is probed
+    data = base_config(tmp_path / "deg", action="Flow")
     data["target"] = {"c": -1.0, "n": 2}
-    data["initial_map"] = {"name": "Circle", "params": {"r": 0.3}}
-    data["flow"] = {"kind": "Harmonic", "max_iters": 50, "grad_tol": 1e-8,
-                    "metric_policy": "ReInduceEachStep"}
-    assert run(parse_config(data)) == 0
+    data["initial_map"] = {"name": "Circle", "params": {"r": 1.0}}
+    data["flow"] = {"kind": "Biharmonic", "max_iters": 10, "grad_tol": 1e-12}
+    fail_third_trial(monkeypatch)
+    assert main(["run", str(write_config(tmp_path, data))]) == 0
     summary = load_summary(tmp_path / "deg_summary.json")
     assert summary["flow"]["status"] == "degenerate"
+    assert summary["flow"]["iterations"] == 2
+    assert "probe" in summary and "energies" in summary
     trace_lines = (tmp_path / "deg_trace.csv").read_text().splitlines()
-    assert len(trace_lines) == summary["flow"]["iterations"] + 2
-    assert trace_lines[-1].startswith(f"{summary['flow']['iterations']},")
-
-
-def test_run_flow_degenerate_at_step_0_writes_outputs(tmp_path):
-    # the initial map does not immerse, so ReInduceEachStep has no frame
-    # for step 0: the flow enters no state and nothing is probed
-    data = base_config(tmp_path / "deg0", action="Flow")
-    data["target"] = {"c": -1.0, "n": 2}
-    data["initial_map"] = {"name": "PerturbedGeodesicH2",
-                           "params": {"amplitude": 0.05, "k": 3}}
-    data["flow"] = {"kind": "Triharmonic", "metric_policy": "ReInduceEachStep"}
-    assert main(["run", str(write_config(tmp_path, data))]) == 0
-    trace_lines = (tmp_path / "deg0_trace.csv").read_text().splitlines()
-    assert trace_lines == [TRACE_HEADER]
-    summary = load_summary(tmp_path / "deg0_summary.json")
-    assert summary["flow"] == {"status": "degenerate", "iterations": 0, "flow_time": 0.0}
-    assert any("ReInduceEachStep" in note for note in summary["notes"])
-    assert "probe" not in summary and "energies" not in summary
+    assert trace_lines[0] == TRACE_HEADER and len(trace_lines) == 1 + 3
+    assert trace_lines[-1].startswith("2,")
 
 
 def test_run_flow_nonfinite_at_step_0_writes_outputs(tmp_path):
@@ -510,7 +496,7 @@ def test_variation_check_builds_one_chain_of_its_map(tmp_path, monkeypatch):
     assert len(maps) == 1 + 8 * 2
 
 
-@pytest.mark.parametrize("policy", ["FixedPrescribed", "ReInduceEachStep"])
+@pytest.mark.parametrize("policy", ["FixedPrescribed"])
 def test_flow_builds_no_chain_after_run_flow(tmp_path, monkeypatch, policy):
     # the probe and the energies read the end state's chain from run_flow
     maps, built_by_flow = record_chains(monkeypatch), []

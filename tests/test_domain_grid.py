@@ -189,6 +189,9 @@ def test_induced_metric_product_torus(torus_grid):
     metric = pf.induced_metric(phi)
     expected = np.broadcast_to(np.eye(2), metric.g.shape)
     np.testing.assert_allclose(metric.g, expected, atol=1e-12)
+    # the guard reads the map's own pullback metric, formed once, read only
+    assert metric.g is phi.pullback_metric and not metric.g.flags.writeable
+    assert pf.induced_metric(phi).g is metric.g
 
 
 def test_induced_metric_constant_map_degenerate(circle_grid):

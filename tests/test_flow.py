@@ -1,6 +1,5 @@
 """Gradient flows: descent fields, Armijo steps, convergence, probe."""
 
-import itertools
 import math
 
 import numpy as np
@@ -10,9 +9,9 @@ import polyflow as pf
 from polyflow import flow as flow_module
 from polyflow import space_form as sf
 from polyflow.errors import StepUnderflow
-from polyflow.flow import _implicit_step, _visible_step, flow_frame
+from polyflow.flow import _implicit_step
 
-from conftest import frame_for, record_derivs, reference_boost_frame
+from conftest import fail_third_trial, frame_for, record_derivs, reference_boost_frame
 
 TWO_PI = 2 * np.pi
 
@@ -23,6 +22,13 @@ def small_h2_perturbation(n=64, amplitude=0.02, k=2):
     return pf.builtin_map(
         "PerturbedGeodesicH2", {"amplitude": amplitude, "k": k}, grid, spec
     )
+
+
+def h3_torus_32():
+    """The tube torus (a 1, rho 0.4) in H^3 on a 32^2 grid."""
+    grid = pf.build_grid(pf.GridSpec(2, (32, 32), (TWO_PI, TWO_PI)))
+    return pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": 0.4}, grid,
+                          pf.SpaceFormSpec(-1.0, 3))
 
 
 def assert_monotone(series):
@@ -72,18 +78,6 @@ def test_flow_step_zero_descent_fixed_point(circle_grid):
     assert trial.chain.phi is phi
 
 
-def test_flow_step_armijo_reject_shrinks(flat_circle):
-    frame = frame_for(flat_circle)
-    cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=0.99999,
-                        metric_policy="ReInduceEachStep")
-    # the cap clips dt = 50 to 1, where the unit circle's energy drops by pi
-    # (half the first-order prediction), short of the Armijo bound
-    trial = pf.flow_step(pf.TensionChain(flat_circle, frame), cfg, dt=50.0)
-    assert trial.dt == trial.cap == pytest.approx(1.0, rel=1e-12)
-    assert not trial.accepted
-    assert trial.chain.phi is flat_circle
-
-
 def test_implicit_flow_step_is_not_capped(flat_circle):
     # the implicit step damps the circle's q = 1 mode by 1 / (1 + dt): at
     # dt = 50 it moves the radius to 1/51, a drop far below the first-order
@@ -92,7 +86,7 @@ def test_implicit_flow_step_is_not_capped(flat_circle):
     cfg = pf.FlowConfig(kind="Harmonic", shrink=0.5, armijo_c=0.99999)
     chain = pf.TensionChain(flat_circle, frame)
     trial = pf.flow_step(chain, cfg, dt=50.0)
-    assert trial.dt == 50.0 and trial.cap == math.inf
+    assert trial.dt == 50.0
     assert not trial.accepted
     accepted = pf.flow_step(chain, pf.FlowConfig(kind="Harmonic"), dt=50.0)
     assert accepted.accepted
@@ -134,57 +128,6 @@ def test_run_flow_geodesic_immediate(circle_grid):
     np.testing.assert_array_equal(state.phi.values, phi.values)
 
 
-def test_stability_cap_scales_with_content(flat_circle):
-    frame = frame_for(flat_circle, induced=False)
-    tau = pf.tension(flat_circle, frame)  # pure wavenumber 1
-    _, cap1 = _visible_step(tau, frame, "Triharmonic")
-    assert cap1 == pytest.approx(1.0, rel=1e-6)
-    s = flat_circle.grid.axes[0]
-    wobble = pf.Section(
-        values=tau.values + 0.001 * np.stack([np.sin(4 * s), np.cos(4 * s)], -1),
-        base=flat_circle,
-    )
-    _, cap4 = _visible_step(wobble, frame, "Triharmonic")
-    assert cap4 == pytest.approx(4.0**-6, rel=1e-6)
-
-
-def test_stability_cap_ignores_nyquist(flat_circle):
-    # the first derivative annihilates the Nyquist mode, so no step grows it
-    frame = frame_for(flat_circle, induced=False)
-    s = flat_circle.grid.axes[0]
-    n = s.size
-    nyquist = pf.Section(values=np.stack([np.cos(n // 2 * s), np.sin(4 * s)], -1),
-                         base=flat_circle)
-    _, cap = _visible_step(nyquist, frame, "Triharmonic")
-    assert cap == pytest.approx(4.0**-6, rel=1e-6)
-
-
-def test_step_direction_drops_modes_above_the_visible_band(flat_circle):
-    # content at k = 4 is kept; content at k = 40, 1e-8 of it, lies below
-    # the visibility cutoff and is removed down to transform roundoff.  In
-    # a flat target every vector is tangent; see the H^2 test for tangency
-    s = flat_circle.grid.axes[0]
-    low = np.stack([np.cos(4 * s), np.sin(4 * s)], -1)
-    high = 1e-8 * np.stack([np.sin(40 * s), np.cos(40 * s)], -1)
-    step, _ = _visible_step(pf.Section(values=low + high, base=flat_circle),
-                            frame_for(flat_circle, induced=False), "Triharmonic")
-    assert np.max(np.abs(step - low)) <= 1e-12
-    coeffs = np.abs(np.fft.rfft(step, axis=0))
-    assert np.max(coeffs[40]) <= 1e-14 * np.max(coeffs[4])  # input: 1e-8
-
-
-def test_step_direction_is_tangent_in_h2():
-    # band-limiting a tangent field moves it slightly off the tangent
-    # space; the step is projected back
-    phi = small_h2_perturbation(amplitude=0.05, k=3)
-    frame = frame_for(phi, induced=False)
-    descent = pf.TensionChain(phi, frame).field(3)
-    step, _ = _visible_step(descent, frame, "Triharmonic")
-    normal = sf.ambient_form(phi.spec, phi.values, step)
-    assert np.max(np.abs(normal)) <= 1e-13 * np.max(np.abs(step))
-    assert np.max(np.abs(step - descent.values)) <= 1e-6 * np.max(np.abs(step))
-
-
 def implicit_step_states():
     grid = pf.build_grid(pf.GridSpec(1, (128,), (TWO_PI,)))
     return [
@@ -197,7 +140,7 @@ def implicit_step_states():
 @pytest.mark.parametrize("phi", implicit_step_states(), ids=["flat", "S2", "H2"])
 def test_implicit_step_is_tangent_and_descends(phi):
     # the step pairs positively with the descent for every dt, which is why
-    # the FixedPrescribed flow needs no stability cap
+    # the flow's step needs no limit
     frame = frame_for(phi, induced=False)
     descent = pf.TensionChain(phi, frame).field(3)
     for dt in np.logspace(-12.0, 3.0, 16):
@@ -225,7 +168,6 @@ def test_criterion_8_flow_is_stationary_at_tight_tolerance():
     assert trace.column("sup_descent")[-1] <= 1e-8
     assert trace.column("iter")[-1] <= 100
     assert_monotone(trace.accepted_series("E3"))
-    assert all(c == math.inf for c in trace.column("dt_cap")[1:])
     for seed in range(10):
         V = pf.random_tangent_section(state.phi, seed=seed)
         assert pf.first_variation_residual(state, V, 3, 1e-3) <= 1e-6
@@ -234,13 +176,10 @@ def test_criterion_8_flow_is_stationary_at_tight_tolerance():
 
 
 def test_triharmonic_flow_2d_converges():
-    # a tube torus in H^3 on 32^2: the explicit capped step stalled here
-    # after ~1,600 trials with E3 650 -> 540
-    grid = pf.build_grid(pf.GridSpec(2, (32, 32), (TWO_PI, TWO_PI)))
-    phi0 = pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": 0.4}, grid,
-                          pf.SpaceFormSpec(-1.0, 3))
+    # an explicit step limited to its stability edge stalled here after
+    # ~1,600 trials with E3 650 -> 540
     cfg = pf.FlowConfig(kind="Triharmonic", grad_tol=1e-6)
-    state, trace = pf.run_flow(phi0, cfg)
+    state, trace = pf.run_flow(h3_torus_32(), cfg)
     assert trace.status == "converged"
     assert trace.column("iter")[-1] <= 60
     e3 = trace.column("E3")[:1] + trace.accepted_series("E3")
@@ -358,17 +297,6 @@ def test_harmonic_flow_perturbed_great_circle():
     assert np.max(state.tau.norm_field()) <= 1e-8
 
 
-def test_reinduce_policy_keeps_immersion(torus_grid):
-    phi0 = pf.builtin_map("TorusCliffordLike", {"alpha": np.pi / 5}, torus_grid,
-                          pf.SpaceFormSpec(1.0, 3))
-    cfg = pf.FlowConfig(kind="Harmonic", max_iters=5, grad_tol=1e-14,
-                        metric_policy="ReInduceEachStep")
-    state, trace = pf.run_flow(phi0, cfg)
-    metric = pf.induced_metric(state.phi)  # still immerses
-    assert metric.mode is pf.MetricMode.INDUCED
-    assert len(trace.rows) == 6
-
-
 def test_probe_geodesic_minimal(circle_grid):
     phi = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
     cfg = pf.FlowConfig(kind="Triharmonic", grad_tol=1e-8, max_iters=10)
@@ -380,26 +308,6 @@ def test_probe_geodesic_minimal(circle_grid):
     assert probe.caveats
 
 
-def test_capped_step_keeps_step_memory(monkeypatch, flat_circle):
-    # the cap binds on the third trial only: the fourth resumes from the
-    # step memory of before it, not from the cap, and unclipped steps double
-    trial = itertools.count(1)
-
-    def cap_third_trial(descent, frame, kind):
-        step, cap = _visible_step(descent, frame, kind)
-        return step, 1e-9 if next(trial) == 3 else cap
-
-    monkeypatch.setattr(flow_module, "_visible_step", cap_third_trial)
-    dt0 = 1e-7
-    cfg = pf.FlowConfig(kind="Triharmonic", max_iters=5, grad_tol=1e-12, dt0=dt0,
-                        metric_policy="ReInduceEachStep")
-    _, trace = pf.run_flow(flat_circle, cfg)
-    assert trace.status == "max_iters"
-    dts, caps = trace.column("dt")[1:], trace.column("dt_cap")[1:]
-    assert [i for i, (dt, c) in enumerate(zip(dts, caps)) if dt == c] == [2]
-    assert dts == [dt0, 2 * dt0, 1e-9, 4 * dt0, 8 * dt0]
-
-
 def test_trace_rows_and_columns(flat_circle):
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=3, grad_tol=1e-14)
     _, trace = pf.run_flow(flat_circle, cfg)
@@ -408,32 +316,26 @@ def test_trace_rows_and_columns(flat_circle):
     assert len(rows[0]) == len(trace.COLUMNS)
 
 
-def test_reinduce_degenerate_keeps_partial_trace():
-    # a small hyperbolic circle shrinks under the harmonic flow until the
-    # next state no longer immerses; the flow ends with the last good state
-    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
-    phi0 = pf.builtin_map("Circle", {"r": 0.3}, grid, pf.SpaceFormSpec(-1.0, 2))
-    cfg = pf.FlowConfig(kind="Harmonic", max_iters=50, grad_tol=1e-8,
-                        metric_policy="ReInduceEachStep")
+def test_run_flow_degenerate_keeps_partial_trace(monkeypatch):
+    # the third trial's candidate cannot be projected onto the model: the
+    # flow ends with the state the second trial entered and its three rows
+    entered = []
+    trace_metrics = flow_module._trace_metrics
+
+    def metrics(chain):
+        entered.append(chain)
+        return trace_metrics(chain)
+
+    monkeypatch.setattr(flow_module, "_trace_metrics", metrics)
+    phi0 = small_h2_perturbation()
+    fail_third_trial(monkeypatch)
+    cfg = pf.FlowConfig(kind="Triharmonic", max_iters=10, grad_tol=1e-12)
     state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "degenerate"
-    assert trace.column("iter") == list(range(len(trace.rows)))
-    assert len(trace.rows) > 1
+    assert trace.column("iter") == [0, 1, 2]
     assert all(dt > 0.0 for dt in trace.column("dt")[1:])
-    metric = pf.induced_metric(state.phi)  # still immerses
-    assert metric.mode is pf.MetricMode.INDUCED
-    frame = pf.orthonormal_frame(grid, metric)
-    assert pf.TensionChain(state.phi, frame).energy(1) == trace.column("E")[-1]
-
-
-def test_run_flow_degenerate_at_step_0():
-    # the initial map does not immerse, so ReInduceEachStep cannot frame it
-    phi0 = small_h2_perturbation(amplitude=0.05, k=3)
-    cfg = pf.FlowConfig(kind="Triharmonic", metric_policy="ReInduceEachStep")
-    state, trace = pf.run_flow(phi0, cfg)
-    assert trace.status == "degenerate"
-    assert trace.column("iter") == [] and trace.rows == []
-    assert state is None
+    assert state is entered[-1] and len(entered) == 3
+    assert state.energy(1) == trace.column("E")[-1]
 
 
 def test_run_flow_nonfinite_at_step_0():
@@ -448,31 +350,27 @@ def test_run_flow_nonfinite_at_step_0():
     assert state is None
 
 
-def end_state_flow(case):
+def end_state_flow(case, monkeypatch):
     """(initial map, config, end status) of a flow that ends as ``case`` says."""
     if case == "fixed-converged":
         return (small_h2_perturbation(), pf.FlowConfig(kind="Triharmonic"),
                 "converged")
-    if case == "reinduce-max-iters":
-        grid = pf.build_grid(pf.GridSpec(2, (32, 32), (TWO_PI, TWO_PI)))
-        phi0 = pf.builtin_map("TorusCliffordLike", {"alpha": np.pi / 5}, grid,
-                              pf.SpaceFormSpec(1.0, 3))
-        return phi0, pf.FlowConfig(kind="Biharmonic", max_iters=5, grad_tol=1e-14,
-                                   metric_policy="ReInduceEachStep"), "max_iters"
-    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
-    phi0 = pf.builtin_map("Circle", {"r": 0.3}, grid, pf.SpaceFormSpec(-1.0, 2))
-    return phi0, pf.FlowConfig(kind="Harmonic", max_iters=50, grad_tol=1e-8,
-                               metric_policy="ReInduceEachStep"), "degenerate"
+    if case == "fixed-max-iters":
+        return (h3_torus_32(), pf.FlowConfig(kind="Biharmonic", max_iters=5,
+                                             grad_tol=1e-14), "max_iters")
+    phi0 = small_h2_perturbation()
+    fail_third_trial(monkeypatch)
+    return phi0, pf.FlowConfig(kind="Triharmonic"), "degenerate"
 
 
-@pytest.mark.parametrize("case", ["fixed-converged", "reinduce-max-iters",
-                                  "reinduce-degenerate"])
-def test_run_flow_state_is_its_end_state(case):
+@pytest.mark.parametrize("case", ["fixed-converged", "fixed-max-iters",
+                                  "fixed-degenerate"])
+def test_run_flow_state_is_its_end_state(case, monkeypatch):
     # the returned chain reads as one rebuilt from the end state's map
-    phi0, cfg, status = end_state_flow(case)
+    phi0, cfg, status = end_state_flow(case, monkeypatch)
     state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == status
-    rebuilt = pf.TensionChain(state.phi, flow_frame(state.phi, cfg))
+    rebuilt = pf.TensionChain(state.phi, frame_for(state.phi, induced=False))
     assert pf.energy_report(state).to_dict() == pf.energy_report(rebuilt).to_dict()
     assert (pf.theorem_probe(state, trace.status).to_dict()
             == pf.theorem_probe(rebuilt, trace.status).to_dict())
@@ -496,43 +394,6 @@ def test_run_flow_nonfinite_keeps_partial_trace(monkeypatch):
     assert trace.status == "nonfinite"
     assert trace.column("iter") == [0, 1, 2]
     assert state.phi is entered[2]
-
-
-def visible_bands(values):
-    """Per node axis, the largest Fourier mode whose coefficient (largest
-    over the other axes and the components) reaches 1e-6 of the largest;
-    the mean and Nyquist modes never set it, and it is 0 when no other mode
-    does."""
-    bands = []
-    for axis, n in enumerate(values.shape[:-1]):
-        mode = np.arange(n // 2 + 1)
-        coeffs = np.moveaxis(np.abs(np.fft.rfft(values, axis=axis)), axis, 0)
-        profile = coeffs.reshape(mode.size, -1).max(axis=1)
-        seen = ((profile >= 1e-6 * profile.max()) & (profile > 0.0) & (mode > 0)
-                & (2 * mode != n))
-        bands.append(int(mode[seen].max()) if seen.any() else 0)
-    return bands
-
-
-def band_limit(values, bands):
-    """Along each node axis in turn, zero every Fourier mode above its band."""
-    for axis, band in enumerate(bands):
-        n = values.shape[axis]
-        keep = np.arange(n // 2 + 1) <= band
-        keep = keep.reshape((-1,) + (1,) * (values.ndim - axis - 1))
-        values = np.fft.irfft(np.where(keep, np.fft.rfft(values, axis=axis), 0.0),
-                              n=n, axis=axis)
-    return values
-
-
-def reference_cap(bands, frame, k):
-    """1 / (sum_a band_a max |e[..., :, a]|)^(2k), at most 1e3: the explicit
-    stability edge of the bands on 2 pi-periodic axes, where mode m has
-    wavenumber m."""
-    total = 0.0
-    for axis, band in enumerate(bands):
-        total += band * float(np.max(np.abs(frame.e[..., :, axis])))
-    return 1.0 / total ** (2 * k) if total > 0.0 else 1e3
 
 
 def implicit_step(phi, descent, k, dt):
@@ -567,14 +428,11 @@ def implicit_step(phi, descent, k, dt):
 
 def reference_flow(phi0, cfg):
     """run_flow as a plain loop: every energy and descent field from a fresh
-    tension chain; under FixedPrescribed the implicit step, uncapped (cap
-    inf); under ReInduceEachStep the cap and the band limit from its own
-    band reading, the step the band-limited descent projected onto the
-    tangent space.  The Armijo trial is projected once, by exp_map."""
+    tension chain on the flat frame, the implicit step, and the Armijo trial
+    projected once, by exp_map."""
     k = {"Harmonic": 1, "Biharmonic": 2, "Triharmonic": 3}[cfg.kind.value]
-    reinduce = cfg.metric_policy is pf.MetricPolicy.REINDUCE_EACH_STEP
     phi, dt, rows = phi0, cfg.initial_dt(phi0.grid), []
-    frame = flow_frame(phi, cfg)
+    frame = frame_for(phi, induced=False)
 
     def enter(state):
         report = pf.energy_report(pf.TensionChain(state, frame))
@@ -584,36 +442,25 @@ def reference_flow(phi0, cfg):
                          float(np.max(descent.norm_field())))
 
     descent, row = enter(phi)
-    rows.append((0, *row, math.nan, math.nan))
+    rows.append((0, *row, math.nan))
     for it in range(1, cfg.max_iters + 1):
         if row[-1] <= cfg.grad_tol:
             break
-        if reinduce:
-            bands = visible_bands(descent.values)
-            cap = reference_cap(bands, frame, k)
-            dt_used = min(dt, cap)
-            step = sf.project_tangent(phi.spec, phi.values,
-                                      band_limit(descent.values, bands))
-        else:
-            cap, dt_used = math.inf, dt
-            step = implicit_step(phi, descent.values, k, dt)
+        step = implicit_step(phi, descent.values, k, dt)
         e_now = pf.TensionChain(phi, frame).energy(k)
         decrease = pf.integrate(phi.grid, frame, sf.inner(
             phi.spec, phi.values, descent.values, step))
         candidate = pf.MapField(
-            sf.exp_map(phi.spec, phi.values, dt_used * step), phi.grid, phi.spec)
+            sf.exp_map(phi.spec, phi.values, dt * step), phi.grid, phi.spec)
         if (pf.TensionChain(candidate, frame).energy(k)
-                <= e_now - cfg.armijo_c * dt_used * decrease + 1e-13 * abs(e_now)):
-            if dt_used >= dt:  # a capped step keeps dt
-                dt = min(dt_used / cfg.shrink, 1e3)
+                <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now)):
             phi = candidate
-            if reinduce:
-                frame = flow_frame(phi, cfg)
             descent, row = enter(phi)
-            rows.append((it, *row, dt_used, cap))
+            rows.append((it, *row, dt))
+            dt = min(dt / cfg.shrink, 1e3)
         else:
-            dt = min(dt_used * cfg.shrink, 1e3)
-            rows.append((it, *row, 0.0, cap))
+            rows.append((it, *row, 0.0))
+            dt = min(dt * cfg.shrink, 1e3)
     return phi, rows
 
 
@@ -656,10 +503,8 @@ def test_run_flow_matches_reference_triharmonic(armijo_c):
     assert (0.0 in trace.column("dt")) == rejects
 
 
-def test_run_flow_matches_reference_reinduce_torus():
-    grid = pf.build_grid(pf.GridSpec(2, (32, 32), (TWO_PI, TWO_PI)))
-    phi0 = pf.builtin_map("TorusCliffordLike", {"alpha": np.pi / 5}, grid,
-                          pf.SpaceFormSpec(1.0, 3))
-    cfg = pf.FlowConfig(kind="Biharmonic", max_iters=5, grad_tol=1e-14,
-                        metric_policy="ReInduceEachStep")
-    assert len(assert_flow_matches_reference(phi0, cfg).rows) == 6
+def test_run_flow_matches_reference_torus():
+    # a 2-d state: the implicit step divides by |q|^4 over both axes
+    cfg = pf.FlowConfig(kind="Biharmonic", max_iters=5, grad_tol=1e-14)
+    trace = assert_flow_matches_reference(h3_torus_32(), cfg, rtol=1e-10)
+    assert trace.status == "max_iters" and len(trace.rows) == 6
