@@ -216,7 +216,7 @@ class DomainGrid:
         # the half spectrum has the same line max and loses no coefficient.
         fh = np.fft.rfft(lines, axis=line_axis)
         mag = np.abs(fh)
-        amp = np.max(mag, axis=line_axis, keepdims=True)
+        amp = mag.max(axis=line_axis, keepdims=True)
         cutoff = np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)
         np.copyto(fh, 0.0, where=mag < cutoff)
         symbol = self._symbols.get((axis, fh.ndim))

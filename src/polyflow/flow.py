@@ -200,9 +200,15 @@ def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
     if boost:
         r = 1.0 / math.sqrt(-spec.c)
         a, coeffs = _boost_coefficients(x, coeffs, r)
-    axes = tuple(range(grid.dims))
-    spectrum = np.fft.rfftn(coeffs, axes=axes) / (1.0 + dt * grid.q_power(k))
-    coeffs = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+    # numpy's rfftn and irfftn by their parts: rfft over the last node axis
+    last = grid.dims - 1
+    spectrum = np.fft.rfft(coeffs, axis=last)
+    for axis in reversed(range(last)):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    spectrum /= 1.0 + dt * grid.q_power(k)
+    for axis in range(last):
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    coeffs = np.fft.irfft(spectrum, n=grid.shape[last], axis=last)
     if not boost:
         return sf.project_tangent(spec, x, coeffs)
     # sum_i c_i E_i = (s (1 + x0/r), c + (s/r) x[1:]): tangent by algebra
@@ -337,8 +343,8 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
 
     sup_tau = chain.sup_norm(1)
     sup_tau3 = chain.sup_norm(3)
-    mean_norm = float(np.mean(tau_norm))
-    cv = float(np.std(tau_norm) / mean_norm) if mean_norm > 1e-12 else 0.0
+    mean_norm = float(tau_norm.mean())
+    cv = float(tau_norm.std() / mean_norm) if mean_norm > 1e-12 else 0.0
 
     # diagnostic only: when Int |alpha|^2 |nabla alpha|^2 is tiny, the
     # smooth theory forces |alpha| constant; report the observed variance
@@ -352,7 +358,7 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         weighted = integrate(phi.grid, frame, a_norm**2 * grad_sq)
         constancy[name] = {
             "weighted_gradient_integral": weighted,
-            "norm_variance": float(np.var(a_norm)),
+            "norm_variance": float(a_norm.var()),
             "constancy_expected": bool(weighted <= 1e-10),
         }
 
@@ -367,7 +373,7 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         "flow status: " + status,
     ]
     energy = chain.energy(1)
-    isometry_defect = float(np.max(np.abs(phi.pullback_metric - frame.metric.g)))
+    isometry_defect = float(np.abs(phi.pullback_metric - frame.metric.g).max())
     try:
         induced_metric(phi)
         immersed = True
@@ -389,9 +395,9 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         etilde4=chain.etilde4,
         l4_tension=chain.tension_lp(4.0),
         sup_tau=sup_tau,
-        tau_sq_node_variance=float(np.var(tau_norm**2)),
-        sup_grad_laplacian_tau=float(np.sqrt(np.max(np.maximum(grad_lap_sq, 0.0)))),
-        sup_laplacian_tau=float(np.max(chain.lap_norm)),
+        tau_sq_node_variance=float((tau_norm**2).var()),
+        sup_grad_laplacian_tau=float(np.sqrt(np.maximum(grad_lap_sq, 0.0).max())),
+        sup_laplacian_tau=float(chain.lap_norm.max()),
         cmc_coefficient_of_variation=cv,
         classification=classification,
         constancy_diagnostics=constancy,

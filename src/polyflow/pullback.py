@@ -56,7 +56,7 @@ class MapField:
     def coordinate_derivs(self) -> tuple:
         """d_a phi along each node axis a, at the map's spectral floor; taken
         once per map and read by the induced metric and every tension chain."""
-        floor = self.spectral_floor()
+        floor = self.spectral_floor
         return tuple(self.grid.deriv(self.values, a, floor=floor)
                      for a in range(self.grid.dims))
 
@@ -77,6 +77,7 @@ class MapField:
     def constraint_residual(self) -> float:
         return float(np.max(sf.constraint_residual(self.spec, self.values)))
 
+    @cached_property
     def spectral_floor(self) -> float:
         """Absolute Fourier-coefficient floor for derivatives of this map.
 
@@ -84,7 +85,7 @@ class MapField:
         below this floor are indistinguishable from noise and would be
         amplified k^6-fold by the tritension chain.
         """
-        return SPECTRAL_REL_CUTOFF * max(1.0, float(np.max(np.abs(self.values))))
+        return SPECTRAL_REL_CUTOFF * max(1.0, float(np.abs(self.values).max()))
 
 
 @dataclass
@@ -137,7 +138,7 @@ class TensionChain:
     def __init__(self, phi: MapField, frame: FrameField):
         self.phi = phi
         self.frame = frame
-        self._floor = phi.spectral_floor()
+        self._floor = phi.spectral_floor
         self._scalars = {}  # energies, L^p and sup norms, per (name, order)
 
     def nabla(self, V: Section | MapField) -> list:
@@ -160,7 +161,7 @@ class TensionChain:
         is +1 or -1 and picks add or subtract; it multiplies nothing."""
         phi, frame = self.phi, self.frame
         add, sub = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
-        out = np.zeros_like(sections[0].values)
+        out = np.zeros(sections[0].values.shape)
         for i, s in enumerate(sections):
             derivs = {a: phi.grid.deriv(s.values, a, floor=self._floor)
                       for a in frame.axes[i]}
@@ -303,7 +304,7 @@ class TensionChain:
         """sup |tau|, |tau2| or |tau3| over the grid."""
         if ("sup", k) not in self._scalars:
             norm = self.tau_norm if k == 1 else self.field(k).norm_field()
-            self._scalars["sup", k] = float(np.max(norm))
+            self._scalars["sup", k] = float(norm.max())
         return self._scalars["sup", k]
 
 

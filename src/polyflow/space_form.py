@@ -17,8 +17,10 @@ whole grid of points can be processed in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +64,7 @@ class SpaceFormSpec:
         if not np.isfinite(self.c):
             raise ValueError("curvature must be finite")
 
-    @property
+    @cached_property
     def model(self) -> Model:
         if self.c == 0.0:
             return Model.FLAT
@@ -74,17 +76,20 @@ class SpaceFormSpec:
 
 
 def ambient_form(spec: SpaceFormSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ambient bilinear form: Euclidean dot, in numpy's own sum order for < 8
-    terms, or Minkowski for c < 0, u1 v1 + ... + un vn - u0 v0 in order."""
+    """Ambient bilinear form from one product pass p = u v: Euclidean
+    0.0 + p0 + ... + pn, numpy's own sum order for < 8 terms, or Minkowski
+    for c < 0, p1 + ... + pn - p0 in order."""
+    p = u * v
+    m = p.shape[-1]
     if spec.model is Model.HYPERBOLOID:
-        dot = u[..., 1] * v[..., 1]
-        for i in range(2, u.shape[-1]):
-            dot += u[..., i] * v[..., i]
-        dot -= u[..., 0] * v[..., 0]
+        dot = p[..., 1] + p[..., 2] if m > 2 else p[..., 1].copy()
+        for i in range(3, m):
+            dot += p[..., i]
+        dot -= p[..., 0]
         return dot
-    dot = u[..., 0] * v[..., 0] + 0.0
-    for i in range(1, u.shape[-1]):
-        dot += u[..., i] * v[..., i]
+    dot = p[..., 0] + 0.0
+    for i in range(1, m):
+        dot += p[..., i]
     return dot
 
 
@@ -102,14 +107,14 @@ def project_point(spec: SpaceFormSpec, x: np.ndarray) -> np.ndarray:
         return x
     q = ambient_form(spec, x, x)
     if spec.model is Model.SPHERE:
-        if np.any(q <= 0.0):
+        if (q <= 0.0).any():
             raise DegeneratePoint("cannot project a null vector onto the sphere")
     else:
-        if np.any(q >= 0.0) or np.any(x[..., 0] <= 0.0):
+        if (q >= 0.0).any() or (x[..., 0] <= 0.0).any():
             raise DegeneratePoint(
                 "hyperboloid projection needs <x,x>_L < 0 and x0 > 0"
             )
-    scale = 1.0 / np.sqrt(np.abs(spec.c) * np.abs(q))
+    scale = 1.0 / np.sqrt(abs(spec.c) * np.abs(q))
     return x * scale[..., None]
 
 
@@ -153,7 +158,7 @@ def exp_map(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if spec.model is Model.FLAT:
         return x + v
-    rho = np.sqrt(np.abs(spec.c)) * norm(spec, x, v)
+    rho = math.sqrt(abs(spec.c)) * norm(spec, x, v)
     if spec.model is Model.SPHERE:
         out = np.cos(rho)[..., None] * x + _stable_ratio(np.sin, rho)[..., None] * v
     else:

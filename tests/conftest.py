@@ -125,6 +125,20 @@ def fail_third_trial(monkeypatch):
     monkeypatch.setattr(sf, "exp_map", failing)
 
 
+SIN_R_BI = 1.0 / np.sqrt(2.0)  # k-tension of an S^2 circle vanishes iff
+SIN_R_TRI = 1.0 / np.sqrt(3.0)  # kappa^2 = (k - 1) c, i.e. sin^2 r = 1/k
+
+
+def static_probe(r, c):
+    """The chain and probe verdict of the circle of radius r in the 2-d
+    space form of curvature c, on its induced frame (256 nodes)."""
+    grid = pf.build_grid(pf.GridSpec(1, (256,), (2 * np.pi,)))
+    phi = pf.builtin_map("Circle", {"r": r}, grid, pf.SpaceFormSpec(c, 2))
+    frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
+    chain = pf.TensionChain(phi, frame)
+    return chain, pf.theorem_probe(chain, "running")
+
+
 def warped_metric(grid):
     """Prescribed non-flat metric: its frame has a non-zero connection."""
     g = np.zeros(grid.shape + (grid.dims, grid.dims))

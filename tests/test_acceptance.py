@@ -1,6 +1,7 @@
 """Acceptance suite: the package's exit criteria, each at a pinned tolerance.
 
-Each test prints one `[criterion N] PASS/FAIL` line.  Criterion 8 is
+Each criterion test prints one `[criterion N] PASS/FAIL` line, and the
+probe's sharpness control one `[control] PASS/FAIL` line.  Criterion 8 is
 exploratory by design: non-convergence within budget is reported as
 INCONCLUSIVE rather than failure, but its monotonicity and stationarity
 sub-assertions are always enforced.  The flow it runs feeds criterion 9's
@@ -18,7 +19,8 @@ from polyflow.domain_grid import scalar_gradient
 from polyflow.errors import DegenerateImmersion
 from polyflow.pullback import tritension_space_form
 
-from conftest import build_fixture, builtin_fixture_set, chain_for, frame_for
+from conftest import (SIN_R_BI, SIN_R_TRI, build_fixture, builtin_fixture_set,
+                      chain_for, frame_for, static_probe)
 
 TWO_PI = 2 * np.pi
 FD_FLOOR = 1e-9  # below this the central difference is exact, O(t^2) vacuous
@@ -330,3 +332,24 @@ def test_criterion_10_holder_consistency():
         worst = max(worst, excess)
         ok = ok and excess <= 1e-12
     report(10, ok, f"worst E2 excess over bound {worst:.2e}")
+
+
+def test_control_probe_sharpness():
+    # not a criterion: the static verdicts that show the probe can tell a
+    # non-minimal triharmonic state from a minimal one.  On S^2 (c > 0,
+    # outside the theorem) the proper triharmonic circle is a candidate and
+    # the biharmonic one is not triharmonic; in H^2 no circle is triharmonic
+    details, ok = [], True
+    for label, r, c, verdict in (
+        ("S2 sin r=1/sqrt3", np.arcsin(SIN_R_TRI), 1.0, "nonminimal-candidate"),
+        ("S2 sin r=1/sqrt2", np.arcsin(SIN_R_BI), 1.0, "inconclusive"),
+        ("H2 r=0.3", 0.3, -1.0, "inconclusive"),
+        ("H2 r=1.4", 1.4, -1.0, "inconclusive"),
+    ):
+        chain, probe = static_probe(r, c)
+        ok = ok and probe.classification == verdict and probe.immersed
+        details.append(f"{label}: {probe.classification} (sup|tau3| "
+                       f"{probe.sup_tau3:.1e}, sup|tau2| {chain.sup_norm(2):.1e}, "
+                       f"sup|tau| {probe.sup_tau:.2f})")
+    print(f"[control] {'PASS' if ok else 'FAIL'} " + "; ".join(details))
+    assert ok, "; ".join(details)

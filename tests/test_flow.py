@@ -9,9 +9,10 @@ import polyflow as pf
 from polyflow import flow as flow_module
 from polyflow import space_form as sf
 from polyflow.errors import StepUnderflow
-from polyflow.flow import _implicit_step
+from polyflow.flow import _boost_coefficients, _implicit_step
 
-from conftest import fail_third_trial, frame_for, record_derivs, reference_boost_frame
+from conftest import (SIN_R_BI, SIN_R_TRI, fail_third_trial, frame_for, record_derivs,
+                      reference_boost_frame, static_probe)
 
 TWO_PI = 2 * np.pi
 
@@ -156,6 +157,46 @@ def test_implicit_step_is_tangent_and_descends(phi):
     assert np.max(np.abs(_implicit_step(descent, 3, 1e3))) < np.max(np.abs(near))
 
 
+def rfftn_implicit_step(descent, k, dt):
+    """_implicit_step with its transform written as numpy's rfftn/irfftn pair."""
+    phi = descent.base
+    spec, grid, x, coeffs = phi.spec, phi.grid, phi.values, descent.values
+    boost = spec.model is sf.Model.HYPERBOLOID
+    if boost:
+        r = 1.0 / math.sqrt(-spec.c)
+        a, coeffs = _boost_coefficients(x, coeffs, r)
+    axes = tuple(range(grid.dims))
+    spectrum = np.fft.rfftn(coeffs, axes=axes) / (1.0 + dt * grid.q_power(k))
+    coeffs = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+    if not boost:
+        return sf.project_tangent(spec, x, coeffs)
+    s = sum(a[..., i] * coeffs[..., i] for i in range(spec.n))
+    return np.concatenate([(s * (1.0 + x[..., 0] / r))[..., None],
+                           coeffs + (s / r)[..., None] * x[..., 1:]], axis=-1)
+
+
+def s3_torus_32():
+    grid = pf.build_grid(pf.GridSpec(2, (32, 32), (TWO_PI, TWO_PI)))
+    return pf.builtin_map("TorusCliffordLike", {"alpha": np.pi / 5}, grid,
+                          pf.SpaceFormSpec(1.0, 3))
+
+
+@pytest.mark.parametrize("make_phi", [
+    lambda: small_h2_perturbation(n=256, amplitude=0.05, k=3), s3_torus_32, h3_torus_32,
+], ids=["H2-256", "S3-32x32", "H3-32x32"])
+def test_implicit_step_equals_rfftn_bit_for_bit(make_phi):
+    # the step calls rfftn's and irfftn's parts directly; every bit matches
+    phi = make_phi()
+    chain = pf.TensionChain(phi, frame_for(phi, induced=False))
+    for k in (1, 2, 3):
+        descent = chain.field(k)
+        for dt in (0.0, 1e-9, 3.6e-8, 1e-3, 1e3):
+            got = _implicit_step(descent, k, dt)
+            ref = rfftn_implicit_step(descent, k, dt)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_criterion_8_flow_is_stationary_at_tight_tolerance():
     # criterion 8 checks first variations only below sup |tau3| 1e-8; its
     # own flow stops at 1e-6, so this runs them on the same flow at 1e-8
@@ -186,18 +227,6 @@ def test_triharmonic_flow_2d_converges():
     assert_monotone(e3)
     assert e3[0] > 600.0 and e3[-1] <= 1e-9
     assert state.phi.constraint_residual() <= 1e-12
-
-
-SIN_R_BI = 1.0 / np.sqrt(2.0)  # k-tension of an S^2 circle vanishes iff
-SIN_R_TRI = 1.0 / np.sqrt(3.0)  # kappa^2 = (k - 1) c, i.e. sin^2 r = 1/k
-
-
-def static_probe(r, c):
-    grid = pf.build_grid(pf.GridSpec(1, (256,), (TWO_PI,)))
-    phi = pf.builtin_map("Circle", {"r": r}, grid, pf.SpaceFormSpec(c, 2))
-    frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
-    chain = pf.TensionChain(phi, frame)
-    return chain, pf.theorem_probe(chain, "running")
 
 
 def test_probe_sharpness_controls():

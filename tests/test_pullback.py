@@ -390,7 +390,7 @@ def _ref_nabla(phi, values, coeffs):
     out = np.zeros_like(values)
     for a in range(phi.grid.dims):
         out += coeffs[..., a, None] * phi.grid.deriv(
-            values, a, floor=phi.spectral_floor()
+            values, a, floor=phi.spectral_floor
         )
     return sf.project_tangent(phi.spec, phi.values, out)
 
@@ -732,7 +732,8 @@ def test_flow_iteration_deriv_count(monkeypatch):
     assert len(calls) <= 6
 
     # over a whole flow, each trial's implicit step transforms the descent's
-    # frame coefficients once (one rfftn) beyond its derivatives' rffts
+    # frame coefficients once (one rfft on a 1-d grid, counted whether
+    # called directly or through rfftn) beyond its derivatives' rffts
     trials = 10
     calls.clear()
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)

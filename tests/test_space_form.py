@@ -194,13 +194,22 @@ def _fsum_form(u, v):
     return np.array([math.fsum(t) for t in p.reshape(-1, p.shape[-1])]).reshape(p.shape[:-1])
 
 
+def _unrolled_minkowski(u, v):
+    """u1 v1 + ... + un vn - u0 v0, one term at a time in that order."""
+    dot = u[..., 1] * v[..., 1]
+    for i in range(2, u.shape[-1]):
+        dot = dot + u[..., i] * v[..., i]
+    return dot - u[..., 0] * v[..., 0]
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
 def test_ambient_form_is_bitwise_add_reduce(c, m):
     # c >= 0: the unrolled sum is numpy's own summation order, signed zeros
-    # included.  c < 0: the spatial terms in order, u0 v0 subtracted last;
-    # its m - 1 roundings and the one of the fsum reference put it within
-    # about m 2^-53 sum |u_i v_i| of fsum, and the bound allows twice that
+    # included.  c < 0: the spatial terms in order, u0 v0 subtracted last,
+    # bit for bit, signed zeros included; its m - 1 roundings and the one of
+    # the fsum reference put it within about m 2^-53 sum |u_i v_i| of fsum,
+    # and the bound allows twice that
     spec = sf.SpaceFormSpec(c, m if c == 0.0 else m - 1)
     assert spec.ambient_dim == m
     rng = np.random.default_rng(m)
@@ -209,6 +218,9 @@ def test_ambient_form_is_bitwise_add_reduce(c, m):
     u[0] = 0.0
     v[0] = -np.abs(v[0])  # every product -0.0: the sum reads +0.0
     u[1, :, :2] = -0.0  # zeros of either sign among non-zero products
+    u[2], v[2, :, 0], v[2, :, 1:] = 0.0, 1.0, -1.0  # u0 v0 = +0.0, the rest -0.0
+    if c < 0.0:  # -0.0 - +0.0: a sum started from +0.0 would read +0.0
+        assert np.all(np.signbit(sf.ambient_form(spec, u[2], v[2])))
     frame = rng.standard_normal((32, 48, m - 1, m))  # a frame's worth of vectors
     for a, b in ((u, v), (v, u), (u, u), (u[..., None, :], frame)):
         got = sf.ambient_form(spec, a, b)
@@ -218,8 +230,10 @@ def test_ambient_form_is_bitwise_add_reduce(c, m):
             assert got.tobytes() == ref.tobytes()
         else:
             a, b = np.broadcast_arrays(a, b)
+            unrolled = _unrolled_minkowski(a, b)
+            assert got.shape == unrolled.shape
+            assert got.tobytes() == unrolled.tobytes()
             ref = _fsum_form(a, b)
-            assert got.shape == ref.shape
             bound = m * 2.0**-52 * np.sum(np.abs(a * b), -1)
             assert np.all(np.abs(got - ref) <= bound)
 

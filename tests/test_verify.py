@@ -241,7 +241,7 @@ def test_ambient_commutator_matches_curvature(torus_grid):
                         (2, (64, 64), (TWO_PI, TWO_PI)), pf.SpaceFormSpec(1.0, 3))
     grid, spec = phi.grid, phi.spec
     W = pf.random_tangent_section(phi, seed=9)
-    floor = phi.spectral_floor()
+    floor = phi.spectral_floor
 
     def D(values, axis):
         return sf.project_tangent(spec, phi.values,
