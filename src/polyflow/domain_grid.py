@@ -44,6 +44,7 @@ __all__ = [
     "integrate",
     "scalar_gradient",
     "scalar_laplacian",
+    "laplace_beltrami",
 ]
 
 MIN_NODES = 16
@@ -156,7 +157,7 @@ class DomainGrid:
         for n, k in zip(spec.sizes, self._wavenumbers):
             if n % 2 == 0:
                 k[-1] = 0.0
-        self._symbols = {}  # 1j * k shaped for deriv, per (axis, field ndim)
+        self._symbols = {}  # (1j * k, -k^2) shaped for deriv, per (axis, field ndim)
         self._q_powers = {}  # |q|^(2k) for the implicit flow step, per order k
 
     @property
@@ -204,11 +205,23 @@ class DomainGrid:
                 - 8.0 * np.roll(values, 1, axis=axis)
                 + np.roll(values, 2, axis=axis)
             ) / (12.0 * h)
+        return self._spectral(values, axis, floor, False)[0]
+
+    def deriv12(self, values: np.ndarray, axis: int, floor: float = 0.0) -> list:
+        """``[d_a V, d_a^2 V]``, thresholded as by ``deriv``: the symbols ik and
+        -k^2 (Nyquist zeroed in both) on one rfft, the first ``deriv``'s bit
+        for bit, or ``deriv`` twice on a stencil backend."""
+        if self.spec.differentiation is not Differentiation.SPECTRAL:
+            first = self.deriv(values, axis, floor)
+            return [first, self.deriv(first, axis, floor)]
+        return self._spectral(np.asarray(values, dtype=float), axis, floor, True)
+
+    def _spectral(self, values, axis, floor, second) -> list:
         # Lines along a middle axis (the second node axis of a field with
         # components) are moved last and contiguous: numpy transforms and
         # reduces strided lines several times slower, and each line's
         # transform, max and product are the same arithmetic in any layout.
-        # The result is returned as a view with that axis moved back.
+        # Each result is returned as a view with that axis moved back.
         middle = 0 < axis < values.ndim - 1
         line_axis = -1 if middle else axis
         lines = np.ascontiguousarray(np.moveaxis(values, axis, -1)) if middle else values
@@ -219,15 +232,20 @@ class DomainGrid:
         amp = mag.max(axis=line_axis, keepdims=True)
         cutoff = np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)
         np.copyto(fh, 0.0, where=mag < cutoff)
-        symbol = self._symbols.get((axis, fh.ndim))
-        if symbol is None:
-            k = self._wavenumbers[axis]
+        del lines, mag  # freed before the inverse transforms
+        symbols = self._symbols.get((axis, fh.ndim))
+        if symbols is None:
             shape = [1] * fh.ndim
-            shape[line_axis] = k.size
-            symbol = self._symbols[(axis, fh.ndim)] = 1j * k.reshape(shape)
-        fh *= symbol
-        d = np.fft.irfft(fh, n=values.shape[axis], axis=line_axis)
-        return np.moveaxis(d, -1, axis) if middle else d
+            shape[line_axis] = -1
+            k = self._wavenumbers[axis].reshape(shape)
+            symbols = self._symbols[(axis, fh.ndim)] = (1j * k, -k * k)
+        n = values.shape[axis]
+        # each derivative is a separate array, so a caller that sums d_a^2 V
+        # in can free it at once
+        out = [np.fft.irfft(fh * symbols[1], n=n, axis=line_axis)] if second else []
+        fh *= symbols[0]
+        out.insert(0, np.fft.irfft(fh, n=n, axis=line_axis))
+        return [np.moveaxis(d, -1, axis) for d in out] if middle else out
 
     def periodic_distance(self, center) -> np.ndarray:
         """Distance to a node in the flat periodic (torus) geometry."""
@@ -256,20 +274,19 @@ class FrameField:
     ``e[..., i, a]`` is the coefficient of the coordinate field along axis
     ``a`` in the i-th frame vector; ``connection[..., i, j]`` is
     <nabla_{e_i} e_i, e_j>, in frame coefficients; ``vol`` is sqrt(det g).
-    ``zero_connection`` is read from the data: flat frames (constant metric)
-    and every 1-d frame have an exactly zero ``connection``, and connection
-    corrections are then skipped.
+    ``G`` = sum_i e_i^a e_i^b and ``B`` = sum_i {e_i(e_i^b) - sum_j
+    connection[..., i, j] e_j^b} make the frame trace sum_i {e_i(e_i(f)) -
+    (nabla_{e_i} e_i)(f)} = G^{ab} d_a d_b f + B^b d_b f: G = g^-1, and B^b =
+    (1/sqrt g) d_a(sqrt g g^{ab}) up to discretisation.
     """
 
     e: np.ndarray
     connection: np.ndarray
     vol: np.ndarray
+    G: np.ndarray
+    B: np.ndarray
     metric: MetricField = field(repr=False, default=None)
     grid: DomainGrid = field(repr=False, default=None)
-    zero_connection: bool = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.zero_connection = not np.any(self.connection)
 
     @property
     def mode(self) -> MetricMode:
@@ -283,6 +300,14 @@ class FrameField:
         d = self.e.shape[-1]
         return tuple(tuple(a for a in range(d) if np.any(self.e[..., i, a]))
                      for i in range(d))
+
+    @cached_property
+    def lb_terms(self) -> tuple:
+        """``(G^{01} is not identically zero, the b whose B^b is not)``: the
+        other trace terms are exact zeros, which :func:`laplace_beltrami` skips."""
+        d = self.e.shape[-1]
+        return (d == 2 and bool(np.any(self.G[..., 0, 1])),
+                tuple(b for b in range(d) if np.any(self.B[..., b])))
 
     @cached_property
     def volume(self) -> float:
@@ -365,21 +390,28 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
         wnorm = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
         e[..., 1, 0] = w0 / wnorm
         e[..., 1, 1] = 1.0 / wnorm
+    de = [grid.deriv(e, a) for a in range(d)]  # d_a e_i^b, shared by the bracket and B
+    if d == 2:
         # [e1, e2]^c = e1^a d_a e2^c - e2^a d_a e1^c, lowered by g
         e1, e2 = e[..., 0, :], e[..., 1, :]
         bracket = np.zeros(grid.shape + (d,))
         for a in range(d):
-            if np.any(e1[..., a]):
-                bracket += e1[..., a, None] * grid.deriv(e2, a)
-            if np.any(e2[..., a]):
-                bracket -= e2[..., a, None] * grid.deriv(e1, a)
+            bracket += e1[..., a, None] * de[a][..., 1, :]
+            bracket -= e2[..., a, None] * de[a][..., 0, :]
         l0 = g[..., 0, 0] * bracket[..., 0] + g[..., 1, 0] * bracket[..., 1]
         l1 = g[..., 0, 1] * bracket[..., 0] + g[..., 1, 1] * bracket[..., 1]
         connection[..., 0, 1] = -(l0 * e1[..., 0] + l1 * e1[..., 1])
         connection[..., 1, 0] = l0 * e2[..., 0] + l1 * e2[..., 1]
-
-    vol = np.sqrt(_det2(g))
-    return FrameField(e=e, connection=connection, vol=vol, metric=metric, grid=grid)
+    G, B = np.empty_like(e), np.empty(grid.shape + (d,))
+    for b in range(d):  # G^{ab} = sum_i e_i^a e_i^b, B^b as in FrameField
+        for a in range(b + 1):
+            G[..., a, b] = G[..., b, a] = sum(e[..., i, a] * e[..., i, b]
+                                              for i in range(d))
+        B[..., b] = sum(e[..., i, j] * de[j][..., i, b]
+                        - connection[..., i, j] * e[..., j, b]
+                        for i in range(d) for j in range(d))
+    return FrameField(e=e, connection=connection, vol=np.sqrt(_det2(g)), G=G, B=B,
+                      metric=metric, grid=grid)
 
 
 def integrate(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> float:
@@ -451,20 +483,30 @@ def scalar_gradient(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.nd
 
 
 def scalar_laplacian(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.ndarray:
-    """Positive Laplace-Beltrami operator on scalars.
+    """Positive Laplace-Beltrami operator on scalars, -(G^{ab} d_a d_b f +
+    B^b d_b f), as on sections: on the flat circle Delta f = -f''."""
+    return -laplace_beltrami(grid, frame, f)[1]
 
-    Sign convention matches the connection Laplacian used on sections:
-    Delta f = -sum_i { e_i(e_i(f)) - (nabla_{e_i} e_i)(f) }, so that on the
-    flat circle Delta f = -f''; (nabla_{e_i} e_i)(f) = sum_j connection[i, j] e_j(f).
-    """
-    grad = scalar_gradient(grid, frame, f)
-    out = np.zeros(grid.shape)
-    for i in range(grid.dims):
-        second = np.zeros(grid.shape)
-        for a in frame.axes[i]:
-            second += frame.e[..., i, a] * grid.deriv(grad[..., i], a)
-        correction = np.zeros(grid.shape)
-        for j in range(grid.dims):
-            correction += frame.connection[..., i, j] * grad[..., j]
-        out -= second - correction
-    return out
+
+def laplace_beltrami(grid: DomainGrid, frame: FrameField, values: np.ndarray,
+                     floor: float = 0.0, pairs=None) -> tuple:
+    """``([d_a V], G^{ab} d_a d_b V + B^b d_b V)`` of a field, with or
+    without trailing components, from ``pairs``: ``grid.deriv12`` per axis,
+    taken here unless given.  Each d_a^2 V is summed in as it is taken, so
+    none is kept; d_0 d_1 V is a ``deriv`` of d_0 V, taken only when G^{01}
+    is not identically zero, and a B^b term only when B^b is not."""
+    mixed, drift = frame.lb_terms
+    tail = (None,) * (np.ndim(values) - grid.dims)
+    own = pairs is None  # then each d_a^2 V is ours to overwrite
+    if own:
+        pairs = (grid.deriv12(values, a, floor) for a in range(grid.dims))
+    firsts = []
+    for a, (d, d2) in enumerate(pairs):
+        term = np.multiply(frame.G[(..., a, a) + tail], d2, out=d2 if own else None)
+        out = np.add(out, term, out=out) if a else term
+        firsts.append(d)
+    if mixed:
+        out += (2.0 * frame.G[(..., 0, 1) + tail]) * grid.deriv(firsts[0], 1, floor)
+    for b in drift:
+        out += frame.B[(..., b) + tail] * firsts[b]
+    return firsts, out

@@ -6,8 +6,8 @@ derivative followed by the tangent projection), the nonnegative connection
 Laplacian, the curvature contraction, the Jacobi operator, and the tension /
 bitension / tritension fields.  :func:`tritension_space_form` is the
 isometric-immersion formula for tau3, kept apart as an independent check of
-the chain.  Sections are stored in ambient coordinates and re-projected after
-every derivative, so tangency is a checkable invariant instead of a
+the chain.  Sections are stored in ambient coordinates and projected onto the
+target's tangent spaces, so tangency is a checkable invariant instead of a
 representation assumption.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import space_form as sf
 from .domain_grid import (DomainGrid, FrameField, MetricMode, SPECTRAL_REL_CUTOFF,
-                          induced_metric, integrate)
+                          induced_metric, integrate, laplace_beltrami)
 from .errors import NotIsometric
 
 __all__ = [
@@ -53,12 +53,16 @@ class MapField:
         object.__setattr__(self, "values", values)
 
     @cached_property
-    def coordinate_derivs(self) -> tuple:
-        """d_a phi along each node axis a, at the map's spectral floor; taken
-        once per map and read by the induced metric and every tension chain."""
-        floor = self.spectral_floor
-        return tuple(self.grid.deriv(self.values, a, floor=floor)
+    def coordinate_pairs(self) -> tuple:
+        """``[d_a phi, d_a^2 phi]`` per node axis a, at the map's spectral floor:
+        one ``deriv12`` each, taken once per map and read by the induced
+        metric (``coordinate_derivs``, the d_a phi) and every tension chain."""
+        return tuple(self.grid.deriv12(self.values, a, floor=self.spectral_floor)
                      for a in range(self.grid.dims))
+
+    @cached_property
+    def coordinate_derivs(self) -> tuple:
+        return tuple(pair[0] for pair in self.coordinate_pairs)
 
     @cached_property
     def pullback_metric(self) -> np.ndarray:
@@ -108,31 +112,22 @@ class Section:
         return sf.norm(self.base.spec, self.base.values, self.values)
 
 
-def _along(phi: MapField, derivs, coeffs: np.ndarray, axes: tuple) -> np.ndarray:
-    """Projected sum_a coeffs[..., a] * d_a(V) over ``axes``, given the d_a(V)
-    indexed by axis.  The sum is C-ordered whatever the layout of the d_a(V),
-    which may be strided views (``DomainGrid.deriv``)."""
-    out = np.zeros(derivs[axes[0]].shape)
-    for a in axes:
-        out += coeffs[..., a, None] * derivs[a]
-    return sf.project_tangent(phi.spec, phi.values, out)
-
-
 class TensionChain:
     """The tension chain of one state ``(phi, frame)``, each field computed once.
 
     ``dphi``, ``tau``, ``grad_tau`` (nabla_{e_i} tau), ``lap_tau``,
     ``grad_lap_tau``, ``lap2_tau``, ``tau2`` and ``tau3`` are evaluated on
-    first access and then shared; each coordinate derivative is taken once.
-    Connection corrections are skipped on frames whose ``connection`` is
-    exactly zero, and a trace differentiates S_i only along
-    ``frame.axes[i]``: both skipped terms add exactly 0.  Every field is the
-    same floating-point expression as a standalone evaluation, so sharing
-    never changes a result.  ``nabla``, ``laplacian``, ``curvature`` and
-    ``jacobi`` apply the chain's operators to any section along phi.  The
-    chain also owns the state's scalars: energies, Etilde4, L^p and sup
-    norms, and the pointwise |tau|^2 and |Delta tau|^2.  Build one chain per
-    state and drop it with the state.
+    first access and then shared.  As nabla_e nabla_e V = P(e(e(V))) +
+    c h(dphi(e), V) dphi(e) for V tangent along phi, P the tangent projection,
+    tau = P(LB phi), -Delta V = P(LB V) + c sum_i h(dphi(e_i), V) dphi(e_i)
+    and nabla_{e_i} V = P(sum_a e_i^a d_a V), LB = G^{ab} d_a d_b + B^b d_b
+    (:func:`laplace_beltrami`): one ``deriv12`` of V per axis gives its nabla
+    and Delta.  Fields and operators take the same route, so sharing never
+    changes a result.  ``nabla``, ``laplacian``, ``curvature`` and
+    ``jacobi`` apply to any section along phi.  The chain also owns the
+    state's scalars: energies, Etilde4, L^p and sup norms, and the pointwise
+    |tau|^2 and |Delta tau|^2.  Build one chain per state and drop it with
+    the state.
     """
 
     def __init__(self, phi: MapField, frame: FrameField):
@@ -142,38 +137,47 @@ class TensionChain:
         self._scalars = {}  # energies, L^p and sup norms, per (name, order)
 
     def nabla(self, V: Section | MapField) -> list:
-        """Induced connection nabla_{e_i} V for each frame direction e_i:
-        the ambient derivative of V along e_i, projected back onto the
-        tangent space of the target.  Of phi itself, this is dphi(e_i), read
-        from the map's ``coordinate_derivs``."""
-        phi, frame = self.phi, self.frame
+        """Induced connection nabla_{e_i} V for each frame direction e_i: the
+        ambient derivative of V along e_i, projected onto the target's tangent
+        space.  Of phi itself, dphi(e_i), read from ``coordinate_derivs``."""
+        phi = self.phi
         if V is phi:
-            derivs = phi.coordinate_derivs
-        else:
-            derivs = [phi.grid.deriv(V.values, a, floor=self._floor)
-                      for a in range(phi.grid.dims)]
-        return [Section(_along(phi, derivs, frame.e[..., i, :], frame.axes[i]), phi)
-                for i in range(phi.grid.dims)]
+            return self._along_frame(phi.coordinate_derivs)
+        return self._along_frame([phi.grid.deriv(V.values, a, floor=self._floor)
+                                  for a in range(phi.grid.dims)])
 
-    def _trace(self, sections: list, sign: float) -> Section:
-        """sign * sum_i {nabla_{e_i} S_i - sum_j <nabla_{e_i} e_i, e_j> S_j}:
-        tau for S_i = dphi(e_i), -Delta V for S_i = nabla_{e_i} V.  ``sign``
-        is +1 or -1 and picks add or subtract; it multiplies nothing."""
-        phi, frame = self.phi, self.frame
-        add, sub = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
-        out = np.zeros(sections[0].values.shape)
-        for i, s in enumerate(sections):
-            derivs = {a: phi.grid.deriv(s.values, a, floor=self._floor)
-                      for a in frame.axes[i]}
-            add(out, _along(phi, derivs, frame.e[..., i, :], frame.axes[i]), out=out)
-            if not frame.zero_connection:
-                sub(out, sum(frame.connection[..., i, j, None] * t.values
-                             for j, t in enumerate(sections)), out=out)
-        return Section(out, phi)
+    def _along_frame(self, derivs) -> list:
+        """P(sum_a e_i^a d_a V) per i over ``frame.axes[i]``, from the d_a V by
+        axis; C-ordered whatever their layout (``deriv`` gives strided views)."""
+        phi, frame, out = self.phi, self.frame, []
+        for i, axes in enumerate(frame.axes):
+            acc = np.zeros(derivs[axes[0]].shape)
+            for a in axes:
+                acc += frame.e[..., i, a, None] * derivs[a]
+            out.append(Section(sf.project_tangent(phi.spec, phi.values, acc), phi))
+        return out
+
+    def _projected_lb(self, V: Section | MapField) -> tuple:
+        """``([d_a V], P(G^{ab} d_a d_b V + B^b d_b V))``; phi's pairs are the map's."""
+        phi = self.phi
+        pairs = phi.coordinate_pairs if V is phi else None
+        derivs, lb = laplace_beltrami(phi.grid, self.frame, V.values, self._floor, pairs)
+        return derivs, sf.project_tangent(phi.spec, phi.values, lb)
+
+    def _laplacian(self, V: Section) -> list:
+        """``[Delta V, [d_a V]]`` from one ``deriv12`` of V per axis: nabla V
+        is ``_along_frame`` of the d_a V."""
+        phi, spec = self.phi, self.phi.spec
+        derivs, out = self._projected_lb(V)
+        if spec.c != 0.0:
+            for d in self.dphi:
+                h = sf.inner(spec, phi.values, d.values, V.values)
+                out += (spec.c * h)[..., None] * d.values
+        return [Section(np.negative(out, out=out), phi), derivs]
 
     def laplacian(self, V: Section) -> Section:
         """Nonnegative connection Laplacian of a section along phi."""
-        return self._trace(self.nabla(V), -1.0)
+        return self._laplacian(V)[0]
 
     def jacobi(self, V: Section, lap: Section = None) -> Section:
         """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i).
@@ -205,23 +209,30 @@ class TensionChain:
 
     @cached_property
     def tau(self) -> Section:
-        return self._trace(self.dphi, 1.0)
+        return Section(self._projected_lb(self.phi)[1], self.phi)
+
+    @cached_property
+    def _tau_ops(self) -> list:
+        return self._laplacian(self.tau)
+
+    @cached_property
+    def _lap_tau_ops(self) -> list:
+        return self._laplacian(self.lap_tau)
+
+    lap_tau = property(lambda self: self._tau_ops[0])
+    lap2_tau = property(lambda self: self._lap_tau_ops[0])
+
+    # nabla tau and nabla Delta tau project the first derivatives their
+    # Laplacian took, on first use (the flow never reads nabla Delta tau),
+    # and then drop them
 
     @cached_property
     def grad_tau(self) -> list:
-        return self.nabla(self.tau)
-
-    @cached_property
-    def lap_tau(self) -> Section:
-        return self._trace(self.grad_tau, -1.0)
+        return self._along_frame(self._tau_ops.pop())
 
     @cached_property
     def grad_lap_tau(self) -> list:
-        return self.nabla(self.lap_tau)
-
-    @cached_property
-    def lap2_tau(self) -> Section:
-        return self._trace(self.grad_lap_tau, -1.0)
+        return self._along_frame(self._lap_tau_ops.pop())
 
     @cached_property
     def tau2(self) -> Section:

@@ -100,14 +100,23 @@ def chain_for(phi, induced=True):
 
 
 def record_derivs(monkeypatch) -> list:
-    """The backend name of every ``DomainGrid.deriv`` call from now on."""
-    kinds, deriv = [], pf.DomainGrid.deriv
+    """The backend name of every derivative ``DomainGrid`` takes from now on,
+    one entry per derivative array: a spectral ``deriv12`` records two from
+    its one transform, and a stencil ``deriv12`` its two ``deriv`` calls."""
+    kinds, deriv, spectral = [], pf.DomainGrid.deriv, pf.DomainGrid._spectral
 
     def recording(self, *args, **kwargs):
-        kinds.append(self.spec.differentiation.value)
+        if self.spec.differentiation is not pf.Differentiation.SPECTRAL:
+            kinds.append(self.spec.differentiation.value)
         return deriv(self, *args, **kwargs)
 
+    def recording_spectral(self, *args, **kwargs):
+        out = spectral(self, *args, **kwargs)
+        kinds.extend([self.spec.differentiation.value] * len(out))
+        return out
+
     monkeypatch.setattr(pf.DomainGrid, "deriv", recording)
+    monkeypatch.setattr(pf.DomainGrid, "_spectral", recording_spectral)
     return kinds
 
 
@@ -129,10 +138,10 @@ SIN_R_BI = 1.0 / np.sqrt(2.0)  # k-tension of an S^2 circle vanishes iff
 SIN_R_TRI = 1.0 / np.sqrt(3.0)  # kappa^2 = (k - 1) c, i.e. sin^2 r = 1/k
 
 
-def static_probe(r, c):
+def static_probe(r, c, n=256):
     """The chain and probe verdict of the circle of radius r in the 2-d
-    space form of curvature c, on its induced frame (256 nodes)."""
-    grid = pf.build_grid(pf.GridSpec(1, (256,), (2 * np.pi,)))
+    space form of curvature c, on its induced frame (n nodes)."""
+    grid = pf.build_grid(pf.GridSpec(1, (n,), (2 * np.pi,)))
     phi = pf.builtin_map("Circle", {"r": r}, grid, pf.SpaceFormSpec(c, 2))
     frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
     chain = pf.TensionChain(phi, frame)

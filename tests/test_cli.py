@@ -519,10 +519,14 @@ def test_flow_builds_no_chain_after_run_flow(tmp_path, monkeypatch, policy):
 
 @pytest.mark.parametrize("target,spectral", [({"c": 1.0, "n": 3}, 18),
                                              ({"c": 0.0, "n": 4}, 18),
-                                             ({"c": -1.0, "n": 3}, 23)])
+                                             ({"c": -1.0, "n": 3}, 22)])
 def test_audit_deriv_count(tmp_path, monkeypatch, target, spectral):
-    # the map's d_a phi is taken once for the induced metric and the chain;
-    # the Kato check takes grad |alpha| of two sections on its CentralFD2 twin
+    # spectral derivative arrays: d_a V and d_a^2 V of phi (for the induced
+    # metric and the chain), tau, Delta tau and the Bochner check's |tau|^2,
+    # from one rfft per axis each, and d_a e for the frame: 18.  The H^3
+    # tube torus's G^{01} is not identically zero, so the four fields also
+    # take d_0 d_1 V.  The Kato check takes grad |alpha| of two sections on
+    # its CentralFD2 twin
     kinds = record_derivs(monkeypatch)
     data = base_config(tmp_path / "audit", action="Audit")
     data["target"] = target
@@ -571,7 +575,7 @@ def test_outputs_equal_the_reference_kernels(tmp_path, monkeypatch):
     # the in-place projections change no byte against math.fsum, contiguous
     # derivative copies and the plain expressions
     built = _run_kernel_configs(tmp_path / "built")
-    deriv = domain_grid.DomainGrid.deriv
+    deriv, deriv12 = domain_grid.DomainGrid.deriv, domain_grid.DomainGrid.deriv12
 
     def project_tangent(spec, x, v):
         if spec.model is sf.Model.FLAT:
@@ -588,6 +592,9 @@ def test_outputs_equal_the_reference_kernels(tmp_path, monkeypatch):
     monkeypatch.setattr(domain_grid, "exact_sum", lambda x: math.fsum(memoryview(x)))
     monkeypatch.setattr(domain_grid.DomainGrid, "deriv",
                         lambda *args, **kw: np.ascontiguousarray(deriv(*args, **kw)))
+    monkeypatch.setattr(domain_grid.DomainGrid, "deriv12",
+                        lambda *args, **kw: [np.ascontiguousarray(d)
+                                             for d in deriv12(*args, **kw)])
     monkeypatch.setattr(sf, "project_tangent", project_tangent)
     monkeypatch.setattr(sf, "curvature_op", curvature_op)
     reference = _run_kernel_configs(tmp_path / "reference")

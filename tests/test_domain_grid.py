@@ -230,7 +230,31 @@ def test_circle_frame_has_zero_div_terms(kind):
     g = (1.0 + 0.3 * np.sin(grid.axes[0]) ** 2)[..., None, None]
     frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
     assert not np.any(frame.connection)
-    assert frame.zero_connection
+
+
+@pytest.mark.parametrize("metric", ["warped", "induced"])
+def test_frame_trace_coefficients_match_the_metric(torus_grid, metric):
+    # the frame trace G^{ab} d_a d_b + B^b d_b is the Laplace-Beltrami
+    # operator (1/sqrt g) d_a(sqrt g g^{ab} d_b): G = g^-1 and
+    # B^b = (1/sqrt g) d_a(sqrt g g^{ab}), on a prescribed warped metric and
+    # on the induced metric of the H^3 tube torus
+    if metric == "warped":
+        g = warped_metric(torus_grid)
+    else:
+        g = pf.induced_metric(pf.builtin_map("TorusCliffordLike", {}, torus_grid,
+                                             pf.SpaceFormSpec(-1.0, 3)))
+    frame = pf.orthonormal_frame(torus_grid, g)
+    inverse = np.linalg.inv(g.g)
+    assert np.max(np.abs(frame.G - inverse)) <= 1e-14 * np.max(np.abs(inverse))
+    root = np.sqrt(np.linalg.det(g.g))
+    expected = np.zeros(torus_grid.shape + (2,))
+    for b in range(2):
+        for a in range(2):
+            expected[..., b] += torus_grid.deriv(root * inverse[..., a, b], a)
+        expected[..., b] /= root
+    err = np.max(np.abs(frame.B - expected))
+    assert err <= 1e-11 * (1.0 + np.max(np.abs(expected)))
+    assert np.max(np.abs(expected)) > 0.1  # the B terms are not trivially zero
 
 
 def test_orthonormal_frame_orthonormality():

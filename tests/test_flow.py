@@ -229,6 +229,19 @@ def test_triharmonic_flow_2d_converges():
     assert state.phi.constraint_residual() <= 1e-12
 
 
+def test_probe_noise_floor_of_the_triharmonic_circle():
+    # the S^2 circle with sin r = 1/sqrt(3) is exactly triharmonic.  Each of
+    # phi, tau and Delta tau is transformed once, so no derivative is
+    # thresholded again, and sup |tau3| stays at roundoff from 64 to 2^16
+    # nodes
+    for n in (64, 256, 1024, 4096, 16384, 65536):
+        chain, probe = static_probe(np.arcsin(SIN_R_TRI), 1.0, n)
+        print(f"[noise floor] N = {n}: sup|tau3| = {probe.sup_tau3:.2e}, "
+              f"{probe.classification}")
+        assert probe.sup_tau3 <= 1e-12
+        assert probe.classification == "nonminimal-candidate"
+
+
 def test_probe_sharpness_controls():
     # where the paper's conclusion fails (c > 0) the probe must see it: S^2
     # has a proper triharmonic circle and a proper biharmonic one

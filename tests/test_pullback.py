@@ -382,8 +382,7 @@ def test_map_constraint_validation(torus_grid):
 
 
 # Standalone (recomputing) definitions of the tension chain: every field
-# re-derives what it needs, and every connection correction is applied,
-# zero or not.  The chain must reproduce them bit for bit.
+# re-derives what it needs.  The chain must reproduce them bit for bit.
 
 
 def _ref_nabla(phi, values, coeffs):
@@ -400,56 +399,48 @@ def _ref_differential(phi, frame):
     return [_ref_nabla(phi, phi.values, frame.e[..., i, :]) for i in range(dims)]
 
 
-def _coordinate_connection(frame):
-    """nabla_{e_i} e_i in the coordinate basis: sum_j connection[i, j] e_j."""
-    return np.einsum("...ij,...ja->...ia", frame.connection, frame.e)
-
-
-def _ref_correction(phi, frame, values, i, coordinate):
-    """nabla_{nabla_{e_i} e_i} V, dphi(nabla_{e_i} e_i) for V = phi: from the
-    frame coefficients, sum_j connection[i, j] nabla_{e_j} V, or with
-    ``coordinate`` the projected derivative of V along the coordinate
-    components of nabla_{e_i} e_i."""
-    if coordinate:
-        return _ref_nabla(phi, values, _coordinate_connection(frame)[..., i, :])
-    out = np.zeros_like(values)
-    for j in range(phi.grid.dims):
-        out += frame.connection[..., i, j, None] * _ref_nabla(
-            phi, values, frame.e[..., j, :])
+def _ref_lb(phi, frame, values):
+    """G^{ab} d_a d_b V + B^b d_b V from a fresh ``deriv12`` per axis.  A
+    term whose coefficient is identically zero is left out, as the chain
+    leaves it out: adding its exact zeros would turn a -0.0 into +0.0."""
+    grid, floor = phi.grid, phi.spectral_floor
+    pairs = [grid.deriv12(values, a, floor=floor) for a in range(grid.dims)]
+    out = frame.G[..., 0, 0, None] * pairs[0][1]
+    for a in range(1, grid.dims):
+        out += frame.G[..., a, a, None] * pairs[a][1]
+    if grid.dims == 2 and np.any(frame.G[..., 0, 1]):
+        out += 2.0 * frame.G[..., 0, 1, None] * grid.deriv(pairs[0][0], 1, floor=floor)
+    for b in range(grid.dims):
+        if np.any(frame.B[..., b]):
+            out += frame.B[..., b, None] * pairs[b][0]
     return out
 
 
-def _ref_tension(phi, frame, coordinate=False):
-    dphi = _ref_differential(phi, frame)
-    out = np.zeros_like(phi.values)
-    for i in range(phi.grid.dims):
-        out += _ref_nabla(phi, dphi[i], frame.e[..., i, :])
-        out -= _ref_correction(phi, frame, phi.values, i, coordinate)
-    return out
+def _ref_tension(phi, frame):
+    return sf.project_tangent(phi.spec, phi.values, _ref_lb(phi, frame, phi.values))
 
 
-def _ref_laplacian(phi, frame, values, coordinate=False):
-    out = np.zeros_like(values)
-    for i in range(phi.grid.dims):
-        e_i = frame.e[..., i, :]
-        out -= _ref_nabla(phi, _ref_nabla(phi, values, e_i), e_i)
-        out += _ref_correction(phi, frame, values, i, coordinate)
-    return out
+def _ref_laplacian(phi, frame, values):
+    out = sf.project_tangent(phi.spec, phi.values, _ref_lb(phi, frame, values))
+    if phi.spec.c != 0.0:
+        for d in _ref_differential(phi, frame):
+            out += (phi.spec.c * sf.inner(phi.spec, phi.values, d, values))[..., None] * d
+    return -out
 
 
-def _ref_jacobi(phi, frame, values, coordinate=False):
+def _ref_jacobi(phi, frame, values):
     curv = np.zeros_like(values)
     if phi.spec.c != 0.0:
         for d in _ref_differential(phi, frame):
             curv += sf.curvature_op(phi.spec, phi.values, values, d, d)
-    return _ref_laplacian(phi, frame, values, coordinate) - curv
+    return _ref_laplacian(phi, frame, values) - curv
 
 
-def _ref_chain(phi, frame, coordinate=False):
+def _ref_chain(phi, frame):
     dims = phi.grid.dims
-    tau = _ref_tension(phi, frame, coordinate)
-    lap = _ref_laplacian(phi, frame, tau, coordinate)
-    tau3 = _ref_jacobi(phi, frame, lap, coordinate)
+    tau = _ref_tension(phi, frame)
+    lap = _ref_laplacian(phi, frame, tau)
+    tau3 = _ref_jacobi(phi, frame, lap)
     if phi.spec.c != 0.0:
         dphi = _ref_differential(phi, frame)
         for i in range(dims):
@@ -461,9 +452,47 @@ def _ref_chain(phi, frame, coordinate=False):
         "grad_tau": [_ref_nabla(phi, tau, frame.e[..., i, :]) for i in range(dims)],
         "lap_tau": lap,
         "grad_lap_tau": [_ref_nabla(phi, lap, frame.e[..., i, :]) for i in range(dims)],
-        "tau2": _ref_jacobi(phi, frame, tau, coordinate),
+        "lap2_tau": _ref_laplacian(phi, frame, lap),
+        "tau2": _ref_jacobi(phi, frame, tau),
         "tau3": tau3,
     }
+
+
+# The trace route, an independent reference: nabla_{e_i} of the projected
+# nabla_{e_i} V, corrected by the derivative along the coordinate components
+# of nabla_{e_i} e_i.  It projects every intermediate field and takes no
+# second-derivative symbol.
+
+
+def _coordinate_connection(frame):
+    """nabla_{e_i} e_i in the coordinate basis: sum_j connection[i, j] e_j."""
+    return np.einsum("...ij,...ja->...ia", frame.connection, frame.e)
+
+
+def _trace_laplacian(phi, frame, values):
+    out = np.zeros_like(values)
+    for i in range(phi.grid.dims):
+        e_i = frame.e[..., i, :]
+        out -= _ref_nabla(phi, _ref_nabla(phi, values, e_i), e_i)
+        out += _ref_nabla(phi, values, _coordinate_connection(frame)[..., i, :])
+    return out
+
+
+def _trace_chain(phi, frame):
+    """tau, Delta tau and tau3 along the trace route."""
+    dphi = _ref_differential(phi, frame)
+    tau = np.zeros_like(phi.values)
+    for i in range(phi.grid.dims):
+        tau += _ref_nabla(phi, dphi[i], frame.e[..., i, :])
+        tau -= _ref_nabla(phi, phi.values, _coordinate_connection(frame)[..., i, :])
+    lap = _trace_laplacian(phi, frame, tau)
+    tau3 = _trace_laplacian(phi, frame, lap)
+    if phi.spec.c != 0.0:
+        for i, d in enumerate(dphi):
+            tau3 -= sf.curvature_op(phi.spec, phi.values, lap, d, d)
+            grad = _ref_nabla(phi, tau, frame.e[..., i, :])
+            tau3 -= sf.curvature_op(phi.spec, phi.values, grad, tau, d)
+    return {"tau": tau, "lap_tau": lap, "tau3": tau3}
 
 
 def _chain_cases():
@@ -477,7 +506,7 @@ def _chain_cases():
 def _case_frame(phi, metric):
     if metric == "warped":
         frame = pf.orthonormal_frame(phi.grid, warped_metric(phi.grid))
-        assert not frame.zero_connection
+        assert np.any(frame.connection) and all(frame.lb_terms)
         return frame
     try:
         return frame_for(phi)
@@ -489,7 +518,6 @@ def _case_frame(phi, metric):
 def test_chain_matches_standalone_definitions(name, params, grid_args, target, metric):
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
-    assert frame.zero_connection == (not np.any(frame.connection))
     chain = TensionChain(phi, frame)
     for field, expected in _ref_chain(phi, frame).items():
         got = getattr(chain, field)
@@ -499,6 +527,23 @@ def test_chain_matches_standalone_definitions(name, params, grid_args, target, m
                 assert g.values.tobytes() == x.tobytes(), field
         else:
             assert got.values.tobytes() == expected.tobytes(), field
+
+
+@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
+def test_chain_outputs_are_tangent(name, params, grid_args, target, metric):
+    # every field the chain returns, and its Laplacian and Jacobi operator
+    # of a random tangent section, is tangent to roundoff: within 1e-12 of
+    # sup|W| sup|phi|, and at least of sup|phi| for a field that vanishes up
+    # to roundoff (tau of a geodesic), whose error is set by the map's size
+    phi = build_fixture(name, params, grid_args, target)
+    chain = TensionChain(phi, _case_frame(phi, metric))
+    V = pf.random_tangent_section(phi, seed=3)
+    fields = [*chain.dphi, chain.tau, *chain.grad_tau, chain.lap_tau,
+              *chain.grad_lap_tau, chain.lap2_tau, chain.tau2, chain.tau3,
+              chain.laplacian(V), chain.jacobi(V)]
+    for W in fields:
+        scale = max(1.0, np.max(np.abs(W.values))) * np.max(np.abs(phi.values))
+        assert W.tangency_residual() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name,params,grid_args,target", [
@@ -511,7 +556,7 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     # field that reuses it, bit for bit
     phi = build_fixture(name, params, grid_args, target)
     frame = frame_for(phi)
-    assert frame.zero_connection == (phi.grid.dims == 1)
+    assert np.any(frame.connection) == (phi.grid.dims == 2)
     chain = TensionChain(phi, frame)
     assert np.array_equal(chain.jacobi(chain.tau).values, chain.tau2.values)
     for fresh, cached in zip(chain.nabla(chain.tau), chain.grad_tau, strict=True):
@@ -520,44 +565,47 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     assert np.array_equal(chain.jacobi(chain.lap_tau).values, j_lap)
 
 
-@pytest.mark.parametrize("metric", ["warped", "induced"])
-def test_chain_matches_coordinate_form_connection(metric):
-    # correcting by the frame coefficients of nabla_{e_i} e_i, from sections
-    # the chain already holds, agrees to roundoff with differentiating along
-    # its coordinate components
-    phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
+def _trace_route_error(n, metric):
+    """Largest relative difference of tau, Delta tau and tau3 between the
+    chain and the trace route, on the H^3 tube torus at n^2."""
+    phi = build_fixture("TorusCliffordLike", {}, (2, (n, n), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(-1.0, 3))
     frame = _case_frame(phi, metric)
-    assert not frame.zero_connection
+    assert np.any(frame.connection)
     chain = TensionChain(phi, frame)
-    expected = _ref_chain(phi, frame, coordinate=True)
-    for field in ("tau", "lap_tau", "tau3"):
-        got, ref = getattr(chain, field).values, expected[field]
-        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), field
+    errs = []
+    for field, ref in _trace_chain(phi, frame).items():
+        got = getattr(chain, field).values
+        errs.append(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    return max(errs)
+
+
+@pytest.mark.parametrize("metric", ["warped", "induced"])
+def test_chain_matches_coordinate_form_connection(metric):
+    # the projected Laplace-Beltrami chain against the trace route, which
+    # corrects by differentiating along the coordinate components of
+    # nabla_{e_i} e_i.  On the induced frame they agree to roundoff.  On the
+    # warped metric they differ by discretisation (each route differentiates
+    # other products of the metric's Fourier content), so the difference
+    # shrinks as the grid is refined
+    if metric == "induced":
+        assert _trace_route_error(64, metric) <= 1e-10
+        return
+    errs = [_trace_route_error(n, metric) for n in (32, 48, 64)]
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] <= 1e-9
 
 
 def _ref_scalar_laplacian(grid, frame, f):
-    """scalar_laplacian with every second derivative taken, along axes whose
-    frame coefficient is identically zero too."""
-    d = grid.dims
-    df = [grid.deriv(f, a) for a in range(d)]
-    grad = []
-    for i in range(d):
-        ei_f = np.zeros(grid.shape)
-        for a in range(d):
-            ei_f += frame.e[..., i, a] * df[a]
-        grad.append(ei_f)
-    out = np.zeros(grid.shape)
-    for i in range(d):
-        dei_f = [grid.deriv(grad[i], a) for a in range(d)]
-        second = np.zeros(grid.shape)
-        for a in range(d):
-            second += frame.e[..., i, a] * dei_f[a]
-        correction = np.zeros(grid.shape)
-        for j in range(d):
-            correction += frame.connection[..., i, j] * grad[j]
-        out -= second - correction
-    return out
+    """scalar_laplacian with every Laplace-Beltrami term taken, the
+    identically zero ones too."""
+    pairs = [grid.deriv12(f, a) for a in range(grid.dims)]
+    out = frame.G[..., 0, 0] * pairs[0][1]
+    out += frame.G[..., 1, 1] * pairs[1][1]
+    out += 2.0 * frame.G[..., 0, 1] * grid.deriv(pairs[0][0], 1)
+    for b in range(grid.dims):
+        out += frame.B[..., b] * pairs[b][0]
+    return -out
 
 
 def _ref_connection(grid, frame):
@@ -627,16 +675,30 @@ def test_map_values_are_read_only(flat_circle):
         flat_circle.values = flat_circle.values.copy()
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """One entry per call of ``owner.name`` from now on."""
+    calls, fn = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_induced_metric_and_chain_share_the_map_derivatives(monkeypatch, c):
-    # d_a phi is taken once per map: the induced metric takes it, and the
-    # chain's dphi reads the same arrays without a derivative of its own
+    # d_a phi and d_a^2 phi are taken once per map, from one rfft per axis:
+    # the induced metric takes them, the chain's dphi reads the same arrays
+    # without a derivative of its own, and tau takes only d_0 d_1 phi, where
+    # G^{01} is not identically zero
     phi = build_fixture("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(c, 3))
     kinds = record_derivs(monkeypatch)
     metric = pf.induced_metric(phi)
     derivs = phi.coordinate_derivs
-    assert len(kinds) == 2
+    assert len(kinds) == 4
     for a in range(2):
         for b in range(2):
             assert (metric.g[..., a, b].tobytes()
@@ -651,48 +713,43 @@ def test_induced_metric_and_chain_share_the_map_derivatives(monkeypatch, c):
         expected = sf.project_tangent(phi.spec, phi.values, along)
         assert d.values.tobytes() == expected.tobytes()
     assert kinds == []
+    chain.tau
+    assert len(kinds) == frame.lb_terms[0] == (c < 0)
     assert phi.coordinate_derivs is derivs
 
 
 @pytest.mark.parametrize("metric,expected", [("flat", 12), ("warped", 15)])
 def test_chain_deriv_count_2d(monkeypatch, metric, expected):
-    # tau3 takes 18 derivatives with both axes in every trace; a trace skips
-    # the axes whose frame coefficient is identically zero: e[..., 0, 1]
-    # always (Gram-Schmidt), e[..., 1, 0] on the flat frame only
+    # tau3 takes d_a V and d_a^2 V of phi, tau and Delta tau from one rfft
+    # per axis: 12 derivatives from 6 forward transforms.  The warped
+    # metric's G^{01} is not identically zero, so each field also takes
+    # d_0 d_1 V, one more transform; its B terms reuse the first derivatives
     phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(1.0, 3))
     g = pf.identity_metric(phi.grid) if metric == "flat" else warped_metric(phi.grid)
     frame = pf.orthonormal_frame(phi.grid, g)
-    calls = []
-    deriv = DomainGrid.deriv
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return deriv(self, *args, **kwargs)
-
-    monkeypatch.setattr(DomainGrid, "deriv", counting)
+    assert frame.lb_terms == ((False, ()) if metric == "flat" else (True, (0, 1)))
+    kinds = record_derivs(monkeypatch)
+    forward = count_calls(monkeypatch, np.fft, "rfft")
     TensionChain(phi, frame).tau3
-    assert len(calls) == expected
+    assert len(kinds) == expected
+    assert len(forward) == 6 + 3 * frame.lb_terms[0]
 
 
 def test_chain_projection_count_2d(monkeypatch):
-    # tau3 projects each nabla_{e_i} of phi, tau and Delta tau and each of
-    # the three traces' derivative sums once: 12 on a 2-d frame; the
-    # connection corrections reuse sections the chain holds
+    # tau3 projects each nabla_{e_i} of phi and tau and each of the three
+    # Laplace-Beltrami sums once: 7 on a 2-d frame.  nabla_{e_i} Delta tau,
+    # which tau3 does not read, is projected when it is asked for
     phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(-1.0, 3))
     frame = frame_for(phi)
-    assert not frame.zero_connection
-    calls = []
-    project = sf.project_tangent
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return project(*args, **kwargs)
-
-    monkeypatch.setattr(sf, "project_tangent", counting)
-    TensionChain(phi, frame).tau3
-    assert len(calls) == 12
+    assert all(frame.lb_terms)
+    calls = count_calls(monkeypatch, sf, "project_tangent")
+    chain = TensionChain(phi, frame)
+    chain.tau3
+    assert len(calls) == 7
+    chain.grad_lap_tau
+    assert len(calls) == 9
 
 
 def test_flow_iteration_deriv_count(monkeypatch):
@@ -707,38 +764,29 @@ def test_flow_iteration_deriv_count(monkeypatch):
     chain.field(3)
     _trace_metrics(chain)
 
-    calls, transforms = [], []
-    deriv, rfft, rfftn = DomainGrid.deriv, np.fft.rfft, np.fft.rfftn
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return deriv(self, *args, **kwargs)
-
-    def counting_rfft(*args, **kwargs):
-        transforms.append(1)
-        return rfft(*args, **kwargs)
-
-    def counting_rfftn(*args, **kwargs):
-        transforms.append(1)
-        return rfftn(*args, **kwargs)
-
-    monkeypatch.setattr(DomainGrid, "deriv", counting)
+    kinds = record_derivs(monkeypatch)
     trial = pf.flow_step(chain, cfg, dt=cfg.initial_dt(grid))
     assert trial.accepted
     nxt = trial.chain
     nxt.field(3)
     _trace_metrics(nxt)
     nxt.energy(3)
-    assert len(calls) <= 6
+    assert len(kinds) <= 6
 
     # over a whole flow, each trial's implicit step transforms the descent's
-    # frame coefficients once (one rfft on a 1-d grid, counted whether
-    # called directly or through rfftn) beyond its derivatives' rffts
+    # frame coefficients once each way (one rfft and one irfft on a 1-d
+    # grid, counted whether called directly or through rfftn and irfftn)
+    # beyond its derivatives' transforms: one rfft per thresholded spectrum
+    # (a ``deriv`` or ``deriv12`` call) and one irfft per derivative
     trials = 10
-    calls.clear()
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
+    kinds.clear()
+    spectra = count_calls(monkeypatch, DomainGrid, "_spectral")
+    forward = count_calls(monkeypatch, np.fft, "rfft")
+    inverse = count_calls(monkeypatch, np.fft, "irfft")
+    forward_n = count_calls(monkeypatch, np.fft, "rfftn")
+    inverse_n = count_calls(monkeypatch, np.fft, "irfftn")
     _, trace = pf.run_flow(phi, pf.FlowConfig(kind="Triharmonic", max_iters=trials,
                                               grad_tol=1e-12))
     assert len(trace.rows) == trials + 1
-    assert len(transforms) == len(calls) + trials
+    assert len(forward) + len(forward_n) == len(spectra) + trials
+    assert len(inverse) + len(inverse_n) == len(kinds) + trials
