@@ -43,7 +43,6 @@ __all__ = [
     "orthonormal_frame",
     "integrate",
     "scalar_gradient",
-    "scalar_laplacian",
     "laplace_beltrami",
 ]
 
@@ -264,24 +263,20 @@ class MetricField:
 
     g: np.ndarray  # shape grid.shape + (dims, dims)
     mode: MetricMode
-    grid: DomainGrid = field(repr=False, default=None)
 
 
 @dataclass
 class FrameField:
-    """Orthonormal frame with connection data.
+    """Orthonormal frame and the metric's Laplace-Beltrami coefficients.
 
     ``e[..., i, a]`` is the coefficient of the coordinate field along axis
-    ``a`` in the i-th frame vector; ``connection[..., i, j]`` is
-    <nabla_{e_i} e_i, e_j>, in frame coefficients; ``vol`` is sqrt(det g).
-    ``G`` = sum_i e_i^a e_i^b and ``B`` = sum_i {e_i(e_i^b) - sum_j
-    connection[..., i, j] e_j^b} make the frame trace sum_i {e_i(e_i(f)) -
-    (nabla_{e_i} e_i)(f)} = G^{ab} d_a d_b f + B^b d_b f: G = g^-1, and B^b =
-    (1/sqrt g) d_a(sqrt g g^{ab}) up to discretisation.
+    ``a`` in the i-th frame vector; ``vol`` is sqrt(det g).  ``G^{ab}`` =
+    sum_i e_i^a e_i^b = g^{ab} and ``B^b`` = (1/sqrt g) d_a(sqrt g G^{ab})
+    make the frame trace sum_i {e_i(e_i(f)) - (nabla_{e_i} e_i)(f)} =
+    G^{ab} d_a d_b f + B^b d_b f, the Laplace-Beltrami operator.
     """
 
     e: np.ndarray
-    connection: np.ndarray
     vol: np.ndarray
     G: np.ndarray
     B: np.ndarray
@@ -346,7 +341,7 @@ def induced_metric(phi) -> MetricField:
     g = phi.pullback_metric
     if not np.all(_det2(g) > 1e-10):
         raise DegenerateImmersion("induced metric is singular: map fails to immerse")
-    return MetricField(g=g, mode=MetricMode.INDUCED, grid=phi.grid)
+    return MetricField(g=g, mode=MetricMode.INDUCED)
 
 
 def prescribed_metric(grid: DomainGrid, g: np.ndarray) -> MetricField:
@@ -355,7 +350,7 @@ def prescribed_metric(grid: DomainGrid, g: np.ndarray) -> MetricField:
     expected = grid.shape + (grid.dims, grid.dims)
     if g.shape != expected:
         raise DegenerateMetric(f"metric shape {g.shape} != {expected}")
-    return MetricField(g=g, mode=MetricMode.PRESCRIBED, grid=grid)
+    return MetricField(g=g, mode=MetricMode.PRESCRIBED)
 
 
 def identity_metric(grid: DomainGrid) -> MetricField:
@@ -367,12 +362,9 @@ def identity_metric(grid: DomainGrid) -> MetricField:
 
 
 def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
-    """Gram-Schmidt frame (e1 along axis 0) plus connection data.
-
-    The connection comes from the frame's Lie bracket (Cartan's first
-    structure equation): for an orthonormal pair, nabla_{e1} e1 =
-    -<[e1, e2], e1> e2 and nabla_{e2} e2 = <[e1, e2], e2> e1.  On a circle
-    they vanish, since a unit field on a curve is parallel along itself.
+    """Gram-Schmidt frame (e1 along axis 0) and the Laplace-Beltrami
+    coefficients G = g^-1 and B^b = (1/sqrt g) d_a(sqrt g G^{ab}), the
+    latter from one ``deriv`` of row a of sqrt g G along each axis a.
 
     Raises :class:`DegenerateMetric` unless g is positive definite
     (minimum eigenvalue > 1e-10, so not NaN) at every node.
@@ -383,34 +375,20 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
         raise DegenerateMetric("metric is not positive definite everywhere")
     e = np.zeros(grid.shape + (d, d))
     e[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
-    connection = np.zeros_like(e)
     if d == 2:
         # w = d2 - (g12/g11) d1, normalized by sqrt(g22 - g12^2/g11)
         w0 = -g[..., 0, 1] / g[..., 0, 0]
         wnorm = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
         e[..., 1, 0] = w0 / wnorm
         e[..., 1, 1] = 1.0 / wnorm
-    de = [grid.deriv(e, a) for a in range(d)]  # d_a e_i^b, shared by the bracket and B
-    if d == 2:
-        # [e1, e2]^c = e1^a d_a e2^c - e2^a d_a e1^c, lowered by g
-        e1, e2 = e[..., 0, :], e[..., 1, :]
-        bracket = np.zeros(grid.shape + (d,))
-        for a in range(d):
-            bracket += e1[..., a, None] * de[a][..., 1, :]
-            bracket -= e2[..., a, None] * de[a][..., 0, :]
-        l0 = g[..., 0, 0] * bracket[..., 0] + g[..., 1, 0] * bracket[..., 1]
-        l1 = g[..., 0, 1] * bracket[..., 0] + g[..., 1, 1] * bracket[..., 1]
-        connection[..., 0, 1] = -(l0 * e1[..., 0] + l1 * e1[..., 1])
-        connection[..., 1, 0] = l0 * e2[..., 0] + l1 * e2[..., 1]
-    G, B = np.empty_like(e), np.empty(grid.shape + (d,))
-    for b in range(d):  # G^{ab} = sum_i e_i^a e_i^b, B^b as in FrameField
+    vol = np.sqrt(_det2(g))
+    G = np.empty_like(e)
+    for b in range(d):  # G^{ab} = sum_i e_i^a e_i^b
         for a in range(b + 1):
             G[..., a, b] = G[..., b, a] = sum(e[..., i, a] * e[..., i, b]
                                               for i in range(d))
-        B[..., b] = sum(e[..., i, j] * de[j][..., i, b]
-                        - connection[..., i, j] * e[..., j, b]
-                        for i in range(d) for j in range(d))
-    return FrameField(e=e, connection=connection, vol=np.sqrt(_det2(g)), G=G, B=B,
+    div = sum(grid.deriv(vol[..., None] * G[..., a, :], a) for a in range(d))
+    return FrameField(e=e, vol=vol, G=G, B=div / vol[..., None],
                       metric=metric, grid=grid)
 
 
@@ -480,12 +458,6 @@ def scalar_gradient(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.nd
             acc += frame.e[..., i, a] * df[a]
         out[..., i] = acc
     return out
-
-
-def scalar_laplacian(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.ndarray:
-    """Positive Laplace-Beltrami operator on scalars, -(G^{ab} d_a d_b f +
-    B^b d_b f), as on sections: on the flat circle Delta f = -f''."""
-    return -laplace_beltrami(grid, frame, f)[1]
 
 
 def laplace_beltrami(grid: DomainGrid, frame: FrameField, values: np.ndarray,

@@ -25,8 +25,8 @@ from .domain_grid import (
     FrameField,
     MetricMode,
     integrate,
+    laplace_beltrami,
     scalar_gradient,
-    scalar_laplacian,
 )
 from .errors import MetricModeError, NotTriharmonic, RadiusTooLarge
 from .pullback import MapField, Section, TensionChain
@@ -251,9 +251,10 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
                            1e-12 * (1.0 + abs(spec.c)),
                            note=f"{_N_QUADRUPLES} random tangent quadruples"))
 
-    # (c) Bochner identity for the scalar |tau|^2 (positive Laplacian).
+    # (c) Bochner identity for the scalar |tau|^2: with the positive
+    # Laplacian, <tau, Delta tau> - Delta |tau|^2 / 2 = |nabla tau|^2.
     pairing = sf.inner(spec, phi.values, tau.values, lap_tau.values)
-    bochner = pairing - 0.5 * scalar_laplacian(grid, frame, tau_sq) - grad_tau_sq
+    bochner = pairing + 0.5 * laplace_beltrami(grid, frame, tau_sq)[1] - grad_tau_sq
     tol = base_tol * (1.0 + float(np.max(np.abs(pairing))) + float(np.max(grad_tau_sq)))
     checks.append(_verdict("bochner_identity", np.abs(bochner), tol))
 

@@ -149,7 +149,7 @@ def static_probe(r, c, n=256):
 
 
 def warped_metric(grid):
-    """Prescribed non-flat metric: its frame has a non-zero connection."""
+    """Prescribed non-flat metric: its frame has non-zero B terms."""
     g = np.zeros(grid.shape + (grid.dims, grid.dims))
     u, v = grid.coords
     g[..., 0, 0] = 1.0 + 0.3 * np.sin(u) ** 2

@@ -8,8 +8,8 @@ import pytest
 
 import polyflow as pf
 from polyflow.domain_grid import (FSUM_MAX_TERMS, SPECTRAL_REL_CUTOFF, _det2,
-                                  _min_eigenvalue, exact_sum, scalar_gradient,
-                                  scalar_laplacian)
+                                  _min_eigenvalue, exact_sum, laplace_beltrami,
+                                  scalar_gradient)
 from polyflow.errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
 
 from conftest import warped_metric
@@ -207,7 +207,7 @@ def test_orthonormal_frame_identity(torus_grid):
     frame = pf.orthonormal_frame(torus_grid, pf.identity_metric(torus_grid))
     expected = np.broadcast_to(np.eye(2), frame.e.shape)
     np.testing.assert_allclose(frame.e, expected, atol=1e-14)
-    np.testing.assert_allclose(frame.connection, 0.0, atol=1e-14)
+    assert not np.any(frame.B)
     np.testing.assert_allclose(frame.vol, 1.0, atol=1e-14)
 
 
@@ -218,18 +218,8 @@ def test_orthonormal_frame_constant_diag(torus_grid):
     frame = pf.orthonormal_frame(torus_grid, pf.prescribed_metric(torus_grid, g))
     np.testing.assert_allclose(frame.e[..., 0, 0], 0.5, atol=1e-14)
     np.testing.assert_allclose(frame.e[..., 1, 1], 1.0, atol=1e-14)
-    np.testing.assert_allclose(frame.connection, 0.0, atol=1e-12)
+    assert not np.any(frame.B)
     np.testing.assert_allclose(frame.vol, 2.0, atol=1e-14)
-
-
-@pytest.mark.parametrize("kind", ["Spectral", "CentralFD2", "CentralFD4"])
-def test_circle_frame_has_zero_div_terms(kind):
-    # a unit field on a curve is parallel along itself: on a non-constant
-    # 1-d metric the connection terms are exact zeros, not roundoff
-    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,), kind))
-    g = (1.0 + 0.3 * np.sin(grid.axes[0]) ** 2)[..., None, None]
-    frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
-    assert not np.any(frame.connection)
 
 
 @pytest.mark.parametrize("metric", ["warped", "induced"])
@@ -255,6 +245,23 @@ def test_frame_trace_coefficients_match_the_metric(torus_grid, metric):
     err = np.max(np.abs(frame.B - expected))
     assert err <= 1e-11 * (1.0 + np.max(np.abs(expected)))
     assert np.max(np.abs(expected)) > 0.1  # the B terms are not trivially zero
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_frame_divergence_term_matches_the_tube_torus(n):
+    # the H^3 tube torus (a 1, rho 0.4) has g = diag(A(v)^2, sinh^2 rho) with
+    # A = cosh rho sinh a + sinh rho cos v cosh a, so B^u = 0 and
+    # B^v = (1/(A sinh rho)) d_v(A / sinh rho) = A'(v) / (A sinh^2 rho)
+    grid = pf.build_grid(pf.GridSpec(2, (n, n), (TWO_PI, TWO_PI)))
+    a, rho = 1.0, 0.4
+    phi = pf.builtin_map("TorusCliffordLike", {"a": a, "rho": rho}, grid,
+                         pf.SpaceFormSpec(-1.0, 3))
+    frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
+    v = grid.coords[1]
+    A = np.cosh(rho) * np.sinh(a) + np.sinh(rho) * np.cos(v) * np.cosh(a)
+    dA = -np.sinh(rho) * np.sin(v) * np.cosh(a)
+    assert np.max(np.abs(frame.B[..., 0])) <= 1e-12
+    assert np.max(np.abs(frame.B[..., 1] - dA / (A * np.sinh(rho) ** 2))) <= 1e-12
 
 
 def test_orthonormal_frame_orthonormality():
@@ -394,10 +401,10 @@ def test_integrate_torus(torus_grid):
 
 
 def test_scalar_laplacian_sign(circle_grid):
-    # positive convention: Delta f = -f'' on the flat circle
+    # positive convention: Delta f = -laplace_beltrami(f) = -f'' on the flat circle
     frame = pf.orthonormal_frame(circle_grid, pf.identity_metric(circle_grid))
     s = circle_grid.axes[0]
-    lap = scalar_laplacian(circle_grid, frame, np.sin(2 * s))
+    lap = -laplace_beltrami(circle_grid, frame, np.sin(2 * s))[1]
     assert np.max(np.abs(lap - 4 * np.sin(2 * s))) <= 1e-10
 
 
@@ -409,7 +416,7 @@ def test_integration_by_parts(kind, n, tol):
     s = grid.axes[0]
     u = np.sin(s) + 0.3 * np.cos(2 * s)
     w = np.cos(3 * s)
-    lhs = pf.integrate(grid, frame, u * scalar_laplacian(grid, frame, w))
+    lhs = pf.integrate(grid, frame, u * -laplace_beltrami(grid, frame, w)[1])
     gu = scalar_gradient(grid, frame, u)
     gw = scalar_gradient(grid, frame, w)
     rhs = pf.integrate(grid, frame, np.sum(gu * gw, axis=-1))
@@ -426,7 +433,7 @@ def test_integration_by_parts_curved_metric(kind):
         g = ((1.0 + 0.3 * np.sin(s)) ** 2)[..., None, None]
         frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
         u, w = np.sin(s), np.cos(3 * s)
-        lhs = pf.integrate(grid, frame, u * scalar_laplacian(grid, frame, w))
+        lhs = pf.integrate(grid, frame, u * -laplace_beltrami(grid, frame, w)[1])
         gu = scalar_gradient(grid, frame, u)
         gw = scalar_gradient(grid, frame, w)
         rhs = pf.integrate(grid, frame, np.sum(gu * gw, axis=-1))

@@ -6,7 +6,7 @@ import pytest
 
 import polyflow as pf
 from polyflow import space_form as sf
-from polyflow.domain_grid import DomainGrid, scalar_laplacian
+from polyflow.domain_grid import DomainGrid, laplace_beltrami
 from polyflow.errors import DegenerateImmersion, NotIsometric
 from polyflow.flow import _trace_metrics
 from polyflow.pullback import Section, TensionChain, tritension_space_form
@@ -460,33 +460,50 @@ def _ref_chain(phi, frame):
 
 # The trace route, an independent reference: nabla_{e_i} of the projected
 # nabla_{e_i} V, corrected by the derivative along the coordinate components
-# of nabla_{e_i} e_i.  It projects every intermediate field and takes no
-# second-derivative symbol.
+# of nabla_{e_i} e_i, which come from the metric's Christoffel symbols.  It
+# projects every intermediate field and takes no second-derivative symbol.
 
 
-def _coordinate_connection(frame):
-    """nabla_{e_i} e_i in the coordinate basis: sum_j connection[i, j] e_j."""
-    return np.einsum("...ij,...ja->...ia", frame.connection, frame.e)
+def _christoffels(grid, g):
+    """Gamma^c_ab = 0.5 g^cd (d_a g_db + d_b g_da - d_d g_ab)."""
+    dg = np.stack([grid.deriv(g, a) for a in range(grid.dims)], axis=-3)
+    lowered = (np.einsum("...adb->...abd", dg) + np.einsum("...bda->...abd", dg)
+               - np.einsum("...dab->...abd", dg))
+    return 0.5 * np.einsum("...cd,...abd->...abc", np.linalg.inv(g), lowered)
 
 
-def _trace_laplacian(phi, frame, values):
+def _christoffel_connection(grid, frame):
+    """nabla_{e_i} e_i = e_i(e_i^c) + Gamma^c_ab e_i^a e_i^b in coordinates:
+    the route that differentiates and inverts the metric."""
+    gamma = _christoffels(grid, frame.metric.g)
+    out = np.zeros_like(frame.e)
+    for i in range(grid.dims):
+        ei = frame.e[..., i, :]
+        for a in range(grid.dims):
+            out[..., i, :] += ei[..., a, None] * grid.deriv(ei, a)
+        out[..., i, :] += np.einsum("...a,...b,...abc->...c", ei, ei, gamma)
+    return out
+
+
+def _trace_laplacian(phi, frame, values, connection):
     out = np.zeros_like(values)
     for i in range(phi.grid.dims):
         e_i = frame.e[..., i, :]
         out -= _ref_nabla(phi, _ref_nabla(phi, values, e_i), e_i)
-        out += _ref_nabla(phi, values, _coordinate_connection(frame)[..., i, :])
+        out += _ref_nabla(phi, values, connection[..., i, :])
     return out
 
 
 def _trace_chain(phi, frame):
     """tau, Delta tau and tau3 along the trace route."""
     dphi = _ref_differential(phi, frame)
+    connection = _christoffel_connection(phi.grid, frame)
     tau = np.zeros_like(phi.values)
     for i in range(phi.grid.dims):
         tau += _ref_nabla(phi, dphi[i], frame.e[..., i, :])
-        tau -= _ref_nabla(phi, phi.values, _coordinate_connection(frame)[..., i, :])
-    lap = _trace_laplacian(phi, frame, tau)
-    tau3 = _trace_laplacian(phi, frame, lap)
+        tau -= _ref_nabla(phi, phi.values, connection[..., i, :])
+    lap = _trace_laplacian(phi, frame, tau, connection)
+    tau3 = _trace_laplacian(phi, frame, lap, connection)
     if phi.spec.c != 0.0:
         for i, d in enumerate(dphi):
             tau3 -= sf.curvature_op(phi.spec, phi.values, lap, d, d)
@@ -506,7 +523,7 @@ def _chain_cases():
 def _case_frame(phi, metric):
     if metric == "warped":
         frame = pf.orthonormal_frame(phi.grid, warped_metric(phi.grid))
-        assert np.any(frame.connection) and all(frame.lb_terms)
+        assert np.any(frame.B) and all(frame.lb_terms)
         return frame
     try:
         return frame_for(phi)
@@ -556,7 +573,7 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     # field that reuses it, bit for bit
     phi = build_fixture(name, params, grid_args, target)
     frame = frame_for(phi)
-    assert np.any(frame.connection) == (phi.grid.dims == 2)
+    assert np.any(frame.B) == (phi.grid.dims == 2)
     chain = TensionChain(phi, frame)
     assert np.array_equal(chain.jacobi(chain.tau).values, chain.tau2.values)
     for fresh, cached in zip(chain.nabla(chain.tau), chain.grad_tau, strict=True):
@@ -571,7 +588,7 @@ def _trace_route_error(n, metric):
     phi = build_fixture("TorusCliffordLike", {}, (2, (n, n), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(-1.0, 3))
     frame = _case_frame(phi, metric)
-    assert np.any(frame.connection)
+    assert np.any(frame.B)
     chain = TensionChain(phi, frame)
     errs = []
     for field, ref in _trace_chain(phi, frame).items():
@@ -596,61 +613,26 @@ def test_chain_matches_coordinate_form_connection(metric):
     assert errs[2] <= 1e-9
 
 
-def _ref_scalar_laplacian(grid, frame, f):
-    """scalar_laplacian with every Laplace-Beltrami term taken, the
-    identically zero ones too."""
+def _ref_laplace_beltrami(grid, frame, f):
+    """laplace_beltrami with every term taken, the identically zero ones
+    too."""
     pairs = [grid.deriv12(f, a) for a in range(grid.dims)]
     out = frame.G[..., 0, 0] * pairs[0][1]
     out += frame.G[..., 1, 1] * pairs[1][1]
     out += 2.0 * frame.G[..., 0, 1] * grid.deriv(pairs[0][0], 1)
     for b in range(grid.dims):
         out += frame.B[..., b] * pairs[b][0]
-    return -out
-
-
-def _ref_connection(grid, frame):
-    """orthonormal_frame's connection with every coordinate derivative taken."""
-    out = np.zeros_like(frame.e)
-    if grid.dims == 1:
-        return out
-    e1, e2 = frame.e[..., 0, :], frame.e[..., 1, :]
-    bracket = np.zeros(grid.shape + (2,))
-    for a in range(2):
-        bracket += e1[..., a, None] * grid.deriv(e2, a)
-        bracket -= e2[..., a, None] * grid.deriv(e1, a)
-    lowered = np.sum(frame.metric.g * bracket[..., None], axis=-2)
-    out[..., 0, 1] = -np.sum(lowered * e1, axis=-1)
-    out[..., 1, 0] = np.sum(lowered * e2, axis=-1)
-    return out
-
-
-def _christoffels(grid, g):
-    """Gamma^c_ab = 0.5 g^cd (d_a g_db + d_b g_da - d_d g_ab)."""
-    dg = np.stack([grid.deriv(g, a) for a in range(grid.dims)], axis=-3)
-    lowered = (np.einsum("...adb->...abd", dg) + np.einsum("...bda->...abd", dg)
-               - np.einsum("...dab->...abd", dg))
-    return 0.5 * np.einsum("...cd,...abd->...abc", np.linalg.inv(g), lowered)
-
-
-def _christoffel_connection(grid, frame):
-    """nabla_{e_i} e_i = e_i(e_i^c) + Gamma^c_ab e_i^a e_i^b in coordinates:
-    the route that differentiates and inverts the metric."""
-    gamma = _christoffels(grid, frame.metric.g)
-    out = np.zeros_like(frame.e)
-    for i in range(grid.dims):
-        ei = frame.e[..., i, :]
-        for a in range(grid.dims):
-            out[..., i, :] += ei[..., a, None] * grid.deriv(ei, a)
-        out[..., i, :] += np.einsum("...a,...b,...abc->...c", ei, ei, gamma)
     return out
 
 
 @pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
 def test_div_terms_match_christoffel_route(name, params, grid_args, target, metric):
+    # B^c = (1/sqrt g) d_a(sqrt g g^{ab}) = -g^{ab} Gamma^c_ab
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
-    ref = _christoffel_connection(phi.grid, frame)
-    err = np.max(np.abs(_coordinate_connection(frame) - ref))
+    gamma = _christoffels(phi.grid, frame.metric.g)
+    ref = -np.einsum("...ab,...abc->...c", frame.G, gamma)
+    err = np.max(np.abs(frame.B - ref))
     assert err <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
@@ -660,11 +642,10 @@ def test_frame_axes_skip_exact_zeros(torus_grid, metric, axes):
     g = pf.identity_metric(torus_grid) if metric == "flat" else warped_metric(torus_grid)
     frame = pf.orthonormal_frame(torus_grid, g)
     assert frame.axes == axes
-    assert frame.connection.tobytes() == _ref_connection(torus_grid, frame).tobytes()
     u, v = torus_grid.coords
     f = np.exp(np.sin(u) * np.cos(2 * v))
-    expected = _ref_scalar_laplacian(torus_grid, frame, f)
-    assert scalar_laplacian(torus_grid, frame, f).tobytes() == expected.tobytes()
+    expected = _ref_laplace_beltrami(torus_grid, frame, f)
+    assert laplace_beltrami(torus_grid, frame, f)[1].tobytes() == expected.tobytes()
 
 
 def test_map_values_are_read_only(flat_circle):
