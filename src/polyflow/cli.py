@@ -278,9 +278,8 @@ def run(config: ExperimentConfig) -> int:
             notes.append(f"Int |tau|^p overflows at p = {p}; written as null")
     out_path = Path(config.output_prefix + "_summary.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(out_path, "w") as fh:  # one write: json.dump writes per chunk
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return exit_code
 
 

@@ -4,11 +4,15 @@ Everything acting on sections of the pullback bundle lives on one object,
 :class:`TensionChain`: the differential, the induced connection (ambient
 derivative followed by the tangent projection), the nonnegative connection
 Laplacian, the curvature contraction, the Jacobi operator, and the tension /
-bitension / tritension fields.  :func:`tritension_space_form` is the
-isometric-immersion formula for tau3, kept apart as an independent check of
-the chain.  Sections are stored in ambient coordinates and projected onto the
-target's tangent spaces, so tangency is a checkable invariant instead of a
-representation assumption.
+bitension / tritension fields.  On a space form N(c) the Jacobi operator is
+taken in closed form, J(V) = -P(LB V) - c |dphi|^2 V (P the tangent
+projection, LB the domain's Laplace-Beltrami operator), so tau2 and tau3
+form neither Delta^2 tau nor the curvature contraction; ``jacobi`` takes no
+``lap=`` argument, and ``lap2_tau`` is formed only when asked for.
+:func:`tritension_space_form` is the isometric-immersion formula for tau3,
+kept apart as an independent check of the chain.  Sections are stored in
+ambient coordinates and projected onto the target's tangent spaces, so
+tangency is a checkable invariant instead of a representation assumption.
 """
 
 from __future__ import annotations
@@ -116,15 +120,21 @@ class TensionChain:
     """The tension chain of one state ``(phi, frame)``, each field computed once.
 
     ``dphi``, ``tau``, ``grad_tau`` (nabla_{e_i} tau), ``lap_tau``,
-    ``grad_lap_tau``, ``lap2_tau``, ``tau2`` and ``tau3`` are evaluated on
-    first access and then shared.  As nabla_e nabla_e V = P(e(e(V))) +
-    c h(dphi(e), V) dphi(e) for V tangent along phi, P the tangent projection,
-    tau = P(LB phi), -Delta V = P(LB V) + c sum_i h(dphi(e_i), V) dphi(e_i)
-    and nabla_{e_i} V = P(sum_a e_i^a d_a V), LB = G^{ab} d_a d_b + B^b d_b
+    ``grad_lap_tau``, ``tau2`` and ``tau3`` are evaluated on first access and
+    then shared.  As nabla_e nabla_e V = P(e(e(V))) + c h(dphi(e), V) dphi(e)
+    for V tangent along phi, P the tangent projection, tau = P(LB phi),
+    -Delta V = P(LB V) + c sum_i h(dphi(e_i), V) dphi(e_i) and
+    nabla_{e_i} V = P(sum_a e_i^a d_a V), LB = G^{ab} d_a d_b + B^b d_b
     (:func:`laplace_beltrami`): one ``deriv12`` of V per axis gives its nabla
-    and Delta.  Fields and operators take the same route, so sharing never
-    changes a result.  ``nabla``, ``laplacian``, ``curvature`` and
-    ``jacobi`` apply to any section along phi.  The chain also owns the
+    and Delta.  In a space form sum_i R(V, dphi(e_i)) dphi(e_i) =
+    c (|dphi|^2 V - sum_i h(V, dphi(e_i)) dphi(e_i)), whose second term
+    cancels the one of Delta V, so the Jacobi operator is
+    J(V) = -P(LB V) - c |dphi|^2 V: ``tau2`` is J of tau from the P(LB tau)
+    that ``lap_tau`` takes, and ``tau3`` is J of Delta tau from P(LB Delta tau),
+    with no Delta^2 tau and no curvature contraction.  ``lap2_tau`` is formed
+    only when it is asked for.  Fields and operators take the same route, so
+    sharing never changes a result.  ``nabla``, ``laplacian``, ``curvature``
+    and ``jacobi`` apply to any section along phi.  The chain also owns the
     state's scalars: energies, Etilde4, L^p and sup norms, and the pointwise
     |tau|^2 and |Delta tau|^2.  Build one chain per state and drop it with
     the state.
@@ -157,34 +167,44 @@ class TensionChain:
             out.append(Section(sf.project_tangent(phi.spec, phi.values, acc), phi))
         return out
 
-    def _projected_lb(self, V: Section | MapField) -> tuple:
-        """``([d_a V], P(G^{ab} d_a d_b V + B^b d_b V))``; phi's pairs are the map's."""
+    def _projected_lb(self, V: Section | MapField) -> list:
+        """``[P(G^{ab} d_a d_b V + B^b d_b V), [d_a V]]``; phi's pairs are the map's."""
         phi = self.phi
         pairs = phi.coordinate_pairs if V is phi else None
         derivs, lb = laplace_beltrami(phi.grid, self.frame, V.values, self._floor, pairs)
-        return derivs, sf.project_tangent(phi.spec, phi.values, lb)
+        return [sf.project_tangent(phi.spec, phi.values, lb), derivs]
 
-    def _laplacian(self, V: Section) -> list:
-        """``[Delta V, [d_a V]]`` from one ``deriv12`` of V per axis: nabla V
-        is ``_along_frame`` of the d_a V."""
+    def _pairings(self, V: Section) -> list:
+        """c h(dphi(e_i), V) per i; none on a flat target."""
         phi, spec = self.phi, self.phi.spec
-        derivs, out = self._projected_lb(V)
-        if spec.c != 0.0:
-            for d in self.dphi:
-                h = sf.inner(spec, phi.values, d.values, V.values)
-                out += (spec.c * h)[..., None] * d.values
-        return [Section(np.negative(out, out=out), phi), derivs]
+        if spec.c == 0.0:
+            return []
+        return [spec.c * sf.inner(spec, phi.values, d.values, V.values)
+                for d in self.dphi]
+
+    def _rough(self, plb: np.ndarray, pairings: list) -> Section:
+        """Delta V = -(P(LB V) + c sum_i h(dphi(e_i), V) dphi(e_i)), in place
+        on ``plb``."""
+        for d, ch in zip(self.dphi, pairings):
+            plb += ch[..., None] * d.values
+        return Section(np.negative(plb, out=plb), self.phi)
+
+    def _jacobi(self, plb: np.ndarray, V: Section, out=None) -> np.ndarray:
+        """J(V) = -P(LB V) - c |dphi|^2 V, into ``out`` (a new array if None)."""
+        out = np.negative(plb, out=out)
+        if self.phi.spec.c != 0.0:
+            out -= (self.phi.spec.c * self.dphi_sq)[..., None] * V.values
+        return out
 
     def laplacian(self, V: Section) -> Section:
         """Nonnegative connection Laplacian of a section along phi."""
-        return self._laplacian(V)[0]
+        return self._rough(self._projected_lb(V)[0], self._pairings(V))
 
-    def jacobi(self, V: Section, lap: Section = None) -> Section:
-        """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i).
-        ``lap`` is Delta V when the chain already holds it."""
-        if lap is None:
-            lap = self.laplacian(V)
-        return Section(lap.values - self.curvature(V).values, self.phi)
+    def jacobi(self, V: Section) -> Section:
+        """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i), in
+        its space-form closed form -P(LB V) - c |dphi|^2 V."""
+        plb = self._projected_lb(V)[0]
+        return Section(self._jacobi(plb, V, out=plb), self.phi)
 
     def curvature(self, V: Section) -> Section:
         """sum_i R(V, dphi(e_i)) dphi(e_i); zero for flat targets."""
@@ -209,46 +229,63 @@ class TensionChain:
 
     @cached_property
     def tau(self) -> Section:
-        return Section(self._projected_lb(self.phi)[1], self.phi)
+        return Section(self._projected_lb(self.phi)[0], self.phi)
+
+    # [P(LB V), [d_a V]] of tau and Delta tau.  P(LB tau) is kept, as Delta tau
+    # and J(tau) both start from it; tau3 is formed in place on P(LB Delta tau)
+    # and drops the c h(dphi(e_i), tau) it shares with Delta tau.  nabla tau
+    # and nabla Delta tau project the first derivatives on first use (the flow
+    # never reads nabla Delta tau), and then drop them
 
     @cached_property
-    def _tau_ops(self) -> list:
-        return self._laplacian(self.tau)
+    def _tau_lb(self) -> list:
+        return self._projected_lb(self.tau)
 
     @cached_property
-    def _lap_tau_ops(self) -> list:
-        return self._laplacian(self.lap_tau)
+    def _lap_tau_lb(self) -> list:
+        return self._projected_lb(self.lap_tau)
 
-    lap_tau = property(lambda self: self._tau_ops[0])
-    lap2_tau = property(lambda self: self._lap_tau_ops[0])
+    @cached_property
+    def _tau_pairings(self) -> list:
+        return self._pairings(self.tau)
 
-    # nabla tau and nabla Delta tau project the first derivatives their
-    # Laplacian took, on first use (the flow never reads nabla Delta tau),
-    # and then drop them
+    @cached_property
+    def lap_tau(self) -> Section:
+        return self._rough(self._tau_lb[0].copy(), self._tau_pairings)
+
+    @cached_property
+    def lap2_tau(self) -> Section:
+        """Delta^2 tau, formed only when asked for: no chain field reads it."""
+        return self.laplacian(self.lap_tau)
 
     @cached_property
     def grad_tau(self) -> list:
-        return self._along_frame(self._tau_ops.pop())
+        return self._along_frame(self._tau_lb.pop())
 
     @cached_property
     def grad_lap_tau(self) -> list:
-        return self._along_frame(self._lap_tau_ops.pop())
+        return self._along_frame(self._lap_tau_lb.pop())
 
     @cached_property
     def tau2(self) -> Section:
         """Bitension J(tau)."""
-        return self.jacobi(self.tau, self.lap_tau)
+        return Section(self._jacobi(self._tau_lb[0], self.tau), self.phi)
 
     @cached_property
     def tau3(self) -> Section:
-        """Tritension J(Delta tau) - sum_i R(nabla_{e_i} tau, tau) dphi(e_i)."""
-        out = self.jacobi(self.lap_tau, self.lap2_tau).values
-        if self.phi.spec.c != 0.0:
-            for g, d in zip(self.grad_tau, self.dphi):
-                out -= sf.curvature_op(
-                    self.phi.spec, self.phi.values, g.values, self.tau.values, d.values
-                )
-        return Section(out, self.phi)
+        """Tritension J(Delta tau) - sum_i R(nabla_{e_i} tau, tau) dphi(e_i),
+        -P(LB Delta tau) - c |dphi|^2 Delta tau - c sum_i (h(tau, dphi(e_i))
+        nabla_{e_i} tau - h(nabla_{e_i} tau, dphi(e_i)) tau), with the
+        c h(dphi(e_i), tau) that Delta tau took."""
+        phi, spec, tau = self.phi, self.phi.spec, self.tau.values
+        plb = self._lap_tau_lb.pop(0)
+        out = self._jacobi(plb, self.lap_tau, out=plb)
+        for g, d, ch in zip(self.grad_tau, self.dphi, self._tau_pairings):
+            h_gd = sf.inner(spec, phi.values, g.values, d.values)
+            out -= ch[..., None] * g.values
+            out += (spec.c * h_gd)[..., None] * tau
+        del self._tau_pairings
+        return Section(out, phi)
 
     @cached_property
     def tau_sq(self) -> np.ndarray:
@@ -314,8 +351,12 @@ class TensionChain:
     def sup_norm(self, k: int) -> float:
         """sup |tau|, |tau2| or |tau3| over the grid."""
         if ("sup", k) not in self._scalars:
-            norm = self.tau_norm if k == 1 else self.field(k).norm_field()
-            self._scalars["sup", k] = float(norm.max())
+            if k == 1:
+                sup = self.tau_norm.max()
+            else:  # sqrt is monotone and correctly rounded: max of norm_field()
+                V = self.field(k).values
+                sup = np.sqrt(np.maximum(sf.ambient_form(self.phi.spec, V, V).max(), 0.0))
+            self._scalars["sup", k] = float(sup)
         return self._scalars["sup", k]
 
 
@@ -334,8 +375,12 @@ def tritension_space_form(chain: TensionChain) -> Section:
     """Tritension field of the state whose tension chain is ``chain``,
     specialized to isometric immersions:
 
-    tau3 = Delta^2 tau - sum_i R(Delta tau, dphi(e_i)) dphi(e_i)
-           - c h(tau, tau) tau.
+    tau3 = J(Delta tau) - c h(tau, tau) tau,
+
+    with J(Delta tau) = Delta^2 tau - sum_i R(Delta tau, dphi(e_i)) dphi(e_i)
+    from ``chain.jacobi``'s closed form -P(LB Delta tau) - c |dphi|^2 Delta tau,
+    on a transform of Delta tau of its own (the chain's tau3 is formed in
+    place on its P(LB Delta tau)); Delta^2 tau is not formed.
 
     Requires the domain metric to be the pullback metric (mode Induced, or
     a prescribed metric matching it to 1e-6); the simplification relies on
@@ -349,9 +394,7 @@ def tritension_space_form(chain: TensionChain) -> Section:
             raise NotIsometric(
                 f"prescribed metric deviates from the pullback metric by {dev:.3e}"
             )
-    tau = chain.tau
-    out = chain.jacobi(chain.lap_tau, chain.lap2_tau).values
+    out = chain.jacobi(chain.lap_tau).values
     if phi.spec.c != 0.0:
-        h_tt = sf.inner(phi.spec, phi.values, tau.values, tau.values)
-        out -= phi.spec.c * h_tt[..., None] * tau.values
+        out -= (phi.spec.c * chain.tau_sq)[..., None] * chain.tau.values
     return Section(values=out, base=phi)

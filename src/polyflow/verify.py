@@ -152,7 +152,8 @@ def tension_variation_residual(chain: TensionChain, V: Section, t: float) -> flo
     at the state whose tension chain is ``chain``.
 
     The time derivative is the projected ambient central difference of the
-    tension fields of the two varied maps.
+    tension fields of the two varied maps; the right side is -J(V), which
+    ``chain.jacobi`` takes in its closed form -P(LB V) - c |dphi|^2 V.
     """
     phi, frame = chain.phi, chain.frame
     _require_prescribed(frame)

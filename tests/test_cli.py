@@ -629,6 +629,48 @@ def test_summary_floats_round_trip(tmp_path):
     assert load_summary(json.dumps(e2)) == e2
 
 
+def test_summary_is_written_in_one_call_as_json_dump_writes_it(tmp_path, monkeypatch):
+    # cli.run writes a summary with one write call, and its bytes are those
+    # json.dump's per-chunk writes give, on a Flow and an Audit summary
+    writes = {}
+
+    class CountingFile:
+        def __init__(self, fh, path):
+            self._fh, self._path = fh, str(path)
+
+        def write(self, text):
+            writes[self._path] = writes.get(self._path, 0) + 1
+            return self._fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        return CountingFile(open(path, mode, *args, **kwargs), path)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    flow = base_config(tmp_path / "flow", action="Flow")
+    flow["target"] = {"c": -1.0, "n": 2}
+    flow["initial_map"] = {"name": "PerturbedGeodesicH2",
+                           "params": {"amplitude": 0.01, "k": 2}}
+    flow["flow"] = {"kind": "Triharmonic", "max_iters": 5}
+    audit = base_config(tmp_path / "audit", action="Audit")
+    audit["target"] = {"c": 1.0, "n": 2}
+    audit["initial_map"] = {"name": "GreatCircleS2", "params": {}}
+    for data in (flow, audit):
+        assert run(parse_config(data)) == 0
+        path = Path(data["output_prefix"] + "_summary.json")
+        assert writes[str(path)] == 1
+        dumped = tmp_path / "dumped.json"
+        with open(dumped, "w") as fh:
+            json.dump(load_summary(path), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert dumped.read_bytes() == path.read_bytes()
+
+
 def test_summaries_are_strict_json(tmp_path):
     # NaN and Infinity are not JSON: every summary loads without them
     flow = base_config(tmp_path / "flow", action="Flow")

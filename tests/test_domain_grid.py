@@ -225,9 +225,10 @@ def test_orthonormal_frame_constant_diag(torus_grid):
 @pytest.mark.parametrize("metric", ["warped", "induced"])
 def test_frame_trace_coefficients_match_the_metric(torus_grid, metric):
     # the frame trace G^{ab} d_a d_b + B^b d_b is the Laplace-Beltrami
-    # operator (1/sqrt g) d_a(sqrt g g^{ab} d_b): G = g^-1 and
-    # B^b = (1/sqrt g) d_a(sqrt g g^{ab}), on a prescribed warped metric and
-    # on the induced metric of the H^3 tube torus
+    # operator: G = g^-1 and B^b = -g^{ac} Gamma^b_ac, the Christoffel route,
+    # which differentiates g itself rather than sqrt(g) g^{ab} as the frame
+    # does; on a prescribed warped metric and on the induced metric of the
+    # H^3 tube torus
     if metric == "warped":
         g = warped_metric(torus_grid)
     else:
@@ -236,12 +237,16 @@ def test_frame_trace_coefficients_match_the_metric(torus_grid, metric):
     frame = pf.orthonormal_frame(torus_grid, g)
     inverse = np.linalg.inv(g.g)
     assert np.max(np.abs(frame.G - inverse)) <= 1e-14 * np.max(np.abs(inverse))
-    root = np.sqrt(np.linalg.det(g.g))
+    dg = [torus_grid.deriv(g.g, a) for a in range(2)]  # dg[d][..., a, b] = d_d g_ab
     expected = np.zeros(torus_grid.shape + (2,))
-    for b in range(2):
-        for a in range(2):
-            expected[..., b] += torus_grid.deriv(root * inverse[..., a, b], a)
-        expected[..., b] /= root
+    for a in range(2):
+        for c in range(2):
+            for b in range(2):
+                for d in range(2):
+                    # Gamma^b_ac = (1/2) g^{bd} (d_a g_dc + d_c g_da - d_d g_ac)
+                    gamma = 0.5 * inverse[..., b, d] * (
+                        dg[a][..., d, c] + dg[c][..., d, a] - dg[d][..., a, c])
+                    expected[..., b] -= inverse[..., a, c] * gamma
     err = np.max(np.abs(frame.B - expected))
     assert err <= 1e-11 * (1.0 + np.max(np.abs(expected)))
     assert np.max(np.abs(expected)) > 0.1  # the B terms are not trivially zero

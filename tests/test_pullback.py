@@ -1,6 +1,8 @@
 """Operator stack: differential, connection, Laplacians, tension fields,
 all read from one TensionChain per state."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -429,23 +431,29 @@ def _ref_laplacian(phi, frame, values):
 
 
 def _ref_jacobi(phi, frame, values):
-    curv = np.zeros_like(values)
+    """J(V) = -P(LB V) - c |dphi|^2 V: in a space form the h(V, dphi_i) dphi_i
+    terms of Delta V and of the curvature contraction cancel."""
+    out = -sf.project_tangent(phi.spec, phi.values, _ref_lb(phi, frame, values))
     if phi.spec.c != 0.0:
+        dphi_sq = np.zeros(phi.grid.shape)
         for d in _ref_differential(phi, frame):
-            curv += sf.curvature_op(phi.spec, phi.values, values, d, d)
-    return _ref_laplacian(phi, frame, values) - curv
+            dphi_sq += sf.inner(phi.spec, phi.values, d, d)
+        out -= (phi.spec.c * dphi_sq)[..., None] * values
+    return out
 
 
 def _ref_chain(phi, frame):
-    dims = phi.grid.dims
+    dims, c = phi.grid.dims, phi.spec.c
     tau = _ref_tension(phi, frame)
     lap = _ref_laplacian(phi, frame, tau)
     tau3 = _ref_jacobi(phi, frame, lap)
-    if phi.spec.c != 0.0:
+    if c != 0.0:
+        # -sum_i R(nabla_{e_i} tau, tau) dphi(e_i), expanded
         dphi = _ref_differential(phi, frame)
         for i in range(dims):
             grad = _ref_nabla(phi, tau, frame.e[..., i, :])
-            tau3 -= sf.curvature_op(phi.spec, phi.values, grad, tau, dphi[i])
+            tau3 -= (c * sf.inner(phi.spec, phi.values, dphi[i], tau))[..., None] * grad
+            tau3 += (c * sf.inner(phi.spec, phi.values, grad, dphi[i]))[..., None] * tau
     return {
         "dphi": _ref_differential(phi, frame),
         "tau": tau,
@@ -575,11 +583,67 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     frame = frame_for(phi)
     assert np.any(frame.B) == (phi.grid.dims == 2)
     chain = TensionChain(phi, frame)
-    assert np.array_equal(chain.jacobi(chain.tau).values, chain.tau2.values)
+    assert chain.jacobi(chain.tau).values.tobytes() == chain.tau2.values.tobytes()
     for fresh, cached in zip(chain.nabla(chain.tau), chain.grad_tau, strict=True):
         assert np.array_equal(fresh.values, cached.values)
-    j_lap = chain.lap2_tau.values - chain.curvature(chain.lap_tau).values
-    assert np.array_equal(chain.jacobi(chain.lap_tau).values, j_lap)
+    # tau3 is formed in place on the chain's own P(LB Delta tau): a fresh
+    # J(Delta tau) followed by the same curvature terms gives its bits
+    spec, tau = phi.spec, chain.tau.values
+    expected = chain.jacobi(chain.lap_tau).values
+    for g, d in zip(chain.grad_tau, chain.dphi):
+        h_dt = sf.inner(spec, phi.values, d.values, tau)
+        h_gd = sf.inner(spec, phi.values, g.values, d.values)
+        expected -= (spec.c * h_dt)[..., None] * g.values
+        expected += (spec.c * h_gd)[..., None] * tau
+    assert chain.tau3.values.tobytes() == expected.tobytes()
+
+
+def test_jacobi_closed_form_matches_textbook():
+    # J(W) = -P(LB W) - c |dphi|^2 W against Delta W - sum_i R(W, dphi_i) dphi_i,
+    # and tau3 against J(Delta tau) - sum_i R(nabla_i tau, tau) dphi_i with
+    # Delta^2 tau and every curvature term formed, on every chain fixture:
+    # the two routes differ by roundoff only
+    worst = 0.0
+    for case in _chain_cases():
+        name, params, grid_args, target, metric = case.values
+        phi = build_fixture(name, params, grid_args, target)
+        chain = TensionChain(phi, _case_frame(phi, metric))
+        for W in (pf.random_tangent_section(phi, seed=4), chain.tau, chain.lap_tau):
+            lap, curv = chain.laplacian(W).values, chain.curvature(W).values
+            scale = max(np.max(np.abs(lap)), np.max(np.abs(curv)))
+            err = np.max(np.abs(chain.jacobi(W).values - (lap - curv)))
+            assert err <= 1e-14 * scale, case.id
+            worst = max(worst, err / scale)
+        lap2, curv = chain.lap2_tau.values, chain.curvature(chain.lap_tau).values
+        textbook = lap2 - curv
+        for g, d in zip(chain.grad_tau, chain.dphi):
+            textbook -= sf.curvature_op(phi.spec, phi.values, g.values, chain.tau.values,
+                                        d.values)
+        scale = max(np.max(np.abs(lap2)), np.max(np.abs(curv)))
+        err = np.max(np.abs(chain.tau3.values - textbook))
+        assert err <= 1e-14 * scale, case.id
+        worst = max(worst, err / scale)
+    print(f"[jacobi] closed form against Delta - sum R: worst relative "
+          f"difference {worst:.1e} over {len(_chain_cases())} fixtures")
+
+
+@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
+def test_sup_norm_is_the_max_of_norm_field(name, params, grid_args, target, metric):
+    # sup_norm(k) takes sqrt(max(0, max h(V, V))), which equals the max of
+    # norm_field() bit for bit, as sqrt is monotone and correctly rounded;
+    # also for the field with a NaN node and for an identically zero field
+    phi = build_fixture(name, params, grid_args, target)
+    frame = _case_frame(phi, metric)
+    fields = TensionChain(phi, frame)
+    for k in (2, 3):
+        V = fields.field(k).values
+        nan = V.copy()
+        nan[(3,) * phi.grid.dims] = np.nan
+        for values in (V, nan, np.zeros_like(V)):
+            chain = TensionChain(phi, frame)
+            chain.__dict__[("tau2", "tau3")[k - 2]] = Section(values, phi)
+            expected = float(chain.field(k).norm_field().max())
+            assert struct.pack("<d", chain.sup_norm(k)) == struct.pack("<d", expected)
 
 
 def _trace_route_error(n, metric):
@@ -719,18 +783,26 @@ def test_chain_deriv_count_2d(monkeypatch, metric, expected):
 
 def test_chain_projection_count_2d(monkeypatch):
     # tau3 projects each nabla_{e_i} of phi and tau and each of the three
-    # Laplace-Beltrami sums once: 7 on a 2-d frame.  nabla_{e_i} Delta tau,
-    # which tau3 does not read, is projected when it is asked for
+    # Laplace-Beltrami sums once: 7 on a 2-d frame, with no Delta^2 tau and
+    # no curvature tensor.  nabla_{e_i} Delta tau, which tau3 does not read,
+    # is projected when it is asked for.  Delta^2 tau and
+    # tritension_space_form's J(Delta tau), which no chain field reads, each
+    # take a Laplace-Beltrami sum of Delta tau of their own
     phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(-1.0, 3))
     frame = frame_for(phi)
     assert all(frame.lb_terms)
     calls = count_calls(monkeypatch, sf, "project_tangent")
+    curvature = count_calls(monkeypatch, sf, "curvature_op")
     chain = TensionChain(phi, frame)
     chain.tau3
     assert len(calls) == 7
+    assert curvature == [] and "lap2_tau" not in vars(chain)
     chain.grad_lap_tau
     assert len(calls) == 9
+    tritension_space_form(chain)
+    chain.lap2_tau
+    assert len(calls) == 11 and curvature == []
 
 
 def test_flow_iteration_deriv_count(monkeypatch):
