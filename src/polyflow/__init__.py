@@ -42,9 +42,9 @@ from .pullback import (
 from .space_form import (
     Model,
     SpaceFormSpec,
+    ambient_form,
     curvature_op,
     exp_map,
-    inner,
     project_point,
     project_tangent,
 )

@@ -164,10 +164,6 @@ class DomainGrid:
     def dims(self) -> int:
         return self.spec.dims
 
-    @property
-    def node_count(self) -> int:
-        return int(np.prod(self.shape))
-
     def q_power(self, k: int) -> np.ndarray:
         """|q|^(2k) on the rfftn half spectrum of a field with one trailing
         component axis, per order ``k``; q is the true wavenumber (Nyquist

@@ -143,13 +143,12 @@ class FlowTrace:
 
 
 class Trial(NamedTuple):
-    """One Armijo trial: whether it was accepted, the tension chain of the
+    """One Armijo trial: whether it was accepted and the tension chain of the
     state it leaves (the candidate if accepted, else the state it started
-    from) and the step size it tried."""
+    from)."""
 
     accepted: bool
     chain: TensionChain
-    dt: float
 
 
 def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
@@ -171,18 +170,17 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
     if dt < DT_FLOOR:
         raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
     if chain.sup_norm(k) == 0.0:
-        return Trial(True, chain, dt)
+        return Trial(True, chain)
     descent = chain.field(k)
     step = _implicit_step(descent, k, dt)
     e_now = chain.energy(k)
-    decrease = integrate(phi.grid, frame,
-                         sf.inner(phi.spec, phi.values, descent.values, step))
+    decrease = integrate(phi.grid, frame, sf.ambient_form(phi.spec, descent.values, step))
     candidate = MapField(values=sf.exp_map(phi.spec, phi.values, dt * step),
                          grid=phi.grid, spec=phi.spec)
     trial = TensionChain(candidate, frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
-        return Trial(True, trial, dt)
-    return Trial(False, chain, dt)
+        return Trial(True, trial)
+    return Trial(False, chain)
 
 
 def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
@@ -260,12 +258,12 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     for it in range(cfg.max_iters + 1):
         try:
             if it > 0:
-                accepted, chain, dt_used = flow_step(state, cfg, dt=dt)
+                accepted, chain = flow_step(state, cfg, dt=dt)
                 if not accepted:
                     dt = min(dt * cfg.shrink, _DT_CEILING)
                     trace.rows.append((it, *row, 0.0))
                     continue
-                dt = min(dt / cfg.shrink, _DT_CEILING)
+                dt_used, dt = dt, min(dt / cfg.shrink, _DT_CEILING)
             sup_descent = chain.sup_norm(k)
             row = (*_trace_metrics(chain), sup_descent)
         except StepUnderflow:
@@ -306,8 +304,8 @@ class ProbeVerdict:
     immersed: bool
     isometry_defect: float
     sup_tau3: float
-    etilde4: float
-    l4_tension: float
+    Etilde4: float
+    L4_tension: float
     sup_tau: float
     tau_sq_node_variance: float
     sup_grad_laplacian_tau: float
@@ -320,10 +318,7 @@ class ProbeVerdict:
     minimal_tol: float = field(default=_MINIMAL_TOL, init=False)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["Etilde4"] = out.pop("etilde4")
-        out["L4_tension"] = out.pop("l4_tension")
-        return out
+        return asdict(self)
 
 
 def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
@@ -351,11 +346,11 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
     # of |alpha| rather than asserting a smooth-section statement on
     # discrete data.
     constancy = {}
-    for name, a_norm, grad_sq in (
-        ("tension", tau_norm, chain.grad_tau_sq),
-        ("laplacian_tau", chain.lap_norm, grad_lap_sq),
+    for name, a_sq, a_norm, grad_sq in (
+        ("tension", chain.tau_sq, tau_norm, chain.grad_tau_sq),
+        ("laplacian_tau", chain.lap_sq, chain.lap_norm, grad_lap_sq),
     ):
-        weighted = integrate(phi.grid, frame, a_norm**2 * grad_sq)
+        weighted = integrate(phi.grid, frame, a_sq * grad_sq)
         constancy[name] = {
             "weighted_gradient_integral": weighted,
             "norm_variance": float(a_norm.var()),
@@ -392,10 +387,10 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         immersed=immersed,
         isometry_defect=isometry_defect,
         sup_tau3=sup_tau3,
-        etilde4=chain.etilde4,
-        l4_tension=chain.tension_lp(4.0),
+        Etilde4=chain.etilde4,
+        L4_tension=chain.tension_lp(4.0),
         sup_tau=sup_tau,
-        tau_sq_node_variance=float((tau_norm**2).var()),
+        tau_sq_node_variance=float(chain.tau_sq.var()),
         sup_grad_laplacian_tau=float(np.sqrt(np.maximum(grad_lap_sq, 0.0).max())),
         sup_laplacian_tau=float(chain.lap_norm.max()),
         cmc_coefficient_of_variation=cv,

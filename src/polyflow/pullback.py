@@ -7,8 +7,8 @@ Laplacian, the curvature contraction, the Jacobi operator, and the tension /
 bitension / tritension fields.  On a space form N(c) the Jacobi operator is
 taken in closed form, J(V) = -P(LB V) - c |dphi|^2 V (P the tangent
 projection, LB the domain's Laplace-Beltrami operator), so tau2 and tau3
-form neither Delta^2 tau nor the curvature contraction; ``jacobi`` takes no
-``lap=`` argument, and ``lap2_tau`` is formed only when asked for.
+form neither Delta^2 tau nor the curvature contraction, and ``lap2_tau`` is
+formed only when asked for.
 :func:`tritension_space_form` is the isometric-immersion formula for tau3,
 kept apart as an independent check of the chain.  Sections are stored in
 ambient coordinates and projected onto the target's tangent spaces, so
@@ -113,7 +113,7 @@ class Section:
 
     def norm_field(self) -> np.ndarray:
         """Pointwise norm |V| over the grid."""
-        return sf.norm(self.base.spec, self.base.values, self.values)
+        return sf.norm(self.base.spec, self.values)
 
 
 class TensionChain:
@@ -146,13 +146,11 @@ class TensionChain:
         self._floor = phi.spectral_floor
         self._scalars = {}  # energies, L^p and sup norms, per (name, order)
 
-    def nabla(self, V: Section | MapField) -> list:
+    def nabla(self, V: Section) -> list:
         """Induced connection nabla_{e_i} V for each frame direction e_i: the
         ambient derivative of V along e_i, projected onto the target's tangent
-        space.  Of phi itself, dphi(e_i), read from ``coordinate_derivs``."""
+        space."""
         phi = self.phi
-        if V is phi:
-            return self._along_frame(phi.coordinate_derivs)
         return self._along_frame([phi.grid.deriv(V.values, a, floor=self._floor)
                                   for a in range(phi.grid.dims)])
 
@@ -167,10 +165,10 @@ class TensionChain:
             out.append(Section(sf.project_tangent(phi.spec, phi.values, acc), phi))
         return out
 
-    def _projected_lb(self, V: Section | MapField) -> list:
-        """``[P(G^{ab} d_a d_b V + B^b d_b V), [d_a V]]``; phi's pairs are the map's."""
+    def _projected_lb(self, V: Section | MapField, pairs=None) -> list:
+        """``[P(G^{ab} d_a d_b V + B^b d_b V), [d_a V]]``, from ``pairs``
+        ``[d_a V, d_a^2 V]`` per axis when given."""
         phi = self.phi
-        pairs = phi.coordinate_pairs if V is phi else None
         derivs, lb = laplace_beltrami(phi.grid, self.frame, V.values, self._floor, pairs)
         return [sf.project_tangent(phi.spec, phi.values, lb), derivs]
 
@@ -179,8 +177,7 @@ class TensionChain:
         phi, spec = self.phi, self.phi.spec
         if spec.c == 0.0:
             return []
-        return [spec.c * sf.inner(spec, phi.values, d.values, V.values)
-                for d in self.dphi]
+        return [spec.c * sf.ambient_form(spec, d.values, V.values) for d in self.dphi]
 
     def _rough(self, plb: np.ndarray, pairings: list) -> Section:
         """Delta V = -(P(LB V) + c sum_i h(dphi(e_i), V) dphi(e_i)), in place
@@ -211,25 +208,24 @@ class TensionChain:
         out = np.zeros_like(V.values)
         if self.phi.spec.c != 0.0:
             for d in self.dphi:
-                out += sf.curvature_op(
-                    self.phi.spec, self.phi.values, V.values, d.values, d.values
-                )
+                out += sf.curvature_op(self.phi.spec, V.values, d.values, d.values)
         return Section(out, self.phi)
 
     def _sq_sum(self, sections: list) -> np.ndarray:
         """Pointwise sum_i |S_i|^2, e.g. |dphi|^2 or |nabla V|^2."""
         out = np.zeros(self.phi.grid.shape)
         for s in sections:
-            out += sf.inner(self.phi.spec, self.phi.values, s.values, s.values)
+            out += sf.ambient_form(self.phi.spec, s.values, s.values)
         return out
 
     @cached_property
     def dphi(self) -> list:
-        return self.nabla(self.phi)
+        return self._along_frame(self.phi.coordinate_derivs)
 
     @cached_property
     def tau(self) -> Section:
-        return Section(self._projected_lb(self.phi)[0], self.phi)
+        phi = self.phi
+        return Section(self._projected_lb(phi, phi.coordinate_pairs)[0], phi)
 
     # [P(LB V), [d_a V]] of tau and Delta tau.  P(LB tau) is kept, as Delta tau
     # and J(tau) both start from it; tau3 is formed in place on P(LB Delta tau)
@@ -281,7 +277,7 @@ class TensionChain:
         plb = self._lap_tau_lb.pop(0)
         out = self._jacobi(plb, self.lap_tau, out=plb)
         for g, d, ch in zip(self.grad_tau, self.dphi, self._tau_pairings):
-            h_gd = sf.inner(spec, phi.values, g.values, d.values)
+            h_gd = sf.ambient_form(spec, g.values, d.values)
             out -= ch[..., None] * g.values
             out += (spec.c * h_gd)[..., None] * tau
         del self._tau_pairings
@@ -289,12 +285,11 @@ class TensionChain:
 
     @cached_property
     def tau_sq(self) -> np.ndarray:
-        return sf.inner(self.phi.spec, self.phi.values, self.tau.values, self.tau.values)
+        return sf.ambient_form(self.phi.spec, self.tau.values, self.tau.values)
 
     @cached_property
     def lap_sq(self) -> np.ndarray:
-        return sf.inner(self.phi.spec, self.phi.values, self.lap_tau.values,
-                        self.lap_tau.values)
+        return sf.ambient_form(self.phi.spec, self.lap_tau.values, self.lap_tau.values)
 
     @cached_property
     def tau_norm(self) -> np.ndarray:
@@ -325,21 +320,16 @@ class TensionChain:
     def energy(self, k: int) -> float:
         """k-th energy of the ladder: (1/2) Int |dphi|^2, |tau|^2 or |nabla tau|^2."""
         if ("E", k) not in self._scalars:
-            if k == 1:
-                density = self.dphi_sq
-            elif k == 2:
-                density = self.tau_norm**2
-            elif k == 3:
-                density = self.grad_tau_sq
-            else:
+            if k not in (1, 2, 3):
                 raise ValueError(f"energy order must be 1, 2 or 3, got {k}")
+            density = getattr(self, ("dphi_sq", "tau_sq", "grad_tau_sq")[k - 1])
             self._scalars["E", k] = 0.5 * integrate(self.phi.grid, self.frame, density)
         return self._scalars["E", k]
 
     @cached_property
     def etilde4(self) -> float:
         """Iterated-Laplacian part of the fourth energy, (1/2) Int |Delta tau|^2."""
-        return 0.5 * integrate(self.phi.grid, self.frame, self.lap_norm**2)
+        return 0.5 * integrate(self.phi.grid, self.frame, self.lap_sq)
 
     def tension_lp(self, p: float) -> float:
         """Int |tau|^p, the p-th power of the L^p norm of the tension field."""
@@ -349,14 +339,13 @@ class TensionChain:
         return self._scalars["Lp", p]
 
     def sup_norm(self, k: int) -> float:
-        """sup |tau|, |tau2| or |tau3| over the grid."""
+        """sup |tau|, |tau2| or |tau3| over the grid, sqrt(max(0, max h(V, V))):
+        sqrt is monotone and correctly rounded, so this is the max of
+        ``norm_field()``."""
         if ("sup", k) not in self._scalars:
-            if k == 1:
-                sup = self.tau_norm.max()
-            else:  # sqrt is monotone and correctly rounded: max of norm_field()
-                V = self.field(k).values
-                sup = np.sqrt(np.maximum(sf.ambient_form(self.phi.spec, V, V).max(), 0.0))
-            self._scalars["sup", k] = float(sup)
+            V = self.field(k).values
+            sq = self.tau_sq if k == 1 else sf.ambient_form(self.phi.spec, V, V)
+            self._scalars["sup", k] = float(np.sqrt(np.maximum(sq.max(), 0.0)))
         return self._scalars["sup", k]
 
 

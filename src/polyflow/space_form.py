@@ -33,7 +33,6 @@ __all__ = [
     "ambient_form",
     "project_point",
     "project_tangent",
-    "inner",
     "exp_map",
     "curvature_op",
 ]
@@ -78,7 +77,8 @@ class SpaceFormSpec:
 def ambient_form(spec: SpaceFormSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Ambient bilinear form from one product pass p = u v: Euclidean
     0.0 + p0 + ... + pn, numpy's own sum order for < 8 terms, or Minkowski
-    for c < 0, p1 + ... + pn - p0 in order."""
+    for c < 0, p1 + ... + pn - p0 in order.  On tangent vectors it is the
+    fiber metric h, positive definite on the tangent spaces of every model."""
     p = u * v
     m = p.shape[-1]
     if spec.model is Model.HYPERBOLOID:
@@ -126,18 +126,9 @@ def project_tangent(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.nda
     return np.subtract(v, normal, out=normal)
 
 
-def inner(spec: SpaceFormSpec, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Fiber metric h on tangent vectors at ``x``.
-
-    Coincides with the ambient form; positive definite on tangent spaces of
-    every model.  ``x`` is accepted for signature symmetry and unused.
-    """
-    return ambient_form(spec, u, v)
-
-
-def norm(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def norm(spec: SpaceFormSpec, v: np.ndarray) -> np.ndarray:
     """Pointwise norm |v| = sqrt(h(v, v))."""
-    return np.sqrt(np.maximum(inner(spec, x, v, v), 0.0))
+    return np.sqrt(np.maximum(ambient_form(spec, v, v), 0.0))
 
 
 def _stable_ratio(fn, z: np.ndarray) -> np.ndarray:
@@ -158,7 +149,7 @@ def exp_map(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if spec.model is Model.FLAT:
         return x + v
-    rho = math.sqrt(abs(spec.c)) * norm(spec, x, v)
+    rho = math.sqrt(abs(spec.c)) * norm(spec, v)
     if spec.model is Model.SPHERE:
         out = np.cos(rho)[..., None] * x + _stable_ratio(np.sin, rho)[..., None] * v
     else:
@@ -166,18 +157,13 @@ def exp_map(spec: SpaceFormSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return project_point(spec, out)
 
 
-def curvature_op(
-    spec: SpaceFormSpec,
-    x: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-    Z: np.ndarray,
-) -> np.ndarray:
+def curvature_op(spec: SpaceFormSpec, X: np.ndarray, Y: np.ndarray,
+                 Z: np.ndarray) -> np.ndarray:
     """Constant-curvature tensor R(X, Y)Z = c * (h(Y,Z) X - h(X,Z) Y)."""
     if spec.c == 0.0:
         return np.zeros(np.broadcast(X, Y, Z).shape)
-    out = inner(spec, x, Y, Z)[..., None] * X
-    out -= inner(spec, x, X, Z)[..., None] * Y
+    out = ambient_form(spec, Y, Z)[..., None] * X
+    out -= ambient_form(spec, X, Z)[..., None] * Y
     out *= spec.c
     return out
 

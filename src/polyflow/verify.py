@@ -139,7 +139,7 @@ def first_variation_residual(chain: TensionChain, V: Section, k: int, t: float) 
     if k not in (1, 2, 3):
         raise ValueError(f"variation order must be 1, 2 or 3, got {k}")
     tau_k = chain.field(k)
-    pairing = sf.inner(phi.spec, phi.values, tau_k.values, V.values)
+    pairing = sf.ambient_form(phi.spec, tau_k.values, V.values)
     analytic = -integrate(phi.grid, frame, pairing)
     e_plus = TensionChain(vary(phi, V, t), frame).energy(k)
     e_minus = TensionChain(vary(phi, V, -t), frame).energy(k)
@@ -163,7 +163,7 @@ def tension_variation_residual(chain: TensionChain, V: Section, t: float) -> flo
         phi.spec, phi.values, (tau_plus.values - tau_minus.values) / (2.0 * t)
     )
     rhs = -chain.jacobi(V).values
-    return float(np.max(sf.norm(phi.spec, phi.values, lhs - rhs)))
+    return float(np.max(sf.norm(phi.spec, lhs - rhs)))
 
 
 def _verdict(name, excess, tol, note="") -> AuditCheck:
@@ -227,7 +227,7 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
     if frame.mode is MetricMode.INDUCED:
         acc = tau_sq.copy()
         for g, d in zip(chain.grad_tau, dphi):
-            acc += sf.inner(spec, phi.values, g.values, d.values)
+            acc += sf.ambient_form(spec, g.values, d.values)
         tol = base_tol * (1.0 + float(np.max(tau_sq)))
         checks.append(_verdict("tension_orthogonality", np.abs(acc), tol))
     else:
@@ -244,17 +244,17 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
     vs = []
     for _ in range(4):
         v = sf.project_tangent(spec, x, rng.standard_normal(x.shape))
-        scale = np.maximum(np.sqrt(np.maximum(sf.inner(spec, x, v, v), 0.0)), 1e-12)
+        scale = np.maximum(sf.norm(spec, v), 1e-12)
         vs.append(v / scale[..., None])
-    lhs = sf.inner(spec, x, sf.curvature_op(spec, x, vs[2], vs[3], vs[1]), vs[0])
-    rhs = sf.inner(spec, x, sf.curvature_op(spec, x, vs[0], vs[1], vs[3]), vs[2])
+    lhs = sf.ambient_form(spec, sf.curvature_op(spec, vs[2], vs[3], vs[1]), vs[0])
+    rhs = sf.ambient_form(spec, sf.curvature_op(spec, vs[0], vs[1], vs[3]), vs[2])
     checks.append(_verdict("curvature_symmetry", np.abs(lhs - rhs),
                            1e-12 * (1.0 + abs(spec.c)),
                            note=f"{_N_QUADRUPLES} random tangent quadruples"))
 
     # (c) Bochner identity for the scalar |tau|^2: with the positive
     # Laplacian, <tau, Delta tau> - Delta |tau|^2 / 2 = |nabla tau|^2.
-    pairing = sf.inner(spec, phi.values, tau.values, lap_tau.values)
+    pairing = sf.ambient_form(spec, tau.values, lap_tau.values)
     bochner = pairing + 0.5 * laplace_beltrami(grid, frame, tau_sq)[1] - grad_tau_sq
     tol = base_tol * (1.0 + float(np.max(np.abs(pairing))) + float(np.max(grad_tau_sq)))
     checks.append(_verdict("bochner_identity", np.abs(bochner), tol))
@@ -265,7 +265,7 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
         lap_dphi_sq = chain.lap_sq * chain.dphi_sq
         proj_sq = np.zeros(grid.shape)
         for d in dphi:
-            proj_sq += sf.inner(spec, phi.values, lap_tau.values, d.values) ** 2
+            proj_sq += sf.ambient_form(spec, lap_tau.values, d.values) ** 2
         tol = 1e-10 * (1.0 + float(np.max(lap_dphi_sq)))
         checks.append(_verdict("curvature_sign", -spec.c * (proj_sq - lap_dphi_sq), tol))
     else:
@@ -368,7 +368,7 @@ def random_tangent_section(phi: MapField, seed: int) -> Section:
             f = f + rng.standard_normal() * np.cos(arg)
         values[..., comp] = f
     values = sf.project_tangent(spec, phi.values, values)
-    sup = float(np.max(sf.norm(spec, phi.values, values)))
+    sup = float(np.max(sf.norm(spec, values)))
     if sup > 0.0:
         values *= SECTION_AMPLITUDE / sup
     return Section(values=values, base=phi)

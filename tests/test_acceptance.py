@@ -104,7 +104,7 @@ def test_criterion_03_first_variation():
     chain = pf.TensionChain(phi, frame)
     tau, tau3 = chain.tau, chain.tau3
     analytic = -pf.integrate(
-        grid, frame, sf.inner(phi.spec, phi.values, tau3.values, tau.values)
+        grid, frame, sf.ambient_form(phi.spec, tau3.values, tau.values)
     )
     e3p = pf.TensionChain(pf.vary(phi, tau, 1e-3), frame).energy(3)
     e3m = pf.TensionChain(pf.vary(phi, tau, -1e-3), frame).energy(3)

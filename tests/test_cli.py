@@ -433,6 +433,8 @@ def test_flow_summary_time_provenance_and_probe(tmp_path, max_iters, immersed):
     assert probe["immersed"] is immersed
     assert probe["isometry_defect"] > 0.0  # the flat frame is not the induced metric
     assert probe["E"] == summary["energies"]["E"] > 0.0
+    assert probe["Etilde4"] == summary["energies"]["Etilde4"]
+    assert probe["L4_tension"] == summary["energies"]["Lp_tension"]["4.0"]
     hypothesis = [c for c in probe["caveats"] if "does not immerse" in c]
     assert len(hypothesis) == (0 if immersed else 1)
 
@@ -582,11 +584,11 @@ def test_outputs_equal_the_reference_kernels(tmp_path, monkeypatch):
             return np.asarray(v, dtype=float)
         return v - spec.c * sf.ambient_form(spec, x, v)[..., None] * x
 
-    def curvature_op(spec, x, X, Y, Z):
+    def curvature_op(spec, X, Y, Z):
         if spec.c == 0.0:
             return np.zeros(np.broadcast(X, Y, Z).shape)
-        hYZ = sf.inner(spec, x, Y, Z)[..., None]
-        hXZ = sf.inner(spec, x, X, Z)[..., None]
+        hYZ = sf.ambient_form(spec, Y, Z)[..., None]
+        hXZ = sf.ambient_form(spec, X, Z)[..., None]
         return spec.c * (hYZ * X - hXZ * Y)
 
     monkeypatch.setattr(domain_grid, "exact_sum", lambda x: math.fsum(memoryview(x)))

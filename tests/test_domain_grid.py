@@ -26,7 +26,6 @@ def test_build_grid_circle():
 def test_build_grid_torus():
     grid = pf.build_grid(pf.GridSpec(2, (64, 64), (TWO_PI, TWO_PI)))
     assert grid.shape == (64, 64)
-    assert grid.node_count == 4096
 
 
 def test_build_grid_too_small():

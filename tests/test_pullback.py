@@ -48,7 +48,7 @@ def test_differential_isometric_norm(torus_grid):
     frame = frame_for(phi)
     total = np.zeros(phi.grid.shape)
     for d in TensionChain(phi, frame).dphi:
-        total += sf.inner(phi.spec, phi.values, d.values, d.values)
+        total += sf.ambient_form(phi.spec, d.values, d.values)
     np.testing.assert_allclose(total, 2.0, atol=1e-10)
 
 
@@ -370,10 +370,10 @@ def test_rough_laplacian_self_adjoint(circle_grid):
     V = pf.random_tangent_section(phi, seed=5)
     W = pf.random_tangent_section(phi, seed=6)
     chain = TensionChain(phi, frame)
-    a = pf.integrate(circle_grid, frame, sf.inner(
-        phi.spec, phi.values, chain.laplacian(V).values, W.values))
-    b = pf.integrate(circle_grid, frame, sf.inner(
-        phi.spec, phi.values, V.values, chain.laplacian(W).values))
+    a = pf.integrate(circle_grid, frame, sf.ambient_form(
+        phi.spec, chain.laplacian(V).values, W.values))
+    b = pf.integrate(circle_grid, frame, sf.ambient_form(
+        phi.spec, V.values, chain.laplacian(W).values))
     assert abs(a - b) <= 1e-8
 
 
@@ -426,7 +426,7 @@ def _ref_laplacian(phi, frame, values):
     out = sf.project_tangent(phi.spec, phi.values, _ref_lb(phi, frame, values))
     if phi.spec.c != 0.0:
         for d in _ref_differential(phi, frame):
-            out += (phi.spec.c * sf.inner(phi.spec, phi.values, d, values))[..., None] * d
+            out += (phi.spec.c * sf.ambient_form(phi.spec, d, values))[..., None] * d
     return -out
 
 
@@ -437,7 +437,7 @@ def _ref_jacobi(phi, frame, values):
     if phi.spec.c != 0.0:
         dphi_sq = np.zeros(phi.grid.shape)
         for d in _ref_differential(phi, frame):
-            dphi_sq += sf.inner(phi.spec, phi.values, d, d)
+            dphi_sq += sf.ambient_form(phi.spec, d, d)
         out -= (phi.spec.c * dphi_sq)[..., None] * values
     return out
 
@@ -452,8 +452,8 @@ def _ref_chain(phi, frame):
         dphi = _ref_differential(phi, frame)
         for i in range(dims):
             grad = _ref_nabla(phi, tau, frame.e[..., i, :])
-            tau3 -= (c * sf.inner(phi.spec, phi.values, dphi[i], tau))[..., None] * grad
-            tau3 += (c * sf.inner(phi.spec, phi.values, grad, dphi[i]))[..., None] * tau
+            tau3 -= (c * sf.ambient_form(phi.spec, dphi[i], tau))[..., None] * grad
+            tau3 += (c * sf.ambient_form(phi.spec, grad, dphi[i]))[..., None] * tau
     return {
         "dphi": _ref_differential(phi, frame),
         "tau": tau,
@@ -514,9 +514,9 @@ def _trace_chain(phi, frame):
     tau3 = _trace_laplacian(phi, frame, lap, connection)
     if phi.spec.c != 0.0:
         for i, d in enumerate(dphi):
-            tau3 -= sf.curvature_op(phi.spec, phi.values, lap, d, d)
+            tau3 -= sf.curvature_op(phi.spec, lap, d, d)
             grad = _ref_nabla(phi, tau, frame.e[..., i, :])
-            tau3 -= sf.curvature_op(phi.spec, phi.values, grad, tau, d)
+            tau3 -= sf.curvature_op(phi.spec, grad, tau, d)
     return {"tau": tau, "lap_tau": lap, "tau3": tau3}
 
 
@@ -591,8 +591,8 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     spec, tau = phi.spec, chain.tau.values
     expected = chain.jacobi(chain.lap_tau).values
     for g, d in zip(chain.grad_tau, chain.dphi):
-        h_dt = sf.inner(spec, phi.values, d.values, tau)
-        h_gd = sf.inner(spec, phi.values, g.values, d.values)
+        h_dt = sf.ambient_form(spec, d.values, tau)
+        h_gd = sf.ambient_form(spec, g.values, d.values)
         expected -= (spec.c * h_dt)[..., None] * g.values
         expected += (spec.c * h_gd)[..., None] * tau
     assert chain.tau3.values.tobytes() == expected.tobytes()
@@ -617,7 +617,7 @@ def test_jacobi_closed_form_matches_textbook():
         lap2, curv = chain.lap2_tau.values, chain.curvature(chain.lap_tau).values
         textbook = lap2 - curv
         for g, d in zip(chain.grad_tau, chain.dphi):
-            textbook -= sf.curvature_op(phi.spec, phi.values, g.values, chain.tau.values,
+            textbook -= sf.curvature_op(phi.spec, g.values, chain.tau.values,
                                         d.values)
         scale = max(np.max(np.abs(lap2)), np.max(np.abs(curv)))
         err = np.max(np.abs(chain.tau3.values - textbook))
@@ -630,20 +630,34 @@ def test_jacobi_closed_form_matches_textbook():
 @pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
 def test_sup_norm_is_the_max_of_norm_field(name, params, grid_args, target, metric):
     # sup_norm(k) takes sqrt(max(0, max h(V, V))), which equals the max of
-    # norm_field() bit for bit, as sqrt is monotone and correctly rounded;
-    # also for the field with a NaN node and for an identically zero field
+    # tau_norm (k = 1) or norm_field() bit for bit, as sqrt is monotone and
+    # correctly rounded; also for the field with a NaN node and for an
+    # identically zero field
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
     fields = TensionChain(phi, frame)
-    for k in (2, 3):
+    for k in (1, 2, 3):
         V = fields.field(k).values
         nan = V.copy()
         nan[(3,) * phi.grid.dims] = np.nan
         for values in (V, nan, np.zeros_like(V)):
             chain = TensionChain(phi, frame)
-            chain.__dict__[("tau2", "tau3")[k - 2]] = Section(values, phi)
-            expected = float(chain.field(k).norm_field().max())
+            chain.__dict__[("tau", "tau2", "tau3")[k - 1]] = Section(values, phi)
+            norm = chain.tau_norm if k == 1 else chain.field(k).norm_field()
+            expected = float(norm.max())
             assert struct.pack("<d", chain.sup_norm(k)) == struct.pack("<d", expected)
+
+
+@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
+def test_energy2_and_etilde4_integrate_the_cached_squares(name, params, grid_args,
+                                                          target, metric):
+    # E2 and Etilde4 are half the integrals of h(tau, tau) and
+    # h(Delta tau, Delta tau), the squares the chain caches, bit for bit
+    phi = build_fixture(name, params, grid_args, target)
+    frame = _case_frame(phi, metric)
+    chain = TensionChain(phi, frame)
+    assert chain.energy(2) == 0.5 * pf.integrate(phi.grid, frame, chain.tau_sq)
+    assert chain.etilde4 == 0.5 * pf.integrate(phi.grid, frame, chain.lap_sq)
 
 
 def _trace_route_error(n, metric):

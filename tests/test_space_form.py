@@ -29,7 +29,7 @@ def random_point(spec, rng):
 def random_tangent(spec, x, rng, unit=False):
     v = sf.project_tangent(spec, x, rng.standard_normal(x.shape))
     if unit:
-        v = v / max(np.sqrt(sf.inner(spec, x, v, v)), 1e-12)
+        v = v / max(np.sqrt(sf.ambient_form(spec, v, v)), 1e-12)
     return v
 
 
@@ -97,18 +97,16 @@ def test_project_tangent_idempotent(spec):
             assert abs(sf.ambient_form(spec, x, once)) <= 1e-12
 
 
-def test_inner_hyperboloid_tangent():
-    x = np.array([1.0, 0.0, 0.0])
-    u = np.array([0.0, 1.0, 0.0])
-    assert sf.inner(HYP, x, u, u) == 1.0
-    assert sf.inner(HYP, x, np.zeros(3), u) == 0.0
+def test_ambient_form_hyperboloid_tangent():
+    u = np.array([0.0, 1.0, 0.0])  # tangent at (1, 0, 0)
+    assert sf.ambient_form(HYP, u, u) == 1.0
+    assert sf.ambient_form(HYP, np.zeros(3), u) == 0.0
 
 
-def test_inner_orthogonal_coordinates():
-    x = np.array([1.0, 0.0, 0.0])
-    u = np.array([0.0, 1.0, 0.0])
+def test_ambient_form_orthogonal_coordinates():
+    u = np.array([0.0, 1.0, 0.0])  # u and v tangent at (1, 0, 0)
     v = np.array([0.0, 0.0, 1.0])
-    assert sf.inner(SPHERE, x, u, v) == 0.0
+    assert sf.ambient_form(SPHERE, u, v) == 0.0
 
 
 def test_exp_map_zero_velocity():
@@ -139,7 +137,7 @@ def test_exp_map_stays_on_model(spec):
     for scale in (0.1, 1.0, 10.0):
         x = random_point(spec, rng)
         v = random_tangent(spec, x, rng)
-        v *= scale / max(np.sqrt(sf.inner(spec, x, v, v)), 1e-30)
+        v *= scale / max(np.sqrt(sf.ambient_form(spec, v, v)), 1e-30)
         out = sf.exp_map(spec, x, v)
         assert sf.constraint_residual(spec, out) <= 1e-10
 
@@ -163,10 +161,10 @@ def test_boost_frame_is_orthonormal_and_tangent(c, n):
     scale = size * (1.0 + np.max(np.abs(x), -1) / r)
     # the coefficients are the reference frame's
     a, coeffs = _boost_coefficients(x, V, r)
-    ref = np.stack([sf.inner(spec, x, V, E) for E in frame], -1)
+    ref = np.stack([sf.ambient_form(spec, V, E) for E in frame], -1)
     assert np.all(np.max(np.abs(coeffs - ref), -1) <= 1e-13 * scale)
     # the coefficient map is an isometry: sum_i c_i^2 = <V, V>_L
-    defect = np.abs(np.sum(coeffs**2, -1) - sf.inner(spec, x, V, V))
+    defect = np.abs(np.sum(coeffs**2, -1) - sf.ambient_form(spec, V, V))
     assert np.all(defect <= 1e-13 * np.sum(V * V, -1))
     # an implicit step at dt = 0 rebuilds V from its coefficients, tangent
     grid = pf.build_grid(pf.GridSpec(1, (200,), (2.0 * np.pi,)))
@@ -258,16 +256,15 @@ def test_ambient_form_far_on_the_hyperboloid(n):
 def test_curvature_flat_vanishes():
     rng = np.random.default_rng(3)
     args = [rng.standard_normal(2) for _ in range(3)]
-    out = sf.curvature_op(FLAT, np.zeros(2), *args)
+    out = sf.curvature_op(FLAT, *args)
     np.testing.assert_array_equal(out, np.zeros(2))
 
 
 def test_curvature_space_form_formula():
     # c = -1: R(X, Y)Z = -(h(Y,Z) X - h(X,Z) Y); here h(Y,Z)=1, h(X,Z)=0
-    x = np.array([1.0, 0.0, 0.0])
-    X = np.array([0.0, 1.0, 0.0])
+    X = np.array([0.0, 1.0, 0.0])  # X and Y tangent at (1, 0, 0)
     Y = np.array([0.0, 0.0, 1.0])
-    out = sf.curvature_op(HYP, x, X, Y, Y)
+    out = sf.curvature_op(HYP, X, Y, Y)
     np.testing.assert_allclose(out, [0.0, -1.0, 0.0], atol=1e-15)
 
 
@@ -276,7 +273,7 @@ def test_curvature_antisymmetry():
     x = random_point(SPHERE, rng)
     X = random_tangent(SPHERE, x, rng)
     Z = random_tangent(SPHERE, x, rng)
-    out = sf.curvature_op(SPHERE, x, X, X, Z)
+    out = sf.curvature_op(SPHERE, X, X, Z)
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -288,7 +285,7 @@ def test_curvature_pair_symmetry(spec):
     for _ in range(1000):
         x = random_point(spec, rng)
         v = [random_tangent(spec, x, rng, unit=True) for _ in range(4)]
-        lhs = sf.inner(spec, x, sf.curvature_op(spec, x, v[2], v[3], v[1]), v[0])
-        rhs = sf.inner(spec, x, sf.curvature_op(spec, x, v[0], v[1], v[3]), v[2])
+        lhs = sf.ambient_form(spec, sf.curvature_op(spec, v[2], v[3], v[1]), v[0])
+        rhs = sf.ambient_form(spec, sf.curvature_op(spec, v[0], v[1], v[3]), v[2])
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12

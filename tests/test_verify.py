@@ -64,7 +64,7 @@ def test_first_variation_circle_tritension(flat_circle):
     frame, tau, tau3 = chain.frame, chain.tau, chain.tau3
     analytic = -pf.integrate(
         flat_circle.grid, frame,
-        sf.inner(flat_circle.spec, flat_circle.values, tau3.values, tau.values),
+        sf.ambient_form(flat_circle.spec, tau3.values, tau.values),
     )
     assert analytic == pytest.approx(-TWO_PI, abs=1e-10)
     resid = pf.first_variation_residual(chain, tau, 3, 1e-3)
@@ -250,7 +250,7 @@ def test_ambient_commutator_matches_curvature(torus_grid):
     lhs = D(D(W.values, 1), 0) - D(D(W.values, 0), 1)
     du = grid.deriv(phi.values, 0, floor=floor)
     dv = grid.deriv(phi.values, 1, floor=floor)
-    rhs = sf.curvature_op(spec, phi.values, du, dv, W.values)
+    rhs = sf.curvature_op(spec, du, dv, W.values)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -270,7 +270,7 @@ def test_ambient_commutator_fd2_order():
             return sf.project_tangent(spec, phi.values, grid.deriv(values, axis))
 
         lhs = D(D(W, 1), 0) - D(D(W, 0), 1)
-        rhs = sf.curvature_op(spec, phi.values, grid.deriv(phi.values, 0),
+        rhs = sf.curvature_op(spec, grid.deriv(phi.values, 0),
                               grid.deriv(phi.values, 1), W)
         errs.append(np.max(np.abs(lhs - rhs)))
     order = np.log2(errs[0] / errs[1])
