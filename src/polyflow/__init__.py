@@ -38,6 +38,7 @@ from .pullback import (
     TensionChain,
     tension,
     tritension_space_form,
+    vary,
 )
 from .space_form import (
     Model,
@@ -57,7 +58,6 @@ from .verify import (
     pointwise_identity_audit,
     random_tangent_section,
     tension_variation_residual,
-    vary,
 )
 
 __version__ = "0.1.0"

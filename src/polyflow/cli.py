@@ -254,23 +254,20 @@ def run(config: ExperimentConfig) -> int:
         chain = TensionChain(phi, orthonormal_frame(grid, metric))
         summary["metric_mode"] = metric.mode.value
         summary["energies"] = energy_report(chain, p_list=config.p_list).to_dict()
+        checked, failing = None, []  # what was checked, its failing checks
         if config.action is Action.AUDIT:
             report = pointwise_identity_audit(chain, seed=config.seed)
             summary["audit"] = report.to_dict()
-            if not report.passed:
-                failing = [n for n, c in report.checks.items()
-                           if not (c.passed or c.skipped)]
-                print(f"audit failed: {', '.join(failing)}", file=sys.stderr)
-                exit_code = 1
+            checked, failing = "audit", [n for n, c in report.checks.items()
+                                         if not (c.passed or c.skipped)]
         elif config.action is Action.VARIATION_CHECK:
             variation = _variation_results(chain, config.seed)
             summary["variation"] = variation
-            if not variation["pass"]:
-                failing = [n for n, c in variation["checks"].items()
-                           if not c["pass"]]
-                print(f"variation check failed: {', '.join(failing)}",
-                      file=sys.stderr)
-                exit_code = 1
+            checked, failing = "variation check", [
+                n for n, c in variation["checks"].items() if not c["pass"]]
+        if failing:
+            print(f"{checked} failed: {', '.join(failing)}", file=sys.stderr)
+            exit_code = 1
 
     for p, value in summary.get("energies", {}).get("Lp_tension", {}).items():
         if not math.isfinite(value):  # Infinity is not JSON

@@ -66,10 +66,14 @@ FSUM_MAX_TERMS = 1024
 
 def whole_number(value, name: str) -> int:
     """``value`` as an int.  A value that is not a whole number (64.5, the
-    string "64", or a bool) is a ValueError rather than being truncated;
-    whole floats such as 64.0 pass."""
-    number = int(value)
-    if number != value or isinstance(value, (bool, np.bool_)):
+    string "64", a bool, NaN, inf or None) is a ValueError rather than
+    being truncated; whole floats such as 64.0 pass."""
+    try:
+        number = int(value)
+        whole = number == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        whole = False
+    if not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return number
 
@@ -163,6 +167,13 @@ class DomainGrid:
     @property
     def dims(self) -> int:
         return self.spec.dims
+
+    @property
+    def angles(self) -> list:
+        """Per node axis a, the angle 2 pi x_a / L_a: one turn per period.
+        Formed on each access, so no array outlives its reader."""
+        return [2.0 * np.pi * self.coords[a] / self.spec.lengths[a]
+                for a in range(self.dims)]
 
     def q_power(self, k: int) -> np.ndarray:
         """|q|^(2k) on the rfftn half spectrum of a field with one trailing
@@ -292,6 +303,19 @@ class FrameField:
         d = self.e.shape[-1]
         return tuple(tuple(a for a in range(d) if np.any(self.e[..., i, a]))
                      for i in range(d))
+
+    def along(self, derivs) -> list:
+        """sum_a e_i^a d_a V per frame direction i, over ``axes[i]``, from the
+        d_a V by axis, with or without trailing components; C-ordered
+        whatever their layout (``deriv`` gives strided views)."""
+        tail = (None,) * (derivs[0].ndim - self.e.ndim + 2)
+        out = []
+        for i, axes in enumerate(self.axes):
+            acc = np.zeros(derivs[axes[0]].shape)
+            for a in axes:
+                acc += self.e[(..., i, a) + tail] * derivs[a]
+            out.append(acc)
+        return out
 
     @cached_property
     def lb_terms(self) -> tuple:
@@ -447,14 +471,7 @@ def exact_sum(x: np.ndarray) -> float:
 
 def scalar_gradient(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.ndarray:
     """Frame components e_i(f) of the gradient; shape grid.shape + (dims,)."""
-    out = np.empty(grid.shape + (grid.dims,))
-    df = [grid.deriv(f, a) for a in range(grid.dims)]
-    for i in range(grid.dims):
-        acc = np.zeros(grid.shape)
-        for a in range(grid.dims):
-            acc += frame.e[..., i, a] * df[a]
-        out[..., i] = acc
-    return out
+    return np.stack(frame.along([grid.deriv(f, a) for a in range(grid.dims)]), axis=-1)
 
 
 def laplace_beltrami(grid: DomainGrid, frame: FrameField, values: np.ndarray,

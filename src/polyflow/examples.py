@@ -18,10 +18,12 @@ from .pullback import MapField
 __all__ = ["builtin_map", "example_catalog"]
 
 
-def _angles(grid: DomainGrid):
-    return [
-        2.0 * np.pi * grid.coords[a] / grid.spec.lengths[a] for a in range(grid.dims)
-    ]
+def _product_torus(u, v, r1, r2) -> list:
+    """The four components of the product torus (r1 e^{iu}, r2 e^{iv});
+    radii that are not positive are a BadParams."""
+    if min(r1, r2) <= 0.0:
+        raise BadParams("torus radii must be positive")
+    return [r1 * np.cos(u), r1 * np.sin(u), r2 * np.cos(v), r2 * np.sin(v)]
 
 
 def _circle(params, grid, spec):
@@ -30,7 +32,7 @@ def _circle(params, grid, spec):
         raise BadParams("Circle radius must be positive")
     if spec.n != 2:
         raise BadParams("Circle lives in a 2-dimensional target (n = 2)")
-    (theta,) = _angles(grid)
+    (theta,) = grid.angles
     if spec.model is sf.Model.FLAT:
         values = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
     elif spec.model is sf.Model.SPHERE:
@@ -66,7 +68,7 @@ def _perturbed_geodesic_h2(params, grid, spec):
     # map oscillates along a fixed geodesic line through the base point.
     amplitude, k = params["amplitude"], whole_number(params["k"], "k")
     R = 1.0 / np.sqrt(-spec.c)
-    (theta,) = _angles(grid)
+    (theta,) = grid.angles
     base = np.zeros(grid.shape + (spec.ambient_dim,))
     base[..., 0] = R
     direction = np.zeros_like(base)
@@ -83,7 +85,7 @@ def _great_circle_s2(params, grid, spec):
     if winding == 0:
         raise BadParams("winding must be nonzero")
     R = 1.0 / np.sqrt(spec.c)
-    (theta,) = _angles(grid)
+    (theta,) = grid.angles
     return R * np.stack(
         [
             np.cos(winding * theta),
@@ -95,17 +97,11 @@ def _great_circle_s2(params, grid, spec):
 
 
 def _torus_clifford_like(params, grid, spec):
-    u, v = _angles(grid)
+    u, v = grid.angles
     if spec.model is sf.Model.FLAT:
         if spec.n != 4:
             raise BadParams("flat product torus lives in R^4 (n = 4)")
-        r1, r2 = params["r1"], params["r2"]
-        if min(r1, r2) <= 0.0:
-            raise BadParams("torus radii must be positive")
-        return np.stack(
-            [r1 * np.cos(u), r1 * np.sin(u), r2 * np.cos(v), r2 * np.sin(v)],
-            axis=-1,
-        )
+        return np.stack(_product_torus(u, v, params["r1"], params["r2"]), axis=-1)
     if spec.model is sf.Model.SPHERE:
         if spec.n != 3:
             raise BadParams("Clifford-type torus lives in the 3-sphere (n = 3)")
@@ -113,11 +109,7 @@ def _torus_clifford_like(params, grid, spec):
         if not 0.0 < alpha < np.pi / 2.0:
             raise BadParams("alpha must lie in (0, pi/2)")
         R = 1.0 / np.sqrt(spec.c)
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        return R * np.stack(
-            [ca * np.cos(u), ca * np.sin(u), sa * np.cos(v), sa * np.sin(v)],
-            axis=-1,
-        )
+        return R * np.stack(_product_torus(u, v, np.cos(alpha), np.sin(alpha)), axis=-1)
     # Hyperboloid: rotational tube torus, sweeping a circle of geodesic
     # radius rho around the hyperbolic circle of geodesic radius a.  The
     # u-speed A(v) = cosh(rho) sinh(a) + sinh(rho) cos(v) cosh(a) stays
@@ -143,22 +135,11 @@ def _torus_clifford_like(params, grid, spec):
 def _graph_surface(params, grid, spec):
     if spec.n != 5:
         raise BadParams("GraphSurface is a graph over the flat torus in R^5 (n = 5)")
-    r1, r2 = params["r1"], params["r2"]
     amplitude = params["amplitude"]
     ku, kv = whole_number(params["ku"], "ku"), whole_number(params["kv"], "kv")
-    if min(r1, r2) <= 0.0:
-        raise BadParams("torus radii must be positive")
-    u, v = _angles(grid)
-    return np.stack(
-        [
-            r1 * np.cos(u),
-            r1 * np.sin(u),
-            r2 * np.cos(v),
-            r2 * np.sin(v),
-            amplitude * np.sin(ku * u) * np.cos(kv * v),
-        ],
-        axis=-1,
-    )
+    u, v = grid.angles
+    torus = _product_torus(u, v, params["r1"], params["r2"])
+    return np.stack(torus + [amplitude * np.sin(ku * u) * np.cos(kv * v)], axis=-1)
 
 
 _FAMILIES = {

@@ -34,7 +34,7 @@ from .domain_grid import (
     whole_number,
 )
 from .errors import DegenerateImmersion, PolyflowError, StepUnderflow
-from .pullback import MapField, Section, TensionChain
+from .pullback import MapField, Section, TensionChain, vary
 
 __all__ = [
     "FlowKind",
@@ -175,9 +175,7 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
     step = _implicit_step(descent, k, dt)
     e_now = chain.energy(k)
     decrease = integrate(phi.grid, frame, sf.ambient_form(phi.spec, descent.values, step))
-    candidate = MapField(values=sf.exp_map(phi.spec, phi.values, dt * step),
-                         grid=phi.grid, spec=phi.spec)
-    trial = TensionChain(candidate, frame)
+    trial = TensionChain(vary(phi, Section(step, phi), dt), frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
         return Trial(True, trial)
     return Trial(False, chain)

@@ -33,6 +33,7 @@ __all__ = [
     "TensionChain",
     "tension",
     "tritension_space_form",
+    "vary",
 ]
 
 ISOMETRY_TOL = 1e-6
@@ -116,6 +117,13 @@ class Section:
         return sf.norm(self.base.spec, self.values)
 
 
+def vary(phi: MapField, V: Section, t: float) -> MapField:
+    """Geodesic variation phi_t(x) = exp_{phi(x)}(t V(x)); phi itself at t = 0."""
+    if t == 0.0:
+        return phi
+    return MapField(sf.exp_map(phi.spec, phi.values, t * V.values), phi.grid, phi.spec)
+
+
 class TensionChain:
     """The tension chain of one state ``(phi, frame)``, each field computed once.
 
@@ -155,15 +163,11 @@ class TensionChain:
                                   for a in range(phi.grid.dims)])
 
     def _along_frame(self, derivs) -> list:
-        """P(sum_a e_i^a d_a V) per i over ``frame.axes[i]``, from the d_a V by
-        axis; C-ordered whatever their layout (``deriv`` gives strided views)."""
-        phi, frame, out = self.phi, self.frame, []
-        for i, axes in enumerate(frame.axes):
-            acc = np.zeros(derivs[axes[0]].shape)
-            for a in axes:
-                acc += frame.e[..., i, a, None] * derivs[a]
-            out.append(Section(sf.project_tangent(phi.spec, phi.values, acc), phi))
-        return out
+        """P(sum_a e_i^a d_a V) per i (:meth:`FrameField.along`), from the d_a V
+        by axis; each sum is dropped once projected."""
+        phi, sums = self.phi, self.frame.along(derivs)
+        return [Section(sf.project_tangent(phi.spec, phi.values, sums.pop(0)), phi)
+                for _ in range(len(sums))]
 
     def _projected_lb(self, V: Section | MapField, pairs=None) -> list:
         """``[P(G^{ab} d_a d_b V + B^b d_b V), [d_a V]]``, from ``pairs``

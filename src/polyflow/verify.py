@@ -14,6 +14,7 @@ checks return residuals for the caller to judge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -26,16 +27,15 @@ from .domain_grid import (
     MetricMode,
     integrate,
     laplace_beltrami,
-    scalar_gradient,
+    whole_number,
 )
 from .errors import MetricModeError, NotTriharmonic, RadiusTooLarge
-from .pullback import MapField, Section, TensionChain
+from .pullback import MapField, Section, TensionChain, vary
 
 __all__ = [
     "AuditCheck",
     "AuditReport",
     "CutoffField",
-    "vary",
     "first_variation_residual",
     "tension_variation_residual",
     "pointwise_identity_audit",
@@ -106,23 +106,17 @@ def scheme_tolerance(grid: DomainGrid) -> float:
     return 1e-8
 
 
-def vary(phi: MapField, V: Section, t: float) -> MapField:
-    """Geodesic variation phi_t(x) = exp_{phi(x)}(t V(x)); phi itself at t = 0."""
-    if t == 0.0:
-        return phi
-    return MapField(
-        values=sf.exp_map(phi.spec, phi.values, t * V.values),
-        grid=phi.grid,
-        spec=phi.spec,
-    )
-
-
 def _require_prescribed(frame: FrameField):
     if frame.mode is MetricMode.INDUCED:
         raise MetricModeError(
             "variation checks need a fixed prescribed metric; an induced "
             "metric would change along the variation"
         )
+
+
+def _require_step(t: float):
+    if not (math.isfinite(t) and t != 0.0):
+        raise ValueError(f"variation step t must be finite and nonzero, got {t}")
 
 
 def first_variation_residual(chain: TensionChain, V: Section, k: int, t: float) -> float:
@@ -136,6 +130,7 @@ def first_variation_residual(chain: TensionChain, V: Section, k: int, t: float) 
     """
     phi, frame = chain.phi, chain.frame
     _require_prescribed(frame)
+    _require_step(t)
     if k not in (1, 2, 3):
         raise ValueError(f"variation order must be 1, 2 or 3, got {k}")
     tau_k = chain.field(k)
@@ -157,6 +152,7 @@ def tension_variation_residual(chain: TensionChain, V: Section, t: float) -> flo
     """
     phi, frame = chain.phi, chain.frame
     _require_prescribed(frame)
+    _require_step(t)
     tau_plus = TensionChain(vary(phi, V, t), frame).tau
     tau_minus = TensionChain(vary(phi, V, -t), frame).tau
     lhs = sf.project_tangent(
@@ -179,12 +175,13 @@ def _skipped(name, note) -> AuditCheck:
 
 
 def _gradient_sq(grid, frame, f) -> np.ndarray:
-    """|grad f|^2 summed component by component: the same bits as
-    ``np.sum(... ** 2, axis=-1)``, without numpy's per-node loop."""
-    grad = scalar_gradient(grid, frame, f)
-    out = grad[..., 0] ** 2
-    for i in range(1, grid.dims):
-        out += grad[..., i] ** 2
+    """|grad f|^2 summed component by component from ``frame.along``: the
+    same bits as ``np.sum(scalar_gradient(...) ** 2, axis=-1)``, without
+    numpy's per-node loop or a stacked gradient."""
+    grad = frame.along([grid.deriv(f, a) for a in range(grid.dims)])
+    out = grad[0] ** 2
+    for g in grad[1:]:
+        out += g**2
     return out
 
 
@@ -288,16 +285,23 @@ def cutoff(grid: DomainGrid, center, r: float) -> CutoffField:
     """Quintic-smoothstep bump around a node.
 
     eta = 1 on the ball of radius r, 0 outside radius 2r, and the gradient
-    bound max |grad eta| <= 15/(8r) < 2/r holds with margin.
+    bound max |grad eta| <= 15/(8r) < 2/r holds with margin.  2r >= L/2,
+    or a NaN r, is a RadiusTooLarge; r <= 0, or a ``center`` that is not one
+    whole-number node index in [0, n) per axis, is a ValueError.
     """
     if not 2.0 * r < min(grid.spec.lengths) / 2.0:
         raise RadiusTooLarge(
             f"need 2r < {min(grid.spec.lengths) / 2.0:.6g}, got r = {r:.6g}"
         )
+    if not r > 0.0:
+        raise ValueError(f"cut-off radius must be positive, got {r}")
+    center = tuple(whole_number(c, "center") for c in np.atleast_1d(center))
+    if len(center) != grid.dims or not all(0 <= c < n for c, n in zip(center, grid.shape)):
+        raise ValueError(f"center must be one node index in [0, n) per axis of a "
+                         f"{grid.shape} grid, got {center}")
     d = grid.periodic_distance(center)
     eta = _smoothstep((2.0 * r - d) / r)
-    center_t = tuple(np.atleast_1d(center).astype(int).tolist())
-    return CutoffField(eta=eta, center=center_t, r=float(r), distance=d, grid=grid)
+    return CutoffField(eta=eta, center=center, r=float(r), distance=d, grid=grid)
 
 
 def caccioppoli_audit(chain: TensionChain, eta: CutoffField, eps: float) -> float:
@@ -352,9 +356,7 @@ def random_tangent_section(phi: MapField, seed: int) -> Section:
     """
     grid, spec = phi.grid, phi.spec
     rng = np.random.default_rng(seed)
-    angles = [
-        2.0 * np.pi * grid.coords[a] / grid.spec.lengths[a] for a in range(grid.dims)
-    ]
+    angles = grid.angles
     values = np.zeros(grid.shape + (spec.ambient_dim,))
     for comp in range(spec.ambient_dim):
         f = np.zeros(grid.shape)

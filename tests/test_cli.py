@@ -15,6 +15,7 @@ from polyflow.cli import load_config, main, parse_config, run
 from polyflow.errors import ConfigError
 from polyflow.flow import FlowConfig, FlowTrace
 from polyflow.pullback import TensionChain
+from polyflow.verify import AuditCheck, AuditReport
 
 from conftest import fail_third_trial, load_summary, record_derivs
 
@@ -733,3 +734,30 @@ def test_unknown_example_is_config_error(tmp_path):
     data["initial_map"] = {"name": "Wormhole", "params": {}}
     path = write_config(tmp_path, data, "u.json")
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("action", ["Audit", "VariationCheck", "Energies"])
+def test_failing_checks_are_listed_on_stderr(tmp_path, capsys, monkeypatch, action):
+    # each failing check is named once, in order; a skipped audit check, or
+    # an action without checks, prints nothing and exits 0
+    def audit(chain, seed):
+        return AuditReport({c.name: c for c in (
+            AuditCheck("a", 1.0, 1, 0.0, False), AuditCheck("b", 0.0, 0, 0.0, True),
+            AuditCheck("c", 0.0, 0, 0.0, False, skipped=True),
+            AuditCheck("d", 1.0, 1, 0.0, False))})
+
+    def variation(chain, seed):
+        checks = {name: {"pass": ok} for name, ok in (
+            ("energy_order_1", True), ("energy_order_2", False),
+            ("energy_order_3", True), ("tension_variation", False))}
+        return {"t": 1e-3, "checks": checks, "pass": False}
+
+    monkeypatch.setattr(cli, "pointwise_identity_audit", audit)
+    monkeypatch.setattr(cli, "_variation_results", variation)
+    code = run(parse_config(base_config(tmp_path / "out", action=action)))
+    expected = {"Audit": "audit failed: a, d\n",
+                "VariationCheck": "variation check failed: energy_order_2, "
+                                  "tension_variation\n",
+                "Energies": ""}[action]
+    assert capsys.readouterr().err == expected
+    assert code == (1 if expected else 0)

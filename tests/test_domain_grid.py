@@ -28,6 +28,17 @@ def test_build_grid_torus():
     assert grid.shape == (64, 64)
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_grid_angles_turn_once_per_period(dims):
+    grid = pf.build_grid(pf.GridSpec(dims, (32, 48)[:dims], (TWO_PI, 3.0)[:dims]))
+    angles = grid.angles
+    assert len(angles) == dims
+    for a in range(dims):
+        expected = 2.0 * np.pi * grid.coords[a] / grid.spec.lengths[a]
+        assert angles[a].tobytes() == expected.tobytes()
+    assert grid.angles[0] is not angles[0]  # formed anew, not cached
+
+
 def test_build_grid_too_small():
     with pytest.raises(InvalidSpec):
         pf.GridSpec(1, (8,), (TWO_PI,))

@@ -10,6 +10,7 @@ from polyflow import flow as flow_module
 from polyflow import space_form as sf
 from polyflow.errors import StepUnderflow
 from polyflow.flow import _boost_coefficients, _implicit_step
+from polyflow.pullback import Section
 
 from conftest import (SIN_R_BI, SIN_R_TRI, fail_third_trial, frame_for, record_derivs,
                       reference_boost_frame, static_probe)
@@ -102,6 +103,15 @@ def test_flow_step_accept_grows(flat_circle):
     frame2 = frame_for(trial.chain.phi, induced=False)
     assert (pf.TensionChain(trial.chain.phi, frame2).energy(1)
             < pf.TensionChain(flat_circle, frame).energy(1))
+    # an accepted candidate is the implicit step's geodesic variation, bit
+    # for bit, on a flat and on a curved target
+    for phi in (flat_circle, small_h2_perturbation()):
+        chain = pf.TensionChain(phi, frame_for(phi, induced=False))
+        trial = pf.flow_step(chain, cfg, dt=1e-3)
+        assert trial.accepted
+        step = _implicit_step(chain.field(1), 1, 1e-3)
+        expected = pf.vary(phi, Section(step, phi), 1e-3)
+        assert trial.chain.phi.values.tobytes() == expected.values.tobytes()
 
 
 def test_flow_step_underflow(flat_circle):

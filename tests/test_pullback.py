@@ -555,6 +555,28 @@ def test_chain_matches_standalone_definitions(name, params, grid_args, target, m
 
 
 @pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
+def test_frame_along_matches_the_all_axes_sum(name, params, grid_args, target, metric):
+    # FrameField.along leaves out the axes whose e_i^a is identically zero:
+    # their terms are exact zeros, so it equals the plain sum over every
+    # axis bit for bit, on scalars and on 3- and 4-component sections, and
+    # returns C-ordered arrays from the strided views deriv gives
+    phi = build_fixture(name, params, grid_args, target)
+    frame = _case_frame(phi, metric)
+    grid, rng = phi.grid, np.random.default_rng(0)
+    for tail in ((), (3,), (4,)):
+        derivs = [grid.deriv(rng.standard_normal(grid.shape + tail), a)
+                  for a in range(grid.dims)]
+        got = frame.along(derivs)
+        assert len(got) == grid.dims
+        for i, along in enumerate(got):
+            expected = np.zeros(grid.shape + tail)
+            for a in range(grid.dims):
+                expected += frame.e[(..., i, a) + (None,) * len(tail)] * derivs[a]
+            assert along.flags.c_contiguous
+            assert along.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
 def test_chain_outputs_are_tangent(name, params, grid_args, target, metric):
     # every field the chain returns, and its Laplacian and Jacobi operator
     # of a random tangent section, is tangent to roundoff: within 1e-12 of
@@ -765,10 +787,7 @@ def test_induced_metric_and_chain_share_the_map_derivatives(monkeypatch, c):
     frame = pf.orthonormal_frame(phi.grid, metric)
     kinds.clear()
     chain = TensionChain(phi, frame)
-    for i, d in enumerate(chain.dphi):
-        along = np.zeros_like(derivs[0])
-        for a in frame.axes[i]:
-            along += frame.e[..., i, a, None] * derivs[a]
+    for d, along in zip(chain.dphi, frame.along(derivs)):
         expected = sf.project_tangent(phi.spec, phi.values, along)
         assert d.values.tobytes() == expected.tobytes()
     assert kinds == []

@@ -42,7 +42,7 @@ def test_spec_models():
 def test_spec_dimension_is_a_whole_number():
     spec = sf.SpaceFormSpec(1.0, 2.0)
     assert spec.n == 2 and isinstance(spec.n, int) and spec.ambient_dim == 3
-    for n in (2.0000001, 2.5, "2"):
+    for n in (2.0000001, 2.5, "2", float("nan"), float("inf"), None):
         with pytest.raises(ValueError, match="whole number"):
             sf.SpaceFormSpec(1.0, n)
 

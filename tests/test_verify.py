@@ -195,6 +195,42 @@ def test_cutoff_radius_too_large(circle_grid):
         pf.cutoff(circle_grid, (0,), TWO_PI / 3)
 
 
+@pytest.mark.parametrize("dims,center,r", [
+    (1, (0,), 0.0),
+    (1, (0,), -0.3),
+    (1, (256,), 0.5),
+    (1, (-1,), 0.5),
+    (1, (3.7,), 0.5),
+    (1, (0, 0), 0.5),
+    (1, (True,), 0.5),
+    (1, (np.inf,), 0.5),
+    (2, (3.7, 3), 0.5),
+    (2, (1,), 0.5),
+    (2, (3, 64), 0.5),
+])
+def test_cutoff_rejects_bad_center_and_radius(circle_grid, torus_grid, dims, center, r):
+    # one whole-number node index per axis, in [0, n), and r > 0; a NaN r
+    # is still a RadiusTooLarge
+    grid = circle_grid if dims == 1 else torus_grid
+    with pytest.raises(ValueError):
+        pf.cutoff(grid, center, r)
+    with pytest.raises(RadiusTooLarge):
+        pf.cutoff(grid, (0,) * dims, np.nan)
+    cut = pf.cutoff(grid, (3.0,) * dims, 0.5)
+    assert cut.center == (3,) * dims and all(type(c) is int for c in cut.center)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, np.nan, np.inf])
+def test_variation_residuals_reject_a_zero_or_nonfinite_step(circle_grid, t):
+    phi = pf.builtin_map("Circle", {"r": 0.6}, circle_grid, pf.SpaceFormSpec(-1.0, 2))
+    chain = chain_for(phi, induced=False)
+    V = pf.random_tangent_section(phi, seed=4)
+    with pytest.raises(ValueError):
+        pf.first_variation_residual(chain, V, 1, t)
+    with pytest.raises(ValueError):
+        pf.tension_variation_residual(chain, V, t)
+
+
 @pytest.mark.parametrize("dims", [1, 2])
 def test_gradient_sq_matches_numpy_sum(circle_grid, torus_grid, dims):
     # the component-by-component |grad f|^2 of the Kato and Caccioppoli
@@ -207,7 +243,10 @@ def test_gradient_sq_matches_numpy_sum(circle_grid, torus_grid, dims):
         metric = warped_metric(grid)
     frame = pf.orthonormal_frame(grid, metric)
     f = np.exp(np.sin(grid.coords[0]) * np.cos(2 * grid.coords[-1]))
-    expected = np.sum(scalar_gradient(grid, frame, f) ** 2, axis=-1)
+    grad = scalar_gradient(grid, frame, f)
+    along = frame.along([grid.deriv(f, a) for a in range(grid.dims)])
+    assert grad.tobytes() == np.stack(along, axis=-1).tobytes()
+    expected = np.sum(grad**2, axis=-1)
     assert _gradient_sq(grid, frame, f).tobytes() == expected.tobytes()
 
 
