@@ -94,7 +94,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     try:
         target_d = _need(data, "target", "config")
         _reject_unknown(target_d, {"c", "n", "model"}, "target")
-        target = SpaceFormSpec(c=real_number(_need(target_d, "c", "target"), "c"),
+        target = SpaceFormSpec(c=_need(target_d, "c", "target"),
                                n=_need(target_d, "n", "target"))
         if "model" in target_d and Model(target_d["model"]) is not target.model:
             raise ConfigError(
@@ -258,8 +258,7 @@ def run(config: ExperimentConfig) -> int:
         if config.action is Action.AUDIT:
             report = pointwise_identity_audit(chain, seed=config.seed)
             summary["audit"] = report.to_dict()
-            checked, failing = "audit", [n for n, c in report.checks.items()
-                                         if not (c.passed or c.skipped)]
+            checked, failing = "audit", report.failing
         elif config.action is Action.VARIATION_CHECK:
             variation = _variation_results(chain, config.seed)
             summary["variation"] = variation

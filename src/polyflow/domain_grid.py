@@ -42,14 +42,13 @@ __all__ = [
     "identity_metric",
     "orthonormal_frame",
     "integrate",
-    "scalar_gradient",
     "laplace_beltrami",
 ]
 
 MIN_NODES = 16
-# A 512^2 H^3 torus audit peaks at 0.85 kB of resident memory per node above
-# the 35 MB of Python and numpy (247 MB in all; numpy 2.4.6), so this cap
-# keeps any run near 1 GB.
+# A 512^2 H^3 torus audit peaks at 248 MiB resident (ru_maxrss of its own
+# process; numpy 2.4.6), 0.86 KiB per node above the 29 MiB that Python,
+# numpy and polyflow hold after import, so this cap keeps any run near 1 GB.
 MAX_NODES = 2**20
 
 # Relative size under which a Fourier coefficient is treated as roundoff
@@ -254,16 +253,6 @@ class DomainGrid:
         out.insert(0, np.fft.irfft(fh, n=n, axis=line_axis))
         return [np.moveaxis(d, -1, axis) for d in out] if middle else out
 
-    def periodic_distance(self, center) -> np.ndarray:
-        """Distance to a node in the flat periodic (torus) geometry."""
-        center = tuple(center) if self.dims > 1 else (int(np.atleast_1d(center)[0]),)
-        d2 = np.zeros(self.shape)
-        for a in range(self.dims):
-            delta = np.abs(self.coords[a] - self.axes[a][center[a]])
-            delta = np.minimum(delta, self.spec.lengths[a] - delta)
-            d2 = d2 + delta**2
-        return np.sqrt(d2)
-
 
 @dataclass
 class MetricField:
@@ -467,11 +456,6 @@ def exact_sum(x: np.ndarray) -> float:
             if below == math.fsum((hi, lo, bound)):
                 return below
     return math.fsum(memoryview(x))
-
-
-def scalar_gradient(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> np.ndarray:
-    """Frame components e_i(f) of the gradient; shape grid.shape + (dims,)."""
-    return np.stack(frame.along([grid.deriv(f, a) for a in range(grid.dims)]), axis=-1)
 
 
 def laplace_beltrami(grid: DomainGrid, frame: FrameField, values: np.ndarray,

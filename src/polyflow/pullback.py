@@ -3,12 +3,11 @@
 Everything acting on sections of the pullback bundle lives on one object,
 :class:`TensionChain`: the differential, the induced connection (ambient
 derivative followed by the tangent projection), the nonnegative connection
-Laplacian, the curvature contraction, the Jacobi operator, and the tension /
-bitension / tritension fields.  On a space form N(c) the Jacobi operator is
-taken in closed form, J(V) = -P(LB V) - c |dphi|^2 V (P the tangent
-projection, LB the domain's Laplace-Beltrami operator), so tau2 and tau3
-form neither Delta^2 tau nor the curvature contraction, and ``lap2_tau`` is
-formed only when asked for.
+Laplacian, the Jacobi operator, and the tension / bitension / tritension
+fields.  On a space form N(c) the Jacobi operator is taken in closed form,
+J(V) = -P(LB V) - c |dphi|^2 V (P the tangent projection, LB the domain's
+Laplace-Beltrami operator), so tau2 and tau3 form neither Delta^2 tau nor
+the curvature contraction.
 :func:`tritension_space_form` is the isometric-immersion formula for tau3,
 kept apart as an independent check of the chain.  Sections are stored in
 ambient coordinates and projected onto the target's tangent spaces, so
@@ -139,13 +138,12 @@ class TensionChain:
     cancels the one of Delta V, so the Jacobi operator is
     J(V) = -P(LB V) - c |dphi|^2 V: ``tau2`` is J of tau from the P(LB tau)
     that ``lap_tau`` takes, and ``tau3`` is J of Delta tau from P(LB Delta tau),
-    with no Delta^2 tau and no curvature contraction.  ``lap2_tau`` is formed
-    only when it is asked for.  Fields and operators take the same route, so
-    sharing never changes a result.  ``nabla``, ``laplacian``, ``curvature``
-    and ``jacobi`` apply to any section along phi.  The chain also owns the
-    state's scalars: energies, Etilde4, L^p and sup norms, and the pointwise
-    |tau|^2 and |Delta tau|^2.  Build one chain per state and drop it with
-    the state.
+    with no Delta^2 tau and no curvature contraction.  Fields and operators
+    take the same route, so sharing never changes a result.  ``nabla``,
+    ``laplacian`` and ``jacobi`` apply to any section along phi.  The chain
+    also owns the state's scalars: energies, Etilde4, L^p and sup norms, and
+    the pointwise |tau|^2 and |Delta tau|^2.  Build one chain per state and
+    drop it with the state.
     """
 
     def __init__(self, phi: MapField, frame: FrameField):
@@ -207,14 +205,6 @@ class TensionChain:
         plb = self._projected_lb(V)[0]
         return Section(self._jacobi(plb, V, out=plb), self.phi)
 
-    def curvature(self, V: Section) -> Section:
-        """sum_i R(V, dphi(e_i)) dphi(e_i); zero for flat targets."""
-        out = np.zeros_like(V.values)
-        if self.phi.spec.c != 0.0:
-            for d in self.dphi:
-                out += sf.curvature_op(self.phi.spec, V.values, d.values, d.values)
-        return Section(out, self.phi)
-
     def _sq_sum(self, sections: list) -> np.ndarray:
         """Pointwise sum_i |S_i|^2, e.g. |dphi|^2 or |nabla V|^2."""
         out = np.zeros(self.phi.grid.shape)
@@ -252,11 +242,6 @@ class TensionChain:
     @cached_property
     def lap_tau(self) -> Section:
         return self._rough(self._tau_lb[0].copy(), self._tau_pairings)
-
-    @cached_property
-    def lap2_tau(self) -> Section:
-        """Delta^2 tau, formed only when asked for: no chain field reads it."""
-        return self.laplacian(self.lap_tau)
 
     @cached_property
     def grad_tau(self) -> list:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain_grid import whole_number
+from .domain_grid import real_number, whole_number
 from .errors import DegeneratePoint
 
 __all__ = [
@@ -49,14 +49,16 @@ class SpaceFormSpec:
     """Target space form: curvature ``c`` and dimension ``n``.
 
     The model is forced by the sign of ``c``; ``ambient_dim`` is ``n`` for
-    the flat model and ``n + 1`` otherwise.  ``n`` must be a whole number
-    (2.0 is stored as 2; 2.5 is a ValueError, never truncated).
+    the flat model and ``n + 1`` otherwise.  ``c`` must be a real number,
+    stored as a float (a bool or a string is a ValueError), and ``n`` a whole
+    number (2.0 is stored as 2; 2.5 is a ValueError, never truncated).
     """
 
     c: float
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "c", real_number(self.c, "c"))
         object.__setattr__(self, "n", whole_number(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")

@@ -74,8 +74,13 @@ class AuditReport:
     checks: dict = field(default_factory=dict)
 
     @property
+    def failing(self) -> list:
+        """Names of the checks that neither passed nor were skipped."""
+        return [name for name, c in self.checks.items() if not (c.passed or c.skipped)]
+
+    @property
     def passed(self) -> bool:
-        return all(c.passed or c.skipped for c in self.checks.values())
+        return not self.failing
 
     def to_dict(self) -> dict:
         return {name: c.to_dict() for name, c in self.checks.items()}
@@ -176,8 +181,8 @@ def _skipped(name, note) -> AuditCheck:
 
 def _gradient_sq(grid, frame, f) -> np.ndarray:
     """|grad f|^2 summed component by component from ``frame.along``: the
-    same bits as ``np.sum(scalar_gradient(...) ** 2, axis=-1)``, without
-    numpy's per-node loop or a stacked gradient."""
+    same bits as numpy's sum over the stacked frame components e_i(f),
+    without its per-node loop or a stacked gradient."""
     grad = frame.along([grid.deriv(f, a) for a in range(grid.dims)])
     out = grad[0] ** 2
     for g in grad[1:]:
@@ -281,6 +286,17 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u**3 * (6.0 * u**2 - 15.0 * u + 10.0)
 
 
+def _periodic_distance(grid: DomainGrid, center: tuple) -> np.ndarray:
+    """Distance to the node ``center``, one index in [0, n) per axis, in the
+    flat periodic (torus) geometry."""
+    d2 = np.zeros(grid.shape)
+    for a in range(grid.dims):
+        delta = np.abs(grid.coords[a] - grid.axes[a][center[a]])
+        delta = np.minimum(delta, grid.spec.lengths[a] - delta)
+        d2 = d2 + delta**2
+    return np.sqrt(d2)
+
+
 def cutoff(grid: DomainGrid, center, r: float) -> CutoffField:
     """Quintic-smoothstep bump around a node.
 
@@ -299,7 +315,7 @@ def cutoff(grid: DomainGrid, center, r: float) -> CutoffField:
     if len(center) != grid.dims or not all(0 <= c < n for c, n in zip(center, grid.shape)):
         raise ValueError(f"center must be one node index in [0, n) per axis of a "
                          f"{grid.shape} grid, got {center}")
-    d = grid.periodic_distance(center)
+    d = _periodic_distance(grid, center)
     eta = _smoothstep((2.0 * r - d) / r)
     return CutoffField(eta=eta, center=center, r=float(r), distance=d, grid=grid)
 

@@ -8,8 +8,7 @@ import pytest
 
 import polyflow as pf
 from polyflow.domain_grid import (FSUM_MAX_TERMS, SPECTRAL_REL_CUTOFF, _det2,
-                                  _min_eigenvalue, exact_sum, laplace_beltrami,
-                                  scalar_gradient)
+                                  _min_eigenvalue, exact_sum, laplace_beltrami)
 from polyflow.errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
 
 from conftest import warped_metric
@@ -423,6 +422,13 @@ def test_scalar_laplacian_sign(circle_grid):
     assert np.max(np.abs(lap - 4 * np.sin(2 * s))) <= 1e-10
 
 
+def _frame_pairing(grid, frame, u, w):
+    """sum_i e_i(u) e_i(w), from the stacked frame components of each gradient."""
+    gu, gw = (np.stack(frame.along([grid.deriv(f, a) for a in range(grid.dims)]), -1)
+              for f in (u, w))
+    return np.sum(gu * gw, axis=-1)
+
+
 @pytest.mark.parametrize("kind,n,tol", [("Spectral", 64, 1e-10),
                                         ("CentralFD2", 64, 0.2)])
 def test_integration_by_parts(kind, n, tol):
@@ -432,9 +438,7 @@ def test_integration_by_parts(kind, n, tol):
     u = np.sin(s) + 0.3 * np.cos(2 * s)
     w = np.cos(3 * s)
     lhs = pf.integrate(grid, frame, u * -laplace_beltrami(grid, frame, w)[1])
-    gu = scalar_gradient(grid, frame, u)
-    gw = scalar_gradient(grid, frame, w)
-    rhs = pf.integrate(grid, frame, np.sum(gu * gw, axis=-1))
+    rhs = pf.integrate(grid, frame, _frame_pairing(grid, frame, u, w))
     assert abs(lhs - rhs) <= tol
 
 
@@ -449,9 +453,7 @@ def test_integration_by_parts_curved_metric(kind):
         frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
         u, w = np.sin(s), np.cos(3 * s)
         lhs = pf.integrate(grid, frame, u * -laplace_beltrami(grid, frame, w)[1])
-        gu = scalar_gradient(grid, frame, u)
-        gw = scalar_gradient(grid, frame, w)
-        rhs = pf.integrate(grid, frame, np.sum(gu * gw, axis=-1))
+        rhs = pf.integrate(grid, frame, _frame_pairing(grid, frame, u, w))
         h = grid.spacings[0]
         tol = 1e-10 if kind == "Spectral" else 2.0 * h**2
         assert abs(lhs - rhs) <= tol
@@ -554,7 +556,7 @@ def test_integrate_of_an_overflowing_node_sum(n):
 
 def test_periodic_distance_wraps():
     grid = pf.build_grid(pf.GridSpec(1, (16,), (16.0,)))
-    d = grid.periodic_distance((0,))
+    d = pf.cutoff(grid, (0,), 1.0).distance
     assert d[1] == pytest.approx(1.0)
     assert d[15] == pytest.approx(1.0)
     assert d.max() == pytest.approx(8.0)

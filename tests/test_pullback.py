@@ -174,14 +174,19 @@ def test_rough_laplacian_eigenfield(circle_grid, flat_circle):
 def test_iterated_laplacian(flat_circle):
     frame = frame_for(flat_circle)
     chain = TensionChain(flat_circle, frame)
-    for out in (chain.lap_tau, chain.lap2_tau):
+    for out in (chain.lap_tau, chain.laplacian(chain.lap_tau)):
         assert np.max(np.abs(out.values - chain.tau.values)) <= 1e-11
+
+
+def _curvature_contraction(chain, V):
+    """sum_i R(V, dphi(e_i)) dphi(e_i) = Delta V - J(V)."""
+    return Section(chain.laplacian(V).values - chain.jacobi(V).values, chain.phi)
 
 
 def test_curvature_contraction_flat(flat_circle):
     frame = frame_for(flat_circle)
     chain = TensionChain(flat_circle, frame)
-    out = chain.curvature(chain.tau)
+    out = _curvature_contraction(chain, chain.tau)
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -193,7 +198,7 @@ def test_curvature_contraction_normal_section(circle_grid):
     chain = TensionChain(phi, frame)
     tau = chain.tau
     V = Section(values=tau.values / tau.norm_field()[..., None], base=phi)
-    out = chain.curvature(V)
+    out = _curvature_contraction(chain, V)
     assert np.max(np.abs(out.values - phi.spec.c * 1 * V.values)) <= 1e-12
 
 
@@ -203,7 +208,7 @@ def test_curvature_contraction_tangent_line(circle_grid):
     frame = frame_for(phi)
     chain = TensionChain(phi, frame)
     (d,) = chain.dphi
-    out = chain.curvature(d)
+    out = _curvature_contraction(chain, d)
     assert np.max(out.norm_field()) <= 1e-13
 
 
@@ -280,6 +285,77 @@ def test_tritension_flat_equals_iterated_laplacian(torus_grid):
     assert np.max(np.abs(chain.tau3.values - lap2.values)) == 0.0
 
 
+# Maps x = sum_j rho_j n_j(theta_j) + const, n_j the unit circle of node
+# axis j in the ambient coordinates (k_j, k_j + 1): (map, params, target,
+# node counts, [(k_j, rho_j)]).  On the induced frame LB x = -sum_j n_j / rho_j,
+# so tau = -sum_j n_j / rho_j + c m x.  The curved ones are hypersurfaces
+# with a parallel shape operator A, |A|^2 = sum_j (1/rho_j^2 - c), where
+# tau2 = (|A|^2 - c m) tau, tau3 = (|A|^2 (|A|^2 - c m) - c |tau|^2) tau and
+# |nabla tau|^2 = |A|^2 |tau|^2; the circles (m = 1) read
+# tau3 = kappa^2 (kappa^2 - 2c) tau, zero at sin r = 1/sqrt(3).  On a flat
+# target every rung scales each n_j by 1/rho_j^2, and
+# |nabla tau|^2 = sum_j rho_j^-4.  The area is prod_j 2 pi rho_j.
+ORACLE_CASES = (
+    [("Circle", {"r": 0.7}, pf.SpaceFormSpec(0.0, 2), (128,), [(0, 0.7)])]
+    + [("Circle", {"r": r}, pf.SpaceFormSpec(1.0, 2), (128,), [(0, np.sin(r))])
+       for r in (0.9, np.arcsin(1 / np.sqrt(3)), np.pi / 4)]
+    + [("Circle", {"r": r}, pf.SpaceFormSpec(-1.0, 2), (128,), [(1, np.sinh(r))])
+       for r in (0.3, 0.7)]
+    + [("TorusCliffordLike", {"alpha": np.pi / 5}, pf.SpaceFormSpec(1.0, 3), (n, n),
+        [(0, np.cos(np.pi / 5)), (2, np.sin(np.pi / 5))]) for n in (32, 64, 128, 256)]
+    + [("TorusCliffordLike", {"r1": 1.0, "r2": 0.7}, pf.SpaceFormSpec(0.0, 4), (n, n),
+        [(0, 1.0), (2, 0.7)]) for n in (32, 64, 128, 256)]
+)
+
+
+def _oracle_rungs(phi, blocks):
+    """Closed-form tau, tau2, tau3 and E2, E3 of an ``ORACLE_CASES`` map."""
+    spec, m = phi.spec, phi.grid.dims
+    units = []
+    for theta, (k, rho) in zip(phi.grid.angles, blocks):
+        n = np.zeros(phi.values.shape)
+        n[..., k], n[..., k + 1] = np.cos(theta), np.sin(theta)
+        units.append((n, rho))
+    tau = sum(-n / rho for n, rho in units) + spec.c * m * phi.values
+    tau_sq = sf.ambient_form(spec, tau, tau)[..., None]
+    if spec.c == 0.0:
+        rungs = [sum(-n / rho ** (2 * k - 1) for n, rho in units) for k in (1, 2, 3)]
+        grad_sq = sum(rho**-4.0 for _, rho in units)
+    else:
+        a_sq = sum(rho**-2.0 - spec.c for _, rho in units)
+        rungs = [tau, (a_sq - spec.c * m) * tau,
+                 (a_sq * (a_sq - spec.c * m) - spec.c * tau_sq) * tau]
+        grad_sq = a_sq * tau_sq
+    area = np.prod([TWO_PI * rho for _, rho in units])
+    return rungs, [0.5 * float(np.mean(tau_sq)) * area, 0.5 * float(np.mean(grad_sq)) * area]
+
+
+def test_every_rung_matches_its_closed_form():
+    # node by node, each rung relative to its largest component (to tau's
+    # where the rung vanishes: tau2 at sin r = 1/sqrt(2), tau3 at 1/sqrt(3)),
+    # and E2, E3 as integrals, on the induced frame of each Spectral grid
+    worst = {"tau": 0.0, "tau2": 0.0, "tau3": 0.0, "E2": 0.0, "E3": 0.0}
+    for name, params, target, sizes, blocks in ORACLE_CASES:
+        dims = len(sizes)
+        phi = build_fixture(name, params, (dims, sizes, (TWO_PI,) * dims), target)
+        chain = chain_for(phi)
+        rungs, energies = _oracle_rungs(phi, blocks)
+        tau_scale = np.max(np.abs(rungs[0]))
+        for k, exact in enumerate(rungs, start=1):
+            scale = max(np.max(np.abs(exact)), tau_scale)
+            err = np.max(np.abs(chain.field(k).values - exact)) / scale
+            key = ("tau", "tau2", "tau3")[k - 1]
+            assert err <= 1e-13, (name, target, sizes, key, err)
+            worst[key] = max(worst[key], err)
+        for k, exact in ((2, energies[0]), (3, energies[1])):
+            err = abs(chain.energy(k) - exact) / exact
+            assert err <= 1e-13, (name, target, sizes, f"E{k}", err)
+            worst[f"E{k}"] = max(worst[f"E{k}"], err)
+    print(f"[oracle] {len(ORACLE_CASES)} maps (circles in R^2, S^2, H^2; S^3 and "
+          f"R^4 tori at 32^2-256^2) against their closed forms, worst relative "
+          f"error: " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
+
+
 AGREEMENT_FIXTURES = [
     ("Circle", {"r": 1.0}, (1, (256,), (TWO_PI,)), pf.SpaceFormSpec(0.0, 2)),
     ("Circle", {"r": 2.0}, (1, (256,), (2 * TWO_PI,)), pf.SpaceFormSpec(0.0, 2)),
@@ -319,9 +395,10 @@ def test_chain_fields_are_c_ordered(target):
                         target)
     chain = chain_for(phi)
     assert not phi.coordinate_derivs[1].flags.c_contiguous
-    for name in ("dphi", "tau", "grad_tau", "lap_tau", "grad_lap_tau", "lap2_tau",
-                 "tau2", "tau3"):
-        value = getattr(chain, name)
+    names = ("dphi", "tau", "grad_tau", "lap_tau", "grad_lap_tau", "tau2", "tau3")
+    values = [(name, getattr(chain, name)) for name in names]
+    values.append(("Delta^2 tau", chain.laplacian(chain.lap_tau)))
+    for name, value in values:
         for section in value if isinstance(value, list) else [value]:
             assert section.values.flags.c_contiguous, name
 
@@ -346,7 +423,6 @@ def test_linearity_of_operators(circle_grid):
     for op in (
         lambda X: chain.nabla(X)[0],
         chain.laplacian,
-        chain.curvature,
         chain.jacobi,
     ):
         lhs = op(combo).values
@@ -460,7 +536,6 @@ def _ref_chain(phi, frame):
         "grad_tau": [_ref_nabla(phi, tau, frame.e[..., i, :]) for i in range(dims)],
         "lap_tau": lap,
         "grad_lap_tau": [_ref_nabla(phi, lap, frame.e[..., i, :]) for i in range(dims)],
-        "lap2_tau": _ref_laplacian(phi, frame, lap),
         "tau2": _ref_jacobi(phi, frame, tau),
         "tau3": tau3,
     }
@@ -544,7 +619,8 @@ def test_chain_matches_standalone_definitions(name, params, grid_args, target, m
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
     chain = TensionChain(phi, frame)
-    for field, expected in _ref_chain(phi, frame).items():
+    ref = _ref_chain(phi, frame)
+    for field, expected in ref.items():
         got = getattr(chain, field)
         if isinstance(got, list):
             assert len(got) == len(expected)
@@ -552,6 +628,8 @@ def test_chain_matches_standalone_definitions(name, params, grid_args, target, m
                 assert g.values.tobytes() == x.tobytes(), field
         else:
             assert got.values.tobytes() == expected.tobytes(), field
+    lap2 = _ref_laplacian(phi, frame, ref["lap_tau"])
+    assert chain.laplacian(chain.lap_tau).values.tobytes() == lap2.tobytes()
 
 
 @pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
@@ -586,7 +664,7 @@ def test_chain_outputs_are_tangent(name, params, grid_args, target, metric):
     chain = TensionChain(phi, _case_frame(phi, metric))
     V = pf.random_tangent_section(phi, seed=3)
     fields = [*chain.dphi, chain.tau, *chain.grad_tau, chain.lap_tau,
-              *chain.grad_lap_tau, chain.lap2_tau, chain.tau2, chain.tau3,
+              *chain.grad_lap_tau, chain.laplacian(chain.lap_tau), chain.tau2, chain.tau3,
               chain.laplacian(V), chain.jacobi(V)]
     for W in fields:
         scale = max(1.0, np.max(np.abs(W.values))) * np.max(np.abs(phi.values))
@@ -620,6 +698,16 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     assert chain.tau3.values.tobytes() == expected.tobytes()
 
 
+def _textbook_curvature(chain, V):
+    """sum_i R(V, dphi(e_i)) dphi(e_i) from the curvature tensor, summed in
+    frame order onto zeros; zero on a flat target."""
+    out = np.zeros_like(V.values)
+    if chain.phi.spec.c != 0.0:
+        for d in chain.dphi:
+            out += sf.curvature_op(chain.phi.spec, V.values, d.values, d.values)
+    return out
+
+
 def test_jacobi_closed_form_matches_textbook():
     # J(W) = -P(LB W) - c |dphi|^2 W against Delta W - sum_i R(W, dphi_i) dphi_i,
     # and tau3 against J(Delta tau) - sum_i R(nabla_i tau, tau) dphi_i with
@@ -631,12 +719,13 @@ def test_jacobi_closed_form_matches_textbook():
         phi = build_fixture(name, params, grid_args, target)
         chain = TensionChain(phi, _case_frame(phi, metric))
         for W in (pf.random_tangent_section(phi, seed=4), chain.tau, chain.lap_tau):
-            lap, curv = chain.laplacian(W).values, chain.curvature(W).values
+            lap, curv = chain.laplacian(W).values, _textbook_curvature(chain, W)
             scale = max(np.max(np.abs(lap)), np.max(np.abs(curv)))
             err = np.max(np.abs(chain.jacobi(W).values - (lap - curv)))
             assert err <= 1e-14 * scale, case.id
             worst = max(worst, err / scale)
-        lap2, curv = chain.lap2_tau.values, chain.curvature(chain.lap_tau).values
+        lap2 = chain.laplacian(chain.lap_tau).values
+        curv = _textbook_curvature(chain, chain.lap_tau)
         textbook = lap2 - curv
         for g, d in zip(chain.grad_tau, chain.dphi):
             textbook -= sf.curvature_op(phi.spec, g.values, chain.tau.values,
@@ -818,9 +907,9 @@ def test_chain_projection_count_2d(monkeypatch):
     # tau3 projects each nabla_{e_i} of phi and tau and each of the three
     # Laplace-Beltrami sums once: 7 on a 2-d frame, with no Delta^2 tau and
     # no curvature tensor.  nabla_{e_i} Delta tau, which tau3 does not read,
-    # is projected when it is asked for.  Delta^2 tau and
-    # tritension_space_form's J(Delta tau), which no chain field reads, each
-    # take a Laplace-Beltrami sum of Delta tau of their own
+    # is projected when it is asked for.  Delta^2 tau, as the Laplacian of
+    # Delta tau, and tritension_space_form's J(Delta tau), which no chain
+    # field reads, each take a Laplace-Beltrami sum of Delta tau of their own
     phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(-1.0, 3))
     frame = frame_for(phi)
@@ -830,11 +919,11 @@ def test_chain_projection_count_2d(monkeypatch):
     chain = TensionChain(phi, frame)
     chain.tau3
     assert len(calls) == 7
-    assert curvature == [] and "lap2_tau" not in vars(chain)
+    assert curvature == []
     chain.grad_lap_tau
     assert len(calls) == 9
     tritension_space_form(chain)
-    chain.lap2_tau
+    chain.laplacian(chain.lap_tau)
     assert len(calls) == 11 and curvature == []
 
 

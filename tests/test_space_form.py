@@ -47,6 +47,18 @@ def test_spec_dimension_is_a_whole_number():
             sf.SpaceFormSpec(1.0, n)
 
 
+def test_spec_curvature_is_a_real_number():
+    # a bool or a string is no curvature, and an int is stored as a float
+    spec = sf.SpaceFormSpec(-1, 2)
+    assert type(spec.c) is float and spec.c == -1.0 and spec.model is sf.Model.HYPERBOLOID
+    for c in (True, False, np.True_, "1", "-1.0"):
+        with pytest.raises(ValueError, match="real number"):
+            sf.SpaceFormSpec(c, 2)
+    for c in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            sf.SpaceFormSpec(c, 2)
+
+
 def test_project_point_flat_identity():
     out = sf.project_point(FLAT, np.array([3.0, 4.0]))
     np.testing.assert_array_equal(out, [3.0, 4.0])

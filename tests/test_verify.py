@@ -11,7 +11,6 @@ from polyflow.errors import (
     NotTriharmonic,
     RadiusTooLarge,
 )
-from polyflow.domain_grid import scalar_gradient
 from polyflow.pullback import Section
 from polyflow.verify import _gradient_sq
 
@@ -184,9 +183,8 @@ def test_cutoff_gradient_bound(dims):
     r = TWO_PI / 8
     cut = pf.cutoff(grid, center, r)
     frame = pf.orthonormal_frame(grid, pf.identity_metric(grid))
-    from polyflow.domain_grid import scalar_gradient
-
-    grad = np.sqrt(np.sum(scalar_gradient(grid, frame, cut.eta) ** 2, axis=-1))
+    along = frame.along([grid.deriv(cut.eta, a) for a in range(grid.dims)])
+    grad = np.sqrt(np.sum(np.stack(along, axis=-1) ** 2, axis=-1))
     assert np.max(grad) <= 2.0 / r
 
 
@@ -243,10 +241,8 @@ def test_gradient_sq_matches_numpy_sum(circle_grid, torus_grid, dims):
         metric = warped_metric(grid)
     frame = pf.orthonormal_frame(grid, metric)
     f = np.exp(np.sin(grid.coords[0]) * np.cos(2 * grid.coords[-1]))
-    grad = scalar_gradient(grid, frame, f)
     along = frame.along([grid.deriv(f, a) for a in range(grid.dims)])
-    assert grad.tobytes() == np.stack(along, axis=-1).tobytes()
-    expected = np.sum(grad**2, axis=-1)
+    expected = np.sum(np.stack(along, axis=-1) ** 2, axis=-1)
     assert _gradient_sq(grid, frame, f).tobytes() == expected.tobytes()
 
 
