@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 MIN_NODES = 16
-# A 512^2 H^3 torus audit peaks at 248 MiB resident (ru_maxrss of its own
-# process; numpy 2.4.6), 0.86 KiB per node above the 29 MiB that Python,
+# A 512^2 H^3 torus audit peaks at 234 MiB resident (ru_maxrss of its own
+# process; numpy 2.4.6), 0.80 KiB per node above the 29 MiB that Python,
 # numpy and polyflow hold after import, so this cap keeps any run near 1 GB.
 MAX_NODES = 2**20
 
@@ -56,6 +56,11 @@ MAX_NODES = 2**20
 # fields sit near 1e-16; legitimate spectra relevant at the acceptance
 # tolerances stay above 1e-13.
 SPECTRAL_REL_CUTOFF = 1e-14
+
+# Relative size up to which a frame coefficient, or its spread, is roundoff
+# (``_classify``): 18 to 21 times the roundoff e_1^0 and G^{01} of the H^3 tube
+# torus at 128^2, rho 0.39 to 0.41.
+FRAME_REL_TOL = 64 * np.finfo(float).eps
 
 # Below this many terms ``exact_sum`` calls math.fsum, which is then as fast
 # or faster: on a 2-core Xeon (numpy 2.4.6) both took 27 us at 768 terms, and
@@ -78,11 +83,15 @@ def whole_number(value, name: str) -> int:
 
 
 def real_number(value, name: str) -> float:
-    """``value`` as a float.  A bool or a string is a ValueError rather
-    than 0.0, 1.0 or the number the string spells."""
-    if isinstance(value, (bool, np.bool_, str)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    """``value`` as a float.  A bool, a string, a complex number, None or a
+    list is a ValueError rather than 0.0, 1.0, the number the string spells
+    or ``float``'s TypeError."""
+    try:
+        if not isinstance(value, (bool, np.bool_, str, complex, np.complexfloating)):
+            return float(value)
+    except (TypeError, ValueError):  # None, a list
+        pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class Differentiation(str, Enum):
@@ -266,17 +275,20 @@ class MetricField:
 class FrameField:
     """Orthonormal frame and the metric's Laplace-Beltrami coefficients.
 
-    ``e[..., i, a]`` is the coefficient of the coordinate field along axis
-    ``a`` in the i-th frame vector; ``vol`` is sqrt(det g).  ``G^{ab}`` =
-    sum_i e_i^a e_i^b = g^{ab} and ``B^b`` = (1/sqrt g) d_a(sqrt g G^{ab})
+    ``e[i][a]`` is the coefficient of the coordinate field along axis ``a``
+    in the i-th frame vector; ``vol`` is sqrt(det g).  ``G[a][b]`` =
+    sum_i e_i^a e_i^b = g^{ab} and ``B[b]`` = (1/sqrt g) d_a(sqrt g G^{ab})
     make the frame trace sum_i {e_i(e_i(f)) - (nabla_{e_i} e_i)(f)} =
-    G^{ab} d_a d_b f + B^b d_b f, the Laplace-Beltrami operator.
+    G^{ab} d_a d_b f + B^b d_b f, the Laplace-Beltrami operator.  Each
+    coefficient is held once, as :func:`orthonormal_frame` classed it: 0.0
+    where it is roundoff, one float where only its spread is, else one
+    grid-shaped array.
     """
 
-    e: np.ndarray
-    vol: np.ndarray
-    G: np.ndarray
-    B: np.ndarray
+    e: tuple
+    vol: float | np.ndarray
+    G: tuple
+    B: tuple
     metric: MetricField = field(repr=False, default=None)
     grid: DomainGrid = field(repr=False, default=None)
 
@@ -286,33 +298,29 @@ class FrameField:
 
     @cached_property
     def axes(self) -> tuple:
-        """Per frame direction i, the coordinate axes a with e[..., i, a] not
-        identically zero: a derivative along any other axis is multiplied by
-        exact zeros, so it is not taken."""
-        d = self.e.shape[-1]
-        return tuple(tuple(a for a in range(d) if np.any(self.e[..., i, a]))
-                     for i in range(d))
+        """Per frame direction i, the coordinate axes a with e_i^a not 0.0: a
+        derivative along any other axis is not taken."""
+        return tuple(tuple(a for a, c in enumerate(row) if np.any(c)) for row in self.e)
 
     def along(self, derivs) -> list:
         """sum_a e_i^a d_a V per frame direction i, over ``axes[i]``, from the
         d_a V by axis, with or without trailing components; C-ordered
         whatever their layout (``deriv`` gives strided views)."""
-        tail = (None,) * (derivs[0].ndim - self.e.ndim + 2)
+        tail = (None,) * (derivs[0].ndim - len(self.e))
         out = []
-        for i, axes in enumerate(self.axes):
+        for row, axes in zip(self.e, self.axes):
             acc = np.zeros(derivs[axes[0]].shape)
             for a in axes:
-                acc += self.e[(..., i, a) + tail] * derivs[a]
+                acc += _per_node(row[a], tail) * derivs[a]
             out.append(acc)
         return out
 
     @cached_property
     def lb_terms(self) -> tuple:
-        """``(G^{01} is not identically zero, the b whose B^b is not)``: the
-        other trace terms are exact zeros, which :func:`laplace_beltrami` skips."""
-        d = self.e.shape[-1]
-        return (d == 2 and bool(np.any(self.G[..., 0, 1])),
-                tuple(b for b in range(d) if np.any(self.B[..., b])))
+        """``(G^{01} is not 0.0, the b whose B^b is not)``: the other trace
+        terms are zeros, which :func:`laplace_beltrami` skips."""
+        return (len(self.e) == 2 and bool(np.any(self.G[0][1])),
+                tuple(b for b, c in enumerate(self.B) if np.any(c)))
 
     @cached_property
     def volume(self) -> float:
@@ -371,10 +379,27 @@ def identity_metric(grid: DomainGrid) -> MetricField:
     return prescribed_metric(grid, g)
 
 
+def _per_node(c, tail: tuple):
+    """A frame coefficient shaped to multiply a field with trailing axes."""
+    return c[(...,) + tail] if isinstance(c, np.ndarray) else c
+
+
+def _classify(family: list) -> list:
+    """Each coefficient of a family as 0.0 where its largest |value|, and as
+    one float (its mean) where its spread, is at most FRAME_REL_TOL times
+    the family's largest |value|; otherwise as one contiguous array."""
+    bounds = [(float(c.min()), float(c.max())) if isinstance(c, np.ndarray) else (c, c)
+              for c in family]
+    tol = FRAME_REL_TOL * max(max(-lo, hi) for lo, hi in bounds)
+    return [0.0 if max(-lo, hi) <= tol else np.ascontiguousarray(c) if hi - lo > tol
+            else lo if lo == hi else float(c.mean()) for c, (lo, hi) in zip(family, bounds)]
+
+
 def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     """Gram-Schmidt frame (e1 along axis 0) and the Laplace-Beltrami
-    coefficients G = g^-1 and B^b = (1/sqrt g) d_a(sqrt g G^{ab}), the
-    latter from one ``deriv`` of row a of sqrt g G along each axis a.
+    coefficients G = g^-1 and B^b = (1/sqrt g) d_a(sqrt g G^{ab}), each
+    family classed by :func:`_classify` as it is formed; B takes one ``deriv``
+    along axis a of each sqrt g G^{ab} that is not constant.
 
     Raises :class:`DegenerateMetric` unless g is positive definite
     (minimum eigenvalue > 1e-10, so not NaN) at every node.
@@ -383,22 +408,27 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     d = grid.dims
     if not np.all(_min_eigenvalue(g) > 1e-10):
         raise DegenerateMetric("metric is not positive definite everywhere")
-    e = np.zeros(grid.shape + (d, d))
-    e[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
+    e = [1.0 / np.sqrt(g[..., 0, 0])] + [0.0] * (d - 1)
     if d == 2:
         # w = d2 - (g12/g11) d1, normalized by sqrt(g22 - g12^2/g11)
         w0 = -g[..., 0, 1] / g[..., 0, 0]
         wnorm = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
-        e[..., 1, 0] = w0 / wnorm
-        e[..., 1, 1] = 1.0 / wnorm
-    vol = np.sqrt(_det2(g))
-    G = np.empty_like(e)
-    for b in range(d):  # G^{ab} = sum_i e_i^a e_i^b
-        for a in range(b + 1):
-            G[..., a, b] = G[..., b, a] = sum(e[..., i, a] * e[..., i, b]
-                                              for i in range(d))
-    div = sum(grid.deriv(vol[..., None] * G[..., a, :], a) for a in range(d))
-    return FrameField(e=e, vol=vol, G=G, B=div / vol[..., None],
+        e += [w0 / wnorm, 1.0 / wnorm]
+    e = _classify(e)
+    e = tuple(tuple(e[i * d:(i + 1) * d]) for i in range(d))
+    vol = _classify([np.sqrt(_det2(g))])[0]
+    # G^{ab} = sum_i e_i^a e_i^b, one object for G^{ab} and G^{ba}
+    upper = [(a, b) for b in range(d) for a in range(b + 1)]
+    upper = dict(zip(upper, _classify([sum(row[a] * row[b] for row in e)
+                                       for a, b in upper])))
+    G = tuple(tuple(upper[min(a, b), max(a, b)] for b in range(d)) for a in range(d))
+    div = [0.0] * d
+    for a in range(d):
+        for b in range(d):
+            flux = vol * G[a][b] if np.any(G[a][b]) else 0.0
+            if isinstance(flux, np.ndarray):
+                div[b] = div[b] + grid.deriv(flux, a)
+    return FrameField(e=e, vol=vol, G=G, B=tuple(_classify([x / vol for x in div])),
                       metric=metric, grid=grid)
 
 
@@ -464,7 +494,7 @@ def laplace_beltrami(grid: DomainGrid, frame: FrameField, values: np.ndarray,
     without trailing components, from ``pairs``: ``grid.deriv12`` per axis,
     taken here unless given.  Each d_a^2 V is summed in as it is taken, so
     none is kept; d_0 d_1 V is a ``deriv`` of d_0 V, taken only when G^{01}
-    is not identically zero, and a B^b term only when B^b is not."""
+    is not 0.0, and a B^b term only when B^b is not (``FrameField.lb_terms``)."""
     mixed, drift = frame.lb_terms
     tail = (None,) * (np.ndim(values) - grid.dims)
     own = pairs is None  # then each d_a^2 V is ours to overwrite
@@ -472,11 +502,11 @@ def laplace_beltrami(grid: DomainGrid, frame: FrameField, values: np.ndarray,
         pairs = (grid.deriv12(values, a, floor) for a in range(grid.dims))
     firsts = []
     for a, (d, d2) in enumerate(pairs):
-        term = np.multiply(frame.G[(..., a, a) + tail], d2, out=d2 if own else None)
+        term = np.multiply(_per_node(frame.G[a][a], tail), d2, out=d2 if own else None)
         out = np.add(out, term, out=out) if a else term
         firsts.append(d)
     if mixed:
-        out += (2.0 * frame.G[(..., 0, 1) + tail]) * grid.deriv(firsts[0], 1, floor)
+        out += (2.0 * _per_node(frame.G[0][1], tail)) * grid.deriv(firsts[0], 1, floor)
     for b in drift:
-        out += frame.B[(..., b) + tail] * firsts[b]
+        out += _per_node(frame.B[b], tail) * firsts[b]
     return firsts, out

@@ -1,6 +1,7 @@
 import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ def static_probe(r, c, n=256):
     frame = pf.orthonormal_frame(grid, pf.induced_metric(phi))
     chain = pf.TensionChain(phi, frame)
     return chain, pf.theorem_probe(chain, "running")
+
+
+def frame_arrays(frame):
+    """The frame's coefficients as the stacked arrays ``e[..., i, a]``,
+    ``G[..., a, b]``, ``B[..., b]`` and ``vol``, each float broadcast over
+    the grid."""
+    shape = frame.grid.shape
+
+    def stack(coeffs):
+        return np.stack([np.broadcast_to(c, shape) for c in coeffs], -1)
+
+    return SimpleNamespace(e=np.stack([stack(row) for row in frame.e], -2),
+                           G=np.stack([stack(row) for row in frame.G], -2),
+                           B=stack(frame.B), vol=np.broadcast_to(frame.vol, shape))
 
 
 def warped_metric(grid):

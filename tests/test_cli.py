@@ -520,16 +520,17 @@ def test_flow_builds_no_chain_after_run_flow(tmp_path, monkeypatch, policy):
     assert built_by_flow == [len(maps)] and len(maps) > 0
 
 
-@pytest.mark.parametrize("target,spectral", [({"c": 1.0, "n": 3}, 18),
-                                             ({"c": 0.0, "n": 4}, 18),
-                                             ({"c": -1.0, "n": 3}, 22)])
+@pytest.mark.parametrize("target,spectral", [({"c": 1.0, "n": 3}, 16),
+                                             ({"c": 0.0, "n": 4}, 16),
+                                             ({"c": -1.0, "n": 3}, 18)])
 def test_audit_deriv_count(tmp_path, monkeypatch, target, spectral):
     # spectral derivative arrays: d_a V and d_a^2 V of phi (for the induced
     # metric and the chain), tau, Delta tau and the Bochner check's |tau|^2,
-    # from one rfft per axis each, and d_a e for the frame: 18.  The H^3
-    # tube torus's G^{01} is not identically zero, so the four fields also
-    # take d_0 d_1 V.  The Kato check takes grad |alpha| of two sections on
-    # its CentralFD2 twin
+    # from one rfft per axis each: 16.  The S^3 and R^4 tori's frames are
+    # constant, so B takes no derivative; the H^3 tube torus's B takes
+    # d_0(sqrt g G^{00}) and d_1(sqrt g G^{11}), and its roundoff G^{01} is
+    # dropped, so no field takes d_0 d_1 V.  The Kato check takes
+    # grad |alpha| of two sections on its CentralFD2 twin
     kinds = record_derivs(monkeypatch)
     data = base_config(tmp_path / "audit", action="Audit")
     data["target"] = target
@@ -750,7 +751,7 @@ def test_failing_checks_are_listed_on_stderr(tmp_path, capsys, monkeypatch, acti
         checks = {name: {"pass": ok} for name, ok in (
             ("energy_order_1", True), ("energy_order_2", False),
             ("energy_order_3", True), ("tension_variation", False))}
-        return {"t": 1e-3, "checks": checks, "pass": False}
+        return {"t": 1e-3, "checks": checks}
 
     monkeypatch.setattr(cli, "pointwise_identity_audit", audit)
     monkeypatch.setattr(cli, "_variation_results", variation)
@@ -761,3 +762,5 @@ def test_failing_checks_are_listed_on_stderr(tmp_path, capsys, monkeypatch, acti
                 "Energies": ""}[action]
     assert capsys.readouterr().err == expected
     assert code == (1 if expected else 0)
+    if action == "VariationCheck":  # the summary's verdict reads the same rule
+        assert load_summary(tmp_path / "out_summary.json")["variation"]["pass"] is False

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import polyflow as pf
-from polyflow.domain_grid import (FSUM_MAX_TERMS, SPECTRAL_REL_CUTOFF, _det2,
-                                  _min_eigenvalue, exact_sum, laplace_beltrami)
+from polyflow.domain_grid import (FRAME_REL_TOL, FSUM_MAX_TERMS, SPECTRAL_REL_CUTOFF,
+                                  _det2, _min_eigenvalue, exact_sum, laplace_beltrami,
+                                  real_number)
 from polyflow.errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
 
-from conftest import warped_metric
+from conftest import frame_arrays, record_derivs, warped_metric
 
 TWO_PI = 2 * np.pi
 
@@ -48,6 +49,19 @@ def test_build_grid_bad_dims():
         pf.GridSpec(3, (16, 16, 16), (1.0, 1.0, 1.0))
     with pytest.raises(InvalidSpec):
         pf.GridSpec(2, (32,), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("value", [None, 1 + 0j, np.complex128(1.0), [1.0], (2.0,),
+                                   "1.0", True, np.True_])
+def test_real_number_rejects_what_is_not_a_real(value):
+    # as whole_number does: a ValueError, never float()'s TypeError
+    with pytest.raises(ValueError, match="real number"):
+        real_number(value, "x")
+    with pytest.raises(ValueError, match="real number"):
+        pf.SpaceFormSpec(value, 2)
+    with pytest.raises(ValueError, match="real number"):
+        pf.GridSpec(1, (16,), (value,))
+    assert real_number(np.float32(0.5), "x") == 0.5 and real_number(3, "x") == 3.0
 
 
 @pytest.mark.parametrize("length", [float("nan"), float("inf"), 0.0, -1.0])
@@ -214,10 +228,8 @@ def test_induced_metric_constant_map_degenerate(circle_grid):
 
 def test_orthonormal_frame_identity(torus_grid):
     frame = pf.orthonormal_frame(torus_grid, pf.identity_metric(torus_grid))
-    expected = np.broadcast_to(np.eye(2), frame.e.shape)
-    np.testing.assert_allclose(frame.e, expected, atol=1e-14)
-    assert not np.any(frame.B)
-    np.testing.assert_allclose(frame.vol, 1.0, atol=1e-14)
+    assert frame.e == frame.G == ((1.0, 0.0), (0.0, 1.0))
+    assert frame.B == (0.0, 0.0) and frame.vol == 1.0
 
 
 def test_orthonormal_frame_constant_diag(torus_grid):
@@ -225,10 +237,77 @@ def test_orthonormal_frame_constant_diag(torus_grid):
     g[..., 0, 0] = 4.0
     g[..., 1, 1] = 1.0
     frame = pf.orthonormal_frame(torus_grid, pf.prescribed_metric(torus_grid, g))
-    np.testing.assert_allclose(frame.e[..., 0, 0], 0.5, atol=1e-14)
-    np.testing.assert_allclose(frame.e[..., 1, 1], 1.0, atol=1e-14)
-    assert not np.any(frame.B)
-    np.testing.assert_allclose(frame.vol, 2.0, atol=1e-14)
+    assert frame.e == ((0.5, 0.0), (0.0, 1.0)) and frame.G == ((0.25, 0.0), (0.0, 1.0))
+    assert frame.B == (0.0, 0.0) and frame.vol == 2.0
+
+
+CIRCLE_128 = (1, (128,), (TWO_PI,))
+TORUS_128 = (2, (128, 128), (TWO_PI, TWO_PI))
+
+
+@pytest.mark.parametrize("grid_args,map_args", [
+    pytest.param(CIRCLE_128, None, id="flat-1d"),
+    pytest.param(TORUS_128, None, id="flat-2d"),
+    pytest.param(TORUS_128, ("TorusCliffordLike", {}, pf.SpaceFormSpec(1.0, 3)),
+                 id="S3-torus"),
+    pytest.param(TORUS_128, ("TorusCliffordLike", {"r1": 1.0, "r2": 0.7},
+                             pf.SpaceFormSpec(0.0, 4)), id="R4-torus"),
+    pytest.param(CIRCLE_128, ("Circle", {"r": 0.7}, pf.SpaceFormSpec(0.0, 2)),
+                 id="circle-R2"),
+    pytest.param(CIRCLE_128, ("Circle", {"r": 0.9}, pf.SpaceFormSpec(1.0, 2)),
+                 id="circle-S2"),
+    pytest.param(CIRCLE_128, ("Circle", {"r": 0.7}, pf.SpaceFormSpec(-1.0, 2)),
+                 id="circle-H2"),
+])
+def test_constant_frames_hold_only_floats(monkeypatch, grid_args, map_args):
+    # a metric that is constant to roundoff (flat, the S^3 Clifford and R^4
+    # product tori, a constant-speed circle) gives a frame of floats, whose
+    # B is 0.0 without a derivative
+    grid, dims = pf.build_grid(pf.GridSpec(*grid_args)), grid_args[0]
+    if map_args is None:
+        metric = pf.identity_metric(grid)
+    else:
+        metric = pf.induced_metric(pf.builtin_map(*map_args[:2], grid, map_args[2]))
+    kinds = record_derivs(monkeypatch)
+    frame = pf.orthonormal_frame(grid, metric)
+    assert kinds == []
+    coeffs = [c for rows in (frame.e, frame.G) for row in rows for c in row]
+    assert all(type(c) is float for c in coeffs + [*frame.B, frame.vol])
+    assert frame.B == (0.0,) * dims
+    assert frame.lb_terms == (False, ()) and frame.axes == ((0,), (1,))[:dims]
+
+
+@pytest.mark.parametrize("rho", [0.4 + 0.002 * d for d in range(-5, 6)],
+                         ids=lambda rho: f"rho{rho:.3f}")
+def test_tube_torus_frame_drops_its_roundoff_coefficients(rho):
+    # the 128^2 H^3 tube torus of the audit benchmark (a 1, rho 0.39 to 0.41)
+    # has g = diag(A(v)^2, sinh^2 rho), but roundoff leaves e_1^0, G^{01}
+    # and the B^0 that d_0(sqrt g G^{00}) gives slightly off zero.  Each is
+    # below FRAME_REL_TOL times its family's largest |value|, so the frame
+    # holds them as 0.0: no d_0 term in e_1, no mixed derivative, no B^0 term
+    grid = pf.build_grid(pf.GridSpec(2, (128, 128), (TWO_PI, TWO_PI)))
+    phi = pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": rho}, grid,
+                         pf.SpaceFormSpec(-1.0, 3))
+    metric = pf.induced_metric(phi)
+    frame = pf.orthonormal_frame(grid, metric)
+    assert frame.lb_terms == (False, (1,)) and frame.axes == ((0,), (1,))
+    assert frame.e[1][0] == frame.G[0][1] == frame.B[0] == 0.0
+    # the values dropped: e_1^0 as Gram-Schmidt forms it, G^{01} as the
+    # unclassed e would give it, and B^0 from sqrt g G^{00}
+    g = metric.g
+    wnorm = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
+    e = [1.0 / np.sqrt(g[..., 0, 0]), -g[..., 0, 1] / g[..., 0, 0] / wnorm, 1.0 / wnorm]
+    G = [e[0] * e[0] + e[1] * e[1], e[1] * e[2], e[2] * e[2]]
+    B0 = grid.deriv(frame.vol * frame.G[0][0], 0) / frame.vol
+    dropped = {"e_1^0": (e[1], e), "G^01": (G[1], G), "B^0": (B0, [B0, frame.B[1]])}
+    line = []
+    for name, (value, family) in dropped.items():
+        tol = FRAME_REL_TOL * max(np.max(np.abs(c)) for c in family)
+        size = np.max(np.abs(value))
+        assert size <= tol
+        margin = tol / size if size else math.inf
+        line.append(f"{name} {size:.2e} (tol {tol:.2e}, margin {margin:.3g})")
+    print(f"[frame rho {rho:.3f}] " + "; ".join(line))
 
 
 @pytest.mark.parametrize("metric", ["warped", "induced"])
@@ -243,7 +322,7 @@ def test_frame_trace_coefficients_match_the_metric(torus_grid, metric):
     else:
         g = pf.induced_metric(pf.builtin_map("TorusCliffordLike", {}, torus_grid,
                                              pf.SpaceFormSpec(-1.0, 3)))
-    frame = pf.orthonormal_frame(torus_grid, g)
+    frame = frame_arrays(pf.orthonormal_frame(torus_grid, g))
     inverse = np.linalg.inv(g.g)
     assert np.max(np.abs(frame.G - inverse)) <= 1e-14 * np.max(np.abs(inverse))
     dg = [torus_grid.deriv(g.g, a) for a in range(2)]  # dg[d][..., a, b] = d_d g_ab
@@ -274,8 +353,8 @@ def test_frame_divergence_term_matches_the_tube_torus(n):
     v = grid.coords[1]
     A = np.cosh(rho) * np.sinh(a) + np.sinh(rho) * np.cos(v) * np.cosh(a)
     dA = -np.sinh(rho) * np.sin(v) * np.cosh(a)
-    assert np.max(np.abs(frame.B[..., 0])) <= 1e-12
-    assert np.max(np.abs(frame.B[..., 1] - dA / (A * np.sinh(rho) ** 2))) <= 1e-12
+    assert frame.B[0] == 0.0
+    assert np.max(np.abs(frame.B[1] - dA / (A * np.sinh(rho) ** 2))) <= 1e-12
 
 
 def test_orthonormal_frame_orthonormality():
@@ -283,8 +362,8 @@ def test_orthonormal_frame_orthonormality():
     grid = pf.build_grid(pf.GridSpec(2, (48, 48), (TWO_PI, TWO_PI)))
     phi = pf.builtin_map("GraphSurface", {}, grid, pf.SpaceFormSpec(0.0, 5))
     metric = pf.induced_metric(phi)
-    frame = pf.orthonormal_frame(grid, metric)
-    gram = np.einsum("...ia,...ab,...jb->...ij", frame.e, metric.g, frame.e)
+    e = frame_arrays(pf.orthonormal_frame(grid, metric)).e
+    gram = np.einsum("...ia,...ab,...jb->...ij", e, metric.g, e)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape),
                                atol=1e-10)
 

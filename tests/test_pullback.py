@@ -13,8 +13,8 @@ from polyflow.errors import DegenerateImmersion, NotIsometric
 from polyflow.flow import _trace_metrics
 from polyflow.pullback import Section, TensionChain, tritension_space_form
 
-from conftest import (build_fixture, builtin_fixture_set, chain_for, frame_for,
-                      record_derivs, warped_metric)
+from conftest import (build_fixture, builtin_fixture_set, chain_for, frame_arrays,
+                      frame_for, record_derivs, warped_metric)
 
 TWO_PI = 2 * np.pi
 
@@ -473,24 +473,25 @@ def _ref_nabla(phi, values, coeffs):
 
 
 def _ref_differential(phi, frame):
-    dims = phi.grid.dims
-    return [_ref_nabla(phi, phi.values, frame.e[..., i, :]) for i in range(dims)]
+    e = frame_arrays(frame).e
+    return [_ref_nabla(phi, phi.values, e[..., i, :]) for i in range(phi.grid.dims)]
 
 
 def _ref_lb(phi, frame, values):
     """G^{ab} d_a d_b V + B^b d_b V from a fresh ``deriv12`` per axis.  A
-    term whose coefficient is identically zero is left out, as the chain
-    leaves it out: adding its exact zeros would turn a -0.0 into +0.0."""
-    grid, floor = phi.grid, phi.spectral_floor
+    term whose coefficient the frame holds as 0.0 is left out, as the chain
+    leaves it out: adding its zeros would turn a -0.0 into +0.0."""
+    grid, floor, coeffs = phi.grid, phi.spectral_floor, frame_arrays(frame)
+    G, B = coeffs.G, coeffs.B
     pairs = [grid.deriv12(values, a, floor=floor) for a in range(grid.dims)]
-    out = frame.G[..., 0, 0, None] * pairs[0][1]
+    out = G[..., 0, 0, None] * pairs[0][1]
     for a in range(1, grid.dims):
-        out += frame.G[..., a, a, None] * pairs[a][1]
-    if grid.dims == 2 and np.any(frame.G[..., 0, 1]):
-        out += 2.0 * frame.G[..., 0, 1, None] * grid.deriv(pairs[0][0], 1, floor=floor)
+        out += G[..., a, a, None] * pairs[a][1]
+    if grid.dims == 2 and np.any(G[..., 0, 1]):
+        out += 2.0 * G[..., 0, 1, None] * grid.deriv(pairs[0][0], 1, floor=floor)
     for b in range(grid.dims):
-        if np.any(frame.B[..., b]):
-            out += frame.B[..., b, None] * pairs[b][0]
+        if np.any(B[..., b]):
+            out += B[..., b, None] * pairs[b][0]
     return out
 
 
@@ -519,7 +520,7 @@ def _ref_jacobi(phi, frame, values):
 
 
 def _ref_chain(phi, frame):
-    dims, c = phi.grid.dims, phi.spec.c
+    dims, c, e = phi.grid.dims, phi.spec.c, frame_arrays(frame).e
     tau = _ref_tension(phi, frame)
     lap = _ref_laplacian(phi, frame, tau)
     tau3 = _ref_jacobi(phi, frame, lap)
@@ -527,15 +528,15 @@ def _ref_chain(phi, frame):
         # -sum_i R(nabla_{e_i} tau, tau) dphi(e_i), expanded
         dphi = _ref_differential(phi, frame)
         for i in range(dims):
-            grad = _ref_nabla(phi, tau, frame.e[..., i, :])
+            grad = _ref_nabla(phi, tau, e[..., i, :])
             tau3 -= (c * sf.ambient_form(phi.spec, dphi[i], tau))[..., None] * grad
             tau3 += (c * sf.ambient_form(phi.spec, grad, dphi[i]))[..., None] * tau
     return {
         "dphi": _ref_differential(phi, frame),
         "tau": tau,
-        "grad_tau": [_ref_nabla(phi, tau, frame.e[..., i, :]) for i in range(dims)],
+        "grad_tau": [_ref_nabla(phi, tau, e[..., i, :]) for i in range(dims)],
         "lap_tau": lap,
-        "grad_lap_tau": [_ref_nabla(phi, lap, frame.e[..., i, :]) for i in range(dims)],
+        "grad_lap_tau": [_ref_nabla(phi, lap, e[..., i, :]) for i in range(dims)],
         "tau2": _ref_jacobi(phi, frame, tau),
         "tau3": tau3,
     }
@@ -558,20 +559,20 @@ def _christoffels(grid, g):
 def _christoffel_connection(grid, frame):
     """nabla_{e_i} e_i = e_i(e_i^c) + Gamma^c_ab e_i^a e_i^b in coordinates:
     the route that differentiates and inverts the metric."""
-    gamma = _christoffels(grid, frame.metric.g)
-    out = np.zeros_like(frame.e)
+    gamma, e = _christoffels(grid, frame.metric.g), frame_arrays(frame).e
+    out = np.zeros_like(e)
     for i in range(grid.dims):
-        ei = frame.e[..., i, :]
+        ei = e[..., i, :]
         for a in range(grid.dims):
             out[..., i, :] += ei[..., a, None] * grid.deriv(ei, a)
         out[..., i, :] += np.einsum("...a,...b,...abc->...c", ei, ei, gamma)
     return out
 
 
-def _trace_laplacian(phi, frame, values, connection):
+def _trace_laplacian(phi, e, values, connection):
     out = np.zeros_like(values)
     for i in range(phi.grid.dims):
-        e_i = frame.e[..., i, :]
+        e_i = e[..., i, :]
         out -= _ref_nabla(phi, _ref_nabla(phi, values, e_i), e_i)
         out += _ref_nabla(phi, values, connection[..., i, :])
     return out
@@ -579,18 +580,18 @@ def _trace_laplacian(phi, frame, values, connection):
 
 def _trace_chain(phi, frame):
     """tau, Delta tau and tau3 along the trace route."""
-    dphi = _ref_differential(phi, frame)
+    dphi, e = _ref_differential(phi, frame), frame_arrays(frame).e
     connection = _christoffel_connection(phi.grid, frame)
     tau = np.zeros_like(phi.values)
     for i in range(phi.grid.dims):
-        tau += _ref_nabla(phi, dphi[i], frame.e[..., i, :])
+        tau += _ref_nabla(phi, dphi[i], e[..., i, :])
         tau -= _ref_nabla(phi, phi.values, connection[..., i, :])
-    lap = _trace_laplacian(phi, frame, tau, connection)
-    tau3 = _trace_laplacian(phi, frame, lap, connection)
+    lap = _trace_laplacian(phi, e, tau, connection)
+    tau3 = _trace_laplacian(phi, e, lap, connection)
     if phi.spec.c != 0.0:
         for i, d in enumerate(dphi):
             tau3 -= sf.curvature_op(phi.spec, lap, d, d)
-            grad = _ref_nabla(phi, tau, frame.e[..., i, :])
+            grad = _ref_nabla(phi, tau, e[..., i, :])
             tau3 -= sf.curvature_op(phi.spec, grad, tau, d)
     return {"tau": tau, "lap_tau": lap, "tau3": tau3}
 
@@ -606,7 +607,7 @@ def _chain_cases():
 def _case_frame(phi, metric):
     if metric == "warped":
         frame = pf.orthonormal_frame(phi.grid, warped_metric(phi.grid))
-        assert np.any(frame.B) and all(frame.lb_terms)
+        assert frame.lb_terms == (True, (0, 1))
         return frame
     try:
         return frame_for(phi)
@@ -634,13 +635,13 @@ def test_chain_matches_standalone_definitions(name, params, grid_args, target, m
 
 @pytest.mark.parametrize("name,params,grid_args,target,metric", _chain_cases())
 def test_frame_along_matches_the_all_axes_sum(name, params, grid_args, target, metric):
-    # FrameField.along leaves out the axes whose e_i^a is identically zero:
-    # their terms are exact zeros, so it equals the plain sum over every
+    # FrameField.along leaves out the axes whose e_i^a is 0.0: their terms
+    # are exact zeros, so it equals the plain sum over every
     # axis bit for bit, on scalars and on 3- and 4-component sections, and
     # returns C-ordered arrays from the strided views deriv gives
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
-    grid, rng = phi.grid, np.random.default_rng(0)
+    grid, rng, e = phi.grid, np.random.default_rng(0), frame_arrays(frame).e
     for tail in ((), (3,), (4,)):
         derivs = [grid.deriv(rng.standard_normal(grid.shape + tail), a)
                   for a in range(grid.dims)]
@@ -649,7 +650,7 @@ def test_frame_along_matches_the_all_axes_sum(name, params, grid_args, target, m
         for i, along in enumerate(got):
             expected = np.zeros(grid.shape + tail)
             for a in range(grid.dims):
-                expected += frame.e[(..., i, a) + (None,) * len(tail)] * derivs[a]
+                expected += e[(..., i, a) + (None,) * len(tail)] * derivs[a]
             assert along.flags.c_contiguous
             assert along.tobytes() == expected.tobytes()
 
@@ -681,7 +682,7 @@ def test_chain_sharing_never_changes_a_result(name, params, grid_args, target):
     # field that reuses it, bit for bit
     phi = build_fixture(name, params, grid_args, target)
     frame = frame_for(phi)
-    assert np.any(frame.B) == (phi.grid.dims == 2)
+    assert frame.lb_terms[1] == ((1,) if phi.grid.dims == 2 else ())
     chain = TensionChain(phi, frame)
     assert chain.jacobi(chain.tau).values.tobytes() == chain.tau2.values.tobytes()
     for fresh, cached in zip(chain.nabla(chain.tau), chain.grad_tau, strict=True):
@@ -777,7 +778,7 @@ def _trace_route_error(n, metric):
     phi = build_fixture("TorusCliffordLike", {}, (2, (n, n), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(-1.0, 3))
     frame = _case_frame(phi, metric)
-    assert np.any(frame.B)
+    assert frame.lb_terms[1]
     chain = TensionChain(phi, frame)
     errs = []
     for field, ref in _trace_chain(phi, frame).items():
@@ -803,14 +804,16 @@ def test_chain_matches_coordinate_form_connection(metric):
 
 
 def _ref_laplace_beltrami(grid, frame, f):
-    """laplace_beltrami with every term taken, the identically zero ones
-    too."""
+    """laplace_beltrami with every term taken, those whose coefficient is
+    0.0 too."""
     pairs = [grid.deriv12(f, a) for a in range(grid.dims)]
-    out = frame.G[..., 0, 0] * pairs[0][1]
-    out += frame.G[..., 1, 1] * pairs[1][1]
-    out += 2.0 * frame.G[..., 0, 1] * grid.deriv(pairs[0][0], 1)
+    coeffs = frame_arrays(frame)
+    G, B = coeffs.G, coeffs.B
+    out = G[..., 0, 0] * pairs[0][1]
+    out += G[..., 1, 1] * pairs[1][1]
+    out += 2.0 * G[..., 0, 1] * grid.deriv(pairs[0][0], 1)
     for b in range(grid.dims):
-        out += frame.B[..., b] * pairs[b][0]
+        out += B[..., b] * pairs[b][0]
     return out
 
 
@@ -819,9 +822,9 @@ def test_div_terms_match_christoffel_route(name, params, grid_args, target, metr
     # B^c = (1/sqrt g) d_a(sqrt g g^{ab}) = -g^{ab} Gamma^c_ab
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
-    gamma = _christoffels(phi.grid, frame.metric.g)
-    ref = -np.einsum("...ab,...abc->...c", frame.G, gamma)
-    err = np.max(np.abs(frame.B - ref))
+    gamma, coeffs = _christoffels(phi.grid, frame.metric.g), frame_arrays(frame)
+    ref = -np.einsum("...ab,...abc->...c", coeffs.G, gamma)
+    err = np.max(np.abs(coeffs.B - ref))
     assert err <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
@@ -861,8 +864,9 @@ def count_calls(monkeypatch, owner, name) -> list:
 def test_induced_metric_and_chain_share_the_map_derivatives(monkeypatch, c):
     # d_a phi and d_a^2 phi are taken once per map, from one rfft per axis:
     # the induced metric takes them, the chain's dphi reads the same arrays
-    # without a derivative of its own, and tau takes only d_0 d_1 phi, where
-    # G^{01} is not identically zero
+    # without a derivative of its own, and tau takes none: both tori's
+    # metrics are diagonal, so G^{01} is 0.0 (on the H^3 tube torus it is
+    # roundoff, which the frame drops)
     phi = build_fixture("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(c, 3))
     kinds = record_derivs(monkeypatch)
@@ -881,7 +885,8 @@ def test_induced_metric_and_chain_share_the_map_derivatives(monkeypatch, c):
         assert d.values.tobytes() == expected.tobytes()
     assert kinds == []
     chain.tau
-    assert len(kinds) == frame.lb_terms[0] == (c < 0)
+    assert kinds == []
+    assert frame.lb_terms == (False, (1,) if c < 0 else ())
     assert phi.coordinate_derivs is derivs
 
 
@@ -909,11 +914,12 @@ def test_chain_projection_count_2d(monkeypatch):
     # no curvature tensor.  nabla_{e_i} Delta tau, which tau3 does not read,
     # is projected when it is asked for.  Delta^2 tau, as the Laplacian of
     # Delta tau, and tritension_space_form's J(Delta tau), which no chain
-    # field reads, each take a Laplace-Beltrami sum of Delta tau of their own
+    # field reads, each take a Laplace-Beltrami sum of Delta tau of their own.
+    # The H^3 tube torus's frame keeps only its B^1 term
     phi = build_fixture("TorusCliffordLike", {}, (2, (64, 64), (TWO_PI, TWO_PI)),
                         pf.SpaceFormSpec(-1.0, 3))
     frame = frame_for(phi)
-    assert all(frame.lb_terms)
+    assert frame.lb_terms == (False, (1,))
     calls = count_calls(monkeypatch, sf, "project_tangent")
     curvature = count_calls(monkeypatch, sf, "curvature_op")
     chain = TensionChain(phi, frame)
