@@ -34,7 +34,6 @@ from .flow import (
 )
 from .pullback import (
     MapField,
-    Section,
     TensionChain,
     tension,
     tritension_space_form,

@@ -34,7 +34,7 @@ from .domain_grid import (
     whole_number,
 )
 from .errors import DegenerateImmersion, PolyflowError, StepUnderflow
-from .pullback import MapField, Section, TensionChain, vary
+from .pullback import MapField, TensionChain, vary
 
 __all__ = [
     "FlowKind",
@@ -139,7 +139,8 @@ class FlowTrace:
         return [row[i] for row in self.rows]
 
     def accepted_series(self, name: str) -> list:
-        return [v for v, dt in zip(self.column(name), self.column("dt")) if dt > 0.0]
+        """The column at the initial state (dt NaN) and each accepted step."""
+        return [v for v, dt in zip(self.column(name), self.column("dt")) if dt != 0.0]
 
 
 class Trial(NamedTuple):
@@ -172,26 +173,25 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
     if chain.sup_norm(k) == 0.0:
         return Trial(True, chain)
     descent = chain.field(k)
-    step = _implicit_step(descent, k, dt)
+    step = _implicit_step(phi, descent, k, dt)
     e_now = chain.energy(k)
-    decrease = integrate(phi.grid, frame, sf.ambient_form(phi.spec, descent.values, step))
-    trial = TensionChain(vary(phi, Section(step, phi), dt), frame)
+    decrease = integrate(phi.grid, frame, sf.ambient_form(phi.spec, descent, step))
+    trial = TensionChain(vary(phi, step, dt), frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
         return Trial(True, trial)
     return Trial(False, chain)
 
 
-def _implicit_step(descent: Section, k: int, dt: float) -> np.ndarray:
+def _implicit_step(phi: MapField, descent: np.ndarray, k: int, dt: float) -> np.ndarray:
     """Linearly implicit Euler step of the leading operator on the flat
-    frame, whose volume element is 1: the descent's
-    coefficients in an orthonormal tangent frame (its ambient components on
-    flat and sphere targets, :func:`_boost_coefficients` on the hyperboloid)
-    have their spectra divided by ``1 + dt |q|^(2k)``, q the true wavenumber
-    (Nyquist included), and the step is rebuilt from them.  The pairing
-    Int <descent, step> = sum_q |c_q|^2 / (1 + dt |q|^(2k)) is positive for
-    every dt, so the step needs no cap and no band limit."""
-    phi = descent.base
-    spec, grid, x, coeffs = phi.spec, phi.grid, phi.values, descent.values
+    frame, whose volume element is 1: the coefficients of ``descent``, a
+    section along ``phi``, in an orthonormal tangent frame (its ambient
+    components on flat and sphere targets, :func:`_boost_coefficients` on
+    the hyperboloid) have their spectra divided by ``1 + dt |q|^(2k)``, q
+    the true wavenumber (Nyquist included), and the step is rebuilt from
+    them.  The pairing Int <descent, step> = sum_q |c_q|^2 / (1 + dt |q|^(2k))
+    is positive for every dt, so the step needs no cap and no band limit."""
+    spec, grid, x, coeffs = phi.spec, phi.grid, phi.values, descent
     boost = spec.model is sf.Model.HYPERBOLOID
     if boost:
         r = 1.0 / math.sqrt(-spec.c)

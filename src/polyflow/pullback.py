@@ -9,9 +9,10 @@ J(V) = -P(LB V) - c |dphi|^2 V (P the tangent projection, LB the domain's
 Laplace-Beltrami operator), so tau2 and tau3 form neither Delta^2 tau nor
 the curvature contraction.
 :func:`tritension_space_form` is the isometric-immersion formula for tau3,
-kept apart as an independent check of the chain.  Sections are stored in
-ambient coordinates and projected onto the target's tangent spaces, so
-tangency is a checkable invariant instead of a representation assumption.
+kept apart as an independent check of the chain.  A section along a map
+is a plain ``grid.shape + (ambient_dim,)`` array in ambient coordinates,
+projected onto the target's tangent spaces, so tangency is a checkable
+invariant instead of a representation assumption.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import NotIsometric
 
 __all__ = [
     "MapField",
-    "Section",
     "TensionChain",
     "tension",
     "tritension_space_form",
@@ -96,31 +96,11 @@ class MapField:
         return SPECTRAL_REL_CUTOFF * max(1.0, float(np.abs(self.values).max()))
 
 
-@dataclass
-class Section:
-    """Vector field along a map, tangent to the target at each node."""
-
-    values: np.ndarray
-    base: MapField = field(repr=False, default=None)
-
-    def tangency_residual(self) -> float:
-        spec = self.base.spec
-        if spec.model is sf.Model.FLAT:
-            return 0.0
-        return float(
-            np.max(np.abs(sf.ambient_form(spec, self.base.values, self.values)))
-        )
-
-    def norm_field(self) -> np.ndarray:
-        """Pointwise norm |V| over the grid."""
-        return sf.norm(self.base.spec, self.values)
-
-
-def vary(phi: MapField, V: Section, t: float) -> MapField:
+def vary(phi: MapField, V: np.ndarray, t: float) -> MapField:
     """Geodesic variation phi_t(x) = exp_{phi(x)}(t V(x)); phi itself at t = 0."""
     if t == 0.0:
         return phi
-    return MapField(sf.exp_map(phi.spec, phi.values, t * V.values), phi.grid, phi.spec)
+    return MapField(sf.exp_map(phi.spec, phi.values, t * V), phi.grid, phi.spec)
 
 
 class TensionChain:
@@ -152,64 +132,64 @@ class TensionChain:
         self._floor = phi.spectral_floor
         self._scalars = {}  # energies, L^p and sup norms, per (name, order)
 
-    def nabla(self, V: Section) -> list:
+    def nabla(self, V: np.ndarray) -> list:
         """Induced connection nabla_{e_i} V for each frame direction e_i: the
         ambient derivative of V along e_i, projected onto the target's tangent
         space."""
         phi = self.phi
-        return self._along_frame([phi.grid.deriv(V.values, a, floor=self._floor)
+        return self._along_frame([phi.grid.deriv(V, a, floor=self._floor)
                                   for a in range(phi.grid.dims)])
 
     def _along_frame(self, derivs) -> list:
         """P(sum_a e_i^a d_a V) per i (:meth:`FrameField.along`), from the d_a V
         by axis; each sum is dropped once projected."""
         phi, sums = self.phi, self.frame.along(derivs)
-        return [Section(sf.project_tangent(phi.spec, phi.values, sums.pop(0)), phi)
+        return [sf.project_tangent(phi.spec, phi.values, sums.pop(0))
                 for _ in range(len(sums))]
 
-    def _projected_lb(self, V: Section | MapField, pairs=None) -> list:
+    def _projected_lb(self, V: np.ndarray, pairs=None) -> list:
         """``[P(G^{ab} d_a d_b V + B^b d_b V), [d_a V]]``, from ``pairs``
         ``[d_a V, d_a^2 V]`` per axis when given."""
         phi = self.phi
-        derivs, lb = laplace_beltrami(phi.grid, self.frame, V.values, self._floor, pairs)
+        derivs, lb = laplace_beltrami(phi.grid, self.frame, V, self._floor, pairs)
         return [sf.project_tangent(phi.spec, phi.values, lb), derivs]
 
-    def _pairings(self, V: Section) -> list:
+    def _pairings(self, V: np.ndarray) -> list:
         """c h(dphi(e_i), V) per i; none on a flat target."""
-        phi, spec = self.phi, self.phi.spec
+        spec = self.phi.spec
         if spec.c == 0.0:
             return []
-        return [spec.c * sf.ambient_form(spec, d.values, V.values) for d in self.dphi]
+        return [spec.c * sf.ambient_form(spec, d, V) for d in self.dphi]
 
-    def _rough(self, plb: np.ndarray, pairings: list) -> Section:
+    def _rough(self, plb: np.ndarray, pairings: list) -> np.ndarray:
         """Delta V = -(P(LB V) + c sum_i h(dphi(e_i), V) dphi(e_i)), in place
         on ``plb``."""
         for d, ch in zip(self.dphi, pairings):
-            plb += ch[..., None] * d.values
-        return Section(np.negative(plb, out=plb), self.phi)
+            plb += ch[..., None] * d
+        return np.negative(plb, out=plb)
 
-    def _jacobi(self, plb: np.ndarray, V: Section, out=None) -> np.ndarray:
+    def _jacobi(self, plb: np.ndarray, V: np.ndarray, out=None) -> np.ndarray:
         """J(V) = -P(LB V) - c |dphi|^2 V, into ``out`` (a new array if None)."""
         out = np.negative(plb, out=out)
         if self.phi.spec.c != 0.0:
-            out -= (self.phi.spec.c * self.dphi_sq)[..., None] * V.values
+            out -= (self.phi.spec.c * self.dphi_sq)[..., None] * V
         return out
 
-    def laplacian(self, V: Section) -> Section:
+    def laplacian(self, V: np.ndarray) -> np.ndarray:
         """Nonnegative connection Laplacian of a section along phi."""
         return self._rough(self._projected_lb(V)[0], self._pairings(V))
 
-    def jacobi(self, V: Section) -> Section:
+    def jacobi(self, V: np.ndarray) -> np.ndarray:
         """Jacobi operator J(V) = Delta V - sum_i R(V, dphi(e_i)) dphi(e_i), in
         its space-form closed form -P(LB V) - c |dphi|^2 V."""
         plb = self._projected_lb(V)[0]
-        return Section(self._jacobi(plb, V, out=plb), self.phi)
+        return self._jacobi(plb, V, out=plb)
 
     def _sq_sum(self, sections: list) -> np.ndarray:
         """Pointwise sum_i |S_i|^2, e.g. |dphi|^2 or |nabla V|^2."""
         out = np.zeros(self.phi.grid.shape)
         for s in sections:
-            out += sf.ambient_form(self.phi.spec, s.values, s.values)
+            out += sf.ambient_form(self.phi.spec, s, s)
         return out
 
     @cached_property
@@ -217,9 +197,9 @@ class TensionChain:
         return self._along_frame(self.phi.coordinate_derivs)
 
     @cached_property
-    def tau(self) -> Section:
+    def tau(self) -> np.ndarray:
         phi = self.phi
-        return Section(self._projected_lb(phi, phi.coordinate_pairs)[0], phi)
+        return self._projected_lb(phi.values, phi.coordinate_pairs)[0]
 
     # [P(LB V), [d_a V]] of tau and Delta tau.  P(LB tau) is kept, as Delta tau
     # and J(tau) both start from it; tau3 is formed in place on P(LB Delta tau)
@@ -240,7 +220,7 @@ class TensionChain:
         return self._pairings(self.tau)
 
     @cached_property
-    def lap_tau(self) -> Section:
+    def lap_tau(self) -> np.ndarray:
         return self._rough(self._tau_lb[0].copy(), self._tau_pairings)
 
     @cached_property
@@ -252,33 +232,33 @@ class TensionChain:
         return self._along_frame(self._lap_tau_lb.pop())
 
     @cached_property
-    def tau2(self) -> Section:
+    def tau2(self) -> np.ndarray:
         """Bitension J(tau)."""
-        return Section(self._jacobi(self._tau_lb[0], self.tau), self.phi)
+        return self._jacobi(self._tau_lb[0], self.tau)
 
     @cached_property
-    def tau3(self) -> Section:
+    def tau3(self) -> np.ndarray:
         """Tritension J(Delta tau) - sum_i R(nabla_{e_i} tau, tau) dphi(e_i),
         -P(LB Delta tau) - c |dphi|^2 Delta tau - c sum_i (h(tau, dphi(e_i))
         nabla_{e_i} tau - h(nabla_{e_i} tau, dphi(e_i)) tau), with the
         c h(dphi(e_i), tau) that Delta tau took."""
-        phi, spec, tau = self.phi, self.phi.spec, self.tau.values
+        spec, tau = self.phi.spec, self.tau
         plb = self._lap_tau_lb.pop(0)
         out = self._jacobi(plb, self.lap_tau, out=plb)
         for g, d, ch in zip(self.grad_tau, self.dphi, self._tau_pairings):
-            h_gd = sf.ambient_form(spec, g.values, d.values)
-            out -= ch[..., None] * g.values
+            h_gd = sf.ambient_form(spec, g, d)
+            out -= ch[..., None] * g
             out += (spec.c * h_gd)[..., None] * tau
         del self._tau_pairings
-        return Section(out, phi)
+        return out
 
     @cached_property
     def tau_sq(self) -> np.ndarray:
-        return sf.ambient_form(self.phi.spec, self.tau.values, self.tau.values)
+        return sf.ambient_form(self.phi.spec, self.tau, self.tau)
 
     @cached_property
     def lap_sq(self) -> np.ndarray:
-        return sf.ambient_form(self.phi.spec, self.lap_tau.values, self.lap_tau.values)
+        return sf.ambient_form(self.phi.spec, self.lap_tau, self.lap_tau)
 
     @cached_property
     def tau_norm(self) -> np.ndarray:
@@ -300,7 +280,7 @@ class TensionChain:
     def grad_lap_tau_sq(self) -> np.ndarray:
         return self._sq_sum(self.grad_lap_tau)
 
-    def field(self, k: int) -> Section:
+    def field(self, k: int) -> np.ndarray:
         """Tension field of order k in {1, 2, 3}: tau, tau2 or tau3."""
         if k not in (1, 2, 3):
             raise ValueError(f"tension order must be 1, 2 or 3, got {k}")
@@ -330,15 +310,15 @@ class TensionChain:
     def sup_norm(self, k: int) -> float:
         """sup |tau|, |tau2| or |tau3| over the grid, sqrt(max(0, max h(V, V))):
         sqrt is monotone and correctly rounded, so this is the max of
-        ``norm_field()``."""
+        ``sf.norm(spec, field(k))``."""
         if ("sup", k) not in self._scalars:
-            V = self.field(k).values
+            V = self.field(k)
             sq = self.tau_sq if k == 1 else sf.ambient_form(self.phi.spec, V, V)
             self._scalars["sup", k] = float(np.sqrt(np.maximum(sq.max(), 0.0)))
         return self._scalars["sup", k]
 
 
-def tension(phi: MapField, frame: FrameField) -> Section:
+def tension(phi: MapField, frame: FrameField) -> np.ndarray:
     """Trace of the second fundamental form.
 
     tau = sum_i { nabla_{e_i}(dphi(e_i)) - dphi(nabla_{e_i} e_i) }.
@@ -349,7 +329,7 @@ def tension(phi: MapField, frame: FrameField) -> Section:
     return TensionChain(phi, frame).tau
 
 
-def tritension_space_form(chain: TensionChain) -> Section:
+def tritension_space_form(chain: TensionChain) -> np.ndarray:
     """Tritension field of the state whose tension chain is ``chain``,
     specialized to isometric immersions:
 
@@ -372,7 +352,7 @@ def tritension_space_form(chain: TensionChain) -> Section:
             raise NotIsometric(
                 f"prescribed metric deviates from the pullback metric by {dev:.3e}"
             )
-    out = chain.jacobi(chain.lap_tau).values
+    out = chain.jacobi(chain.lap_tau)
     if phi.spec.c != 0.0:
-        out -= (phi.spec.c * chain.tau_sq)[..., None] * chain.tau.values
-    return Section(values=out, base=phi)
+        out -= (phi.spec.c * chain.tau_sq)[..., None] * chain.tau
+    return out

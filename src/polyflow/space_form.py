@@ -35,6 +35,7 @@ __all__ = [
     "project_tangent",
     "exp_map",
     "curvature_op",
+    "norm",
 ]
 
 

@@ -30,7 +30,7 @@ from .domain_grid import (
     whole_number,
 )
 from .errors import MetricModeError, NotTriharmonic, RadiusTooLarge
-from .pullback import MapField, Section, TensionChain, vary
+from .pullback import MapField, TensionChain, vary
 
 __all__ = [
     "AuditCheck",
@@ -94,7 +94,6 @@ class CutoffField:
     center: tuple
     r: float
     distance: np.ndarray = field(repr=False, default=None)
-    grid: DomainGrid = field(repr=False, default=None)
 
     def ball_mask(self) -> np.ndarray:
         return self.distance <= self.r
@@ -124,7 +123,8 @@ def _require_step(t: float):
         raise ValueError(f"variation step t must be finite and nonzero, got {t}")
 
 
-def first_variation_residual(chain: TensionChain, V: Section, k: int, t: float) -> float:
+def first_variation_residual(chain: TensionChain, V: np.ndarray, k: int,
+                             t: float) -> float:
     """Central-difference check of dE_k/dt = -Int <tau_k, V> at the state
     whose tension chain is ``chain``.
 
@@ -138,8 +138,7 @@ def first_variation_residual(chain: TensionChain, V: Section, k: int, t: float) 
     _require_step(t)
     if k not in (1, 2, 3):
         raise ValueError(f"variation order must be 1, 2 or 3, got {k}")
-    tau_k = chain.field(k)
-    pairing = sf.ambient_form(phi.spec, tau_k.values, V.values)
+    pairing = sf.ambient_form(phi.spec, chain.field(k), V)
     analytic = -integrate(phi.grid, frame, pairing)
     e_plus = TensionChain(vary(phi, V, t), frame).energy(k)
     e_minus = TensionChain(vary(phi, V, -t), frame).energy(k)
@@ -147,7 +146,7 @@ def first_variation_residual(chain: TensionChain, V: Section, k: int, t: float) 
     return abs(fd - analytic) / (1.0 + abs(analytic))
 
 
-def tension_variation_residual(chain: TensionChain, V: Section, t: float) -> float:
+def tension_variation_residual(chain: TensionChain, V: np.ndarray, t: float) -> float:
     """Sup-norm check of d/dt tau(phi_t)|_0 = -Delta V + sum_j R(V, dphi(e_j)) dphi(e_j)
     at the state whose tension chain is ``chain``.
 
@@ -160,10 +159,8 @@ def tension_variation_residual(chain: TensionChain, V: Section, t: float) -> flo
     _require_step(t)
     tau_plus = TensionChain(vary(phi, V, t), frame).tau
     tau_minus = TensionChain(vary(phi, V, -t), frame).tau
-    lhs = sf.project_tangent(
-        phi.spec, phi.values, (tau_plus.values - tau_minus.values) / (2.0 * t)
-    )
-    rhs = -chain.jacobi(V).values
+    lhs = sf.project_tangent(phi.spec, phi.values, (tau_plus - tau_minus) / (2.0 * t))
+    rhs = -chain.jacobi(V)
     return float(np.max(sf.norm(phi.spec, lhs - rhs)))
 
 
@@ -229,7 +226,7 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
     if frame.mode is MetricMode.INDUCED:
         acc = tau_sq.copy()
         for g, d in zip(chain.grad_tau, dphi):
-            acc += sf.ambient_form(spec, g.values, d.values)
+            acc += sf.ambient_form(spec, g, d)
         tol = base_tol * (1.0 + float(np.max(tau_sq)))
         checks.append(_verdict("tension_orthogonality", np.abs(acc), tol))
     else:
@@ -256,7 +253,7 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
 
     # (c) Bochner identity for the scalar |tau|^2: with the positive
     # Laplacian, <tau, Delta tau> - Delta |tau|^2 / 2 = |nabla tau|^2.
-    pairing = sf.ambient_form(spec, tau.values, lap_tau.values)
+    pairing = sf.ambient_form(spec, tau, lap_tau)
     bochner = pairing + 0.5 * laplace_beltrami(grid, frame, tau_sq)[1] - grad_tau_sq
     tol = base_tol * (1.0 + float(np.max(np.abs(pairing))) + float(np.max(grad_tau_sq)))
     checks.append(_verdict("bochner_identity", np.abs(bochner), tol))
@@ -267,7 +264,7 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
         lap_dphi_sq = chain.lap_sq * chain.dphi_sq
         proj_sq = np.zeros(grid.shape)
         for d in dphi:
-            proj_sq += sf.ambient_form(spec, lap_tau.values, d.values) ** 2
+            proj_sq += sf.ambient_form(spec, lap_tau, d) ** 2
         tol = 1e-10 * (1.0 + float(np.max(lap_dphi_sq)))
         checks.append(_verdict("curvature_sign", -spec.c * (proj_sq - lap_dphi_sq), tol))
     else:
@@ -317,7 +314,7 @@ def cutoff(grid: DomainGrid, center, r: float) -> CutoffField:
                          f"{grid.shape} grid, got {center}")
     d = _periodic_distance(grid, center)
     eta = _smoothstep((2.0 * r - d) / r)
-    return CutoffField(eta=eta, center=center, r=float(r), distance=d, grid=grid)
+    return CutoffField(eta=eta, center=center, r=float(r), distance=d)
 
 
 def caccioppoli_audit(chain: TensionChain, eta: CutoffField, eps: float) -> float:
@@ -363,7 +360,7 @@ def caccioppoli_audit(chain: TensionChain, eta: CutoffField, eps: float) -> floa
     return lhs - rhs
 
 
-def random_tangent_section(phi: MapField, seed: int) -> Section:
+def random_tangent_section(phi: MapField, seed: int) -> np.ndarray:
     """Seeded band-limited random section along ``phi``.
 
     Each ambient component is a small trigonometric polynomial (modes up to
@@ -389,4 +386,4 @@ def random_tangent_section(phi: MapField, seed: int) -> Section:
     sup = float(np.max(sf.norm(spec, values)))
     if sup > 0.0:
         values *= SECTION_AMPLITUDE / sup
-    return Section(values=values, base=phi)
+    return values

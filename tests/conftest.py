@@ -100,6 +100,15 @@ def chain_for(phi, induced=True):
     return pf.TensionChain(phi, frame_for(phi, induced))
 
 
+def tangency_residual(phi, V) -> float:
+    """max |h(phi, V)| over the grid: a section V along phi is tangent to the
+    model (the sphere or the hyperboloid) when h(phi, V) = 0; every vector
+    is tangent to a flat target."""
+    if phi.spec.model is pf.Model.FLAT:
+        return 0.0
+    return float(np.max(np.abs(sf.ambient_form(phi.spec, phi.values, V))))
+
+
 def record_derivs(monkeypatch) -> list:
     """The backend name of every derivative ``DomainGrid`` takes from now on,
     one entry per derivative array: a spectral ``deriv12`` records two from

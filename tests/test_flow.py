@@ -10,7 +10,6 @@ from polyflow import flow as flow_module
 from polyflow import space_form as sf
 from polyflow.errors import StepUnderflow
 from polyflow.flow import _boost_coefficients, _implicit_step
-from polyflow.pullback import Section
 
 from conftest import (SIN_R_BI, SIN_R_TRI, fail_third_trial, frame_for, record_derivs,
                       reference_boost_frame, static_probe)
@@ -58,8 +57,8 @@ def test_descent_field_matches_tension_fields(flat_circle):
     tau = pf.tension(flat_circle, frame)
     chain = pf.TensionChain(flat_circle, frame)
     d1, d3 = chain.field(1), chain.field(3)
-    assert np.max(np.abs(d1.values - tau.values)) == 0.0
-    assert np.max(np.abs(d3.values - tau.values)) <= 1e-11  # tau3 = tau at r=1
+    assert np.max(np.abs(d1 - tau)) == 0.0
+    assert np.max(np.abs(d3 - tau)) <= 1e-11  # tau3 = tau at r=1
 
 
 def test_descent_field_geodesic_zero(circle_grid):
@@ -67,7 +66,7 @@ def test_descent_field_geodesic_zero(circle_grid):
     frame = frame_for(phi, induced=False)
     chain = pf.TensionChain(phi, frame)
     for k in (1, 2, 3):
-        assert np.max(chain.field(k).norm_field()) <= 1e-9
+        assert np.max(sf.norm(phi.spec, chain.field(k))) <= 1e-9
 
 
 def test_flow_step_zero_descent_fixed_point(circle_grid):
@@ -109,8 +108,8 @@ def test_flow_step_accept_grows(flat_circle):
         chain = pf.TensionChain(phi, frame_for(phi, induced=False))
         trial = pf.flow_step(chain, cfg, dt=1e-3)
         assert trial.accepted
-        step = _implicit_step(chain.field(1), 1, 1e-3)
-        expected = pf.vary(phi, Section(step, phi), 1e-3)
+        step = _implicit_step(phi, chain.field(1), 1, 1e-3)
+        expected = pf.vary(phi, step, 1e-3)
         assert trial.chain.phi.values.tobytes() == expected.values.tobytes()
 
 
@@ -127,6 +126,24 @@ def test_harmonic_flow_shrinks_circle(flat_circle):
     state, trace = pf.run_flow(flat_circle, cfg)
     assert trace.column("E")[-1] < trace.column("E")[0]
     assert np.max(np.linalg.norm(state.phi.values, axis=-1)) < 1.0
+
+
+@pytest.mark.parametrize("armijo_c,max_iters", [(1e-4, 2), (0.99999, 6)])
+def test_accepted_series_starts_at_the_initial_state(armijo_c, max_iters):
+    # row 0 is the initial state (dt NaN), which the first accepted energy
+    # must be compared with; rejected trials (dt 0) are left out.  At
+    # armijo_c 0.99999 the first five trials are rejected
+    cfg = pf.FlowConfig(kind="Triharmonic", max_iters=max_iters, grad_tol=1e-12,
+                        armijo_c=armijo_c)
+    _, trace = pf.run_flow(small_h2_perturbation(), cfg)
+    e3, dts = trace.column("E3"), trace.column("dt")
+    assert math.isnan(dts[0])
+    accepted = [e for e, dt in zip(e3[1:], dts[1:]) if dt > 0.0]
+    if armijo_c < 0.5:
+        assert len(accepted) == 2
+    else:
+        assert dts[1:6] == [0.0] * 5 and len(accepted) == 1
+    assert trace.accepted_series("E3") == [e3[0]] + accepted
 
 
 def test_run_flow_geodesic_immediate(circle_grid):
@@ -154,22 +171,21 @@ def test_implicit_step_is_tangent_and_descends(phi):
     frame = frame_for(phi, induced=False)
     descent = pf.TensionChain(phi, frame).field(3)
     for dt in np.logspace(-12.0, 3.0, 16):
-        step = _implicit_step(descent, 3, dt)
+        step = _implicit_step(phi, descent, 3, dt)
         normal = step - sf.project_tangent(phi.spec, phi.values, step)
         assert np.max(np.abs(normal)) <= 1e-13 * np.max(np.abs(step))
         pairing = pf.integrate(phi.grid, frame,
-                               sf.ambient_form(phi.spec, descent.values, step))
+                               sf.ambient_form(phi.spec, descent, step))
         assert pairing > 0.0
     # a small dt leaves the descent unchanged; a large one damps it
-    near = _implicit_step(descent, 3, 1e-12)
-    assert np.max(np.abs(near - descent.values)) <= 1e-9 * np.max(np.abs(near))
-    assert np.max(np.abs(_implicit_step(descent, 3, 1e3))) < np.max(np.abs(near))
+    near = _implicit_step(phi, descent, 3, 1e-12)
+    assert np.max(np.abs(near - descent)) <= 1e-9 * np.max(np.abs(near))
+    assert np.max(np.abs(_implicit_step(phi, descent, 3, 1e3))) < np.max(np.abs(near))
 
 
-def rfftn_implicit_step(descent, k, dt):
+def rfftn_implicit_step(phi, descent, k, dt):
     """_implicit_step with its transform written as numpy's rfftn/irfftn pair."""
-    phi = descent.base
-    spec, grid, x, coeffs = phi.spec, phi.grid, phi.values, descent.values
+    spec, grid, x, coeffs = phi.spec, phi.grid, phi.values, descent
     boost = spec.model is sf.Model.HYPERBOLOID
     if boost:
         r = 1.0 / math.sqrt(-spec.c)
@@ -200,8 +216,8 @@ def test_implicit_step_equals_rfftn_bit_for_bit(make_phi):
     for k in (1, 2, 3):
         descent = chain.field(k)
         for dt in (0.0, 1e-9, 3.6e-8, 1e-3, 1e3):
-            got = _implicit_step(descent, k, dt)
-            ref = rfftn_implicit_step(descent, k, dt)
+            got = _implicit_step(phi, descent, k, dt)
+            ref = rfftn_implicit_step(phi, descent, k, dt)
             assert got.shape == ref.shape and got.flags.c_contiguous
             assert got.tobytes() == ref.tobytes()
 
@@ -232,7 +248,7 @@ def test_triharmonic_flow_2d_converges():
     state, trace = pf.run_flow(h3_torus_32(), cfg)
     assert trace.status == "converged"
     assert trace.column("iter")[-1] <= 60
-    e3 = trace.column("E3")[:1] + trace.accepted_series("E3")
+    e3 = trace.accepted_series("E3")
     assert_monotone(e3)
     assert e3[0] > 600.0 and e3[-1] <= 1e-9
     assert state.phi.constraint_residual() <= 1e-12
@@ -334,18 +350,15 @@ def test_harmonic_flow_perturbed_great_circle():
     grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
     spec = pf.SpaceFormSpec(1.0, 2)
     base = pf.builtin_map("GreatCircleS2", {}, grid, spec)
-    bump = pf.Section(
-        values=sf.project_tangent(
-            spec, base.values,
-            0.05 * np.sin(2 * grid.axes[0])[..., None] * np.array([0.0, 0.0, 1.0]),
-        ),
-        base=base,
+    bump = sf.project_tangent(
+        spec, base.values,
+        0.05 * np.sin(2 * grid.axes[0])[..., None] * np.array([0.0, 0.0, 1.0]),
     )
     phi0 = pf.vary(base, bump, 1.0)
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=20000, grad_tol=1e-8)
     state, trace = pf.run_flow(phi0, cfg)
     assert trace.status == "converged"
-    assert np.max(state.tau.norm_field()) <= 1e-8
+    assert np.max(sf.norm(spec, state.tau)) <= 1e-8
 
 
 def test_probe_geodesic_minimal(circle_grid):
@@ -490,17 +503,17 @@ def reference_flow(phi0, cfg):
         descent = pf.TensionChain(state, frame).field(k)
         return descent, (report.E, report.E2, report.E3, report.Etilde4,
                          report.Lp_tension[4.0], report.sup_tau,
-                         float(np.max(descent.norm_field())))
+                         float(np.max(sf.norm(state.spec, descent))))
 
     descent, row = enter(phi)
     rows.append((0, *row, math.nan))
     for it in range(1, cfg.max_iters + 1):
         if row[-1] <= cfg.grad_tol:
             break
-        step = implicit_step(phi, descent.values, k, dt)
+        step = implicit_step(phi, descent, k, dt)
         e_now = pf.TensionChain(phi, frame).energy(k)
         decrease = pf.integrate(phi.grid, frame, sf.ambient_form(
-            phi.spec, descent.values, step))
+            phi.spec, descent, step))
         candidate = pf.MapField(
             sf.exp_map(phi.spec, phi.values, dt * step), phi.grid, phi.spec)
         if (pf.TensionChain(candidate, frame).energy(k)

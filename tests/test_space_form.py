@@ -180,8 +180,7 @@ def test_boost_frame_is_orthonormal_and_tangent(c, n):
     assert np.all(defect <= 1e-13 * np.sum(V * V, -1))
     # an implicit step at dt = 0 rebuilds V from its coefficients, tangent
     grid = pf.build_grid(pf.GridSpec(1, (200,), (2.0 * np.pi,)))
-    descent = pf.Section(V, pf.MapField(x, grid, spec))
-    step = _implicit_step(descent, 3, 0.0)
+    step = _implicit_step(pf.MapField(x, grid, spec), V, 3, 0.0)
     assert np.all(np.max(np.abs(step - V), -1) <= 1e-13 * scale)
     normal = sf.ambient_form(spec, step, x)
     assert np.all(np.abs(normal) <= 1e-14 * size * np.max(np.abs(x), -1))
