@@ -154,10 +154,9 @@ class DomainGrid:
         self.spacings = tuple(
             L / n for L, n in zip(spec.lengths, spec.sizes)
         )
-        self.axes = [
-            np.arange(n) * h for n, h in zip(spec.sizes, self.spacings)
-        ]
-        self.coords = np.meshgrid(*self.axes, indexing="ij")
+        self.coords = np.meshgrid(
+            *(np.arange(n) * h for n, h in zip(spec.sizes, self.spacings)),
+            indexing="ij")
         self.cell_volume = math.prod(self.spacings)
         # Non-negative wavenumbers of the real-input (rfft) half spectrum.
         self._wavenumbers = [
@@ -289,12 +288,8 @@ class FrameField:
     vol: float | np.ndarray
     G: tuple
     B: tuple
-    metric: MetricField = field(repr=False, default=None)
-    grid: DomainGrid = field(repr=False, default=None)
-
-    @property
-    def mode(self) -> MetricMode:
-        return self.metric.mode
+    metric: MetricField = field(repr=False)
+    grid: DomainGrid = field(repr=False)
 
     @cached_property
     def axes(self) -> tuple:
@@ -325,7 +320,7 @@ class FrameField:
     @cached_property
     def volume(self) -> float:
         """Int 1 dvol, integrated once per frame."""
-        return integrate(self.grid, self, np.ones(self.grid.shape))
+        return integrate(self, np.ones(self.grid.shape))
 
 
 def build_grid(spec: GridSpec) -> DomainGrid:
@@ -432,8 +427,9 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
                       metric=metric, grid=grid)
 
 
-def integrate(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> float:
-    """Integral of a per-node scalar against the volume element.
+def integrate(frame: FrameField, f: np.ndarray) -> float:
+    """Integral of a per-node scalar against the frame's volume element, on
+    the frame's grid.
 
     The periodic Riemann sum (= trapezoid rule) of ``f * vol`` over the
     nodes is correctly rounded (:func:`exact_sum`, equal to ``math.fsum``
@@ -446,12 +442,12 @@ def integrate(grid: DomainGrid, frame: FrameField, f: np.ndarray) -> float:
     terms = (np.asarray(f, dtype=float) * frame.vol).ravel()
     try:
         try:
-            return exact_sum(terms) * grid.cell_volume
+            return exact_sum(terms) * frame.grid.cell_volume
         except OverflowError:
             # fewer than 2**30 terms, each below 2**1024, sum below 2**1023
             # once scaled by 2**-31; scaled back, a product beyond the float
             # range is inf
-            return exact_sum(terms * 2.0**-31) * grid.cell_volume * 2.0**31
+            return exact_sum(terms * 2.0**-31) * frame.grid.cell_volume * 2.0**31
     except ValueError:  # +inf and -inf terms
         return math.nan
 
@@ -488,13 +484,15 @@ def exact_sum(x: np.ndarray) -> float:
     return math.fsum(memoryview(x))
 
 
-def laplace_beltrami(grid: DomainGrid, frame: FrameField, values: np.ndarray,
-                     floor: float = 0.0, pairs=None) -> tuple:
-    """``([d_a V], G^{ab} d_a d_b V + B^b d_b V)`` of a field, with or
-    without trailing components, from ``pairs``: ``grid.deriv12`` per axis,
-    taken here unless given.  Each d_a^2 V is summed in as it is taken, so
-    none is kept; d_0 d_1 V is a ``deriv`` of d_0 V, taken only when G^{01}
-    is not 0.0, and a B^b term only when B^b is not (``FrameField.lb_terms``)."""
+def laplace_beltrami(frame: FrameField, values: np.ndarray, floor: float = 0.0,
+                     pairs=None) -> tuple:
+    """``([d_a V], G^{ab} d_a d_b V + B^b d_b V)`` of a field on the frame's
+    grid, with or without trailing components, from ``pairs``: ``deriv12``
+    per axis, taken here unless given.  Each d_a^2 V is summed in as it is
+    taken, so none is kept; d_0 d_1 V is a ``deriv`` of d_0 V, taken only
+    when G^{01} is not 0.0, and a B^b term only when B^b is not
+    (``FrameField.lb_terms``)."""
+    grid = frame.grid
     mixed, drift = frame.lb_terms
     tail = (None,) * (np.ndim(values) - grid.dims)
     own = pairs is None  # then each d_a^2 V is ours to overwrite

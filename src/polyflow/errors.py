@@ -29,10 +29,6 @@ class MetricModeError(PolyflowError):
     """Operation requires a fixed prescribed metric."""
 
 
-class StepUnderflow(PolyflowError):
-    """Line search shrank the step below the representable floor."""
-
-
 class RadiusTooLarge(PolyflowError):
     """Cut-off radius exceeds the injectivity scale of the domain."""
 

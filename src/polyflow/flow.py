@@ -33,7 +33,7 @@ from .domain_grid import (
     real_number,
     whole_number,
 )
-from .errors import DegenerateImmersion, PolyflowError, StepUnderflow
+from .errors import DegenerateImmersion, PolyflowError
 from .pullback import MapField, TensionChain, vary
 
 __all__ = [
@@ -168,14 +168,12 @@ def flow_step(chain: TensionChain, cfg: FlowConfig, *, dt: float) -> Trial:
     """
     phi, frame = chain.phi, chain.frame
     k = _ENERGY_ORDER[cfg.kind]
-    if dt < DT_FLOOR:
-        raise StepUnderflow(f"step size underflow: dt = {dt:.3e}")
     if chain.sup_norm(k) == 0.0:
         return Trial(True, chain)
     descent = chain.field(k)
     step = _implicit_step(phi, descent, k, dt)
     e_now = chain.energy(k)
-    decrease = integrate(phi.grid, frame, sf.ambient_form(phi.spec, descent, step))
+    decrease = integrate(frame, sf.ambient_form(phi.spec, descent, step))
     trial = TensionChain(vary(phi, step, dt), frame)
     if trial.energy(k) <= e_now - cfg.armijo_c * dt * decrease + 1e-13 * abs(e_now):
         return Trial(True, trial)
@@ -238,11 +236,12 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     Each trial is one :func:`flow_step` at Armijo's step memory ``dt``,
     which only this loop changes: an accepted trial sets it to ``dt / shrink``
     and a rejected one to ``dt * shrink``, both at most ``_DT_CEILING``.
+    A ``dt`` below ``DT_FLOOR`` is not tried: the flow ends there.
 
     Returns ``(state, trace)``, ``state`` the tension chain of the last
-    good state; it is ``None`` exactly when no trace row was written.  A
-    step-size underflow is reported as ``trace.status == "stalled"``, a
-    trial whose candidate cannot be projected onto the model as
+    good state; it is ``None`` exactly when no trace row was written.  That
+    step floor is reported as ``trace.status == "stalled"``, a trial whose
+    candidate cannot be projected onto the model as
     ``"degenerate"``, and a state with a non-finite trace row as
     ``"nonfinite"``; either way the last good state and the partial trace
     are returned.
@@ -254,6 +253,9 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
     state, chain, dt_used = None, TensionChain(phi0, frame), math.nan
 
     for it in range(cfg.max_iters + 1):
+        if it > 0 and dt < DT_FLOOR:
+            trace.status = "stalled"
+            return state, trace
         try:
             if it > 0:
                 accepted, chain = flow_step(state, cfg, dt=dt)
@@ -264,9 +266,6 @@ def run_flow(phi0: MapField, cfg: FlowConfig):
                 dt_used, dt = dt, min(dt / cfg.shrink, _DT_CEILING)
             sup_descent = chain.sup_norm(k)
             row = (*_trace_metrics(chain), sup_descent)
-        except StepUnderflow:
-            trace.status = "stalled"
-            return state, trace
         except PolyflowError:
             trace.status = "degenerate"
             return state, trace
@@ -348,7 +347,7 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         ("tension", chain.tau_sq, tau_norm, chain.grad_tau_sq),
         ("laplacian_tau", chain.lap_sq, chain.lap_norm, grad_lap_sq),
     ):
-        weighted = integrate(phi.grid, frame, a_sq * grad_sq)
+        weighted = integrate(frame, a_sq * grad_sq)
         constancy[name] = {
             "weighted_gradient_integral": weighted,
             "norm_variance": float(a_norm.var()),

@@ -48,8 +48,8 @@ class MapField:
     """
 
     values: np.ndarray  # grid.shape + (ambient_dim,)
-    grid: DomainGrid = field(repr=False, default=None)
-    spec: sf.SpaceFormSpec = None
+    grid: DomainGrid = field(repr=False)
+    spec: sf.SpaceFormSpec
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).view()
@@ -151,7 +151,7 @@ class TensionChain:
         """``[P(G^{ab} d_a d_b V + B^b d_b V), [d_a V]]``, from ``pairs``
         ``[d_a V, d_a^2 V]`` per axis when given."""
         phi = self.phi
-        derivs, lb = laplace_beltrami(phi.grid, self.frame, V, self._floor, pairs)
+        derivs, lb = laplace_beltrami(self.frame, V, self._floor, pairs)
         return [sf.project_tangent(phi.spec, phi.values, lb), derivs]
 
     def _pairings(self, V: np.ndarray) -> list:
@@ -292,19 +292,18 @@ class TensionChain:
             if k not in (1, 2, 3):
                 raise ValueError(f"energy order must be 1, 2 or 3, got {k}")
             density = getattr(self, ("dphi_sq", "tau_sq", "grad_tau_sq")[k - 1])
-            self._scalars["E", k] = 0.5 * integrate(self.phi.grid, self.frame, density)
+            self._scalars["E", k] = 0.5 * integrate(self.frame, density)
         return self._scalars["E", k]
 
     @cached_property
     def etilde4(self) -> float:
         """Iterated-Laplacian part of the fourth energy, (1/2) Int |Delta tau|^2."""
-        return 0.5 * integrate(self.phi.grid, self.frame, self.lap_sq)
+        return 0.5 * integrate(self.frame, self.lap_sq)
 
     def tension_lp(self, p: float) -> float:
         """Int |tau|^p, the p-th power of the L^p norm of the tension field."""
         if ("Lp", p) not in self._scalars:
-            self._scalars["Lp", p] = integrate(self.phi.grid, self.frame,
-                                               self.tau_norm ** float(p))
+            self._scalars["Lp", p] = integrate(self.frame, self.tau_norm ** float(p))
         return self._scalars["Lp", p]
 
     def sup_norm(self, k: int) -> float:
@@ -346,7 +345,7 @@ def tritension_space_form(chain: TensionChain) -> np.ndarray:
     for non-isometric maps.
     """
     phi, frame = chain.phi, chain.frame
-    if frame.mode is not MetricMode.INDUCED:
+    if frame.metric.mode is not MetricMode.INDUCED:
         dev = float(np.max(np.abs(induced_metric(phi).g - frame.metric.g)))
         if dev > ISOMETRY_TOL:
             raise NotIsometric(

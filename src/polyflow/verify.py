@@ -111,7 +111,7 @@ def scheme_tolerance(grid: DomainGrid) -> float:
 
 
 def _require_prescribed(frame: FrameField):
-    if frame.mode is MetricMode.INDUCED:
+    if frame.metric.mode is MetricMode.INDUCED:
         raise MetricModeError(
             "variation checks need a fixed prescribed metric; an induced "
             "metric would change along the variation"
@@ -139,7 +139,7 @@ def first_variation_residual(chain: TensionChain, V: np.ndarray, k: int,
     if k not in (1, 2, 3):
         raise ValueError(f"variation order must be 1, 2 or 3, got {k}")
     pairing = sf.ambient_form(phi.spec, chain.field(k), V)
-    analytic = -integrate(phi.grid, frame, pairing)
+    analytic = -integrate(frame, pairing)
     e_plus = TensionChain(vary(phi, V, t), frame).energy(k)
     e_minus = TensionChain(vary(phi, V, -t), frame).energy(k)
     fd = (e_plus - e_minus) / (2.0 * t)
@@ -179,7 +179,9 @@ def _skipped(name, note) -> AuditCheck:
 def _gradient_sq(grid, frame, f) -> np.ndarray:
     """|grad f|^2 summed component by component from ``frame.along``: the
     same bits as numpy's sum over the stacked frame components e_i(f),
-    without its per-node loop or a stacked gradient."""
+    without its per-node loop or a stacked gradient.  The d_a f are taken on
+    ``grid``, not ``frame.grid``: the Kato check passes a CentralFD2 twin of
+    the frame's grid here."""
     grad = frame.along([grid.deriv(f, a) for a in range(grid.dims)])
     out = grad[0] ** 2
     for g in grad[1:]:
@@ -223,7 +225,7 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
 
     # (a) along isometric immersions the tension field is normal to the
     # image: sum_j h(nabla_{e_j} tau, dphi(e_j)) = -h(tau, tau).
-    if frame.mode is MetricMode.INDUCED:
+    if frame.metric.mode is MetricMode.INDUCED:
         acc = tau_sq.copy()
         for g, d in zip(chain.grad_tau, dphi):
             acc += sf.ambient_form(spec, g, d)
@@ -254,7 +256,7 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
     # (c) Bochner identity for the scalar |tau|^2: with the positive
     # Laplacian, <tau, Delta tau> - Delta |tau|^2 / 2 = |nabla tau|^2.
     pairing = sf.ambient_form(spec, tau, lap_tau)
-    bochner = pairing + 0.5 * laplace_beltrami(grid, frame, tau_sq)[1] - grad_tau_sq
+    bochner = pairing + 0.5 * laplace_beltrami(frame, tau_sq)[1] - grad_tau_sq
     tol = base_tol * (1.0 + float(np.max(np.abs(pairing))) + float(np.max(grad_tau_sq)))
     checks.append(_verdict("bochner_identity", np.abs(bochner), tol))
 
@@ -288,7 +290,7 @@ def _periodic_distance(grid: DomainGrid, center: tuple) -> np.ndarray:
     flat periodic (torus) geometry."""
     d2 = np.zeros(grid.shape)
     for a in range(grid.dims):
-        delta = np.abs(grid.coords[a] - grid.axes[a][center[a]])
+        delta = np.abs(grid.coords[a] - center[a] * grid.spacings[a])
         delta = np.minimum(delta, grid.spec.lengths[a] - delta)
         d2 = d2 + delta**2
     return np.sqrt(d2)
@@ -349,13 +351,13 @@ def caccioppoli_audit(chain: TensionChain, eta: CutoffField, eps: float) -> floa
     ball = eta.ball_mask().astype(float)
 
     c = spec.c
-    lhs = (1.0 / eps) * integrate(grid, frame, lap_sq * grad_eta_sq) - c * integrate(
-        grid, frame, tau_norm_sq**2 * grad_eta_sq
+    lhs = (1.0 / eps) * integrate(frame, lap_sq * grad_eta_sq) - c * integrate(
+        frame, tau_norm_sq**2 * grad_eta_sq
     )
     rhs = (
-        (1.0 - eps) * integrate(grid, frame, grad_lap_sq * ball)
-        - 0.25 * c * integrate(grid, frame, grad_tau_norm_sq * ball)
-        - c * integrate(grid, frame, tau_norm_sq * grad_tau_sq * ball)
+        (1.0 - eps) * integrate(frame, grad_lap_sq * ball)
+        - 0.25 * c * integrate(frame, grad_tau_norm_sq * ball)
+        - c * integrate(frame, tau_norm_sq * grad_tau_sq * ball)
     )
     return lhs - rhs
 

@@ -102,9 +102,7 @@ def test_criterion_03_first_variation():
     phi = pf.builtin_map("Circle", {"r": 1.0}, grid, pf.SpaceFormSpec(0.0, 2))
     chain = pf.TensionChain(phi, frame)
     tau, tau3 = chain.tau, chain.tau3
-    analytic = -pf.integrate(
-        grid, frame, sf.ambient_form(phi.spec, tau3, tau)
-    )
+    analytic = -pf.integrate(frame, sf.ambient_form(phi.spec, tau3, tau))
     e3p = pf.TensionChain(pf.vary(phi, tau, 1e-3), frame).energy(3)
     e3m = pf.TensionChain(pf.vary(phi, tau, -1e-3), frame).energy(3)
     fd = (e3p - e3m) / 2e-3

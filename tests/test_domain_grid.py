@@ -76,7 +76,7 @@ def test_build_grid_bad_lengths(length):
 )
 def test_deriv_backends_on_sine(kind, tol):
     grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,), kind))
-    s = grid.axes[0]
+    s = grid.coords[0]
     df = grid.deriv(np.sin(3 * s), 0)
     assert np.max(np.abs(df - 3 * np.cos(3 * s))) <= 9 * tol
 
@@ -195,7 +195,7 @@ def test_deriv_matches_complex_fft(sizes, floor):
 def test_deriv_nyquist_mode_is_zero(n):
     # the Nyquist mode has no usable phase for a first derivative
     grid = pf.build_grid(pf.GridSpec(1, (n,), (TWO_PI,)))
-    assert not np.any(grid.deriv(np.cos(n // 2 * grid.axes[0]), 0))
+    assert not np.any(grid.deriv(np.cos(n // 2 * grid.coords[0]), 0))
 
 
 def test_induced_metric_arc_length_circle(flat_circle):
@@ -476,28 +476,28 @@ def test_induced_metric_rejects_a_bad_map(circle_grid, torus_grid, dims, kind):
 
 def test_integrate_total_volume(circle_grid):
     frame = pf.orthonormal_frame(circle_grid, pf.identity_metric(circle_grid))
-    assert pf.integrate(circle_grid, frame, np.ones(circle_grid.shape)) == (
+    assert pf.integrate(frame, np.ones(circle_grid.shape)) == (
         pytest.approx(TWO_PI, abs=1e-12)
     )
 
 
 def test_integrate_cos_squared(circle_grid):
     frame = pf.orthonormal_frame(circle_grid, pf.identity_metric(circle_grid))
-    f = np.cos(circle_grid.axes[0]) ** 2
-    assert pf.integrate(circle_grid, frame, f) == pytest.approx(np.pi, abs=1e-12)
+    f = np.cos(circle_grid.coords[0]) ** 2
+    assert pf.integrate(frame, f) == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_integrate_torus(torus_grid):
     frame = pf.orthonormal_frame(torus_grid, pf.identity_metric(torus_grid))
-    total = pf.integrate(torus_grid, frame, np.ones(torus_grid.shape))
+    total = pf.integrate(frame, np.ones(torus_grid.shape))
     assert total == pytest.approx(4 * np.pi**2, abs=1e-10)
 
 
 def test_scalar_laplacian_sign(circle_grid):
     # positive convention: Delta f = -laplace_beltrami(f) = -f'' on the flat circle
     frame = pf.orthonormal_frame(circle_grid, pf.identity_metric(circle_grid))
-    s = circle_grid.axes[0]
-    lap = -laplace_beltrami(circle_grid, frame, np.sin(2 * s))[1]
+    s = circle_grid.coords[0]
+    lap = -laplace_beltrami(frame, np.sin(2 * s))[1]
     assert np.max(np.abs(lap - 4 * np.sin(2 * s))) <= 1e-10
 
 
@@ -513,11 +513,11 @@ def _frame_pairing(grid, frame, u, w):
 def test_integration_by_parts(kind, n, tol):
     grid = pf.build_grid(pf.GridSpec(1, (n,), (TWO_PI,), kind))
     frame = pf.orthonormal_frame(grid, pf.identity_metric(grid))
-    s = grid.axes[0]
+    s = grid.coords[0]
     u = np.sin(s) + 0.3 * np.cos(2 * s)
     w = np.cos(3 * s)
-    lhs = pf.integrate(grid, frame, u * -laplace_beltrami(grid, frame, w)[1])
-    rhs = pf.integrate(grid, frame, _frame_pairing(grid, frame, u, w))
+    lhs = pf.integrate(frame, u * -laplace_beltrami(frame, w)[1])
+    rhs = pf.integrate(frame, _frame_pairing(grid, frame, u, w))
     assert abs(lhs - rhs) <= tol
 
 
@@ -527,12 +527,12 @@ def test_integration_by_parts_curved_metric(kind):
     # sits at or below the scheme tolerance even for non-flat metrics
     for n in (64, 128):
         grid = pf.build_grid(pf.GridSpec(1, (n,), (TWO_PI,), kind))
-        s = grid.axes[0]
+        s = grid.coords[0]
         g = ((1.0 + 0.3 * np.sin(s)) ** 2)[..., None, None]
         frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
         u, w = np.sin(s), np.cos(3 * s)
-        lhs = pf.integrate(grid, frame, u * -laplace_beltrami(grid, frame, w)[1])
-        rhs = pf.integrate(grid, frame, _frame_pairing(grid, frame, u, w))
+        lhs = pf.integrate(frame, u * -laplace_beltrami(frame, w)[1])
+        rhs = pf.integrate(frame, _frame_pairing(grid, frame, u, w))
         h = grid.spacings[0]
         tol = 1e-10 if kind == "Spectral" else 2.0 * h**2
         assert abs(lhs - rhs) <= tol
@@ -625,12 +625,12 @@ def test_integrate_of_an_overflowing_node_sum(n):
     for length, expected in ((1.0, 1e308), (2.0, math.inf)):
         grid = pf.build_grid(pf.GridSpec(1, (n,), (length,)))
         frame = pf.orthonormal_frame(grid, pf.identity_metric(grid))
-        assert pf.integrate(grid, frame, f) == pytest.approx(expected, rel=1e-15)
-        assert pf.integrate(grid, frame, -f) == pytest.approx(-expected, rel=1e-15)
+        assert pf.integrate(frame, f) == pytest.approx(expected, rel=1e-15)
+        assert pf.integrate(frame, -f) == pytest.approx(-expected, rel=1e-15)
     f[:2] = np.inf, -np.inf
-    assert math.isnan(pf.integrate(grid, frame, f))
+    assert math.isnan(pf.integrate(frame, f))
     f[:2] = np.nan, 0.0
-    assert math.isnan(pf.integrate(grid, frame, f))
+    assert math.isnan(pf.integrate(frame, f))
 
 
 def test_periodic_distance_wraps():

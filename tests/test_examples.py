@@ -25,7 +25,7 @@ def test_catalog_lists_all():
 
 
 def test_circle_flat_values(circle_grid, flat_circle):
-    s = circle_grid.axes[0]
+    s = circle_grid.coords[0]
     expected = np.stack([np.cos(s), np.sin(s)], axis=-1)
     np.testing.assert_allclose(flat_circle.values, expected, atol=1e-15)
 

@@ -8,7 +8,6 @@ import pytest
 import polyflow as pf
 from polyflow import flow as flow_module
 from polyflow import space_form as sf
-from polyflow.errors import StepUnderflow
 from polyflow.flow import _boost_coefficients, _implicit_step
 
 from conftest import (SIN_R_BI, SIN_R_TRI, fail_third_trial, frame_for, record_derivs,
@@ -113,11 +112,26 @@ def test_flow_step_accept_grows(flat_circle):
         assert trial.chain.phi.values.tobytes() == expected.values.tobytes()
 
 
-def test_flow_step_underflow(flat_circle):
-    frame = frame_for(flat_circle, induced=False)
-    cfg = pf.FlowConfig(kind="Harmonic")
-    with pytest.raises(StepUnderflow):
-        pf.flow_step(pf.TensionChain(flat_circle, frame), cfg, dt=1e-15)
+def test_run_flow_stalls_below_the_step_floor(flat_circle):
+    # run_flow tries no dt below DT_FLOOR: the flow ends stalled after the
+    # initial state's row, and returns that state; flow_step itself tries
+    # any dt as given
+    assert 1e-15 < flow_module.DT_FLOOR
+    cfg = pf.FlowConfig(kind="Harmonic", dt0=1e-15)
+    state, trace = pf.run_flow(flat_circle, cfg)
+    assert trace.status == "stalled"
+    assert len(trace.rows) == 1 and trace.rows[0][0] == 0
+    assert state is not None and state.phi is flat_circle
+    assert isinstance(pf.flow_step(state, cfg, dt=1e-15), flow_module.Trial)
+
+
+def test_explicit_dt0_is_the_first_trial_step():
+    grid = pf.build_grid(pf.GridSpec(1, (64,), (TWO_PI,)))
+    phi = pf.builtin_map("Circle", {"r": 1.0}, grid, pf.SpaceFormSpec(0.0, 2))
+    cfg = pf.FlowConfig(kind="Harmonic", dt0=0.25, max_iters=1)
+    assert cfg.initial_dt(grid) == 0.25
+    _, trace = pf.run_flow(phi, cfg)
+    assert trace.column("dt")[1] == 0.25
 
 
 def test_harmonic_flow_shrinks_circle(flat_circle):
@@ -174,8 +188,7 @@ def test_implicit_step_is_tangent_and_descends(phi):
         step = _implicit_step(phi, descent, 3, dt)
         normal = step - sf.project_tangent(phi.spec, phi.values, step)
         assert np.max(np.abs(normal)) <= 1e-13 * np.max(np.abs(step))
-        pairing = pf.integrate(phi.grid, frame,
-                               sf.ambient_form(phi.spec, descent, step))
+        pairing = pf.integrate(frame, sf.ambient_form(phi.spec, descent, step))
         assert pairing > 0.0
     # a small dt leaves the descent unchanged; a large one damps it
     near = _implicit_step(phi, descent, 3, 1e-12)
@@ -352,7 +365,7 @@ def test_harmonic_flow_perturbed_great_circle():
     base = pf.builtin_map("GreatCircleS2", {}, grid, spec)
     bump = sf.project_tangent(
         spec, base.values,
-        0.05 * np.sin(2 * grid.axes[0])[..., None] * np.array([0.0, 0.0, 1.0]),
+        0.05 * np.sin(2 * grid.coords[0])[..., None] * np.array([0.0, 0.0, 1.0]),
     )
     phi0 = pf.vary(base, bump, 1.0)
     cfg = pf.FlowConfig(kind="Harmonic", max_iters=20000, grad_tol=1e-8)
@@ -512,8 +525,7 @@ def reference_flow(phi0, cfg):
             break
         step = implicit_step(phi, descent, k, dt)
         e_now = pf.TensionChain(phi, frame).energy(k)
-        decrease = pf.integrate(phi.grid, frame, sf.ambient_form(
-            phi.spec, descent, step))
+        decrease = pf.integrate(frame, sf.ambient_form(phi.spec, descent, step))
         candidate = pf.MapField(
             sf.exp_map(phi.spec, phi.values, dt * step), phi.grid, phi.spec)
         if (pf.TensionChain(candidate, frame).energy(k)

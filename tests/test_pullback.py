@@ -28,7 +28,7 @@ def arc_length_circle(r, n=256):
 def test_differential_circle(flat_circle):
     frame = frame_for(flat_circle)
     (d,) = TensionChain(flat_circle, frame).dphi
-    s = flat_circle.grid.axes[0]
+    s = flat_circle.grid.coords[0]
     expected = np.stack([-np.sin(s), np.cos(s)], axis=-1)
     assert np.max(np.abs(d - expected)) <= 1e-12
 
@@ -56,7 +56,7 @@ def test_nabla_bar_circle_tension(flat_circle):
     frame = frame_for(flat_circle)
     chain = TensionChain(flat_circle, frame)
     (grad,) = chain.nabla(chain.tau)
-    s = flat_circle.grid.axes[0]
+    s = flat_circle.grid.coords[0]
     expected = np.stack([np.sin(s), -np.cos(s)], axis=-1)
     assert np.max(np.abs(grad - expected)) <= 1e-12
 
@@ -74,7 +74,7 @@ def test_nabla_bar_parallel_normal_field(circle_grid):
 def test_nabla_bar_sine_field(circle_grid):
     phi = pf.builtin_map("GreatCircleS2", {}, circle_grid, pf.SpaceFormSpec(1.0, 2))
     frame = frame_for(phi)
-    s = circle_grid.axes[0]
+    s = circle_grid.coords[0]
     V = np.sin(s)[..., None] * np.array([0.0, 0.0, 1.0])
     (grad,) = TensionChain(phi, frame).nabla(V)
     expected = np.cos(s)[..., None] * np.array([0.0, 0.0, 1.0])
@@ -86,7 +86,7 @@ def test_tension_circle_closed_form(r):
     phi = arc_length_circle(r)
     frame = frame_for(phi)
     tau = pf.tension(phi, frame)
-    s = phi.grid.axes[0]
+    s = phi.grid.coords[0]
     expected = -(1.0 / r) * np.stack([np.cos(s / r), np.sin(s / r)], axis=-1)
     assert np.max(np.abs(tau - expected)) <= 1e-10
     assert np.max(np.abs(sf.norm(phi.spec, tau) - 1.0 / r)) <= 1e-10
@@ -161,7 +161,7 @@ def test_rough_laplacian_constant_field(circle_grid, flat_circle):
 
 def test_rough_laplacian_eigenfield(circle_grid, flat_circle):
     frame = frame_for(flat_circle, induced=False)
-    s = circle_grid.axes[0]
+    s = circle_grid.coords[0]
     V = np.stack([np.sin(s), np.zeros_like(s)], -1)
     lap = TensionChain(flat_circle, frame).laplacian(V)
     assert np.max(np.abs(lap - V)) <= 1e-12
@@ -442,10 +442,8 @@ def test_rough_laplacian_self_adjoint(circle_grid):
     V = pf.random_tangent_section(phi, seed=5)
     W = pf.random_tangent_section(phi, seed=6)
     chain = TensionChain(phi, frame)
-    a = pf.integrate(circle_grid, frame, sf.ambient_form(
-        phi.spec, chain.laplacian(V), W))
-    b = pf.integrate(circle_grid, frame, sf.ambient_form(
-        phi.spec, V, chain.laplacian(W)))
+    a = pf.integrate(frame, sf.ambient_form(phi.spec, chain.laplacian(V), W))
+    b = pf.integrate(frame, sf.ambient_form(phi.spec, V, chain.laplacian(W)))
     assert abs(a - b) <= 1e-8
 
 
@@ -776,8 +774,8 @@ def test_energy2_and_etilde4_integrate_the_cached_squares(name, params, grid_arg
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
     chain = TensionChain(phi, frame)
-    assert chain.energy(2) == 0.5 * pf.integrate(phi.grid, frame, chain.tau_sq)
-    assert chain.etilde4 == 0.5 * pf.integrate(phi.grid, frame, chain.lap_sq)
+    assert chain.energy(2) == 0.5 * pf.integrate(frame, chain.tau_sq)
+    assert chain.etilde4 == 0.5 * pf.integrate(frame, chain.lap_sq)
 
 
 def _trace_route_error(n, metric):
@@ -845,7 +843,7 @@ def test_frame_axes_skip_exact_zeros(torus_grid, metric, axes):
     u, v = torus_grid.coords
     f = np.exp(np.sin(u) * np.cos(2 * v))
     expected = _ref_laplace_beltrami(torus_grid, frame, f)
-    assert laplace_beltrami(torus_grid, frame, f)[1].tobytes() == expected.tobytes()
+    assert laplace_beltrami(frame, f)[1].tobytes() == expected.tobytes()
 
 
 def test_map_values_are_read_only(flat_circle):

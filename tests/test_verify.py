@@ -60,10 +60,7 @@ def test_first_variation_circle_tritension(flat_circle):
     # the analytic side pairs tau3 = tau against V = tau
     chain = chain_for(flat_circle, induced=False)
     frame, tau, tau3 = chain.frame, chain.tau, chain.tau3
-    analytic = -pf.integrate(
-        flat_circle.grid, frame,
-        sf.ambient_form(flat_circle.spec, tau3, tau),
-    )
+    analytic = -pf.integrate(frame, sf.ambient_form(flat_circle.spec, tau3, tau))
     assert analytic == pytest.approx(-TWO_PI, abs=1e-10)
     resid = pf.first_variation_residual(chain, tau, 3, 1e-3)
     assert resid <= 1e-4
@@ -104,7 +101,7 @@ def test_first_variation_curved_richardson(circle_grid, target, k):
 
 
 def test_tension_variation_flat_projected_sine(flat_circle):
-    s = flat_circle.grid.axes[0]
+    s = flat_circle.grid.coords[0]
     V = np.stack([np.zeros_like(s), np.sin(s)], -1)
     chain = chain_for(flat_circle, induced=False)
     assert pf.tension_variation_residual(chain, V, 1e-3) <= 1e-3
@@ -140,6 +137,34 @@ def test_identity_audit_builtin(name, params, grid_args, target):
     assert kato.nodes_failed == 0
     if target.c <= 0.0:
         assert report.checks["curvature_sign"].max_residual <= 1e-10
+
+
+STENCIL_AUDIT_MAPS = [
+    ("Circle", {"r": 0.8}, 1, pf.SpaceFormSpec(-1.0, 2)),
+    ("Circle", {"r": 0.9}, 1, pf.SpaceFormSpec(1.0, 2)),
+    ("TorusCliffordLike", {}, 2, pf.SpaceFormSpec(1.0, 3)),
+    ("TorusCliffordLike", {}, 2, pf.SpaceFormSpec(-1.0, 3)),
+]
+
+# CentralFD4 on the H^3 tube torus: the Bochner residual falls at fourth order
+# (1.09, 8.3e-2, 5.4e-3, 3.4e-4 at 32^2 to 256^2) but stays 1.5 to 1.93 times
+# its tolerance 2 h^4 (1 + max|<tau, Delta tau>| + max|nabla tau|^2)
+_FD4_H3_TORUS = pytest.mark.xfail(
+    strict=True, reason="CentralFD4 Bochner residual on the H^3 torus is 1.5-1.93x "
+    "its scheme tolerance at 32^2 to 256^2")
+
+
+@pytest.mark.parametrize("kind", ["CentralFD2", "CentralFD4"])
+@pytest.mark.parametrize("name,params,dims,target", STENCIL_AUDIT_MAPS,
+                         ids=["H2-circle", "S2-circle", "S3-torus", "H3-torus"])
+def test_identity_audit_on_stencil_backends(request, kind, name, params, dims, target):
+    # the backends' own scheme tolerances (2 h^2 and 2 h^4), on the induced frame
+    if kind == "CentralFD4" and target.c < 0.0 and dims == 2:
+        request.applymarker(_FD4_H3_TORUS)
+    n = 256 if dims == 1 else 64
+    phi = build_fixture(name, params, (dims, (n,) * dims, (TWO_PI,) * dims), target, kind)
+    report = pf.pointwise_identity_audit(chain_for(phi))
+    assert report.passed, report.to_dict()
 
 
 def test_audit_orthogonality_skipped_without_isometry(flat_circle):
@@ -233,7 +258,7 @@ def test_gradient_sq_matches_numpy_sum(circle_grid, torus_grid, dims):
     # checks keeps the bits of numpy's reduction over the component axis
     grid = circle_grid if dims == 1 else torus_grid
     if dims == 1:
-        g = (1.0 + 0.3 * np.sin(grid.axes[0]) ** 2)[:, None, None]
+        g = (1.0 + 0.3 * np.sin(grid.coords[0]) ** 2)[:, None, None]
         metric = pf.prescribed_metric(grid, g)
     else:
         metric = warped_metric(grid)
