@@ -43,6 +43,7 @@ __all__ = [
     "orthonormal_frame",
     "integrate",
     "laplace_beltrami",
+    "components_outermost",
 ]
 
 MIN_NODES = 16
@@ -231,35 +232,47 @@ class DomainGrid:
         return self._spectral(np.asarray(values, dtype=float), axis, floor, True)
 
     def _spectral(self, values, axis, floor, second) -> list:
-        # Lines along a middle axis (the second node axis of a field with
-        # components) are moved last and contiguous: numpy transforms and
-        # reduces strided lines several times slower, and each line's
-        # transform, max and product are the same arithmetic in any layout.
-        # Each result is returned as a view with that axis moved back.
-        middle = 0 < axis < values.ndim - 1
-        line_axis = -1 if middle else axis
-        lines = np.ascontiguousarray(np.moveaxis(values, axis, -1)) if middle else values
+        # A field with components is transformed in its components-outermost
+        # layout (:func:`components_outermost`), where each component is one
+        # C-ordered plane: lines along the last node axis are contiguous with
+        # no copy, each line's transform, max and product are the same
+        # arithmetic in any layout, and every result keeps that layout.
+        if values.ndim > self.dims:
+            values = components_outermost(values)
         # A real field's spectrum is conjugate-symmetric, |f(-k)| = |f(k)|:
         # the half spectrum has the same line max and loses no coefficient.
-        fh = np.fft.rfft(lines, axis=line_axis)
+        fh = np.fft.rfft(values, axis=axis)
         mag = np.abs(fh)
-        amp = mag.max(axis=line_axis, keepdims=True)
+        amp = mag.max(axis=axis, keepdims=True)
         cutoff = np.maximum(SPECTRAL_REL_CUTOFF * amp, floor)
         np.copyto(fh, 0.0, where=mag < cutoff)
-        del lines, mag  # freed before the inverse transforms
+        del mag  # freed before the inverse transforms
         symbols = self._symbols.get((axis, fh.ndim))
         if symbols is None:
             shape = [1] * fh.ndim
-            shape[line_axis] = -1
+            shape[axis] = -1
             k = self._wavenumbers[axis].reshape(shape)
             symbols = self._symbols[(axis, fh.ndim)] = (1j * k, -k * k)
         n = values.shape[axis]
         # each derivative is a separate array, so a caller that sums d_a^2 V
         # in can free it at once
-        out = [np.fft.irfft(fh * symbols[1], n=n, axis=line_axis)] if second else []
+        out = [np.fft.irfft(fh * symbols[1], n=n, axis=axis)] if second else []
         fh *= symbols[0]
-        out.insert(0, np.fft.irfft(fh, n=n, axis=line_axis))
-        return [np.moveaxis(d, -1, axis) for d in out] if middle else out
+        out.insert(0, np.fft.irfft(fh, n=n, axis=axis))
+        return out
+
+
+def components_outermost(values: np.ndarray) -> np.ndarray:
+    """``values``, a ``grid.shape + (m,)`` section, with the same shape and
+    entries and its m components the outermost memory axis, so each
+    component is one C-ordered grid plane: ``values`` itself when they
+    already are, else a copy.  Every section along a map is held so."""
+    last = values.ndim - 1
+    # np.moveaxis(values, -1, 0) at a sixth of its cost: every deriv checks
+    planes = values.transpose((last,) + tuple(range(last)))
+    if planes.flags.c_contiguous:
+        return values
+    return np.moveaxis(np.ascontiguousarray(planes), 0, -1)
 
 
 @dataclass
@@ -299,12 +312,14 @@ class FrameField:
 
     def along(self, derivs) -> list:
         """sum_a e_i^a d_a V per frame direction i, over ``axes[i]``, from the
-        d_a V by axis, with or without trailing components; C-ordered
-        whatever their layout (``deriv`` gives strided views)."""
+        d_a V by axis, with or without trailing components; each sum has the
+        layout of its first d_a V, components outermost on a section.  The sum
+        starts from +0.0, as the plain sum over every axis does, which turns a
+        -0.0 product into +0.0."""
         tail = (None,) * (derivs[0].ndim - len(self.e))
         out = []
         for row, axes in zip(self.e, self.axes):
-            acc = np.zeros(derivs[axes[0]].shape)
+            acc = np.zeros_like(derivs[axes[0]])
             for a in axes:
                 acc += _per_node(row[a], tail) * derivs[a]
             out.append(acc)
@@ -390,11 +405,23 @@ def _classify(family: list) -> list:
             else lo if lo == hi else float(c.mean()) for c, (lo, hi) in zip(family, bounds)]
 
 
+def _constant_along(c: np.ndarray, axis: int) -> bool:
+    """Whether every line of ``c`` along ``axis`` spreads by at most
+    FRAME_REL_TOL times c's largest |value|, the spread :func:`_classify`
+    takes for roundoff.  The spectral derivative along that axis is then
+    exactly 0, as the cutoff zeroes the roundoff (the H^3 tube torus's
+    d_0(sqrt g G^{00})), so it is not taken; a stencil's difference
+    quotient keeps the roundoff, divided by h, so the frame still takes it."""
+    return float(np.ptp(c, axis=axis).max()) <= FRAME_REL_TOL * float(np.abs(c).max())
+
+
 def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     """Gram-Schmidt frame (e1 along axis 0) and the Laplace-Beltrami
     coefficients G = g^-1 and B^b = (1/sqrt g) d_a(sqrt g G^{ab}), each
     family classed by :func:`_classify` as it is formed; B takes one ``deriv``
-    along axis a of each sqrt g G^{ab} that is not constant.
+    along axis a of each sqrt g G^{ab} that is not constant, and on the
+    spectral backend only of those not constant along a
+    (:func:`_constant_along`).
 
     Raises :class:`DegenerateMetric` unless g is positive definite
     (minimum eigenvalue > 1e-10, so not NaN) at every node.
@@ -417,11 +444,12 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     upper = dict(zip(upper, _classify([sum(row[a] * row[b] for row in e)
                                        for a, b in upper])))
     G = tuple(tuple(upper[min(a, b), max(a, b)] for b in range(d)) for a in range(d))
+    spectral = grid.spec.differentiation is Differentiation.SPECTRAL
     div = [0.0] * d
     for a in range(d):
         for b in range(d):
             flux = vol * G[a][b] if np.any(G[a][b]) else 0.0
-            if isinstance(flux, np.ndarray):
+            if isinstance(flux, np.ndarray) and not (spectral and _constant_along(flux, a)):
                 div[b] = div[b] + grid.deriv(flux, a)
     return FrameField(e=e, vol=vol, G=G, B=tuple(_classify([x / vol for x in div])),
                       metric=metric, grid=grid)

@@ -205,10 +205,13 @@ def _implicit_step(phi: MapField, descent: np.ndarray, k: int, dt: float) -> np.
     coeffs = np.fft.irfft(spectrum, n=grid.shape[last], axis=last)
     if not boost:
         return sf.project_tangent(spec, x, coeffs)
-    # sum_i c_i E_i = (s (1 + x0/r), c + (s/r) x[1:]): tangent by algebra
+    # sum_i c_i E_i = (s (1 + x0/r), c + (s/r) x[1:]): tangent by algebra,
+    # formed components outermost as every section is
     s = sum(a[..., i] * coeffs[..., i] for i in range(spec.n))
-    return np.concatenate([(s * (1.0 + x[..., 0] / r))[..., None],
-                           coeffs + (s / r)[..., None] * x[..., 1:]], axis=-1)
+    out = np.moveaxis(np.empty((spec.ambient_dim,) + grid.shape), 0, -1)
+    np.multiply(s, 1.0 + x[..., 0] / r, out=out[..., 0])
+    np.add(coeffs, (s / r)[..., None] * x[..., 1:], out=out[..., 1:])
+    return out
 
 
 def _boost_coefficients(x: np.ndarray, v: np.ndarray, r: float) -> tuple:

@@ -12,7 +12,11 @@ the curvature contraction.
 kept apart as an independent check of the chain.  A section along a map
 is a plain ``grid.shape + (ambient_dim,)`` array in ambient coordinates,
 projected onto the target's tangent spaces, so tangency is a checkable
-invariant instead of a representation assumption.
+invariant instead of a representation assumption.  Its ambient components
+are the outermost memory axis (:func:`components_outermost`), so each one
+is a C-ordered grid plane: the map's values are stored so, and every
+section the chain forms from them keeps that layout, while the scalar
+fields (|tau|^2 and the like) stay C-ordered.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import numpy as np
 
 from . import space_form as sf
 from .domain_grid import (DomainGrid, FrameField, MetricMode, SPECTRAL_REL_CUTOFF,
-                          induced_metric, integrate, laplace_beltrami)
+                          components_outermost, induced_metric, integrate,
+                          laplace_beltrami)
 from .errors import NotIsometric
 
 __all__ = [
@@ -42,9 +47,12 @@ ISOMETRY_TOL = 1e-6
 class MapField:
     """Discrete map into the target: one ambient point per grid node.
 
-    ``values`` is a read-only view set at construction, so the cached
-    ``coordinate_derivs`` cannot go stale through it; a changed map is a new
-    MapField.  The array passed in stays writable: do not change it after.
+    ``values`` is read-only, stored components outermost
+    (:func:`components_outermost`), so the cached ``coordinate_derivs``
+    cannot go stale through it; a changed map is a new MapField.  An input
+    already in that layout is held as a view and stays writable: do not
+    change it after.  Any other input, a C-ordered array among them, is
+    copied.
     """
 
     values: np.ndarray  # grid.shape + (ambient_dim,)
@@ -52,7 +60,7 @@ class MapField:
     spec: sf.SpaceFormSpec
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).view()
+        values = components_outermost(np.asarray(self.values, dtype=float)).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -221,7 +229,7 @@ class TensionChain:
 
     @cached_property
     def lap_tau(self) -> np.ndarray:
-        return self._rough(self._tau_lb[0].copy(), self._tau_pairings)
+        return self._rough(self._tau_lb[0].copy(order="K"), self._tau_pairings)
 
     @cached_property
     def grad_tau(self) -> list:

@@ -93,7 +93,7 @@ class CutoffField:
     eta: np.ndarray
     center: tuple
     r: float
-    distance: np.ndarray = field(repr=False, default=None)
+    distance: np.ndarray = field(repr=False)
 
     def ball_mask(self) -> np.ndarray:
         return self.distance <= self.r
@@ -372,7 +372,7 @@ def random_tangent_section(phi: MapField, seed: int) -> np.ndarray:
     grid, spec = phi.grid, phi.spec
     rng = np.random.default_rng(seed)
     angles = grid.angles
-    values = np.zeros(grid.shape + (spec.ambient_dim,))
+    values = np.moveaxis(np.zeros((spec.ambient_dim,) + grid.shape), 0, -1)
     for comp in range(spec.ambient_dim):
         f = np.zeros(grid.shape)
         for _ in range(4):

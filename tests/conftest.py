@@ -109,6 +109,13 @@ def tangency_residual(phi, V) -> float:
     return float(np.max(np.abs(sf.ambient_form(phi.spec, phi.values, V))))
 
 
+def components_outermost(V) -> bool:
+    """The layout of every section along a map: its shape is ``grid.shape +
+    (m,)`` and its m components are the outermost memory axis, each one a
+    C-ordered grid plane."""
+    return np.moveaxis(V, -1, 0).flags.c_contiguous
+
+
 def record_derivs(monkeypatch) -> list:
     """The backend name of every derivative ``DomainGrid`` takes from now on,
     one entry per derivative array: a spectral ``deriv12`` records two from

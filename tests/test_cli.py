@@ -558,15 +558,15 @@ def test_flow_builds_no_chain_after_run_flow(tmp_path, monkeypatch, policy):
 
 @pytest.mark.parametrize("target,spectral", [({"c": 1.0, "n": 3}, 16),
                                              ({"c": 0.0, "n": 4}, 16),
-                                             ({"c": -1.0, "n": 3}, 18)])
+                                             ({"c": -1.0, "n": 3}, 17)])
 def test_audit_deriv_count(tmp_path, monkeypatch, target, spectral):
     # spectral derivative arrays: d_a V and d_a^2 V of phi (for the induced
     # metric and the chain), tau, Delta tau and the Bochner check's |tau|^2,
     # from one rfft per axis each: 16.  The S^3 and R^4 tori's frames are
     # constant, so B takes no derivative; the H^3 tube torus's B takes
-    # d_0(sqrt g G^{00}) and d_1(sqrt g G^{11}), and its roundoff G^{01} is
-    # dropped, so no field takes d_0 d_1 V.  The Kato check takes
-    # grad |alpha| of two sections on its CentralFD2 twin
+    # d_1(sqrt g G^{11}) only, as its sqrt g G^{00} depends on v alone, and
+    # its roundoff G^{01} is dropped, so no field takes d_0 d_1 V.  The Kato
+    # check takes grad |alpha| of two sections on its CentralFD2 twin
     kinds = record_derivs(monkeypatch)
     data = base_config(tmp_path / "audit", action="Audit")
     data["target"] = target
@@ -611,9 +611,9 @@ def _run_kernel_configs(prefix) -> dict:
 
 
 def test_outputs_equal_the_reference_kernels(tmp_path, monkeypatch):
-    # the correctly rounded fast sum, the strided middle-axis derivatives and
-    # the in-place projections change no byte against math.fsum, contiguous
-    # derivative copies and the plain expressions
+    # the correctly rounded fast sum, the components-outermost derivatives
+    # and the in-place projections change no byte against math.fsum,
+    # C-ordered derivative copies and the plain expressions
     built = _run_kernel_configs(tmp_path / "built")
     deriv, deriv12 = domain_grid.DomainGrid.deriv, domain_grid.DomainGrid.deriv12
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow import domain_grid
 from polyflow.domain_grid import (FRAME_REL_TOL, FSUM_MAX_TERMS, SPECTRAL_REL_CUTOFF,
                                   _det2, _min_eigenvalue, exact_sum, laplace_beltrami,
                                   real_number)
 from polyflow.errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
 
-from conftest import frame_arrays, record_derivs, warped_metric
+from conftest import (builtin_fixture_set, components_outermost, frame_arrays,
+                      record_derivs, warped_metric)
 
 TWO_PI = 2 * np.pi
 
@@ -226,6 +228,29 @@ def test_induced_metric_constant_map_degenerate(circle_grid):
         pf.induced_metric(phi)
 
 
+@pytest.mark.parametrize("kind", ["Spectral", "CentralFD2", "CentralFD4"])
+@pytest.mark.parametrize("grid_args", [(1, (64,), (TWO_PI,)),
+                                       (2, (32, 48), (TWO_PI, 2.0))], ids=["1d", "2d"])
+def test_derivatives_do_not_depend_on_the_layout(grid_args, kind):
+    # deriv and deriv12 of a section give the same bytes on every axis
+    # whether it is C-ordered or has its components outermost, with its
+    # roundoff-level coefficients cut by the threshold in both
+    grid = pf.build_grid(pf.GridSpec(*grid_args, kind))
+    rng = np.random.default_rng(1)
+    smooth = sum(np.cos(k * angle + rng.uniform(0.0, TWO_PI))
+                 for k, angle in enumerate(grid.angles, start=2))
+    c_ordered = (smooth[..., None] * rng.standard_normal(4)
+                 + 1e-17 * rng.standard_normal(grid.shape + (4,)))
+    outermost = domain_grid.components_outermost(c_ordered)
+    assert c_ordered.flags.c_contiguous and components_outermost(outermost)
+    assert not outermost.flags.c_contiguous
+    for a in range(grid.dims):
+        for floor in (0.0, 1e-12):
+            got = [grid.deriv(outermost, a, floor)] + grid.deriv12(outermost, a, floor)
+            expected = [grid.deriv(c_ordered, a, floor)] + grid.deriv12(c_ordered, a, floor)
+            assert [g.tobytes() for g in got] == [x.tobytes() for x in expected]
+
+
 def test_orthonormal_frame_identity(torus_grid):
     frame = pf.orthonormal_frame(torus_grid, pf.identity_metric(torus_grid))
     assert frame.e == frame.G == ((1.0, 0.0), (0.0, 1.0))
@@ -308,6 +333,59 @@ def test_tube_torus_frame_drops_its_roundoff_coefficients(rho):
         margin = tol / size if size else math.inf
         line.append(f"{name} {size:.2e} (tol {tol:.2e}, margin {margin:.3g})")
     print(f"[frame rho {rho:.3f}] " + "; ".join(line))
+
+
+def _frame_cases():
+    """(id, grid, metric): the induced metrics of the built-in maps that
+    immerse, on every backend, the warped metric, and the 128^2 H^3 tube
+    torus at both ends of rho 0.39 to 0.41."""
+    cases = []
+    for name, params, (dims, sizes, lengths), target in builtin_fixture_set():
+        for kind in ("Spectral", "CentralFD2", "CentralFD4"):
+            grid = pf.build_grid(pf.GridSpec(dims, sizes, lengths, kind))
+            try:
+                metric = pf.induced_metric(pf.builtin_map(name, params, grid, target))
+            except DegenerateImmersion:
+                continue
+            cases.append((f"{name}-c{target.c:g}-{kind}", grid, metric))
+    grid = pf.build_grid(pf.GridSpec(*TORUS_128))
+    cases.append(("warped", grid, warped_metric(grid)))
+    for rho in (0.39, 0.41):
+        phi = pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": rho}, grid,
+                             pf.SpaceFormSpec(-1.0, 3))
+        cases.append((f"H3-tube-rho{rho}", grid, pf.induced_metric(phi)))
+    return cases
+
+
+def test_frame_skips_only_derivatives_that_are_zero(monkeypatch):
+    # a flux sqrt g G^{ab} constant along a to roundoff is not differentiated
+    # along a on the spectral backend; B has the bytes of the frame that
+    # takes every such derivative
+    for label, grid, metric in _frame_cases():
+        skipping = pf.orthonormal_frame(grid, metric)
+        with monkeypatch.context() as m:
+            m.setattr(domain_grid, "_constant_along", lambda c, axis: False)
+            every = pf.orthonormal_frame(grid, metric)
+        for got, expected in zip(skipping.B, every.B):
+            assert type(got) is type(expected), label
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), label
+
+
+def test_tube_torus_frame_takes_one_derivative(monkeypatch):
+    # the 128^2 H^3 tube torus's sqrt g G^{00} depends on v alone, so its
+    # d_0, exactly 0, is not taken: the frame takes d_1(sqrt g G^{11}) only
+    grid = pf.build_grid(pf.GridSpec(*TORUS_128))
+    phi = pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": 0.4}, grid,
+                         pf.SpaceFormSpec(-1.0, 3))
+    metric = pf.induced_metric(phi)
+    vol_G00 = phi.pullback_metric[..., 1, 1] ** 0.5 / phi.pullback_metric[..., 0, 0] ** 0.5
+    assert np.ptp(vol_G00) > 0.1 and not np.any(grid.deriv(vol_G00, 0))
+    kinds = record_derivs(monkeypatch)
+    pf.orthonormal_frame(grid, metric)
+    assert kinds == ["Spectral"]
+    monkeypatch.setattr(domain_grid, "_constant_along", lambda c, axis: False)
+    pf.orthonormal_frame(grid, metric)
+    assert kinds == ["Spectral"] * 3
 
 
 @pytest.mark.parametrize("metric", ["warped", "induced"])

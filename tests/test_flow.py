@@ -10,8 +10,8 @@ from polyflow import flow as flow_module
 from polyflow import space_form as sf
 from polyflow.flow import _boost_coefficients, _implicit_step
 
-from conftest import (SIN_R_BI, SIN_R_TRI, fail_third_trial, frame_for, record_derivs,
-                      reference_boost_frame, static_probe)
+from conftest import (SIN_R_BI, SIN_R_TRI, components_outermost, fail_third_trial,
+                      frame_for, record_derivs, reference_boost_frame, static_probe)
 
 TWO_PI = 2 * np.pi
 
@@ -223,7 +223,8 @@ def s3_torus_32():
     lambda: small_h2_perturbation(n=256, amplitude=0.05, k=3), s3_torus_32, h3_torus_32,
 ], ids=["H2-256", "S3-32x32", "H3-32x32"])
 def test_implicit_step_equals_rfftn_bit_for_bit(make_phi):
-    # the step calls rfftn's and irfftn's parts directly; every bit matches
+    # the step calls rfftn's and irfftn's parts directly; every bit matches,
+    # and the step is a section with its components outermost
     phi = make_phi()
     chain = pf.TensionChain(phi, frame_for(phi, induced=False))
     for k in (1, 2, 3):
@@ -231,7 +232,7 @@ def test_implicit_step_equals_rfftn_bit_for_bit(make_phi):
         for dt in (0.0, 1e-9, 3.6e-8, 1e-3, 1e3):
             got = _implicit_step(phi, descent, k, dt)
             ref = rfftn_implicit_step(phi, descent, k, dt)
-            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert got.shape == ref.shape and components_outermost(got)
             assert got.tobytes() == ref.tobytes()
 
 

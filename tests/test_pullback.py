@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow import domain_grid
 from polyflow import space_form as sf
 from polyflow.domain_grid import DomainGrid, laplace_beltrami
 from polyflow.errors import DegenerateImmersion, NotIsometric
 from polyflow.flow import _trace_metrics
 from polyflow.pullback import TensionChain, tritension_space_form
 
-from conftest import (build_fixture, builtin_fixture_set, chain_for, frame_arrays,
-                      frame_for, record_derivs, tangency_residual, warped_metric)
+from conftest import (build_fixture, builtin_fixture_set, chain_for, components_outermost,
+                      frame_arrays, frame_for, record_derivs, tangency_residual,
+                      warped_metric)
 
 TWO_PI = 2 * np.pi
 
@@ -378,25 +380,61 @@ def test_tritension_space_form_agreement(name, params, grid_args, target):
     assert diff / (1.0 + sup) <= 1e-7
 
 
-@pytest.mark.parametrize("target", [pf.SpaceFormSpec(1.0, 3),
-                                    pf.SpaceFormSpec(-1.0, 3),
-                                    pf.SpaceFormSpec(0.0, 4)])
-def test_chain_fields_are_c_ordered(target):
-    # deriv returns middle-axis derivatives as strided views; every section
-    # built from them stays C-ordered, so order-dependent reductions over a
-    # section (the probe's mean, std and var) see one layout.  On R^4 the
-    # tangent projection is the identity, so only the accumulator of
-    # nabla's sum sets the layout
-    phi = build_fixture("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)),
-                        target)
+@pytest.mark.parametrize("name,params,grid_args,target", [
+    ("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)), pf.SpaceFormSpec(1.0, 3)),
+    ("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)), pf.SpaceFormSpec(-1.0, 3)),
+    ("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)), pf.SpaceFormSpec(0.0, 4)),
+    ("Circle", {"r": 0.3}, (1, (64,), (TWO_PI,)), pf.SpaceFormSpec(-1.0, 2)),
+], ids=["S3-32x32", "H3-32x32", "R4-32x32", "H2-circle-64"])
+def test_chain_sections_are_components_outermost(name, params, grid_args, target):
+    # the map is stored components outermost, and every section the chain
+    # builds from it keeps that layout, Delta^2 tau included, as does a
+    # random tangent section; on R^4 the tangent projection is the
+    # identity, so only the accumulator of nabla's sum sets the layout.  The
+    # scalars the probe reduces in an order-dependent way (mean, std, var)
+    # stay C-ordered
+    phi = build_fixture(name, params, grid_args, target)
     chain = chain_for(phi)
-    assert not phi.coordinate_derivs[1].flags.c_contiguous
     names = ("dphi", "tau", "grad_tau", "lap_tau", "grad_lap_tau", "tau2", "tau3")
-    values = [(name, getattr(chain, name)) for name in names]
+    values = [("values", phi.values), ("coordinate_derivs", list(phi.coordinate_derivs))]
+    values += [(name, getattr(chain, name)) for name in names]
     values.append(("Delta^2 tau", chain.laplacian(chain.lap_tau)))
+    values.append(("random_tangent_section", pf.random_tangent_section(phi, seed=0)))
     for name, value in values:
         for section in value if isinstance(value, list) else [value]:
-            assert section.flags.c_contiguous, name
+            assert section.shape == phi.grid.shape + (target.ambient_dim,), name
+            assert components_outermost(section), name
+    for name in ("tau_sq", "tau_norm", "lap_norm", "grad_tau_sq"):
+        assert getattr(chain, name).flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("name,params,grid_args,target", [
+    ("TorusCliffordLike", {}, (2, (32, 32), (TWO_PI, TWO_PI)), pf.SpaceFormSpec(-1.0, 3)),
+    ("GraphSurface", {}, (2, (32, 32), (TWO_PI, TWO_PI)), pf.SpaceFormSpec(0.0, 5)),
+    ("Circle", {"r": 0.3}, (1, (64,), (TWO_PI,)), pf.SpaceFormSpec(1.0, 2)),
+], ids=["H3-32x32", "R5-graph-32x32", "S2-circle-64"])
+def test_results_do_not_depend_on_the_input_layout(name, params, grid_args, target):
+    # one map given as a C-ordered array and with its components outermost:
+    # MapField copies the first and holds the second, and the chain, the
+    # energies and the audit agree byte for byte
+    phi = build_fixture(name, params, grid_args, target)
+    c_ordered = np.ascontiguousarray(phi.values)
+    outermost = domain_grid.components_outermost(c_ordered)
+    assert c_ordered.flags.c_contiguous and components_outermost(outermost)
+    maps = [pf.MapField(v, phi.grid, phi.spec) for v in (c_ordered, outermost)]
+    assert not np.shares_memory(maps[0].values, c_ordered)
+    assert np.shares_memory(maps[1].values, outermost)
+    chains = [chain_for(m) for m in maps]
+    for field in ("dphi", "tau", "grad_tau", "lap_tau", "grad_lap_tau", "tau2", "tau3",
+                  "tau_sq", "lap_sq", "grad_tau_sq", "grad_lap_tau_sq"):
+        got, expected = (getattr(chain, field) for chain in chains)
+        if isinstance(got, list):
+            assert [g.tobytes() for g in got] == [x.tobytes() for x in expected], field
+        else:
+            assert got.tobytes() == expected.tobytes(), field
+    reports = [(repr(pf.energy_report(chain).to_dict()),
+                repr(pf.pointwise_identity_audit(chain).to_dict())) for chain in chains]
+    assert reports[0] == reports[1]
 
 
 def test_tritension_space_form_not_isometric(circle_grid):
@@ -632,7 +670,8 @@ def test_frame_along_matches_the_all_axes_sum(name, params, grid_args, target, m
     # FrameField.along leaves out the axes whose e_i^a is 0.0: their terms
     # are exact zeros, so it equals the plain sum over every
     # axis bit for bit, on scalars and on 3- and 4-component sections, and
-    # returns C-ordered arrays from the strided views deriv gives
+    # keeps the layout deriv gives: C-ordered scalars, sections with their
+    # components outermost
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
     grid, rng, e = phi.grid, np.random.default_rng(0), frame_arrays(frame).e
@@ -645,7 +684,7 @@ def test_frame_along_matches_the_all_axes_sum(name, params, grid_args, target, m
             expected = np.zeros(grid.shape + tail)
             for a in range(grid.dims):
                 expected += e[(..., i, a) + (None,) * len(tail)] * derivs[a]
-            assert along.flags.c_contiguous
+            assert components_outermost(along) if tail else along.flags.c_contiguous
             assert along.tobytes() == expected.tobytes()
 
 

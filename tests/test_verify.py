@@ -211,6 +211,18 @@ def test_cutoff_gradient_bound(dims):
     assert np.max(grad) <= 2.0 / r
 
 
+def test_cutoff_field_needs_its_distance(circle_grid):
+    # ball_mask reads the distance, so a CutoffField cannot be built without
+    # one; built by hand with it, its ball is the one cutoff gives
+    cut = pf.cutoff(circle_grid, (64,), TWO_PI / 8)
+    with pytest.raises(TypeError, match="distance"):
+        pf.CutoffField(eta=cut.eta, center=cut.center, r=cut.r)
+    by_hand = pf.CutoffField(eta=cut.eta, center=cut.center, r=cut.r,
+                             distance=cut.distance)
+    assert np.array_equal(by_hand.ball_mask(), cut.ball_mask())
+    assert by_hand.ball_mask().sum() > 0
+
+
 def test_cutoff_radius_too_large(circle_grid):
     with pytest.raises(RadiusTooLarge):
         pf.cutoff(circle_grid, (0,), TWO_PI / 3)
