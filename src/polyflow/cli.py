@@ -1,8 +1,8 @@
 """Experiment runner: JSON config in, JSON summary (+ CSV trace) out.
 
-Exit codes: 0 success, 1 audit/check failure, 2 configuration error or an
+Exit codes: 0 success, 1 audit/check failure, 2 configuration error, an
 input the run cannot use (any PolyflowError, e.g. a map with non-finite
-coordinates).
+coordinates) or outputs it cannot write (any OSError).
 Summaries serialize floats with Python's shortest round-trip repr, which
 preserves all 17 significant digits of a double.
 """
@@ -209,7 +209,7 @@ def _variation_results(chain: TensionChain, seed: int) -> dict:
     return {"t": t, "checks": checks}
 
 
-def _write_trace(path: Path, trace) -> None:
+def _write_trace(path: str, trace) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(trace.COLUMNS) + "\n")
         for row in trace.rows:
@@ -217,11 +217,12 @@ def _write_trace(path: Path, trace) -> None:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; writes `<prefix>_summary.json` and, for
-    flows, `<prefix>_trace.csv`.  Returns the process exit code."""
+    """Create the prefix's directory, then execute one experiment; writes
+    `<prefix>_summary.json` and, for flows, `<prefix>_trace.csv`.  Returns the exit code."""
     notes = []
     grid = build_grid(config.grid)
     phi = builtin_map(config.map_name, config.map_params, grid, config.target)
+    Path(config.output_prefix).parent.mkdir(parents=True, exist_ok=True)
 
     summary = {
         "action": config.action.value,
@@ -238,9 +239,7 @@ def run(config: ExperimentConfig) -> int:
 
     if config.action is Action.FLOW:
         state, trace = run_flow(phi, config.flow)
-        trace_path = Path(config.output_prefix + "_trace.csv")
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_trace(trace_path, trace)
+        _write_trace(config.output_prefix + "_trace.csv", trace)
         summary["flow"] = {"status": trace.status,
                            "iterations": trace.rows[-1][0] if trace.rows else 0,
                            "flow_time": math.fsum(trace.column("dt")[1:])}
@@ -274,8 +273,7 @@ def run(config: ExperimentConfig) -> int:
         if not math.isfinite(value):  # Infinity is not JSON
             summary["energies"]["Lp_tension"][p] = None
             notes.append(f"Int |tau|^p overflows at p = {p}; written as null")
-    out_path = Path(config.output_prefix + "_summary.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = config.output_prefix + "_summary.json"
     with open(out_path, "w") as fh:  # one write: json.dump writes per chunk
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return exit_code
@@ -303,6 +301,9 @@ def main(argv=None) -> int:
         return 2
     except PolyflowError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 2
 
 

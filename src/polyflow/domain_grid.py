@@ -408,10 +408,10 @@ def _classify(family: list) -> list:
 def _constant_along(c: np.ndarray, axis: int) -> bool:
     """Whether every line of ``c`` along ``axis`` spreads by at most
     FRAME_REL_TOL times c's largest |value|, the spread :func:`_classify`
-    takes for roundoff.  The spectral derivative along that axis is then
-    exactly 0, as the cutoff zeroes the roundoff (the H^3 tube torus's
-    d_0(sqrt g G^{00})), so it is not taken; a stencil's difference
-    quotient keeps the roundoff, divided by h, so the frame still takes it."""
+    takes for roundoff.  d_axis c is then exactly 0 (the H^3 tube torus's
+    d_0(sqrt g G^{00})) and is not taken, on every backend: a spectral
+    derivative would give 0 too, as its cutoff zeroes the roundoff, and a
+    stencil's difference quotient that roundoff divided by h."""
     return float(np.ptp(c, axis=axis).max()) <= FRAME_REL_TOL * float(np.abs(c).max())
 
 
@@ -419,9 +419,9 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     """Gram-Schmidt frame (e1 along axis 0) and the Laplace-Beltrami
     coefficients G = g^-1 and B^b = (1/sqrt g) d_a(sqrt g G^{ab}), each
     family classed by :func:`_classify` as it is formed; B takes one ``deriv``
-    along axis a of each sqrt g G^{ab} that is not constant, and on the
-    spectral backend only of those not constant along a
-    (:func:`_constant_along`).
+    along axis a of each sqrt g G^{ab} that is not constant along a
+    (:func:`_constant_along`), with one rule on every backend: a flux
+    constant along a adds exactly 0.
 
     Raises :class:`DegenerateMetric` unless g is positive definite
     (minimum eigenvalue > 1e-10, so not NaN) at every node.
@@ -444,12 +444,11 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     upper = dict(zip(upper, _classify([sum(row[a] * row[b] for row in e)
                                        for a, b in upper])))
     G = tuple(tuple(upper[min(a, b), max(a, b)] for b in range(d)) for a in range(d))
-    spectral = grid.spec.differentiation is Differentiation.SPECTRAL
     div = [0.0] * d
     for a in range(d):
         for b in range(d):
             flux = vol * G[a][b] if np.any(G[a][b]) else 0.0
-            if isinstance(flux, np.ndarray) and not (spectral and _constant_along(flux, a)):
+            if isinstance(flux, np.ndarray) and not _constant_along(flux, a):
                 div[b] = div[b] + grid.deriv(flux, a)
     return FrameField(e=e, vol=vol, G=G, B=tuple(_classify([x / vol for x in div])),
                       metric=metric, grid=grid)

@@ -368,7 +368,6 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
         "flow status: " + status,
     ]
     energy = chain.energy(1)
-    isometry_defect = float(np.abs(phi.pullback_metric - frame.metric.g).max())
     try:
         induced_metric(phi)
         immersed = True
@@ -385,7 +384,7 @@ def theorem_probe(chain: TensionChain, status: str) -> ProbeVerdict:
     return ProbeVerdict(
         E=energy,
         immersed=immersed,
-        isometry_defect=isometry_defect,
+        isometry_defect=chain.isometry_defect,
         sup_tau3=sup_tau3,
         Etilde4=chain.etilde4,
         L4_tension=chain.tension_lp(4.0),

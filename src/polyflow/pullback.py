@@ -27,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import space_form as sf
-from .domain_grid import (DomainGrid, FrameField, MetricMode, SPECTRAL_REL_CUTOFF,
-                          components_outermost, induced_metric, integrate,
-                          laplace_beltrami)
+from .domain_grid import (DomainGrid, FrameField, SPECTRAL_REL_CUTOFF,
+                          components_outermost, integrate, laplace_beltrami)
 from .errors import NotIsometric
 
 __all__ = [
@@ -304,6 +303,11 @@ class TensionChain:
         return self._scalars["E", k]
 
     @cached_property
+    def isometry_defect(self) -> float:
+        """max |h(d_a phi, d_b phi) - g_ab|, g the frame's metric; unguarded."""
+        return float(np.abs(self.phi.pullback_metric - self.frame.metric.g).max())
+
+    @cached_property
     def etilde4(self) -> float:
         """Iterated-Laplacian part of the fourth energy, (1/2) Int |Delta tau|^2."""
         return 0.5 * integrate(self.frame, self.lap_sq)
@@ -352,13 +356,10 @@ def tritension_space_form(chain: TensionChain) -> np.ndarray:
     the tension field being normal to the image, which fails quantitatively
     for non-isometric maps.
     """
-    phi, frame = chain.phi, chain.frame
-    if frame.metric.mode is not MetricMode.INDUCED:
-        dev = float(np.max(np.abs(induced_metric(phi).g - frame.metric.g)))
-        if dev > ISOMETRY_TOL:
-            raise NotIsometric(
-                f"prescribed metric deviates from the pullback metric by {dev:.3e}"
-            )
+    phi = chain.phi
+    if chain.isometry_defect > ISOMETRY_TOL:  # 0.0 on the induced metric
+        raise NotIsometric("prescribed metric deviates from the pullback "
+                           f"metric by {chain.isometry_defect:.3e}")
     out = chain.jacobi(chain.lap_tau)
     if phi.spec.c != 0.0:
         out -= (phi.spec.c * chain.tau_sq)[..., None] * chain.tau

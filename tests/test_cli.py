@@ -760,6 +760,27 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("action", ["Energies", "Flow"])
+def test_unwritable_output_prefix_exits_2_before_any_work(tmp_path, capsys,
+                                                         monkeypatch, action):
+    # the prefix's directory cannot be made under a file: the run stops with
+    # exit 2, the code for an unusable input, before it frames or flows the map
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    data = base_config(blocker / "out" / "x", action=action)
+    if action == "Flow":
+        data["flow"] = {"kind": "Biharmonic", "max_iters": 5}
+
+    def work(*args, **kwargs):
+        raise AssertionError("the run started its work")
+
+    monkeypatch.setattr(cli, "run_flow", work)
+    monkeypatch.setattr(cli, "orthonormal_frame", work)
+    assert main(["run", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err.startswith("cannot write outputs: ")
+    assert blocker.read_text() == ""
+
+
 def test_main_examples(capsys):
     assert main(["examples"]) == 0
     catalog = load_summary(capsys.readouterr().out)

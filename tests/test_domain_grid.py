@@ -359,16 +359,41 @@ def _frame_cases():
 
 def test_frame_skips_only_derivatives_that_are_zero(monkeypatch):
     # a flux sqrt g G^{ab} constant along a to roundoff is not differentiated
-    # along a on the spectral backend; B has the bytes of the frame that
-    # takes every such derivative
+    # along a, on every backend.  Each B^b has the bytes of the frame that
+    # takes every such derivative, or is 0.0 where that frame's B^b is
+    # roundoff: a stencil's difference quotient of the flux's roundoff.  The
+    # spectral derivative it skips is exactly 0, so no spectral B^b changes
+    changed = []
     for label, grid, metric in _frame_cases():
         skipping = pf.orthonormal_frame(grid, metric)
         with monkeypatch.context() as m:
             m.setattr(domain_grid, "_constant_along", lambda c, axis: False)
             every = pf.orthonormal_frame(grid, metric)
-        for got, expected in zip(skipping.B, every.B):
-            assert type(got) is type(expected), label
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), label
+        for b, (got, expected) in enumerate(zip(skipping.B, every.B)):
+            if np.asarray(got).tobytes() == np.asarray(expected).tobytes():
+                assert type(got) is type(expected), label
+                continue
+            assert got == 0.0 and type(got) is float, (label, b)
+            assert np.max(np.abs(expected)) < 1e-12, (label, b)
+            changed.append((label, b))
+    assert changed and not any(label.endswith("Spectral") for label, _ in changed)
+
+
+@pytest.mark.parametrize("kind, n", [("CentralFD2", 64), ("CentralFD4", 32)])
+def test_stencil_tube_torus_frame_takes_one_derivative(monkeypatch, kind, n):
+    # on a stencil the H^3 tube torus's sqrt g G^{00} is constant along u to
+    # roundoff at these sizes too, so B^0 is the exact 0.0 the spectral frame
+    # has, not that roundoff divided by h, and no Laplace-Beltrami call on the
+    # frame takes a B^0 d_0 V term
+    grid = pf.build_grid(pf.GridSpec(2, (n, n), (TWO_PI, TWO_PI), kind))
+    phi = pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": 0.4}, grid,
+                         pf.SpaceFormSpec(-1.0, 3))
+    metric = pf.induced_metric(phi)
+    kinds = record_derivs(monkeypatch)
+    frame = pf.orthonormal_frame(grid, metric)
+    assert kinds == [kind]
+    assert frame.B[0] == 0.0 and type(frame.B[0]) is float
+    assert frame.lb_terms == (False, (1,))
 
 
 def test_tube_torus_frame_takes_one_derivative(monkeypatch):

@@ -292,7 +292,9 @@ def test_tritension_flat_equals_iterated_laplacian(torus_grid):
 # |nabla tau|^2 = |A|^2 |tau|^2; the circles (m = 1) read
 # tau3 = kappa^2 (kappa^2 - 2c) tau, zero at sin r = 1/sqrt(3).  On a flat
 # target every rung scales each n_j by 1/rho_j^2, and
-# |nabla tau|^2 = sum_j rho_j^-4.  The area is prod_j 2 pi rho_j.
+# |nabla tau|^2 = sum_j rho_j^-4.  Delta tau is tau2 + c m tau, so
+# |Delta tau|^2 = |A|^4 |tau|^2 on the curved ones and sum_j rho_j^-6 on a
+# flat target.  The area is prod_j 2 pi rho_j.
 ORACLE_CASES = (
     [("Circle", {"r": 0.7}, pf.SpaceFormSpec(0.0, 2), (128,), [(0, 0.7)])]
     + [("Circle", {"r": r}, pf.SpaceFormSpec(1.0, 2), (128,), [(0, np.sin(r))])
@@ -307,7 +309,7 @@ ORACLE_CASES = (
 
 
 def _oracle_rungs(phi, blocks):
-    """Closed-form tau, tau2, tau3 and E2, E3 of an ``ORACLE_CASES`` map."""
+    """Closed-form tau, tau2, tau3 and E2, E3, Etilde4 of an ``ORACLE_CASES`` map."""
     spec, m = phi.spec, phi.grid.dims
     units = []
     for theta, (k, rho) in zip(phi.grid.angles, blocks):
@@ -319,20 +321,23 @@ def _oracle_rungs(phi, blocks):
     if spec.c == 0.0:
         rungs = [sum(-n / rho ** (2 * k - 1) for n, rho in units) for k in (1, 2, 3)]
         grad_sq = sum(rho**-4.0 for _, rho in units)
+        lap_sq = sum(rho**-6.0 for _, rho in units)
     else:
         a_sq = sum(rho**-2.0 - spec.c for _, rho in units)
         rungs = [tau, (a_sq - spec.c * m) * tau,
                  (a_sq * (a_sq - spec.c * m) - spec.c * tau_sq) * tau]
         grad_sq = a_sq * tau_sq
+        lap_sq = a_sq**2 * tau_sq
     area = np.prod([TWO_PI * rho for _, rho in units])
-    return rungs, [0.5 * float(np.mean(tau_sq)) * area, 0.5 * float(np.mean(grad_sq)) * area]
+    return rungs, [0.5 * float(np.mean(sq)) * area for sq in (tau_sq, grad_sq, lap_sq)]
 
 
 def test_every_rung_matches_its_closed_form():
     # node by node, each rung relative to its largest component (to tau's
     # where the rung vanishes: tau2 at sin r = 1/sqrt(2), tau3 at 1/sqrt(3)),
-    # and E2, E3 as integrals, on the induced frame of each Spectral grid
-    worst = {"tau": 0.0, "tau2": 0.0, "tau3": 0.0, "E2": 0.0, "E3": 0.0}
+    # and E2, E3, Etilde4 as integrals, on the induced frame of each Spectral
+    # grid
+    worst = {"tau": 0.0, "tau2": 0.0, "tau3": 0.0, "E2": 0.0, "E3": 0.0, "Etilde4": 0.0}
     for name, params, target, sizes, blocks in ORACLE_CASES:
         dims = len(sizes)
         phi = build_fixture(name, params, (dims, sizes, (TWO_PI,) * dims), target)
@@ -345,10 +350,11 @@ def test_every_rung_matches_its_closed_form():
             key = ("tau", "tau2", "tau3")[k - 1]
             assert err <= 1e-13, (name, target, sizes, key, err)
             worst[key] = max(worst[key], err)
-        for k, exact in ((2, energies[0]), (3, energies[1])):
-            err = abs(chain.energy(k) - exact) / exact
-            assert err <= 1e-13, (name, target, sizes, f"E{k}", err)
-            worst[f"E{k}"] = max(worst[f"E{k}"], err)
+        got = (chain.energy(2), chain.energy(3), chain.etilde4)
+        for key, value, exact in zip(("E2", "E3", "Etilde4"), got, energies):
+            err = abs(value - exact) / exact
+            assert err <= 1e-13, (name, target, sizes, key, err)
+            worst[key] = max(worst[key], err)
     print(f"[oracle] {len(ORACLE_CASES)} maps (circles in R^2, S^2, H^2; S^3 and "
           f"R^4 tori at 32^2-256^2) against their closed forms, worst relative "
           f"error: " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
@@ -443,6 +449,22 @@ def test_tritension_space_form_not_isometric(circle_grid):
     chain = chain_for(phi, induced=False)  # prescribed flat: g != phi*h
     with pytest.raises(NotIsometric):
         tritension_space_form(chain)
+
+
+def test_tritension_space_form_not_isometric_on_a_map_that_does_not_immerse():
+    # the isometry defect is read unguarded, as the probe reads it, so a map
+    # that does not immerse fails the precondition with NotIsometric rather
+    # than with the induced metric's DegenerateImmersion
+    grid = pf.build_grid(pf.GridSpec(1, (256,), (TWO_PI,)))
+    phi = pf.builtin_map("PerturbedGeodesicH2", {"amplitude": 0.05}, grid,
+                         pf.SpaceFormSpec(-1.0, 2))
+    with pytest.raises(DegenerateImmersion):
+        pf.induced_metric(phi)
+    chain = chain_for(phi, induced=False)
+    assert chain.isometry_defect == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(NotIsometric, match="by 1.000e[+]00"):
+        tritension_space_form(chain)
+    assert pf.theorem_probe(chain, "max_iters").isometry_defect == chain.isometry_defect
 
 
 def test_linearity_of_operators(circle_grid):
