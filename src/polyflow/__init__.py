@@ -11,14 +11,11 @@ from .domain_grid import (
     DomainGrid,
     FrameField,
     GridSpec,
-    MetricField,
-    MetricMode,
     build_grid,
     identity_metric,
     induced_metric,
     integrate,
     orthonormal_frame,
-    prescribed_metric,
 )
 from .energy import EnergyReport, energy_report
 from .examples import builtin_map, example_catalog

@@ -169,17 +169,18 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
-def _choose_metric(phi, action: Action, notes: list):
-    """Audits/energies prefer the induced metric so isometric identities
-    apply; non-immersed maps fall back to the flat prescribed metric."""
+def _choose_metric(phi, action: Action, notes: list) -> tuple:
+    """The metric and the summary's ``metric_mode`` naming it: audits and
+    energies prefer the induced metric so isometric identities apply;
+    non-immersed maps fall back to the flat prescribed metric."""
     if action is Action.VARIATION_CHECK:
         notes.append("variation checks run over the fixed flat metric")
-        return identity_metric(phi.grid)
+        return identity_metric(phi.grid), "Prescribed"
     try:
-        return induced_metric(phi)
+        return induced_metric(phi), "Induced"
     except DegenerateImmersion:
         notes.append("map does not immerse; using the flat prescribed metric")
-        return identity_metric(phi.grid)
+        return identity_metric(phi.grid), "Prescribed"
 
 
 def _richardson(residual, t: float, tol: float) -> dict:
@@ -251,9 +252,8 @@ def run(config: ExperimentConfig) -> int:
     else:
         if not np.all(np.isfinite(phi.values)):
             raise DegeneratePoint("the initial map has non-finite coordinates")
-        metric = _choose_metric(phi, config.action, notes)
+        metric, summary["metric_mode"] = _choose_metric(phi, config.action, notes)
         chain = TensionChain(phi, orthonormal_frame(grid, metric))
-        summary["metric_mode"] = metric.mode.value
         summary["energies"] = energy_report(chain, p_list=config.p_list).to_dict()
         checked, failing = None, []  # what was checked, its failing checks
         if config.action is Action.AUDIT:

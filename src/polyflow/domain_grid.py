@@ -1,9 +1,9 @@
 """Discrete periodic domains: grids, metrics, frames, integration.
 
 The domain is a flat periodic lattice (circle for ``dims=1``, torus for
-``dims=2``) carrying an arbitrary smooth Riemannian metric field, either
-prescribed or induced by a map.  Three interchangeable differentiation
-backends are provided:
+``dims=2``) carrying an arbitrary smooth Riemannian metric field, a plain
+``grid.shape + (dims, dims)`` array: the flat one, one induced by a map, or
+any other.  Three interchangeable differentiation backends are provided:
 
 * ``CentralFD2`` / ``CentralFD4`` -- classical central stencils, O(h^2) and
   O(h^4) respectively;
@@ -31,14 +31,11 @@ from .errors import DegenerateImmersion, DegenerateMetric, InvalidSpec
 
 __all__ = [
     "Differentiation",
-    "MetricMode",
     "GridSpec",
     "DomainGrid",
-    "MetricField",
     "FrameField",
     "build_grid",
     "induced_metric",
-    "prescribed_metric",
     "identity_metric",
     "orthonormal_frame",
     "integrate",
@@ -99,11 +96,6 @@ class Differentiation(str, Enum):
     CENTRAL_FD2 = "CentralFD2"
     CENTRAL_FD4 = "CentralFD4"
     SPECTRAL = "Spectral"
-
-
-class MetricMode(str, Enum):
-    PRESCRIBED = "Prescribed"
-    INDUCED = "Induced"
 
 
 @dataclass(frozen=True)
@@ -276,14 +268,6 @@ def components_outermost(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class MetricField:
-    """Per-node symmetric metric tensor over a grid."""
-
-    g: np.ndarray  # shape grid.shape + (dims, dims)
-    mode: MetricMode
-
-
-@dataclass
 class FrameField:
     """Orthonormal frame and the metric's Laplace-Beltrami coefficients.
 
@@ -301,7 +285,7 @@ class FrameField:
     vol: float | np.ndarray
     G: tuple
     B: tuple
-    metric: MetricField = field(repr=False)
+    metric: np.ndarray = field(repr=False)  # g, grid.shape + (dims, dims)
     grid: DomainGrid = field(repr=False)
 
     @cached_property
@@ -359,7 +343,7 @@ def _min_eigenvalue(g: np.ndarray) -> np.ndarray:
     return half_tr - np.sqrt(half_diff**2 + g[..., 0, 1] ** 2)
 
 
-def induced_metric(phi) -> MetricField:
+def induced_metric(phi) -> np.ndarray:
     """Pullback metric g_ab = h(d_a phi, d_b phi) of a map field.
 
     Raises :class:`DegenerateImmersion` unless det g > 1e-10 at every node,
@@ -369,24 +353,12 @@ def induced_metric(phi) -> MetricField:
     g = phi.pullback_metric
     if not np.all(_det2(g) > 1e-10):
         raise DegenerateImmersion("induced metric is singular: map fails to immerse")
-    return MetricField(g=g, mode=MetricMode.INDUCED)
+    return g
 
 
-def prescribed_metric(grid: DomainGrid, g: np.ndarray) -> MetricField:
-    """Wrap a user-supplied metric tensor field as Prescribed."""
-    g = np.asarray(g, dtype=float)
-    expected = grid.shape + (grid.dims, grid.dims)
-    if g.shape != expected:
-        raise DegenerateMetric(f"metric shape {g.shape} != {expected}")
-    return MetricField(g=g, mode=MetricMode.PRESCRIBED)
-
-
-def identity_metric(grid: DomainGrid) -> MetricField:
-    """Flat prescribed metric g = delta_ab."""
-    g = np.zeros(grid.shape + (grid.dims, grid.dims))
-    for a in range(grid.dims):
-        g[..., a, a] = 1.0
-    return prescribed_metric(grid, g)
+def identity_metric(grid: DomainGrid) -> np.ndarray:
+    """Flat metric g = delta_ab, a new array."""
+    return np.zeros(grid.shape + (grid.dims, grid.dims)) + np.eye(grid.dims)
 
 
 def _per_node(c, tail: tuple):
@@ -415,7 +387,7 @@ def _constant_along(c: np.ndarray, axis: int) -> bool:
     return float(np.ptp(c, axis=axis).max()) <= FRAME_REL_TOL * float(np.abs(c).max())
 
 
-def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
+def orthonormal_frame(grid: DomainGrid, metric: np.ndarray) -> FrameField:
     """Gram-Schmidt frame (e1 along axis 0) and the Laplace-Beltrami
     coefficients G = g^-1 and B^b = (1/sqrt g) d_a(sqrt g G^{ab}), each
     family classed by :func:`_classify` as it is formed; B takes one ``deriv``
@@ -423,11 +395,14 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
     (:func:`_constant_along`), with one rule on every backend: a flux
     constant along a adds exactly 0.
 
-    Raises :class:`DegenerateMetric` unless g is positive definite
-    (minimum eigenvalue > 1e-10, so not NaN) at every node.
+    Raises :class:`DegenerateMetric` unless ``metric`` is a
+    ``grid.shape + (dims, dims)`` array, positive definite (minimum
+    eigenvalue > 1e-10, so not NaN) at every node.
     """
-    g = metric.g
+    g = np.asarray(metric, dtype=float)
     d = grid.dims
+    if g.shape != grid.shape + (d, d):
+        raise DegenerateMetric(f"metric shape {g.shape} != {grid.shape + (d, d)}")
     if not np.all(_min_eigenvalue(g) > 1e-10):
         raise DegenerateMetric("metric is not positive definite everywhere")
     e = [1.0 / np.sqrt(g[..., 0, 0])] + [0.0] * (d - 1)
@@ -451,7 +426,7 @@ def orthonormal_frame(grid: DomainGrid, metric: MetricField) -> FrameField:
             if isinstance(flux, np.ndarray) and not _constant_along(flux, a):
                 div[b] = div[b] + grid.deriv(flux, a)
     return FrameField(e=e, vol=vol, G=G, B=tuple(_classify([x / vol for x in div])),
-                      metric=metric, grid=grid)
+                      metric=g, grid=grid)
 
 
 def integrate(frame: FrameField, f: np.ndarray) -> float:

@@ -22,11 +22,7 @@ class DegenerateMetric(PolyflowError):
 
 
 class NotIsometric(PolyflowError):
-    """Prescribed metric deviates too far from the pullback metric."""
-
-
-class MetricModeError(PolyflowError):
-    """Operation requires a fixed prescribed metric."""
+    """The frame's metric deviates too far from the pullback metric."""
 
 
 class RadiusTooLarge(PolyflowError):

@@ -126,14 +126,18 @@ class TensionChain:
     J(V) = -P(LB V) - c |dphi|^2 V: ``tau2`` is J of tau from the P(LB tau)
     that ``lap_tau`` takes, and ``tau3`` is J of Delta tau from P(LB Delta tau),
     with no Delta^2 tau and no curvature contraction.  Fields and operators
-    take the same route, so sharing never changes a result.  ``nabla``,
-    ``laplacian`` and ``jacobi`` apply to any section along phi.  The chain
+    take the same route, so sharing never changes a result.  The map and
+    the frame share one grid: a frame of another grid spec is a ValueError.
+    ``nabla``, ``laplacian`` and ``jacobi`` apply to any section along phi.  The chain
     also owns the state's scalars: energies, Etilde4, L^p and sup norms, and
     the pointwise |tau|^2 and |Delta tau|^2.  Build one chain per state and
     drop it with the state.
     """
 
     def __init__(self, phi: MapField, frame: FrameField):
+        if frame.grid is not phi.grid and frame.grid.spec != phi.grid.spec:
+            raise ValueError(f"the frame's grid {frame.grid.spec} is not the "
+                             f"map's {phi.grid.spec}")
         self.phi = phi
         self.frame = frame
         self._floor = phi.spectral_floor
@@ -305,7 +309,7 @@ class TensionChain:
     @cached_property
     def isometry_defect(self) -> float:
         """max |h(d_a phi, d_b phi) - g_ab|, g the frame's metric; unguarded."""
-        return float(np.abs(self.phi.pullback_metric - self.frame.metric.g).max())
+        return float(np.abs(self.phi.pullback_metric - self.frame.metric).max())
 
     @cached_property
     def etilde4(self) -> float:
@@ -351,14 +355,14 @@ def tritension_space_form(chain: TensionChain) -> np.ndarray:
     on a transform of Delta tau of its own (the chain's tau3 is formed in
     place on its P(LB Delta tau)); Delta^2 tau is not formed.
 
-    Requires the domain metric to be the pullback metric (mode Induced, or
-    a prescribed metric matching it to 1e-6); the simplification relies on
-    the tension field being normal to the image, which fails quantitatively
-    for non-isometric maps.
+    Requires the frame's metric to match the pullback metric to 1e-6 (it
+    is exact on :func:`induced_metric`); the simplification relies on the
+    tension field being normal to the image, which fails quantitatively for
+    non-isometric maps.
     """
     phi = chain.phi
     if chain.isometry_defect > ISOMETRY_TOL:  # 0.0 on the induced metric
-        raise NotIsometric("prescribed metric deviates from the pullback "
+        raise NotIsometric("the frame's metric deviates from the pullback "
                            f"metric by {chain.isometry_defect:.3e}")
     out = chain.jacobi(chain.lap_tau)
     if phi.spec.c != 0.0:

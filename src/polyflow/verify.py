@@ -23,14 +23,12 @@ from . import space_form as sf
 from .domain_grid import (
     Differentiation,
     DomainGrid,
-    FrameField,
-    MetricMode,
     integrate,
     laplace_beltrami,
     whole_number,
 )
-from .errors import MetricModeError, NotTriharmonic, RadiusTooLarge
-from .pullback import MapField, TensionChain, vary
+from .errors import NotTriharmonic, RadiusTooLarge
+from .pullback import ISOMETRY_TOL, MapField, TensionChain, vary
 
 __all__ = [
     "AuditCheck",
@@ -110,14 +108,6 @@ def scheme_tolerance(grid: DomainGrid) -> float:
     return 1e-8
 
 
-def _require_prescribed(frame: FrameField):
-    if frame.metric.mode is MetricMode.INDUCED:
-        raise MetricModeError(
-            "variation checks need a fixed prescribed metric; an induced "
-            "metric would change along the variation"
-        )
-
-
 def _require_step(t: float):
     if not (math.isfinite(t) and t != 0.0):
         raise ValueError(f"variation step t must be finite and nonzero, got {t}")
@@ -129,15 +119,14 @@ def first_variation_residual(chain: TensionChain, V: np.ndarray, k: int,
     whose tension chain is ``chain``.
 
     Returns |FD(t) - A| / (1 + |A|) with FD the symmetric quotient of E_k
-    along the geodesic variation and A the analytic pairing.  Decays at
-    O(t^2) plus the scheme error, except for families on which E_k is
-    polynomial in t (flat targets), where the quotient is exact.
+    along the geodesic variation and A the analytic pairing.  Both varied
+    maps take ``chain.frame``, any frame, held fixed along the variation.
+    Decays at O(t^2) plus the scheme error, except for families on which E_k
+    is polynomial in t (flat targets), where the quotient is exact.
+    ``chain.field`` checks that k is 1, 2 or 3.
     """
     phi, frame = chain.phi, chain.frame
-    _require_prescribed(frame)
     _require_step(t)
-    if k not in (1, 2, 3):
-        raise ValueError(f"variation order must be 1, 2 or 3, got {k}")
     pairing = sf.ambient_form(phi.spec, chain.field(k), V)
     analytic = -integrate(frame, pairing)
     e_plus = TensionChain(vary(phi, V, t), frame).energy(k)
@@ -152,10 +141,10 @@ def tension_variation_residual(chain: TensionChain, V: np.ndarray, t: float) -> 
 
     The time derivative is the projected ambient central difference of the
     tension fields of the two varied maps; the right side is -J(V), which
-    ``chain.jacobi`` takes in its closed form -P(LB V) - c |dphi|^2 V.
+    ``chain.jacobi`` takes in its closed form -P(LB V) - c |dphi|^2 V.  Both
+    varied maps take ``chain.frame``, held fixed along the variation.
     """
     phi, frame = chain.phi, chain.frame
-    _require_prescribed(frame)
     _require_step(t)
     tau_plus = TensionChain(vary(phi, V, t), frame).tau
     tau_minus = TensionChain(vary(phi, V, -t), frame).tau
@@ -224,8 +213,9 @@ def pointwise_identity_audit(chain: TensionChain, seed: int = 0) -> AuditReport:
     tau_sq, grad_tau_sq = chain.tau_sq, chain.grad_tau_sq
 
     # (a) along isometric immersions the tension field is normal to the
-    # image: sum_j h(nabla_{e_j} tau, dphi(e_j)) = -h(tau, tau).
-    if frame.metric.mode is MetricMode.INDUCED:
+    # image: sum_j h(nabla_{e_j} tau, dphi(e_j)) = -h(tau, tau), checked
+    # where the frame's metric is the pullback metric to ISOMETRY_TOL.
+    if chain.isometry_defect <= ISOMETRY_TOL:
         acc = tau_sq.copy()
         for g, d in zip(chain.grad_tau, dphi):
             acc += sf.ambient_form(spec, g, d)

@@ -202,8 +202,7 @@ def test_deriv_nyquist_mode_is_zero(n):
 
 def test_induced_metric_arc_length_circle(flat_circle):
     metric = pf.induced_metric(flat_circle)
-    assert metric.mode is pf.MetricMode.INDUCED
-    np.testing.assert_allclose(metric.g[..., 0, 0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(metric[..., 0, 0], 1.0, atol=1e-12)
 
 
 def test_induced_metric_product_torus(torus_grid):
@@ -212,11 +211,11 @@ def test_induced_metric_product_torus(torus_grid):
         "TorusCliffordLike", {"r1": 1.0, "r2": 1.0}, torus_grid, spec
     )
     metric = pf.induced_metric(phi)
-    expected = np.broadcast_to(np.eye(2), metric.g.shape)
-    np.testing.assert_allclose(metric.g, expected, atol=1e-12)
+    expected = np.broadcast_to(np.eye(2), metric.shape)
+    np.testing.assert_allclose(metric, expected, atol=1e-12)
     # the guard reads the map's own pullback metric, formed once, read only
-    assert metric.g is phi.pullback_metric and not metric.g.flags.writeable
-    assert pf.induced_metric(phi).g is metric.g
+    assert metric is phi.pullback_metric and not metric.flags.writeable
+    assert pf.induced_metric(phi) is metric
 
 
 def test_induced_metric_constant_map_degenerate(circle_grid):
@@ -261,7 +260,7 @@ def test_orthonormal_frame_constant_diag(torus_grid):
     g = np.zeros(torus_grid.shape + (2, 2))
     g[..., 0, 0] = 4.0
     g[..., 1, 1] = 1.0
-    frame = pf.orthonormal_frame(torus_grid, pf.prescribed_metric(torus_grid, g))
+    frame = pf.orthonormal_frame(torus_grid, g)
     assert frame.e == ((0.5, 0.0), (0.0, 1.0)) and frame.G == ((0.25, 0.0), (0.0, 1.0))
     assert frame.B == (0.0, 0.0) and frame.vol == 2.0
 
@@ -313,13 +312,12 @@ def test_tube_torus_frame_drops_its_roundoff_coefficients(rho):
     grid = pf.build_grid(pf.GridSpec(2, (128, 128), (TWO_PI, TWO_PI)))
     phi = pf.builtin_map("TorusCliffordLike", {"a": 1.0, "rho": rho}, grid,
                          pf.SpaceFormSpec(-1.0, 3))
-    metric = pf.induced_metric(phi)
-    frame = pf.orthonormal_frame(grid, metric)
+    g = pf.induced_metric(phi)
+    frame = pf.orthonormal_frame(grid, g)
     assert frame.lb_terms == (False, (1,)) and frame.axes == ((0,), (1,))
     assert frame.e[1][0] == frame.G[0][1] == frame.B[0] == 0.0
     # the values dropped: e_1^0 as Gram-Schmidt forms it, G^{01} as the
     # unclassed e would give it, and B^0 from sqrt g G^{00}
-    g = metric.g
     wnorm = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
     e = [1.0 / np.sqrt(g[..., 0, 0]), -g[..., 0, 1] / g[..., 0, 0] / wnorm, 1.0 / wnorm]
     G = [e[0] * e[0] + e[1] * e[1], e[1] * e[2], e[2] * e[2]]
@@ -426,9 +424,9 @@ def test_frame_trace_coefficients_match_the_metric(torus_grid, metric):
         g = pf.induced_metric(pf.builtin_map("TorusCliffordLike", {}, torus_grid,
                                              pf.SpaceFormSpec(-1.0, 3)))
     frame = frame_arrays(pf.orthonormal_frame(torus_grid, g))
-    inverse = np.linalg.inv(g.g)
+    inverse = np.linalg.inv(g)
     assert np.max(np.abs(frame.G - inverse)) <= 1e-14 * np.max(np.abs(inverse))
-    dg = [torus_grid.deriv(g.g, a) for a in range(2)]  # dg[d][..., a, b] = d_d g_ab
+    dg = [torus_grid.deriv(g, a) for a in range(2)]  # dg[d][..., a, b] = d_d g_ab
     expected = np.zeros(torus_grid.shape + (2,))
     for a in range(2):
         for c in range(2):
@@ -466,7 +464,7 @@ def test_orthonormal_frame_orthonormality():
     phi = pf.builtin_map("GraphSurface", {}, grid, pf.SpaceFormSpec(0.0, 5))
     metric = pf.induced_metric(phi)
     e = frame_arrays(pf.orthonormal_frame(grid, metric)).e
-    gram = np.einsum("...ia,...ab,...jb->...ij", e, metric.g, e)
+    gram = np.einsum("...ia,...ab,...jb->...ij", e, metric, e)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape),
                                atol=1e-10)
 
@@ -474,7 +472,17 @@ def test_orthonormal_frame_orthonormality():
 def test_degenerate_metric_rejected(circle_grid):
     g = np.zeros(circle_grid.shape + (1, 1))
     with pytest.raises(DegenerateMetric):
-        pf.orthonormal_frame(circle_grid, pf.prescribed_metric(circle_grid, g))
+        pf.orthonormal_frame(circle_grid, g)
+
+
+@pytest.mark.parametrize("dims,shape", [(1, (256, 2, 2)), (2, (63, 64, 2, 2)),
+                                        (2, (2, 2))])
+def test_metric_of_another_shape_rejected(circle_grid, torus_grid, dims, shape):
+    # a metric is a grid.shape + (dims, dims) array; an identity of any other
+    # shape, positive definite as it is, builds no frame
+    grid = circle_grid if dims == 1 else torus_grid
+    with pytest.raises(DegenerateMetric):
+        pf.orthonormal_frame(grid, np.zeros(shape) + np.eye(2))
 
 
 def test_nan_metric_rejected(torus_grid):
@@ -482,7 +490,7 @@ def test_nan_metric_rejected(torus_grid):
     # too small" would let a NaN metric through
     g = np.full(torus_grid.shape + (2, 2), np.nan)
     with pytest.raises(DegenerateMetric):
-        pf.orthonormal_frame(torus_grid, pf.prescribed_metric(torus_grid, g))
+        pf.orthonormal_frame(torus_grid, g)
     phi = pf.builtin_map("TorusCliffordLike", {"r1": 1.0, "r2": 1.0}, torus_grid,
                          pf.SpaceFormSpec(0.0, 4))
     values = phi.values.copy()
@@ -507,7 +515,7 @@ def _random_spd(shape, rng):
 def test_metric_kernels_match_lapack(torus_grid, case):
     # the closed-form determinant and smaller eigenvalue against LAPACK
     if case == "warped":
-        g = warped_metric(torus_grid).g
+        g = warped_metric(torus_grid)
     elif case == "random":
         g = _random_spd(torus_grid.shape, np.random.default_rng(5))
     else:
@@ -537,12 +545,12 @@ def test_frame_rejects_a_bad_metric_at_one_node(circle_grid, torus_grid, dims, k
     # with RuntimeWarning an error, rejection also shows no 0/0 warning
     grid = circle_grid if dims == 1 else torus_grid
     bad = BAD_METRICS[kind][-dims:, -dims:]
-    g = pf.identity_metric(grid).g.copy()
+    g = pf.identity_metric(grid)
     g[(3,) * dims] = bad
     with pytest.raises(DegenerateMetric):
-        pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
+        pf.orthonormal_frame(grid, g)
     g[(3,) * dims] = bad + 1e-9 * np.eye(dims) if kind == "below_guard" else np.eye(dims)
-    pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
+    pf.orthonormal_frame(grid, g)
 
 
 def _raw_map(grid, spec, values):
@@ -632,7 +640,7 @@ def test_integration_by_parts_curved_metric(kind):
         grid = pf.build_grid(pf.GridSpec(1, (n,), (TWO_PI,), kind))
         s = grid.coords[0]
         g = ((1.0 + 0.3 * np.sin(s)) ** 2)[..., None, None]
-        frame = pf.orthonormal_frame(grid, pf.prescribed_metric(grid, g))
+        frame = pf.orthonormal_frame(grid, g)
         u, w = np.sin(s), np.cos(3 * s)
         lhs = pf.integrate(frame, u * -laplace_beltrami(frame, w)[1])
         rhs = pf.integrate(frame, _frame_pairing(grid, frame, u, w))

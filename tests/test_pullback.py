@@ -613,7 +613,7 @@ def _christoffels(grid, g):
 def _christoffel_connection(grid, frame):
     """nabla_{e_i} e_i = e_i(e_i^c) + Gamma^c_ab e_i^a e_i^b in coordinates:
     the route that differentiates and inverts the metric."""
-    gamma, e = _christoffels(grid, frame.metric.g), frame_arrays(frame).e
+    gamma, e = _christoffels(grid, frame.metric), frame_arrays(frame).e
     out = np.zeros_like(e)
     for i in range(grid.dims):
         ei = e[..., i, :]
@@ -889,7 +889,7 @@ def test_div_terms_match_christoffel_route(name, params, grid_args, target, metr
     # B^c = (1/sqrt g) d_a(sqrt g g^{ab}) = -g^{ab} Gamma^c_ab
     phi = build_fixture(name, params, grid_args, target)
     frame = _case_frame(phi, metric)
-    gamma, coeffs = _christoffels(phi.grid, frame.metric.g), frame_arrays(frame)
+    gamma, coeffs = _christoffels(phi.grid, frame.metric), frame_arrays(frame)
     ref = -np.einsum("...ab,...abc->...c", coeffs.G, gamma)
     err = np.max(np.abs(coeffs.B - ref))
     assert err <= 1e-10 * (1.0 + np.max(np.abs(ref)))
@@ -905,6 +905,20 @@ def test_frame_axes_skip_exact_zeros(torus_grid, metric, axes):
     f = np.exp(np.sin(u) * np.cos(2 * v))
     expected = _ref_laplace_beltrami(torus_grid, frame, f)
     assert laplace_beltrami(frame, f)[1].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sizes,lengths", [((128,), (TWO_PI,)), ((256,), (2 * TWO_PI,)),
+                                           ((256,), (TWO_PI,))])
+def test_chain_rejects_a_frame_of_another_grid(flat_circle, sizes, lengths):
+    # a frame of another grid spec (size, period or backend) is refused: a
+    # flat frame of the 128-node or the 4 pi grid gave E1 = 2 pi, not pi
+    other = pf.build_grid(pf.GridSpec(1, sizes, lengths, "CentralFD2"))
+    with pytest.raises(ValueError):
+        TensionChain(flat_circle, pf.orthonormal_frame(other, pf.identity_metric(other)))
+    # a frame of an equal grid spec, though another grid object, is the map's
+    twin = pf.build_grid(flat_circle.grid.spec)
+    chain = TensionChain(flat_circle, pf.orthonormal_frame(twin, pf.identity_metric(twin)))
+    assert chain.energy(1) == pytest.approx(np.pi, rel=1e-12)
 
 
 def test_map_values_are_read_only(flat_circle):
@@ -942,7 +956,7 @@ def test_induced_metric_and_chain_share_the_map_derivatives(monkeypatch, c):
     assert len(kinds) == 4
     for a in range(2):
         for b in range(2):
-            assert (metric.g[..., a, b].tobytes()
+            assert (metric[..., a, b].tobytes()
                     == sf.ambient_form(phi.spec, derivs[a], derivs[b]).tobytes())
     frame = pf.orthonormal_frame(phi.grid, metric)
     kinds.clear()

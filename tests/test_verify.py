@@ -5,12 +5,7 @@ import pytest
 
 import polyflow as pf
 from polyflow import space_form as sf
-from polyflow.errors import (
-    DegenerateImmersion,
-    MetricModeError,
-    NotTriharmonic,
-    RadiusTooLarge,
-)
+from polyflow.errors import DegenerateImmersion, NotTriharmonic, RadiusTooLarge
 from polyflow.verify import _gradient_sq
 
 from conftest import (build_fixture, builtin_fixture_set, chain_for, frame_for,
@@ -79,12 +74,47 @@ def test_first_variation_geodesic_critical(circle_grid):
     assert pf.first_variation_residual(chain, V, 1, 1e-4) <= 1e-6
 
 
-def test_first_variation_requires_prescribed(flat_circle):
-    chain = chain_for(flat_circle, induced=True)
-    with pytest.raises(MetricModeError):
-        pf.first_variation_residual(chain, chain.tau, 1, 1e-3)
-    with pytest.raises(MetricModeError):
-        pf.tension_variation_residual(chain, chain.tau, 1e-3)
+CURVED_ISOMETRIC_CASES = [
+    ("Circle", {"r": 0.9}, 1, pf.SpaceFormSpec(1.0, 2)),
+    ("Circle", {"r": 0.3}, 1, pf.SpaceFormSpec(-1.0, 2)),
+    ("TorusCliffordLike", {}, 2, pf.SpaceFormSpec(1.0, 3)),
+    ("TorusCliffordLike", {}, 2, pf.SpaceFormSpec(-1.0, 3)),
+]
+
+
+@pytest.mark.parametrize("name,params,dims,target", CURVED_ISOMETRIC_CASES,
+                         ids=["S2-circle", "H2-circle", "S3-torus", "H3-torus"])
+def test_variation_checks_on_a_fixed_induced_frame(name, params, dims, target):
+    # the variation formulas need the frame held fixed along the variation,
+    # not a flat one: on the induced frame of the unvaried map every check
+    # meets its VariationCheck tolerance and decays at O(t^2) (ratios 3.9 to
+    # 4.4 at seed 0)
+    n = 256 if dims == 1 else 32
+    phi = build_fixture(name, params, (dims, (n,) * dims, (TWO_PI,) * dims), target)
+    chain = chain_for(phi)
+    assert chain.isometry_defect == 0.0
+    residuals = {}
+    for k in (1, 2, 3):
+        V = pf.random_tangent_section(phi, seed=k)
+        residuals[k, 1e-4] = [pf.first_variation_residual(chain, V, k, t)
+                              for t in (1e-3, 5e-4)]
+    V = pf.random_tangent_section(phi, seed=7)
+    residuals["tension", 1e-3] = [pf.tension_variation_residual(chain, V, t)
+                                  for t in (1e-3, 5e-4)]
+    for (check, tol), (r_t, r_half) in residuals.items():
+        assert r_t <= tol, check
+        assert 3.5 <= r_t / r_half <= 4.5, check
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_tension_order_outside_one_to_three_rejected(flat_circle, k):
+    chain = chain_for(flat_circle, induced=False)
+    with pytest.raises(ValueError):
+        chain.field(k)
+    with pytest.raises(ValueError):
+        chain.energy(k)
+    with pytest.raises(ValueError):
+        pf.first_variation_residual(chain, chain.tau, k, 1e-3)
 
 
 @pytest.mark.parametrize("target", [pf.SpaceFormSpec(1.0, 2),
@@ -167,10 +197,25 @@ def test_identity_audit_on_stencil_backends(request, kind, name, params, dims, t
     assert report.passed, report.to_dict()
 
 
-def test_audit_orthogonality_skipped_without_isometry(flat_circle):
-    report = pf.pointwise_identity_audit(chain_for(flat_circle, induced=False))
+def test_audit_orthogonality_skipped_without_isometry(circle_grid):
+    # the flat frame is not isometric for a circle of radius 0.9 (|g - r^2|
+    # = 0.19), so the orthogonality identity does not apply
+    phi = pf.builtin_map("Circle", {"r": 0.9}, circle_grid, pf.SpaceFormSpec(0.0, 2))
+    chain = chain_for(phi, induced=False)
+    assert chain.isometry_defect == pytest.approx(0.19)
+    report = pf.pointwise_identity_audit(chain)
     assert report.checks["tension_orthogonality"].skipped
     assert report.passed
+
+
+def test_audit_orthogonality_runs_on_an_isometric_flat_frame(flat_circle):
+    # the unit circle on a 2 pi period is isometric on the flat frame too,
+    # so the check runs there, whichever function built the metric
+    chain = chain_for(flat_circle, induced=False)
+    assert chain.isometry_defect <= 1e-12
+    check = pf.pointwise_identity_audit(chain).checks["tension_orthogonality"]
+    assert not check.skipped
+    assert check.max_residual <= 1e-8
 
 
 def test_audit_circle_orthogonality_residual(flat_circle):
@@ -270,8 +315,7 @@ def test_gradient_sq_matches_numpy_sum(circle_grid, torus_grid, dims):
     # checks keeps the bits of numpy's reduction over the component axis
     grid = circle_grid if dims == 1 else torus_grid
     if dims == 1:
-        g = (1.0 + 0.3 * np.sin(grid.coords[0]) ** 2)[:, None, None]
-        metric = pf.prescribed_metric(grid, g)
+        metric = (1.0 + 0.3 * np.sin(grid.coords[0]) ** 2)[:, None, None]
     else:
         metric = warped_metric(grid)
     frame = pf.orthonormal_frame(grid, metric)
